@@ -3,9 +3,9 @@
 Subcommands::
 
     lindscope analyze MODEL.json [--out FILE] [--format csv|json]
-                                 [--kappa-lo X] [--kappa-hi Y] [--seed N]
+                                 [--kappa-lo X] [--kappa-hi Y]
     lindscope series  MODEL.json [--t-end X] [--steps N] [--out FILE]
-                                 [--format csv|json] [--seed N]
+                                 [--format csv|json]
     lindscope sweep   MODEL.json --param NAME --from A --to B --points N
                                  [--log] [--kappa-lo X] [--kappa-hi Y] ...
     lindscope regimes MODEL.json --param NAME --from A --to B --points N
@@ -202,6 +202,8 @@ def _load_json(path: str):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise IoError(f"cannot read model file {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"model file {path!r} is not UTF-8: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -318,7 +320,6 @@ class RunConfig:
     stop: float | None = None
     points: int | None = None
     log_scale: bool = False
-    seed: int | None = None  # reserved for randomized diagnostics
 
 
 def _metrics_fields(metrics) -> dict:
@@ -451,10 +452,6 @@ def _build_parser() -> _Parser:
         p.add_argument("model", help="model file (JSON)")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default=None, dest="fmt")
-        p.add_argument(
-            "--seed", type=int, default=None,
-            help="seed for randomized diagnostics (reserved; current commands are deterministic)",
-        )
 
     def thresholds(p):
         p.add_argument("--kappa-lo", type=float, default=None,
@@ -520,7 +517,6 @@ def _config_from_args(args) -> RunConfig:
         stop=getattr(args, "stop", None),
         points=getattr(args, "points", None),
         log_scale=getattr(args, "log", False),
-        seed=args.seed,
     )
 
 

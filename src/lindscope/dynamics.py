@@ -36,13 +36,7 @@ from .linalg import (
     matrix_exp,
     spectral_norm,
 )
-from .metrics import (
-    Regime,
-    compute_metrics,
-    dissipative_strength,
-    nonnormality,
-    zero_tolerance,
-)
+from .metrics import Regime, compute_metrics, zero_tolerance
 from .superop import Superoperator, apply, decompose
 
 __all__ = [
@@ -122,10 +116,11 @@ class CostEstimate(NamedTuple):
     kappa_overhead: float
 
 
-def _check_range(s: Superoperator, t: float) -> None:
+def _check_range(norm: float, t: float) -> None:
+    """Reject t < 0 and t * norm beyond the exponential's safe range."""
     if t < 0:
         raise RangeError(f"time must be nonnegative, got {t}")
-    scaled = t * spectral_norm(s.matrix)
+    scaled = t * norm
     if scaled > EXP_SAFE_NORM:
         raise RangeError(
             f"t * ||S|| = {scaled:.6g} exceeds safe range {EXP_SAFE_NORM:g}; "
@@ -136,12 +131,11 @@ def _check_range(s: Superoperator, t: float) -> None:
 def default_grid(s: Superoperator, steps: int = DEFAULT_STEPS) -> TimeGrid:
     """Grid covering the intrinsic timescale: [0, 5/delta] for dissipative
     generators, [0, 10/||S||] otherwise, [0, 10] for the zero generator."""
-    norm = spectral_norm(s.matrix)
-    delta = dissipative_strength(s)
-    if delta > zero_tolerance(norm):
-        t_end = 5.0 / delta
-    elif norm > 0.0:
-        t_end = 10.0 / norm
+    m = compute_metrics(s)
+    if m.delta > zero_tolerance(m.generator_norm):
+        t_end = 5.0 / m.delta
+    elif m.generator_norm > 0.0:
+        t_end = 10.0 / m.generator_norm
     else:
         t_end = 10.0
     return TimeGrid(0.0, t_end, steps)
@@ -149,7 +143,7 @@ def default_grid(s: Superoperator, steps: int = DEFAULT_STEPS) -> TimeGrid:
 
 def propagator(s: Superoperator, t: float) -> Superoperator:
     """exp(t S) as a superoperator; t * ||S|| must stay in the safe range."""
-    _check_range(s, t)
+    _check_range(spectral_norm(s.matrix), t)
     return Superoperator(s.dim, matrix_exp(t * s.matrix))
 
 
@@ -160,11 +154,9 @@ def spectral_abscissa(s: Superoperator) -> float:
 
 def amplification_series(s: Superoperator, grid: TimeGrid) -> AmplificationSeries:
     """Propagator norms, both amplification factors and both envelopes."""
-    _check_range(s, grid.t_end)
-    _, skew = decompose(s)
-    delta = dissipative_strength(s)
-    eta = nonnormality(s)
-    nd_norm = spectral_norm(skew.matrix)
+    m = compute_metrics(s)
+    _check_range(m.generator_norm, grid.t_end)
+    delta, eta, nd_norm = m.delta, m.eta, m.nd_norm
     alpha = spectral_abscissa(s)
 
     times = grid.times
@@ -195,11 +187,11 @@ def gronwall_check(s: Superoperator, rho0, grid: TimeGrid) -> float:
     generator, so the result is nonnegative up to roundoff.
     """
     rho0 = as_complex_matrix(rho0, s.dim, s.dim)
-    _check_range(s, grid.t_end)
-    delta = dissipative_strength(s)
+    m = compute_metrics(s)
+    _check_range(m.generator_norm, grid.t_end)
     norm0 = hs_norm(rho0)
     margins = [
-        math.exp(delta * t) * norm0 - hs_norm(apply(propagator(s, t), rho0))
+        math.exp(m.delta * t) * norm0 - hs_norm(apply(propagator(s, t), rho0))
         for t in grid.times
     ]
     return float(min(margins))
@@ -212,7 +204,7 @@ def normal_factorization_residual(s: Superoperator, t: float) -> float:
     then the Hermitian and anti-Hermitian parts commute; generically
     positive otherwise, so it witnesses nonnormality dynamically.
     """
-    _check_range(s, t)
+    _check_range(spectral_norm(s.matrix), t)
     herm, skew = decompose(s)
     full = matrix_exp(t * s.matrix)
     factored = matrix_exp(t * herm.matrix) @ matrix_exp(t * skew.matrix)
@@ -223,7 +215,7 @@ def error_amplification(s: Superoperator, t: float, eps: float) -> float:
     """Worst-case state error eps * ||exp(t S)|| from a propagator error eps."""
     if eps < 0:
         raise ConfigError(f"eps must be nonnegative, got {eps}")
-    _check_range(s, t)
+    _check_range(spectral_norm(s.matrix), t)
     return eps * spectral_norm(matrix_exp(t * s.matrix))
 
 
@@ -234,13 +226,10 @@ def truncated_appg_bound(s: Superoperator, t: float) -> AppgBound:
     nested-commutator terms are dropped, so this is a diagnostic, not a
     proven upper bound; the flag is reported, never asserted.
     """
-    _check_range(s, t)
-    _, skew = decompose(s)
-    delta = dissipative_strength(s)
-    eta = nonnormality(s)
-    nd_norm = spectral_norm(skew.matrix)
+    m = compute_metrics(s)
+    _check_range(m.generator_norm, t)
     with np.errstate(over="ignore"):
-        bound = float(np.exp(delta * t + nd_norm * t + eta * t * t / 4.0))
+        bound = float(np.exp(m.delta * t + m.nd_norm * t + m.eta * t * t / 4.0))
     prop = spectral_norm(matrix_exp(t * s.matrix))
     return AppgBound(bound=bound, satisfied=bool(prop <= bound * (1.0 + 1e-9)))
 
@@ -259,11 +248,9 @@ def cost_estimate(s: Superoperator, t: float, eps_star: float) -> CostEstimate:
         raise ConfigError(f"eps_star must lie in (0, 1), got {eps_star}")
     if t < 0:
         raise RangeError(f"time must be nonnegative, got {t}")
-    norm = spectral_norm(s.matrix)
-    delta = dissipative_strength(s)
-    rate = delta if delta > zero_tolerance(norm) else 0.5 * norm
-    base = t * rate + math.log(1.0 / eps_star)
     m = compute_metrics(s)
+    rate = m.delta if m.delta > zero_tolerance(m.generator_norm) else 0.5 * m.generator_norm
+    base = t * rate + math.log(1.0 / eps_star)
     if m.regime is Regime.STRONGLY_NONNORMAL and m.kappa is not None:
         overhead = m.kappa
     elif m.regime is Regime.CROSSOVER:

@@ -132,13 +132,11 @@ def eigenvalues_general(m) -> np.ndarray:
     return ev[order]
 
 
-def matrix_exp(m, hermitian: bool = False) -> np.ndarray:
-    """Matrix exponential exp(m).
+def matrix_exp(m) -> np.ndarray:
+    """Matrix exponential exp(m), by scaling-and-squaring with a Pade approximant.
 
-    General matrices go through scaling-and-squaring with a Pade approximant;
-    inputs flagged ``hermitian`` use an eigendecomposition instead. Accuracy
-    is guaranteed only for spectral norm up to EXP_SAFE_NORM; beyond that a
-    RangeError tells the caller to rescale its time grid.
+    Accuracy is guaranteed only for spectral norm up to EXP_SAFE_NORM; beyond
+    that a RangeError tells the caller to rescale its time grid.
     """
     m = _square(m)
     norm = spectral_norm(m)
@@ -147,14 +145,6 @@ def matrix_exp(m, hermitian: bool = False) -> np.ndarray:
             f"matrix norm {norm:.6g} exceeds safe range {EXP_SAFE_NORM:g}; "
             "rescale the time grid and compose shorter steps"
         )
-    if hermitian:
-        defect = hermiticity_defect(m)
-        if defect > hermiticity_tolerance(m):
-            raise NotHermitianError(
-                f"matrix is not Hermitian: defect {defect:.3e} exceeds tolerance"
-            )
-        w, v = np.linalg.eigh(m)
-        return (v * np.exp(w)) @ v.conj().T
     return scipy.linalg.expm(m)
 
 

@@ -17,6 +17,9 @@ ratio there would be a normalization artifact, not physics).
 Zero tests are relative: ``delta`` counts as zero below
 ``ZERO_RTOL * ||S||`` and ``eta`` below ``ETA_RTOL * ||S||**2``, which
 makes every classification invariant under rescaling the generator.
+
+``compute_metrics`` computes them all in one pass, including the two-route
+cross-check of ``eta``; the single-number functions read its result.
 """
 
 from __future__ import annotations
@@ -27,13 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .linalg import (
-    commutator,
-    dagger,
-    eigenvalues_general,
-    hermitian_eigenvalues,
-    spectral_norm,
-)
+from .linalg import commutator, dagger, eigenvalues_general, spectral_norm
 from .superop import LindbladModel, Superoperator, decompose, liouvillian
 
 __all__ = [
@@ -101,41 +98,22 @@ def eta_tolerance(generator_norm: float) -> float:
 
 
 def dissipative_strength(s: Superoperator) -> float:
-    """Operator norm of the Hermitian part of the generator.
-
-    Since that part is Hermitian in the Hilbert-Schmidt geometry, its
-    induced norm equals its largest eigenvalue magnitude.
-    """
-    herm, _ = decompose(s)
-    ev = hermitian_eigenvalues(herm.matrix)
-    return float(np.max(np.abs(ev)))
+    """Operator norm of the Hermitian part of the generator (see compute_metrics)."""
+    return compute_metrics(s).delta
 
 
 def nonnormality(s: Superoperator) -> float:
     """Norm of [S, S^dag]; zero exactly when the generator is normal.
 
-    Cross-checked internally against the identity
-    ``||[S, S^dag]|| = 2 ||[S_herm, S_skew]||`` (exact in arithmetic), so a
-    construction bug cannot slip through as a plausible-looking number.
+    compute_metrics cross-checks it against the second route
+    ``2 ||[S_herm, S_skew]||``.
     """
-    m = s.matrix
-    eta = spectral_norm(commutator(m, dagger(m)))
-    herm, skew = decompose(s)
-    eta_parts = 2.0 * spectral_norm(commutator(herm.matrix, skew.matrix))
-    scale = spectral_norm(m) ** 2
-    if abs(eta - eta_parts) > 1e-8 * scale:
-        raise NumericalError(
-            f"nonnormality routes disagree: {eta:.6e} vs {eta_parts:.6e}"
-        )
-    return float(eta)
+    return compute_metrics(s).eta
 
 
 def kappa(s: Superoperator) -> float | None:
     """eta / delta**2, or None when delta is (relatively) zero."""
-    delta = dissipative_strength(s)
-    if delta <= zero_tolerance(spectral_norm(s.matrix)):
-        return None
-    return nonnormality(s) / delta**2
+    return compute_metrics(s).kappa
 
 
 def bound_check(s: Superoperator) -> float:
@@ -149,9 +127,7 @@ def bound_check(s: Superoperator) -> float:
     land below zero. A margin below that provable floor would signal an
     implementation bug.
     """
-    _, skew = decompose(s)
-    delta = dissipative_strength(s)
-    return 2.0 * delta * spectral_norm(skew.matrix) - nonnormality(s)
+    return compute_metrics(s).bound_margin
 
 
 def _classify_values(
@@ -188,11 +164,23 @@ def classify(m: StructuralMetrics, thresholds: RegimeThresholds | None = None) -
 def compute_metrics(
     s: Superoperator, thresholds: RegimeThresholds | None = None
 ) -> StructuralMetrics:
-    """All structure metrics of one generator, with its regime label."""
-    norm = spectral_norm(s.matrix)
-    _, skew = decompose(s)
-    delta = dissipative_strength(s)
-    eta = nonnormality(s)
+    """All structure metrics of one generator, with its regime label, in one pass.
+
+    The Hermitian part is Hermitian by construction, so its eigenvalues are
+    taken unchecked. ``eta`` is cross-checked against the identity
+    ``||[S, S^dag]|| = 2 ||[S_herm, S_skew]||`` (exact in arithmetic), so a
+    construction bug cannot slip through as a plausible-looking number.
+    """
+    m = s.matrix
+    herm, skew = decompose(s)
+    norm = spectral_norm(m)
+    delta = float(np.max(np.abs(np.linalg.eigvalsh(herm.matrix))))
+    eta = spectral_norm(commutator(m, dagger(m)))
+    eta_parts = 2.0 * spectral_norm(commutator(herm.matrix, skew.matrix))
+    if abs(eta - eta_parts) > 1e-8 * norm**2:
+        raise NumericalError(
+            f"nonnormality routes disagree: {eta:.6e} vs {eta_parts:.6e}"
+        )
     nd_norm = spectral_norm(skew.matrix)
     k = None if delta <= zero_tolerance(norm) else eta / delta**2
     return StructuralMetrics(
@@ -222,6 +210,22 @@ class StructuredDissipatorReport:
     shift_max_error: float | None = None
 
 
+def _matched_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest |a_i - b_j| when each a_i takes a distinct nearest b_j.
+
+    Matching the spectra as multisets, not by sort order, keeps
+    complex-conjugate pairs (equal real parts) with their true partners.
+    """
+    free = np.ones(len(b), dtype=bool)
+    worst = 0.0
+    for z in a:
+        dist = np.where(free, np.abs(b - z), np.inf)
+        i = int(np.argmin(dist))
+        free[i] = False
+        worst = max(worst, float(dist[i]))
+    return worst
+
+
 def structured_dissipator_report(model: LindbladModel) -> StructuredDissipatorReport:
     """Detect structured dissipators and verify the uniform spectral shift.
 
@@ -245,8 +249,9 @@ def structured_dissipator_report(model: LindbladModel) -> StructuredDissipatorRe
     dissipator = liouvillian(
         LindbladModel(d, np.zeros((d, d), dtype=complex), model.jumps, label="dissipator")
     )
-    lind_spectrum = eigenvalues_general(dissipator.matrix)
-    shift_error = float(np.max(np.abs(lind_spectrum - (jump_spectrum - gamma))))
+    shift_error = _matched_distance(
+        eigenvalues_general(dissipator.matrix), jump_spectrum - gamma
+    )
     return StructuredDissipatorReport(
         is_structured=True,
         gamma=gamma,

@@ -281,16 +281,23 @@ class TestExitCodesAndFiles:
     def test_usage_error_one(self, tmp_path, capsys):
         path = write(tmp_path, "m.json", DEPHASING)
         assert main(["sweep", path, "--param", "omega"]) == 1
+        assert main(["analyze", path, "--seed", "7"]) == 1
+
+    @pytest.mark.parametrize("command", ["analyze", "sweep"])
+    def test_non_utf8_file_one(self, tmp_path, capsys, command):
+        path = tmp_path / "m.json"
+        path.write_bytes(b"\xff\xfe{}")
+        argv = [command, str(path)]
+        if command == "sweep":
+            argv += ["--param", "omega", "--from", "1", "--to", "2", "--points", "2"]
+        assert main(argv) == 1
+        assert "not UTF-8" in capsys.readouterr().err
 
     def test_no_partial_file_on_error(self, tmp_path):
         bad = write(tmp_path, "m.json", {"model": {"type": "nonsense"}})
         out = tmp_path / "result.json"
         assert main(["analyze", bad, "--out", str(out)]) == 1
         assert not out.exists()
-
-    def test_seed_flag_accepted(self, tmp_path):
-        path = write(tmp_path, "m.json", DEPHASING)
-        assert main(["analyze", path, "--seed", "7"]) == 0
 
 
 class TestCostArithmetic:

@@ -196,17 +196,6 @@ class TestMatrixExp:
         with pytest.raises(RangeError):
             matrix_exp(100.0 * np.eye(2))
 
-    def test_hermitian_path_matches_general(self):
-        rng = np.random.default_rng(12)
-        h = random_hermitian(rng, 6)
-        np.testing.assert_allclose(
-            matrix_exp(h, hermitian=True), matrix_exp(h), rtol=0, atol=1e-12
-        )
-
-    def test_hermitian_flag_rejects_skew(self):
-        with pytest.raises(NotHermitianError):
-            matrix_exp(np.array([[0.0, 1.0], [-1.0, 0.0]]), hermitian=True)
-
 
 class TestCommutator:
     def test_self(self):

@@ -5,12 +5,15 @@ from helpers import (
     SM,
     SZ,
     power_norm,
+    random_complex,
     random_hermitian,
     random_model,
     random_models,
+    random_unitary,
     superop_columns,
 )
 from lindscope import (
+    LindbladModel,
     Regime,
     RegimeThresholds,
     Superoperator,
@@ -230,6 +233,17 @@ class TestStructuredDissipator:
         )
         assert report.shift_max_error <= 1e-9
 
+    def test_random_unitary_jump_shift(self):
+        # complex-conjugate pairs share a real part, so pairing the two
+        # spectra by sort order would mismatch them; matching as multisets
+        # must not
+        u = random_unitary(np.random.default_rng(6), 3)
+        model = LindbladModel(3, np.zeros((3, 3)), (np.sqrt(0.7) * u,))
+        report = structured_dissipator_report(model)
+        assert report.is_structured
+        assert report.gamma == pytest.approx(0.7, abs=1e-12)
+        assert report.shift_max_error <= 1e-12
+
     def test_no_jumps_trivially_structured(self):
         rng = np.random.default_rng(9)
         report = structured_dissipator_report(hamiltonian_only(random_hermitian(rng, 2)))
@@ -249,3 +263,32 @@ class TestStructuralMetricsInvariants:
                 assert m.delta <= zero_tolerance(m.generator_norm)
             else:
                 assert m.kappa >= 0
+
+
+class TestOnePass:
+    def test_kernel_counts(self, monkeypatch):
+        # four SVDs (||S||, both eta routes, ||S_skew||), one eigvalsh, and
+        # no Hermiticity check of a part Hermitian by construction
+        import lindscope.linalg
+        import lindscope.superop
+
+        calls = {"svd": 0, "eigvalsh": 0, "hermiticity_defect": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+        for module in (lindscope.linalg, lindscope.superop):
+            monkeypatch.setattr(
+                module,
+                "hermiticity_defect",
+                counting("hermiticity_defect", module.hermiticity_defect),
+            )
+        s = Superoperator(4, random_complex(np.random.default_rng(21), 16))
+        compute_metrics(s)
+        assert calls == {"svd": 4, "eigvalsh": 1, "hermiticity_defect": 0}
