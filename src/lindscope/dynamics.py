@@ -14,16 +14,23 @@ provable invariant asserted in tests; the dissipative-strength variant is
 then exp(t * (alpha - delta)) <= 1. Keeping both makes transient growth
 visible relative to either baseline.
 
-Norms are computed by explicit exponential plus SVD at every grid point;
-no norm-estimation shortcuts, since desk-scale dimensions make exactness
-cheap.
+Along a uniform time grid the propagators are built by stepping: two
+exponentials per grid, ``P_0 = exp(t_start S)`` and ``E = exp(h S)`` with
+``h = (t_end - t_start) / steps``, then ``P_{k+1} = E @ P_k``. Only
+``t_start * ||S||`` and ``h * ||S||`` have to stay within the exponential's
+safe range, so long horizons need only enough steps. Each product adds a
+relative rounding error of order machine epsilon, so the drift from a
+direct exponential at step k stays below about ``k * 1e-16`` relative;
+tests hold it to that bound up to 20 000 steps. Each norm is still an exact
+dense SVD; no norm-estimation shortcuts, since desk-scale dimensions make
+exactness cheap.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -37,7 +44,7 @@ from .linalg import (
     spectral_norm,
 )
 from .metrics import Regime, compute_metrics, zero_tolerance
-from .superop import Superoperator, apply, decompose
+from .superop import Superoperator, decompose, vectorize
 
 __all__ = [
     "MAX_STEPS",
@@ -128,6 +135,31 @@ def _check_range(norm: float, t: float) -> None:
         )
 
 
+def _stepped_propagators(s: Superoperator, grid: TimeGrid, norm: float) -> Iterator[np.ndarray]:
+    """Yield exp(t S) at each grid time, stepping P_{k+1} = exp(h S) @ P_k.
+
+    ``norm`` is ||S||; the start time and the step must each stay in the
+    exponential's safe range. Overflow of a growing propagator is an error.
+    """
+    _check_range(norm, grid.t_start)
+    h = (grid.t_end - grid.t_start) / grid.steps
+    if h * norm > EXP_SAFE_NORM:
+        raise RangeError(
+            f"step h = {h:.6g} gives h * ||S|| = {h * norm:.6g}, beyond safe range "
+            f"{EXP_SAFE_NORM:g}; raise --steps to at least "
+            f"{math.ceil((grid.t_end - grid.t_start) * norm / EXP_SAFE_NORM)}"
+        )
+    step = matrix_exp(h * s.matrix)
+    p = matrix_exp(grid.t_start * s.matrix)
+    yield p
+    for t in grid.times[1:]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = step @ p
+        if not np.isfinite(p).all():
+            raise RangeError(f"propagator overflows by t = {t:.6g}")
+        yield p
+
+
 def default_grid(s: Superoperator, steps: int = DEFAULT_STEPS) -> TimeGrid:
     """Grid covering the intrinsic timescale: [0, 5/delta] for dissipative
     generators, [0, 10/||S||] otherwise, [0, 10] for the zero generator."""
@@ -153,14 +185,21 @@ def spectral_abscissa(s: Superoperator) -> float:
 
 
 def amplification_series(s: Superoperator, grid: TimeGrid) -> AmplificationSeries:
-    """Propagator norms, both amplification factors and both envelopes."""
+    """Propagator norms, both amplification factors and both envelopes.
+
+    The propagators are stepped along the grid (see the module docstring):
+    two exponentials per call, then one matrix product and one SVD per
+    point, with a drift from direct exponentials below about
+    ``steps * 1e-16`` relative. Raises RangeError when ``t_start * ||S||``
+    or the step ``h * ||S||`` exceeds EXP_SAFE_NORM.
+    """
     m = compute_metrics(s)
-    _check_range(m.generator_norm, grid.t_end)
     delta, eta, nd_norm = m.delta, m.eta, m.nd_norm
+    propagators = _stepped_propagators(s, grid, m.generator_norm)
+    prop = np.array([spectral_norm(p) for p in propagators])
     alpha = spectral_abscissa(s)
 
     times = grid.times
-    prop = np.array([spectral_norm(matrix_exp(t * s.matrix)) for t in times])
     with np.errstate(over="ignore"):
         a_paper = prop * np.exp(-delta * times)
         a_spectral = prop * np.exp(-alpha * times)
@@ -188,13 +227,11 @@ def gronwall_check(s: Superoperator, rho0, grid: TimeGrid) -> float:
     """
     rho0 = as_complex_matrix(rho0, s.dim, s.dim)
     m = compute_metrics(s)
-    _check_range(m.generator_norm, grid.t_end)
-    norm0 = hs_norm(rho0)
-    margins = [
-        math.exp(m.delta * t) * norm0 - hs_norm(apply(propagator(s, t), rho0))
-        for t in grid.times
-    ]
-    return float(min(margins))
+    vec0 = vectorize(rho0)
+    norms = [np.linalg.norm(p @ vec0) for p in _stepped_propagators(s, grid, m.generator_norm)]
+    with np.errstate(over="ignore"):
+        margins = np.exp(m.delta * grid.times) * hs_norm(rho0) - np.array(norms)
+    return float(margins.min())
 
 
 def normal_factorization_residual(s: Superoperator, t: float) -> float:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from lindscope import ConfigError, ModelError, liouvillian
 from lindscope.cli import (
@@ -216,6 +217,30 @@ class TestSeries:
         assert len(rows) == 3
         assert rows[0]["prop_norm"] == 1.0
         assert rows[0]["appg_satisfied"] is True
+
+    def test_strongly_nonnormal_default_grid(self, tmp_path, capsys):
+        payload = {"model": {"type": "driven_dephasing", "gamma_z": 1.0, "omega": 30.0}}
+        path = write(tmp_path, "m.json", payload)
+        assert main(["series", path]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert len(lines) == 201
+        s = liouvillian(parse_model_file(path))
+        for line in (lines[0], lines[100], lines[200]):
+            t, prop_norm = (float(x) for x in line.split(",")[:2])
+            want = np.linalg.norm(scipy.linalg.expm(t * s.matrix), 2)
+            assert prop_norm == pytest.approx(want, rel=1e-12)
+
+    def test_oversized_step_one(self, capsys):
+        path = str(MODELS_DIR / "dephasing.json")
+        assert main(["series", path, "--t-end", "1000", "--steps", "10"]) == 1
+        err = capsys.readouterr().err
+        assert "step h = 100" in err and "--steps" in err
+        assert "Traceback" not in err
+
+    def test_long_horizon_zero(self, capsys):
+        path = str(MODELS_DIR / "dephasing.json")
+        assert main(["series", path, "--t-end", "1000", "--steps", "200"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 202
 
 
 class TestSweepAndRegimes:

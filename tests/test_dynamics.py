@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from helpers import SX, random_density, random_hermitian, random_model, random_models
 from lindscope import (
@@ -175,6 +176,49 @@ class TestAmplificationSeries:
             series.gronwall_env, np.exp(series.delta * series.times), rtol=1e-12
         )
 
+    def test_strongly_nonnormal_default_grid(self):
+        # t_end * ||S|| = 77.5 on the default grid; only the step must stay
+        # in the exponential's safe range
+        s = liouvillian(driven_dephasing(1.0, 30.0))
+        assert compute_metrics(s).regime is Regime.STRONGLY_NONNORMAL
+        series = amplification_series(s, default_grid(s))
+        assert len(series.prop_norm) == 201
+        for i in (0, 100, 200):
+            want = np.linalg.norm(scipy.linalg.expm(series.times[i] * s.matrix), 2)
+            assert series.prop_norm[i] == pytest.approx(want, rel=1e-12)
+
+    def test_oversized_step_names_steps(self):
+        s = liouvillian(dephasing(1.0))  # ||S|| = 2
+        with pytest.raises(RangeError, match=r"step h = 100.*--steps"):
+            amplification_series(s, TimeGrid(0.0, 1000.0, 10))
+        with pytest.raises(RangeError):
+            amplification_series(s, TimeGrid(100.0, 101.0, 10))
+
+    def test_overflow_is_range_error(self):
+        s = Superoperator(2, 10.0 * np.eye(4))
+        with pytest.raises(RangeError, match="overflows"):
+            amplification_series(s, TimeGrid(0.0, 100.0, 100))
+
+
+class TestSteppingDrift:
+    @pytest.mark.parametrize("steps", [200, 2000, 20000])
+    def test_drift_against_direct_exponential(self, steps):
+        rng = np.random.default_rng(31)
+        for _ in range(3):
+            s = liouvillian(random_model(rng, d=3))
+            norm = spectral_norm(s.matrix)
+            series = amplification_series(s, TimeGrid(0.0, 40.0 / norm, steps))
+            for k in (0, steps // 4, steps // 2, steps):
+                want = np.linalg.norm(scipy.linalg.expm(series.times[k] * s.matrix), 2)
+                assert abs(series.prop_norm[k] - want) <= steps * 1e-16 * want
+
+    def test_long_horizon(self):
+        s = liouvillian(dephasing_relaxation(1.0, 1.0))
+        t_end = 1000.0 / spectral_norm(s.matrix)
+        series = amplification_series(s, TimeGrid(0.0, t_end, 2000))
+        want = np.linalg.norm(scipy.linalg.expm(t_end * s.matrix), 2)
+        assert series.prop_norm[-1] == pytest.approx(want, rel=1e-12)
+
 
 class TestGronwall:
     def test_hamiltonian_bound_saturated(self):
@@ -206,6 +250,15 @@ class TestGronwall:
             margin = gronwall_check(s, rho0, grid)
             scale = math.exp(dissipative_strength(s) * grid.t_end) * hs_norm(rho0)
             assert margin >= -1e-9 * scale
+
+    def test_long_horizon_envelope_overflow(self):
+        # exp(t * delta) overflows past t * delta ~ 709 while the propagator
+        # stays bounded; the minimum margin, at t = 0, is still exact
+        s = liouvillian(dephasing_relaxation(1.0, 1.0))
+        rho0 = random_density(np.random.default_rng(6), 2)
+        grid = TimeGrid(0.0, 400.0, 2000)
+        assert dissipative_strength(s) * grid.t_end > 709
+        assert gronwall_check(s, rho0, grid) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestNormalFactorization:

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from lindscope import (
     Regime,
     RegimeThresholds,
     Superoperator,
+    TimeGrid,
+    amplification_series,
     bound_check,
     classify,
     compute_metrics,
@@ -265,6 +269,16 @@ class TestStructuralMetricsInvariants:
                 assert m.kappa >= 0
 
 
+def _counting(calls, name, fn):
+    """Wrap ``fn`` so each call increments ``calls[name]``."""
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
 class TestOnePass:
     def test_kernel_counts(self, monkeypatch):
         # four SVDs (||S||, both eta routes, ||S_skew||), one eigvalsh, and
@@ -273,14 +287,7 @@ class TestOnePass:
         import lindscope.superop
 
         calls = {"svd": 0, "eigvalsh": 0, "hermiticity_defect": 0}
-
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
+        counting = functools.partial(_counting, calls)
         monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
         monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
         for module in (lindscope.linalg, lindscope.superop):
@@ -292,3 +299,16 @@ class TestOnePass:
         s = Superoperator(4, random_complex(np.random.default_rng(21), 16))
         compute_metrics(s)
         assert calls == {"svd": 4, "eigvalsh": 1, "hermiticity_defect": 0}
+
+    def test_series_kernel_counts(self, monkeypatch):
+        # compute_metrics' four SVDs, two exponentials (start and step) with
+        # one range-check SVD each, then one SVD per grid point
+        import scipy.linalg
+
+        s = liouvillian(random_model(np.random.default_rng(22), d=2))
+        calls = {"svd": 0, "expm": 0}
+        counting = functools.partial(_counting, calls)
+        monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+        monkeypatch.setattr(scipy.linalg, "expm", counting("expm", scipy.linalg.expm))
+        amplification_series(s, TimeGrid(0.0, 1.0, 40))
+        assert calls == {"svd": 47, "expm": 2}
