@@ -1,0 +1,183 @@
+#!/usr/bin/env python3
+"""Compare lindscope's CLI output between the working tree and a git ref.
+
+Runs ``analyze`` (json and csv) and ``series`` on every ``models/*.json``,
+and ``sweep`` and ``regimes`` on ``models/driven_dephasing.json`` over omega
+in [1e-3, 30] with 40 log-spaced points. Each side runs in its own
+interpreter with one BLAS thread: the working tree's ``src/``, and the
+``src/`` of a temporary ``git worktree`` of REF (removed afterwards). Both
+read the working tree's model files.
+
+Prints the largest relative deviation of any number per command and exits
+1 on a changed label (a regime or ``appg_satisfied`` flip), a changed exit
+code or output layout, or a deviation above ``--bound``. A deviation is
+relative to the larger of the two values, except that ``bound_margin``, a
+difference that cancels to 0 for some models, is relative to its terms
+``2 delta nd_norm + eta``::
+
+    python3 scripts/cli_drift.py [REF] [--bound 1e-14]
+
+REF defaults to HEAD. Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# One interpreter per side runs every command through cli.main and prints
+# {name: [exit code, stdout]} as JSON.
+RUNNER = """
+import contextlib, io, json, sys
+from lindscope.cli import main
+results = {}
+for name, argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    results[name] = [code, out.getvalue()]
+json.dump(results, sys.stdout)
+"""
+
+
+def commands() -> list[tuple[str, list[str]]]:
+    out = []
+    for path in sorted((ROOT / "models").glob("*.json")):
+        model = str(path)
+        out.append((f"analyze-json {path.name}", ["analyze", model]))
+        out.append((f"analyze-csv {path.name}", ["analyze", model, "--format", "csv"]))
+        out.append((f"series {path.name}", ["series", model]))
+    driven = str(ROOT / "models" / "driven_dephasing.json")
+    sweep = ["--param", "omega", "--from", "1e-3", "--to", "30", "--points", "40", "--log"]
+    out.append(("sweep driven_dephasing.json", ["sweep", driven, *sweep]))
+    out.append(("regimes driven_dephasing.json", ["regimes", driven, *sweep]))
+    return out
+
+
+def run_side(src: Path, cmds) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-c", RUNNER, json.dumps(cmds)],
+        env=env, cwd=ROOT, capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def records(text: str) -> list[dict]:
+    """The rows of one command's output, CSV or JSON."""
+    if not text.strip():
+        return []
+    if text.lstrip()[0] in "[{":
+        value = json.loads(text)
+        return value if isinstance(value, list) else [value]
+    return list(csv.DictReader(io.StringIO(text)))
+
+
+def leaves(value) -> list:
+    """Numbers and labels of one field; CSV cells are parsed, lists flattened."""
+    if isinstance(value, list):
+        return [leaf for v in value for leaf in leaves(v)]
+    if isinstance(value, bool) or value is None:
+        return [value]
+    if isinstance(value, (int, float)):
+        return [float(value)]
+    if ";" in value:
+        return leaves(value.split(";"))
+    for parse in (float, complex):
+        try:
+            z = parse(value.replace("Infinity", "inf"))
+        except ValueError:
+            continue
+        return [z] if parse is float else [z.real, z.imag]
+    return [value]
+
+
+def _scale(name: str, x: float, y: float, row: dict) -> float:
+    """What a deviation is relative to.
+
+    ``bound_margin = 2 delta nd_norm - eta`` cancels to 0 in arithmetic for
+    some models, so it is measured against its terms, not its own size.
+    """
+    scale = max(abs(x), abs(y))
+    if name == "bound_margin":
+        delta, eta, nd = (leaves(row[k])[0] for k in ("delta", "eta", "nd_norm"))
+        scale = max(scale, 2.0 * abs(delta * nd) + abs(eta))
+    return scale
+
+
+def compare(old: str, new: str) -> tuple[float, str | None]:
+    """Largest relative deviation of paired numbers, and the first changed label."""
+    old_rows, new_rows = records(old), records(new)
+    if len(old_rows) != len(new_rows):
+        return 0.0, f"{len(old_rows)} rows -> {len(new_rows)}"
+    worst = 0.0
+    for i, (a, b) in enumerate(zip(old_rows, new_rows)):
+        if list(a) != list(b):
+            return 0.0, f"fields {list(a)} -> {list(b)}"
+        for name in a:
+            xs, ys = leaves(a[name]), leaves(b[name])
+            if len(xs) != len(ys):
+                return 0.0, f"row {i} {name}: {a[name]!r} -> {b[name]!r}"
+            for x, y in zip(xs, ys):
+                if x == y:
+                    continue
+                if not (isinstance(x, float) and isinstance(y, float)):
+                    return 0.0, f"row {i} {name}: {x!r} -> {y!r}"
+                worst = max(worst, abs(x - y) / _scale(name, x, y, b))
+    return worst, None
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("ref", nargs="?", default="HEAD", help="git ref to compare against")
+    parser.add_argument("--bound", type=float, default=1e-14,
+                        help="largest relative deviation allowed (default 1e-14)")
+    args = parser.parse_args()
+
+    cmds = commands()
+    with tempfile.TemporaryDirectory(prefix="cli_drift-") as tmp:
+        tree = Path(tmp) / "ref"
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "-q",
+                        str(tree), args.ref], check=True)
+        try:
+            old = run_side(tree / "src", cmds)
+        finally:
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
+                            str(tree)], check=True)
+    new = run_side(ROOT / "src", cmds)
+
+    failed = False
+    overall = 0.0
+    for name, _ in cmds:
+        (old_code, old_out), (new_code, new_out) = old[name], new[name]
+        if old_code != new_code:
+            print(f"{name}: exit code {old_code} -> {new_code}")
+            failed = True
+            continue
+        worst, change = compare(old_out, new_out)
+        overall = max(overall, worst)
+        if change is not None:
+            print(f"{name}: changed {change}")
+            failed = True
+        elif worst > args.bound:
+            print(f"{name}: relative deviation {worst:.3g} exceeds {args.bound:g}")
+            failed = True
+        else:
+            print(f"{name}: exit {new_code}, relative deviation {worst:.3g}")
+    print(f"largest relative deviation: {overall:.3g} (bound {args.bound:g})")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,7 +15,6 @@ from .errors import (
     IoError,
     LindscopeError,
     ModelError,
-    NotHermitianError,
     NumericalError,
     RangeError,
 )
@@ -24,7 +23,7 @@ from .linalg import (
     commutator,
     dagger,
     eigenvalues_general,
-    hermitian_eigenvalues,
+    hermitian_norm,
     hs_inner,
     hs_norm,
     matrix_exp,
@@ -92,7 +91,6 @@ __all__ = [
     # errors
     "LindscopeError",
     "DimensionError",
-    "NotHermitianError",
     "NumericalError",
     "RangeError",
     "ModelError",
@@ -104,7 +102,7 @@ __all__ = [
     "hs_inner",
     "hs_norm",
     "spectral_norm",
-    "hermitian_eigenvalues",
+    "hermitian_norm",
     "eigenvalues_general",
     "matrix_exp",
     "commutator",

@@ -79,6 +79,8 @@ class TimeGrid:
     def __post_init__(self):
         if self.t_start < 0:
             raise ConfigError(f"t_start must be nonnegative, got {self.t_start}")
+        if not math.isfinite(self.t_end):
+            raise ConfigError(f"t_end must be finite, got {self.t_end}")
         if not self.t_end > self.t_start:
             raise ConfigError(
                 f"t_end must exceed t_start, got [{self.t_start}, {self.t_end}]"
@@ -144,10 +146,15 @@ def _stepped_propagators(s: Superoperator, grid: TimeGrid, norm: float) -> Itera
     _check_range(norm, grid.t_start)
     h = (grid.t_end - grid.t_start) / grid.steps
     if h * norm > EXP_SAFE_NORM:
+        needed = (grid.t_end - grid.t_start) * norm / EXP_SAFE_NORM
+        advice = (
+            f"raise --steps to at least {math.ceil(needed)}"
+            if needed <= MAX_STEPS
+            else f"the interval needs more than {MAX_STEPS} steps"
+        )
         raise RangeError(
             f"step h = {h:.6g} gives h * ||S|| = {h * norm:.6g}, beyond safe range "
-            f"{EXP_SAFE_NORM:g}; raise --steps to at least "
-            f"{math.ceil((grid.t_end - grid.t_start) * norm / EXP_SAFE_NORM)}"
+            f"{EXP_SAFE_NORM:g}; {advice}"
         )
     step = matrix_exp(h * s.matrix)
     p = matrix_exp(grid.t_start * s.matrix)
@@ -170,6 +177,8 @@ def default_grid(s: Superoperator, steps: int = DEFAULT_STEPS) -> TimeGrid:
         t_end = 10.0 / m.generator_norm
     else:
         t_end = 10.0
+    if not math.isfinite(t_end):
+        raise RangeError("the intrinsic timescale overflows double precision; give --t-end")
     return TimeGrid(0.0, t_end, steps)
 
 
@@ -204,7 +213,9 @@ def amplification_series(s: Superoperator, grid: TimeGrid) -> AmplificationSerie
         a_paper = prop * np.exp(-delta * times)
         a_spectral = prop * np.exp(-alpha * times)
         gronwall_env = np.exp(delta * times)
-        appg_env = np.exp(delta * times + nd_norm * times + eta * times**2 / 4.0)
+        # a zero eta adds nothing, even where times**2 overflows
+        quadratic = eta * times**2 / 4.0 if eta else 0.0
+        appg_env = np.exp(delta * times + nd_norm * times + quadratic)
     satisfied = prop <= appg_env * (1.0 + 1e-9)
     return AmplificationSeries(
         times=times,

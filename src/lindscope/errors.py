@@ -9,10 +9,6 @@ class DimensionError(LindscopeError):
     """Operands have incompatible shapes."""
 
 
-class NotHermitianError(LindscopeError):
-    """A matrix required to be Hermitian is not, beyond tolerance."""
-
-
 class NumericalError(LindscopeError):
     """A numerical routine failed to converge or returned inconsistent results."""
 

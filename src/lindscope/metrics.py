@@ -19,19 +19,25 @@ Zero tests are relative: ``delta`` counts as zero below
 makes every classification invariant under rescaling the generator.
 
 ``compute_metrics`` computes them all in one pass, including the two-route
-cross-check of ``eta``; the single-number functions read its result.
+cross-check of ``eta``; the single-number functions read its result. Every
+quantity in the pass is the norm of a Hermitian matrix (``S^dag S``,
+``[S, S^dag]``, ``S_herm``, ``i S_skew``), taken as its largest eigenvalue
+magnitude with no SVD. The pass runs on the generator prescaled by an exact
+power of two, so it holds from subnormal to near-overflow magnitudes, and
+its result is kept on the Superoperator, so every caller shares one pass.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NumericalError
-from .linalg import commutator, dagger, eigenvalues_general, spectral_norm
-from .superop import LindbladModel, Superoperator, decompose, liouvillian
+from .errors import NumericalError, RangeError
+from .linalg import dagger, eigenvalues_general, hermitian_norm
+from .superop import LindbladModel, Superoperator, liouvillian
 
 __all__ = [
     "ZERO_RTOL",
@@ -105,8 +111,8 @@ def dissipative_strength(s: Superoperator) -> float:
 def nonnormality(s: Superoperator) -> float:
     """Norm of [S, S^dag]; zero exactly when the generator is normal.
 
-    compute_metrics cross-checks it against the second route
-    ``2 ||[S_herm, S_skew]||``.
+    compute_metrics cross-checks it at matrix level against the second
+    route ``[S, S^dag] = -2 [S_herm, S_skew]``.
     """
     return compute_metrics(s).eta
 
@@ -130,20 +136,8 @@ def bound_check(s: Superoperator) -> float:
     return compute_metrics(s).bound_margin
 
 
-def _classify_values(
-    delta: float,
-    eta: float,
-    k: float | None,
-    generator_norm: float,
-    thresholds: RegimeThresholds | None,
-) -> Regime:
+def _kappa_band(k: float, thresholds: RegimeThresholds | None) -> Regime:
     th = thresholds if thresholds is not None else RegimeThresholds()
-    if delta <= zero_tolerance(generator_norm):
-        return Regime.HAMILTONIAN
-    if eta <= eta_tolerance(generator_norm):
-        return Regime.NORMAL_DISSIPATIVE
-    if k is None:
-        k = eta / delta**2
     if k < th.kappa_lo:
         return Regime.WEAKLY_NONNORMAL
     if k > th.kappa_hi:
@@ -152,13 +146,93 @@ def _classify_values(
 
 
 def classify(m: StructuralMetrics, thresholds: RegimeThresholds | None = None) -> Regime:
-    """Assign the dynamical regime.
+    """Assign the dynamical regime under the given kappa bands.
 
     Precedence follows the strict inclusions of the classes: the
     Hamiltonian test runs before the normality test, which runs before the
-    kappa bands.
+    kappa bands. The first two tests use no threshold, so those labels are
+    taken from ``m`` as compute_metrics assigned them; only the nonnormal
+    labels are re-banded by ``m.kappa``.
     """
-    return _classify_values(m.delta, m.eta, m.kappa, m.generator_norm, thresholds)
+    if m.regime in (Regime.HAMILTONIAN, Regime.NORMAL_DISSIPATIVE):
+        return m.regime
+    return _kappa_band(m.kappa, thresholds)
+
+
+def _cross_term(herm: np.ndarray, skew: np.ndarray) -> np.ndarray:
+    """X = S_herm @ S_skew; the second eta route is [S_herm, S_skew] = X + X^dag."""
+    return herm @ skew
+
+
+def _scaled_back(name: str, value: float, exponent: int) -> float:
+    """value * 2**exponent, or a RangeError where that overflows."""
+    try:
+        return math.ldexp(value, exponent)
+    except OverflowError:
+        magnitude = math.log10(abs(value)) + exponent * math.log10(2.0)
+        raise RangeError(
+            f"{name} is about 1e{magnitude:.1f}, beyond double precision; rescale the model"
+        ) from None
+
+
+def _analyze(s: Superoperator) -> StructuralMetrics:
+    """The threshold-free metrics of ``s``, regime banded by the default kappa."""
+    m = s.matrix
+    peak = max(float(np.max(np.abs(m.real))), float(np.max(np.abs(m.imag))))
+    e = math.frexp(peak)[1]
+    # a = 2^-e S exactly, with its largest entry O(1): no product below can
+    # under- or overflow, and wherever an unscaled pass would stay in range
+    # every rounding is the same as there
+    a = np.empty_like(m)
+    np.ldexp(m.real, -e, out=a.real)
+    np.ldexp(m.imag, -e, out=a.imag)
+    # Each n x n temporary is released before the next is allocated, which
+    # keeps at most four alive besides S and the eigensolver's own copy.
+    ad = a.conj().T
+    c = ad @ a
+    norm = math.sqrt(hermitian_norm(c))
+    c = np.subtract(a @ ad, c, out=c)  # [S, S^dag]
+    eta = hermitian_norm(c)
+    herm = a + ad
+    herm *= 0.5
+    skew = np.subtract(a, ad, out=ad)  # built in the buffer of S^dag
+    skew *= 0.5
+    del a, ad
+    delta = hermitian_norm(herm)
+    x = _cross_term(herm, skew)
+    del herm
+    skew *= 1j  # i S_skew is Hermitian and has the norm of S_skew
+    nd_norm = hermitian_norm(skew)
+    del skew
+    # [S, S^dag] = -2 [S_herm, S_skew] = -2 (X + X^dag), so the residual is
+    # r = c + 2X + 2X^dag; build conj(r) = conj(c + 2X) + 2X^T in place
+    x *= 2.0
+    c += x
+    np.conjugate(c, out=c)
+    c += x.T
+    gap = float(np.linalg.norm(c))
+    if gap > 1e-8 * norm**2:
+        raise NumericalError(
+            "nonnormality routes disagree: ||[S, S^dag] + 2 [S_herm, S_skew]||_F = "
+            f"{gap / norm**2:.3e} ||S||^2 exceeds 1e-8 ||S||^2"
+        )
+    if delta <= zero_tolerance(norm):
+        k = None
+        regime = Regime.HAMILTONIAN
+    else:
+        k = eta / delta**2
+        regime = (
+            Regime.NORMAL_DISSIPATIVE if eta <= eta_tolerance(norm) else _kappa_band(k, None)
+        )
+    return StructuralMetrics(
+        delta=_scaled_back("delta", delta, e),
+        eta=_scaled_back("eta", eta, 2 * e),
+        nd_norm=_scaled_back("nd_norm", nd_norm, e),
+        kappa=k,
+        bound_margin=_scaled_back("bound_margin", 2.0 * delta * nd_norm - eta, 2 * e),
+        generator_norm=_scaled_back("generator_norm", norm, e),
+        regime=regime,
+    )
 
 
 def compute_metrics(
@@ -166,32 +240,35 @@ def compute_metrics(
 ) -> StructuralMetrics:
     """All structure metrics of one generator, with its regime label, in one pass.
 
-    The Hermitian part is Hermitian by construction, so its eigenvalues are
-    taken unchecked. ``eta`` is cross-checked against the identity
-    ``||[S, S^dag]|| = 2 ||[S_herm, S_skew]||`` (exact in arithmetic), so a
-    construction bug cannot slip through as a plausible-looking number.
+    Every norm is the largest eigenvalue magnitude of a Hermitian matrix
+    (``hermitian_norm``); no SVD is taken. Four Hermitian eigensolves:
+    ``||S||^2`` from ``S^dag S``, ``eta`` from ``[S, S^dag]``, ``delta``
+    from ``S_herm`` and ``nd_norm`` from ``i S_skew``.
+
+    The pass runs on ``2^-e S``, with the power of two chosen so that the
+    largest entry is of order one, and scales each result back exactly.
+    Squared quantities therefore neither under- nor overflow, ``kappa`` and
+    the regime (dimensionless) are the same at every magnitude, and a
+    reported value that overflows on the way back is a RangeError.
+
+    ``eta`` is cross-checked at matrix level against the identity
+    ``[S, S^dag] = -2 [S_herm, S_skew]`` (exact in arithmetic): a Frobenius
+    residual above ``1e-8 ||S||^2`` is a NumericalError, so a construction
+    bug cannot slip through as a plausible-looking number. Since
+    ``| ||A|| - ||B|| | <= ||A - B||_F``, this is at least as strict as
+    comparing the two norms.
+
+    The threshold-free values are computed once per Superoperator and kept
+    on it (its matrix is frozen); the regime is banded by ``thresholds`` on
+    every call.
     """
-    m = s.matrix
-    herm, skew = decompose(s)
-    norm = spectral_norm(m)
-    delta = float(np.max(np.abs(np.linalg.eigvalsh(herm.matrix))))
-    eta = spectral_norm(commutator(m, dagger(m)))
-    eta_parts = 2.0 * spectral_norm(commutator(herm.matrix, skew.matrix))
-    if abs(eta - eta_parts) > 1e-8 * norm**2:
-        raise NumericalError(
-            f"nonnormality routes disagree: {eta:.6e} vs {eta_parts:.6e}"
-        )
-    nd_norm = spectral_norm(skew.matrix)
-    k = None if delta <= zero_tolerance(norm) else eta / delta**2
-    return StructuralMetrics(
-        delta=delta,
-        eta=eta,
-        nd_norm=nd_norm,
-        kappa=k,
-        bound_margin=2.0 * delta * nd_norm - eta,
-        generator_norm=norm,
-        regime=_classify_values(delta, eta, k, norm, thresholds),
-    )
+    base = getattr(s, "_metrics", None)
+    if base is None:
+        base = _analyze(s)
+        object.__setattr__(s, "_metrics", base)
+    if thresholds is None:
+        return base
+    return replace(base, regime=classify(base, thresholds))
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,7 +314,7 @@ def structured_dissipator_report(model: LindbladModel) -> StructuredDissipatorRe
     for jump in model.jumps:
         total = total + dagger(jump) @ jump
     gamma = float(np.trace(total).real) / d
-    deviation = spectral_norm(total - gamma * np.eye(d))
+    deviation = hermitian_norm(total - gamma * np.eye(d))
     if gamma < 0 or deviation > STRUCTURED_ATOL * max(1.0, gamma):
         return StructuredDissipatorReport(is_structured=False)
 

@@ -325,6 +325,61 @@ class TestExitCodesAndFiles:
         assert not out.exists()
 
 
+class TestExtremeMagnitudes:
+    """Generators far from unit scale give a result or a typed error, never
+    a traceback or a NaN."""
+
+    TINY = {"model": {"type": "dephasing", "gamma_z": 1e-320}}
+    HUGE = {"model": {"type": "driven_dephasing", "gamma_z": 1.0, "omega": 1e300}}
+
+    def run_main(self, argv, capsys):
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert "nan" not in out.lower()
+        return code, out
+
+    def test_subnormal_rate_analyze(self, tmp_path, capsys):
+        code, out = self.run_main(["analyze", write(tmp_path, "m.json", self.TINY)], capsys)
+        assert code == 0
+        record = json.loads(out)
+        assert record["delta"] == 2 * 1e-320
+        assert record["regime"] == "NormalDissipative"
+
+    def test_subnormal_rate_series(self, tmp_path, capsys):
+        path = write(tmp_path, "m.json", self.TINY)
+        # 5/delta overflows, so the default grid is a typed error
+        assert self.run_main(["series", path], capsys) == (1, "")
+        code, out = self.run_main(["series", path, "--t-end", "1e300"], capsys)
+        assert code == 0 and len(out.splitlines()) == 202
+
+    def test_huge_drive(self, tmp_path, capsys):
+        path = write(tmp_path, "m.json", self.HUGE)
+        code, out = self.run_main(["analyze", path], capsys)
+        assert code == 0
+        assert json.loads(out)["eta"] == pytest.approx(4e300, rel=1e-14)
+        code, _ = self.run_main(["series", path], capsys)
+        assert code == 0
+
+    def test_overflowing_eta_one(self, tmp_path, capsys):
+        payload = {"model": {"type": "driven_dephasing", "gamma_z": 1e10, "omega": 1e300}}
+        path = write(tmp_path, "m.json", payload)
+        assert main(["analyze", path]) == 1
+        assert "eta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "regimes"])
+    def test_full_range_sweep(self, capsys, command):
+        argv = [command, str(MODELS_DIR / "driven_dephasing.json"), "--param", "omega",
+                "--from", "1e-300", "--to", "1e300", "--points", "5", "--log"]
+        code, out = self.run_main(argv, capsys)
+        assert code == 0
+        assert len(out.splitlines()) == 6
+
+    def test_infinite_t_end_one(self, tmp_path, capsys):
+        path = write(tmp_path, "m.json", DEPHASING)
+        assert main(["series", path, "--t-end", "inf"]) == 1
+        assert "finite" in capsys.readouterr().err
+
+
 class TestCostArithmetic:
     def test_base_cost_shapes(self):
         # the two canonical arithmetic checks, through the library call the

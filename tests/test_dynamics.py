@@ -71,6 +71,15 @@ class TestTimeGrid:
         grid = default_grid(Superoperator(2, np.zeros((4, 4))))
         assert grid.t_end == 10.0
 
+    def test_infinite_end_rejected(self):
+        with pytest.raises(ConfigError, match="finite"):
+            TimeGrid(0.0, math.inf, 10)
+
+    def test_default_grid_overflowing_timescale(self):
+        # delta ~ 2e-320 is dissipative at its own scale, but 5/delta overflows
+        with pytest.raises(RangeError, match="timescale"):
+            default_grid(liouvillian(dephasing(1e-320)))
+
 
 class TestPropagator:
     def test_identity_at_time_zero(self):
@@ -193,6 +202,16 @@ class TestAmplificationSeries:
             amplification_series(s, TimeGrid(0.0, 1000.0, 10))
         with pytest.raises(RangeError):
             amplification_series(s, TimeGrid(100.0, 101.0, 10))
+
+    def test_interval_beyond_max_steps(self):
+        s = liouvillian(dephasing(1.0))
+        with pytest.raises(RangeError, match="more than 1000000 steps"):
+            amplification_series(s, TimeGrid(0.0, 1e300, 10))
+
+    def test_zero_eta_envelope_at_huge_times(self):
+        # times**2 overflows; a normal generator's envelope must not turn NaN
+        series = amplification_series(liouvillian(dephasing(1e-320)), TimeGrid(0.0, 1e300, 4))
+        assert np.all(series.appg_env == 1.0)
 
     def test_overflow_is_range_error(self):
         s = Superoperator(2, 10.0 * np.eye(4))

@@ -7,13 +7,14 @@ from hypothesis.extra.numpy import arrays
 from helpers import I2, SM, SX, SY, SZ, random_complex, random_hermitian, taylor_exp
 from lindscope import (
     DimensionError,
-    NotHermitianError,
+    LindbladModel,
+    ModelError,
     RangeError,
     commutator,
     dagger,
     dephasing,
     eigenvalues_general,
-    hermitian_eigenvalues,
+    hermitian_norm,
     hs_inner,
     hs_norm,
     liouvillian,
@@ -21,7 +22,7 @@ from lindscope import (
     pauli_channel,
     spectral_norm,
 )
-from lindscope.linalg import as_complex_matrix
+from lindscope.linalg import as_complex_matrix, hermiticity_defect, hermiticity_tolerance
 
 complex_entries = st.complex_numbers(
     allow_nan=False, allow_infinity=False, max_magnitude=10.0
@@ -118,28 +119,44 @@ class TestSpectralNorm:
 
 
 class TestHermitianEigenvalues:
+    """hermitian_norm, the largest Hermitian eigenvalue magnitude, and the
+    Hermiticity check that guards the matrices a user supplies."""
+
     def test_pauli_z(self):
-        np.testing.assert_allclose(hermitian_eigenvalues(SZ), [-1.0, 1.0])
+        assert hermitian_norm(SZ) == 1.0
 
     def test_identity(self):
-        np.testing.assert_allclose(hermitian_eigenvalues(I2), [1.0, 1.0])
+        assert hermitian_norm(I2) == 1.0
 
     def test_dephasing_generator(self):
         s = liouvillian(dephasing(1.0))
-        np.testing.assert_allclose(
-            hermitian_eigenvalues(s.matrix), [-2.0, -2.0, 0.0, 0.0], atol=1e-12
-        )
+        assert hermitian_norm(s.matrix) == pytest.approx(2.0, abs=1e-12)
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitianError):
-            hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        # hermitian_norm trusts its caller; user input goes through the
+        # defect test at model build, which rejects a skewed Hamiltonian
+        m = np.array([[0.0, 1.0], [0.0, 0.0]])
+        assert hermiticity_defect(m) == pytest.approx(1.0, rel=1e-15)
+        assert hermiticity_defect(m) > hermiticity_tolerance(m)
+        with pytest.raises(ModelError):
+            LindbladModel(2, m)
 
     def test_matches_spectral_norm(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             h = random_hermitian(rng, 5)
-            top = np.max(np.abs(hermitian_eigenvalues(h)))
-            assert spectral_norm(h) == pytest.approx(top, rel=1e-10)
+            assert hermitian_norm(h) == pytest.approx(spectral_norm(h), rel=1e-13)
+
+    def test_negative_dominant_eigenvalue(self):
+        assert hermitian_norm(np.diag([-3.0, 1.0, 2.0])) == 3.0
+
+    def test_defect_of_anti_hermitian(self):
+        rng = np.random.default_rng(12)
+        h = random_hermitian(rng, 4)
+        assert hermiticity_defect(1j * h) == pytest.approx(
+            2.0 * spectral_norm(h), rel=1e-13
+        )
+        assert hermiticity_defect(h) == 0.0
 
 
 class TestEigenvaluesGeneral:
@@ -195,6 +212,24 @@ class TestMatrixExp:
     def test_range_error(self):
         with pytest.raises(RangeError):
             matrix_exp(100.0 * np.eye(2))
+
+    def test_range_check_decided_by_exact_norm(self):
+        # a scaled Hadamard matrix: ||m||_2 = c sqrt(2), while the O(n^2)
+        # bound sqrt(||m||_1 ||m||_inf) = 2c exceeds the range already
+        hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+        matrix_exp(49.9 * hadamard)
+        with pytest.raises(RangeError):
+            matrix_exp(50.1 * hadamard)
+
+    def test_range_check_skips_svd_under_bound(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        matrix_exp(np.diag([49.0, -49.0j]))
+        assert calls == []
+        with pytest.raises(RangeError):
+            matrix_exp(np.diag([51.0, 1.0]))
+        assert calls == [1]
 
 
 class TestCommutator:

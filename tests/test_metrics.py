@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from helpers import (
 )
 from lindscope import (
     LindbladModel,
+    NumericalError,
+    RangeError,
     Regime,
     RegimeThresholds,
     Superoperator,
@@ -45,6 +48,12 @@ from lindscope.superop import decompose
 
 def metrics_of(model):
     return compute_metrics(liouvillian(model))
+
+
+def _dissipative_generator(seed):
+    rng = np.random.default_rng(seed)
+    model = LindbladModel(3, random_hermitian(rng, 3), (random_complex(rng, 3),))
+    return liouvillian(model)
 
 
 class TestDissipativeStrength:
@@ -102,6 +111,18 @@ class TestNonnormality:
             scale = max(eta, spectral_norm(s.matrix) ** 2 * 1e-12)
             if eta > 0:
                 assert abs(eta - via_parts) <= 1e-9 * scale
+
+    def test_forced_route_disagreement(self, monkeypatch):
+        import lindscope.metrics
+
+        s = _dissipative_generator(41)
+        compute_metrics(Superoperator(s.dim, s.matrix))  # agrees unperturbed
+        cross_term = lindscope.metrics._cross_term
+        monkeypatch.setattr(
+            lindscope.metrics, "_cross_term", lambda h, k: (1 + 1e-6) * cross_term(h, k)
+        )
+        with pytest.raises(NumericalError, match="routes disagree"):
+            compute_metrics(Superoperator(s.dim, s.matrix))
 
 
 class TestKappa:
@@ -175,6 +196,35 @@ class TestScaleCovariance:
             if m1.kappa is not None:
                 assert m2.kappa == pytest.approx(m1.kappa, rel=1e-9)
             assert m2.regime == m1.regime
+
+    @pytest.mark.parametrize("k", [-600, -300, 300, 500])
+    def test_power_of_two_scaling_is_exact(self, k):
+        # the pass runs on a power-of-two prescaled generator, so every
+        # scalar scales exactly and the dimensionless ones do not move
+        s = _dissipative_generator(40)
+        base = compute_metrics(s)
+        assert base.regime is Regime.CROSSOVER
+        scaled = compute_metrics(Superoperator(s.dim, math.ldexp(1.0, k) * s.matrix))
+        assert scaled.generator_norm == math.ldexp(base.generator_norm, k)
+        assert scaled.delta == math.ldexp(base.delta, k)
+        assert scaled.nd_norm == math.ldexp(base.nd_norm, k)
+        if k > -500:  # below that, eta ~ 2^(2k) underflows
+            assert scaled.eta == math.ldexp(base.eta, 2 * k)
+            assert scaled.bound_margin == math.ldexp(base.bound_margin, 2 * k)
+        assert scaled.kappa == base.kappa
+        assert scaled.regime is base.regime
+
+    def test_squared_overflow_is_range_error(self):
+        # ||S|| ~ 2^520 is representable, eta ~ 2^1040 is not
+        s = _dissipative_generator(40)
+        with pytest.raises(RangeError, match="eta"):
+            compute_metrics(Superoperator(s.dim, math.ldexp(1.0, 520) * s.matrix))
+
+    def test_subnormal_generator(self):
+        # delta**2 underflows here; the prescaled pass still gives kappa
+        s = liouvillian(driven_dephasing(1e-320, 1e-320))
+        m = compute_metrics(s)
+        assert m.delta > 0 and m.kappa is not None and math.isfinite(m.kappa)
 
 
 class TestClassify:
@@ -281,8 +331,8 @@ def _counting(calls, name, fn):
 
 class TestOnePass:
     def test_kernel_counts(self, monkeypatch):
-        # four SVDs (||S||, both eta routes, ||S_skew||), one eigvalsh, and
-        # no Hermiticity check of a part Hermitian by construction
+        # no SVD: four Hermitian eigensolves (||S||^2, eta, delta, nd_norm),
+        # and no Hermiticity check of a part Hermitian by construction
         import lindscope.linalg
         import lindscope.superop
 
@@ -298,11 +348,12 @@ class TestOnePass:
             )
         s = Superoperator(4, random_complex(np.random.default_rng(21), 16))
         compute_metrics(s)
-        assert calls == {"svd": 4, "eigvalsh": 1, "hermiticity_defect": 0}
+        assert calls == {"svd": 0, "eigvalsh": 4, "hermiticity_defect": 0}
 
     def test_series_kernel_counts(self, monkeypatch):
-        # compute_metrics' four SVDs, two exponentials (start and step) with
-        # one range-check SVD each, then one SVD per grid point
+        # compute_metrics makes no SVD, the two exponentials (start and step)
+        # pass their range check on the O(n^2) bound, then one SVD per grid
+        # point
         import scipy.linalg
 
         s = liouvillian(random_model(np.random.default_rng(22), d=2))
@@ -311,4 +362,70 @@ class TestOnePass:
         monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
         monkeypatch.setattr(scipy.linalg, "expm", counting("expm", scipy.linalg.expm))
         amplification_series(s, TimeGrid(0.0, 1.0, 40))
-        assert calls == {"svd": 47, "expm": 2}
+        assert calls == {"svd": 41, "expm": 2}
+
+    def test_repeat_calls_share_one_pass(self, monkeypatch):
+        # the threshold-free scalars are kept on the generator, while the
+        # regime is banded by each call's thresholds
+        s = liouvillian(dephasing_relaxation(1.0, 1.0))  # kappa ~ 0.226
+        calls = {"eigvalsh": 0}
+        counting = functools.partial(_counting, calls)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+        first = compute_metrics(s)
+        tight = compute_metrics(s, RegimeThresholds(kappa_lo=0.3, kappa_hi=10.0))
+        assert calls == {"eigvalsh": 4}
+        assert first.regime is Regime.CROSSOVER
+        assert tight.regime is Regime.WEAKLY_NONNORMAL
+        assert (tight.delta, tight.eta, tight.kappa) == (first.delta, first.eta, first.kappa)
+
+    def test_series_shares_one_pass(self, monkeypatch):
+        from lindscope import default_grid
+
+        s = liouvillian(random_model(np.random.default_rng(23), d=2))
+        calls = {"eigvalsh": 0}
+        counting = functools.partial(_counting, calls)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+        amplification_series(s, default_grid(s, 20))
+        assert calls == {"eigvalsh": 4}
+
+
+def _oracle(s):
+    """The scalars from general SVDs of matrices built here, not by metrics."""
+    m = s.matrix
+    md = m.conj().T
+    norm = np.linalg.norm(m, 2)
+    delta = np.linalg.norm((m + md) / 2, 2)
+    eta = np.linalg.norm(m @ md - md @ m, 2)
+    nd_norm = np.linalg.norm((m - md) / 2, 2)
+    return norm, delta, eta, nd_norm
+
+
+ORACLE_MODELS = [
+    *(random_model(np.random.default_rng(30 + d), d=d) for d in (2, 3, 4, 6, 8)),
+    *random_models(31, 10),
+    dephasing(0.7),
+    driven_dephasing(1.0, 0.3),
+    driven_dephasing(1.0, 20.0),
+    hamiltonian_only(random_hermitian(np.random.default_rng(32), 3)),
+    pauli_channel(1.0, 2.0, 3.0),
+    LindbladModel(3, np.zeros((3, 3)), (np.sqrt(0.7) * random_unitary(np.random.default_rng(33), 3),)),
+]
+
+
+class TestAgainstSvd:
+    @pytest.mark.parametrize("index", range(len(ORACLE_MODELS)))
+    def test_scalars_match_svd(self, index):
+        s = liouvillian(ORACLE_MODELS[index])
+        norm, delta, eta, nd_norm = _oracle(s)
+        m = compute_metrics(s)
+        # relative 1e-13; a value that is zero in arithmetic is held to the
+        # same bound relative to the generator's scale
+        rel = 1e-13
+        assert m.generator_norm == pytest.approx(norm, rel=rel)
+        assert m.delta == pytest.approx(delta, rel=rel, abs=rel * norm)
+        assert m.nd_norm == pytest.approx(nd_norm, rel=rel, abs=rel * norm)
+        assert m.eta == pytest.approx(eta, rel=rel, abs=rel * norm**2)
+        bulk = 2 * delta * nd_norm
+        assert m.bound_margin == pytest.approx(bulk - eta, abs=rel * (bulk + eta + norm**2))
+        if m.kappa is not None:
+            assert m.kappa == pytest.approx(eta / delta**2, rel=rel, abs=rel)

@@ -85,10 +85,8 @@ class TestLindbladModel:
 class TestLiouvillian:
     def test_dephasing_eigenvalues(self):
         s = liouvillian(dephasing(1.0))
-        from lindscope import hermitian_eigenvalues
-
         np.testing.assert_allclose(
-            hermitian_eigenvalues(s.matrix), [-2, -2, 0, 0], atol=1e-12
+            np.linalg.eigvalsh(s.matrix), [-2, -2, 0, 0], atol=1e-12
         )
 
     def test_empty_model_is_zero(self):
