@@ -34,6 +34,7 @@ configuration error, 2 I/O failure.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -47,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import DEFAULT_STEPS, TimeGrid, amplification_series, default_grid
-from .errors import ConfigError, IoError, LindscopeError
+from .errors import ConfigError, IoError, LindscopeError, NumericalError
 from .metrics import RegimeThresholds, compute_metrics, structured_dissipator_report
 from .models import ModelSpec, build
 from .superop import LindbladModel, liouvillian
@@ -95,6 +96,9 @@ REGIMES_FIELDS = ("delta", "eta", "kappa", "regime")
 # ---------------------------------------------------------------------------
 
 def fmt_float(x: float) -> str:
+    if math.isnan(x):
+        # it would print as "nan.0", neither a JSON number nor a float
+        raise NumericalError("a computed value is NaN; nothing was written")
     if math.isinf(x):
         return "Infinity" if x > 0 else "-Infinity"
     s = f"{x:.17g}"
@@ -104,6 +108,8 @@ def fmt_float(x: float) -> str:
 
 
 def fmt_complex(z: complex) -> str:
+    if cmath.isnan(z):
+        raise NumericalError("a computed value is NaN; nothing was written")
     return f"{z.real:.17g}{z.imag:+.17g}j"
 
 
@@ -391,12 +397,15 @@ def _sweep_rows(config: RunConfig, fields) -> tuple[list[str], list[dict]]:
         )
     base = _spec_from_obj(raw["model"])
     rows = []
-    for value in _sweep_values(config):
+    for value in map(float, _sweep_values(config)):
         params = dict(base.params)
-        params[config.param] = float(value)
-        model = build(ModelSpec(base.kind, params))
-        metrics = compute_metrics(liouvillian(model), config.thresholds)
-        row = {config.param: float(value)}
+        params[config.param] = value
+        try:
+            model = build(ModelSpec(base.kind, params))
+            metrics = compute_metrics(liouvillian(model), config.thresholds)
+        except LindscopeError as exc:
+            raise type(exc)(f"{config.param} = {value!r}: {exc}") from exc
+        row = {config.param: value}
         row.update(
             {name: v for name, v in _metrics_fields(metrics).items() if name in fields}
         )

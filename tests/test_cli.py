@@ -1,12 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from lindscope import ConfigError, ModelError, liouvillian
+import lindscope
+from lindscope import ConfigError, ModelError, NumericalError, RangeError, liouvillian
 from lindscope.cli import (
     ANALYZE_FIELDS,
     SERIES_FIELDS,
@@ -49,6 +53,14 @@ class TestFormatting:
     def test_csv_header_and_lf(self):
         text = to_csv(("a", "b"), [{"a": 1.0, "b": True}])
         assert text == "a,b\n1.0,true\n"
+
+    def test_nan_refused(self):
+        with pytest.raises(NumericalError):
+            fmt_float(math.nan)
+        with pytest.raises(NumericalError):
+            to_json({"x": [math.nan]})
+        with pytest.raises(NumericalError):
+            to_csv(("z",), [{"z": complex(1.0, math.nan)}])
 
 
 class TestParseModelFile:
@@ -318,6 +330,24 @@ class TestExitCodesAndFiles:
         assert main(argv) == 1
         assert "not UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_nan_result_one(self, tmp_path, capsys, monkeypatch, fmt):
+        # no model is known to reach a NaN, so one is planted in the record
+        import lindscope.cli
+
+        record = lindscope.cli.analyze_record
+        monkeypatch.setattr(
+            lindscope.cli, "analyze_record", lambda *a: {**record(*a), "delta": math.nan}
+        )
+        path = write(tmp_path, "m.json", DEPHASING)
+        assert main(["analyze", path, "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "NaN" in captured.err
+        out = tmp_path / "result.txt"
+        assert main(["analyze", path, "--format", fmt, "--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_no_partial_file_on_error(self, tmp_path):
         bad = write(tmp_path, "m.json", {"model": {"type": "nonsense"}})
         out = tmp_path / "result.json"
@@ -374,10 +404,50 @@ class TestExtremeMagnitudes:
         assert code == 0
         assert len(out.splitlines()) == 6
 
+    @pytest.mark.parametrize("command", ["sweep", "regimes"])
+    def test_failing_point_named(self, tmp_path, capsys, command):
+        # eta overflows at the last point only; the error names that point
+        payload = {"model": {"type": "driven_dephasing", "gamma_z": 1e10, "omega": 1}}
+        path = write(tmp_path, "m.json", payload)
+        argv = [command, path, "--param", "omega", "--from", "1", "--to", "1e300",
+                "--points", "4", "--log"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: omega = 1e+300: eta is about")
+        config = RunConfig(command, path, param="omega", start=1.0, stop=1e300,
+                           points=4, log_scale=True)
+        with pytest.raises(RangeError, match=r"^omega = 1e\+300: eta"):
+            run(config)
+
     def test_infinite_t_end_one(self, tmp_path, capsys):
         path = write(tmp_path, "m.json", DEPHASING)
         assert main(["series", path, "--t-end", "inf"]) == 1
         assert "finite" in capsys.readouterr().err
+
+
+class TestStartup:
+    def test_no_scipy_on_cli_path(self):
+        # scipy is a test dependency only: importing the CLI and running
+        # analyze in a fresh interpreter must not load it
+        code = (
+            "import contextlib, io, json, sys\n"
+            "from lindscope.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main(['analyze', {str(MODELS_DIR / 'dephasing.json')!r}])\n"
+            "print(json.dumps([code, sorted(k for k in sys.modules if k.startswith('scipy'))]))\n"
+        )
+        src = str(Path(lindscope.__file__).resolve().parent.parent)
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [0, []]
 
 
 class TestCostArithmetic:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -9,6 +10,7 @@ from lindscope import (
     DimensionError,
     LindbladModel,
     ModelError,
+    NumericalError,
     RangeError,
     commutator,
     dagger,
@@ -22,7 +24,12 @@ from lindscope import (
     pauli_channel,
     spectral_norm,
 )
-from lindscope.linalg import as_complex_matrix, hermiticity_defect, hermiticity_tolerance
+from lindscope.linalg import (
+    _PADE_THETA,
+    as_complex_matrix,
+    hermiticity_defect,
+    hermiticity_tolerance,
+)
 
 complex_entries = st.complex_numbers(
     allow_nan=False, allow_infinity=False, max_magnitude=10.0
@@ -213,6 +220,11 @@ class TestMatrixExp:
         with pytest.raises(RangeError):
             matrix_exp(100.0 * np.eye(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(NumericalError, match="NaN or Inf"):
+            matrix_exp(np.array([[bad, 0.0], [0.0, 1.0]]))
+
     def test_range_check_decided_by_exact_norm(self):
         # a scaled Hadamard matrix: ||m||_2 = c sqrt(2), while the O(n^2)
         # bound sqrt(||m||_1 ||m||_inf) = 2c exceeds the range already
@@ -230,6 +242,71 @@ class TestMatrixExp:
         with pytest.raises(RangeError):
             matrix_exp(np.diag([51.0, 1.0]))
         assert calls == [1]
+
+
+EXP_KINDS = ("general", "diagonal", "upper_triangular", "nilpotent", "anti_hermitian")
+# error bound in units of eps * max(1, ||arg||_1) * max(1, ||exp(arg)||_2);
+# the measured worst case over these inputs is about 12
+EXP_TOL_EPS = 64
+
+
+def _exp_input(kind, rng, n):
+    m = random_complex(rng, n)
+    if kind == "diagonal":
+        return np.diag(np.diag(m))
+    if kind == "upper_triangular":
+        return np.triu(m)
+    if kind == "nilpotent":
+        return np.triu(m, 1)
+    if kind == "anti_hermitian":
+        return 1j * random_hermitian(rng, n)
+    return m
+
+
+def _exp_arguments(base):
+    """``base`` scaled to a 1-norm just below and just above each Pade
+    theta, then to spectral norms 10, 20 and 49."""
+    norm_1 = np.abs(base).sum(axis=0).max()
+    for theta in _PADE_THETA.values():
+        for side in (0.999, 1.001):
+            yield base * (theta * side / norm_1)
+    for norm in (10.0, 20.0, 49.0):
+        yield base * (norm / spectral_norm(base))
+
+
+def _assert_close_exp(got, want, arg):
+    err = spectral_norm(got - want) / max(1.0, spectral_norm(want))
+    scale = max(1.0, np.abs(arg).sum(axis=0).max())
+    assert err <= EXP_TOL_EPS * np.finfo(float).eps * scale
+
+
+class TestPadeExp:
+    """The numpy-only exponential against scipy.linalg.expm and a Taylor sum."""
+
+    @pytest.mark.parametrize(
+        "kind,n",
+        [(k, n) for k in EXP_KINDS for n in (1, 2, 9, 64) if (k, n) != ("nilpotent", 1)],
+    )
+    def test_against_references(self, kind, n):
+        base = _exp_input(kind, np.random.default_rng(100 + n), n)
+        for arg in _exp_arguments(base):
+            got = matrix_exp(arg)
+            _assert_close_exp(got, scipy.linalg.expm(arg), arg)
+            # the Taylor sum is accurate below degree 13's scaling, and a
+            # nilpotent argument makes it a finite sum
+            if kind == "nilpotent" or np.abs(arg).sum(axis=0).max() <= _PADE_THETA[9]:
+                _assert_close_exp(got, taylor_exp(arg), arg)
+            if kind == "diagonal":
+                _assert_close_exp(got, np.diag(np.exp(np.diag(arg))), arg)
+            if kind == "anti_hermitian":
+                sv = np.linalg.svd(got, compute_uv=False)
+                assert np.abs(sv - 1.0).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 64])
+    def test_zero_is_identity(self, n):
+        out = matrix_exp(np.zeros((n, n)))
+        assert out.dtype == complex
+        assert (out == np.eye(n)).all()
 
 
 class TestCommutator:

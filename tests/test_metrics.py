@@ -354,13 +354,15 @@ class TestOnePass:
         # compute_metrics makes no SVD, the two exponentials (start and step)
         # pass their range check on the O(n^2) bound, then one SVD per grid
         # point
-        import scipy.linalg
+        import lindscope.linalg
 
         s = liouvillian(random_model(np.random.default_rng(22), d=2))
         calls = {"svd": 0, "expm": 0}
         counting = functools.partial(_counting, calls)
         monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
-        monkeypatch.setattr(scipy.linalg, "expm", counting("expm", scipy.linalg.expm))
+        monkeypatch.setattr(
+            lindscope.linalg, "_pade_exp", counting("expm", lindscope.linalg._pade_exp)
+        )
         amplification_series(s, TimeGrid(0.0, 1.0, 40))
         assert calls == {"svd": 41, "expm": 2}
 
