@@ -155,10 +155,11 @@ def matrix_exp(m) -> np.ndarray:
 
     The exponential itself is Algorithm 2.3 of N. J. Higham, "The scaling
     and squaring method for the matrix exponential revisited", SIAM J.
-    Matrix Anal. Appl. 26(4), 2005: the lowest Pade degree whose theta
-    bounds ``||m||_1``, else degree 13 after scaling by a power of two and
-    squaring back. The approximant is formed as ``I + 2 (V - U)^-1 U``, so
-    a zero matrix, whose ``U`` is exactly zero, gives the identity exactly.
+    Matrix Anal. Appl. 26(4), 2005, at its top degree only: the degree-13
+    Pade approximant, after scaling by a power of two that brings
+    ``||m||_1`` under theta_13, then squaring back. The approximant is
+    formed as ``I + 2 (V - U)^-1 U``, so a zero matrix, whose ``U`` is
+    exactly zero, gives the identity exactly.
     """
     m = _square(m)
     mag = np.abs(m)
@@ -178,50 +179,36 @@ def matrix_exp(m) -> np.ndarray:
     return _pade_exp(m, norm_1)
 
 
-# Higham (2005), Table 2.3: the largest ||A||_1 for which the degree-m
-# Pade approximant r_m(A) meets unit roundoff in double precision.
-_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
-               7: 9.504178996162932e-1, 9: 2.097847961257068, 13: 5.371920351148152}
-# Numerator coefficients b_0..b_m of the diagonal Pade approximant to e^x.
-_PADE_COEF = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
-    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-         1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-         33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0),
-}
+# Higham (2005), Table 2.3: the largest ||A||_1 for which the degree-13
+# Pade approximant r_13(A) meets unit roundoff in double precision.
+_PADE_THETA_13 = 5.371920351148152
+# Numerator coefficients b_0..b_13 of the diagonal degree-13 Pade
+# approximant to e^x.
+_PADE_COEF_13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
 
 
 def _pade_exp(a: np.ndarray, norm_1: float) -> np.ndarray:
     """exp(a) for a square complex ``a`` with 1-norm ``norm_1`` (Higham 2005, Alg. 2.3)."""
     ident = np.eye(a.shape[0], dtype=complex)
-    degree = next((d for d in (3, 5, 7, 9) if norm_1 <= _PADE_THETA[d]), 13)
     squarings = 0
-    if degree == 13:
-        squarings = max(0, math.ceil(math.log2(norm_1 / _PADE_THETA[13])))
+    if norm_1 > _PADE_THETA_13:
+        squarings = math.ceil(math.log2(norm_1 / _PADE_THETA_13))
         a = a * 2.0 ** -squarings  # exact: a power of two
-    b = _PADE_COEF[degree]
+    b = _PADE_COEF_13
     a2 = a @ a
-    if degree == 13:
-        a4 = a2 @ a2
-        a6 = a4 @ a2
-        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
-    else:
-        # powers a^0, a^2, ..., a^(degree-1) for the even and odd parts
-        powers = [ident, a2]
-        while len(powers) < (degree + 1) // 2:
-            powers.append(powers[-1] @ a2)
-        u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
-        v = sum(b[2 * k] * p for k, p in enumerate(powers))
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
     # r = (v - u)^-1 (v + u), formed as I + 2 (v - u)^-1 u: the solve
     # rounds relative to the correction, not to r. A step with
-    # h ||S|| = 0.02 then lands within ~3e-18 of the correctly rounded
+    # h ||S|| = 0.02 then lands within ~4e-18 of the correctly rounded
     # exponential, where the direct form is an ulp (~3e-16) off, and a
     # product of thousands of steps compounds that.
     r = ident + 2.0 * np.linalg.solve(v - u, u)
