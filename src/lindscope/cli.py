@@ -48,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import DEFAULT_STEPS, TimeGrid, amplification_series, default_grid
-from .errors import ConfigError, IoError, LindscopeError, NumericalError
+from .errors import ConfigError, IoError, LindscopeError, NumericalError, RangeError
 from .metrics import RegimeThresholds, compute_metrics, structured_dissipator_report
 from .models import ModelSpec, build
 from .superop import LindbladModel, liouvillian
@@ -221,14 +221,17 @@ def _load_json(path: str):
 def _parse_complex(value, where: str) -> complex:
     if isinstance(value, bool):
         raise ConfigError(f"{where}: expected a number or [re, im] pair, got a boolean")
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
-        return complex(value[0], value[1])
+    try:
+        if isinstance(value, (int, float)):
+            return complex(value)
+        if (
+            isinstance(value, list)
+            and len(value) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+        ):
+            return complex(value[0], value[1])
+    except OverflowError:  # an integer beyond double precision
+        raise ConfigError(f"{where}: {value!r} is beyond double precision") from None
     raise ConfigError(f"{where}: expected a number or [re, im] pair, got {value!r}")
 
 
@@ -286,9 +289,20 @@ def _explicit_from_obj(obj, path: str) -> LindbladModel:
                 raise ConfigError(f"{path}: unknown key {key!r} in {where}")
         matrix = _parse_matrix(item["matrix"], f"{where}.matrix", dim)
         rate = item.get("rate", 1.0)
-        if isinstance(rate, bool) or not isinstance(rate, (int, float)) or rate < 0:
-            raise ConfigError(f"{path}: {where}.rate must be a nonnegative number")
-        jumps.append(np.sqrt(float(rate)) * matrix)
+        if (
+            isinstance(rate, bool)
+            or not isinstance(rate, (int, float))
+            or not 0 <= rate <= sys.float_info.max
+        ):
+            raise ConfigError(f"{path}: {where}.rate must be a finite nonnegative number")
+        with np.errstate(over="ignore"):
+            jump = np.sqrt(float(rate)) * matrix
+        if not np.isfinite(jump).all():
+            raise RangeError(
+                f"{path}: {where}: sqrt(rate) * matrix overflows double precision; "
+                "rescale the model"
+            )
+        jumps.append(jump)
     label = obj.get("label", "")
     if not isinstance(label, str):
         raise ConfigError(f'{path}: "label" must be a string')

@@ -21,10 +21,12 @@ makes every classification invariant under rescaling the generator.
 ``compute_metrics`` computes them all in one pass, including the two-route
 cross-check of ``eta``; the single-number functions read its result. Every
 quantity in the pass is the norm of a Hermitian matrix (``S^dag S``,
-``[S, S^dag]``, ``S_herm``, ``i S_skew``), taken as its largest eigenvalue
-magnitude with no SVD. The pass runs on the generator prescaled by an exact
-power of two, so it holds from subnormal to near-overflow magnitudes, and
-its result is kept on the Superoperator, so every caller shares one pass.
+``[S, S^dag]``, ``S_herm``, ``S_skew^dag S_skew``), taken as its largest
+eigenvalue magnitude with no SVD. The pass runs on the generator prescaled
+by an exact power of two, so it holds from subnormal to near-overflow
+magnitudes, and rotated into an orthonormal basis of Hermitian operators,
+where a Lindbladian is a real matrix, so all of its arithmetic is real. Its
+result is kept on the Superoperator, so every caller shares one pass.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 
 from .errors import NumericalError, RangeError
 from .linalg import dagger, eigenvalues_general, hermitian_norm
-from .superop import LindbladModel, Superoperator, liouvillian
+from .superop import LindbladModel, Superoperator, _hermitian_form, liouvillian
 
 __all__ = [
     "ZERO_RTOL",
@@ -177,32 +179,28 @@ def _scaled_back(name: str, value: float, exponent: int) -> float:
 
 def _analyze(s: Superoperator) -> StructuralMetrics:
     """The threshold-free metrics of ``s``, regime banded by the default kappa."""
-    m = s.matrix
-    peak = max(float(np.max(np.abs(m.real))), float(np.max(np.abs(m.imag))))
-    e = math.frexp(peak)[1]
-    # a = 2^-e S exactly, with its largest entry O(1): no product below can
-    # under- or overflow, and wherever an unscaled pass would stay in range
-    # every rounding is the same as there
-    a = np.empty_like(m)
-    np.ldexp(m.real, -e, out=a.real)
-    np.ldexp(m.imag, -e, out=a.imag)
+    # a = 2^-e U^dag S U, with U unitary and its largest entry O(1): no
+    # product below can under- or overflow, and every norm is that of 2^-e S.
+    # a is real when S preserves Hermiticity, and then so is every product
+    # and eigensolve below.
+    a, e = _hermitian_form(s.matrix)
     # Each n x n temporary is released before the next is allocated, which
     # keeps at most four alive besides S and the eigensolver's own copy.
-    ad = a.conj().T
+    ad = a.conj().T  # a view of a when a is real
     c = ad @ a
     norm = math.sqrt(hermitian_norm(c))
     c = np.subtract(a @ ad, c, out=c)  # [S, S^dag]
     eta = hermitian_norm(c)
     herm = a + ad
     herm *= 0.5
-    skew = np.subtract(a, ad, out=ad)  # built in the buffer of S^dag
+    skew = a - ad
     skew *= 0.5
     del a, ad
     delta = hermitian_norm(herm)
     x = _cross_term(herm, skew)
     del herm
-    skew *= 1j  # i S_skew is Hermitian and has the norm of S_skew
-    nd_norm = hermitian_norm(skew)
+    # ||S_skew||^2 from the Hermitian S_skew^dag S_skew, which stays real
+    nd_norm = math.sqrt(hermitian_norm(skew.conj().T @ skew))
     del skew
     # [S, S^dag] = -2 [S_herm, S_skew] = -2 (X + X^dag), so the residual is
     # r = c + 2X + 2X^dag; build conj(r) = conj(c + 2X) + 2X^T in place
@@ -243,13 +241,19 @@ def compute_metrics(
     Every norm is the largest eigenvalue magnitude of a Hermitian matrix
     (``hermitian_norm``); no SVD is taken. Four Hermitian eigensolves:
     ``||S||^2`` from ``S^dag S``, ``eta`` from ``[S, S^dag]``, ``delta``
-    from ``S_herm`` and ``nd_norm`` from ``i S_skew``.
+    from ``S_herm`` and ``nd_norm^2`` from ``S_skew^dag S_skew``.
 
-    The pass runs on ``2^-e S``, with the power of two chosen so that the
-    largest entry is of order one, and scales each result back exactly.
-    Squared quantities therefore neither under- nor overflow, ``kappa`` and
-    the regime (dimensionless) are the same at every magnitude, and a
-    reported value that overflows on the way back is a RangeError.
+    The pass runs on ``2^-e U^dag S U``, with the power of two chosen so
+    that the largest entry is of order one, and scales each result back
+    exactly. Squared quantities therefore neither under- nor overflow,
+    ``kappa`` and the regime (dimensionless) are the same at every
+    magnitude, and a reported value that overflows on the way back is a
+    RangeError. ``U`` is the orthonormal basis of Hermitian operators
+    ``E_ii``, ``(E_ij + E_ji)/sqrt2``, ``i (E_ij - E_ji)/sqrt2``; it is
+    unitary, so every norm is that of ``S``. A generator that preserves
+    Hermiticity, as every Lindbladian does, is real in that basis, and the
+    whole pass then runs in float64; one that does not (a raw
+    Superoperator) runs the same steps on the complex rotation.
 
     ``eta`` is cross-checked at matrix level against the identity
     ``[S, S^dag] = -2 [S_herm, S_skew]`` (exact in arithmetic): a Frobenius

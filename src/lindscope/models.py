@@ -15,6 +15,7 @@ Conventions fixed here, once:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -248,6 +249,11 @@ class _Params:
             value = self.left.pop(name)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"{self.kind}: parameter {name!r} must be a number")
+            # json.loads takes NaN, Infinity and integers of any size
+            if not abs(value) <= sys.float_info.max:
+                raise ConfigError(
+                    f"{self.kind}: parameter {name!r} must be a finite double, got {value!r}"
+                )
             return float(value)
         if default is None:
             raise ConfigError(f"{self.kind}: missing parameter {name!r}")

@@ -7,18 +7,26 @@ from the Hilbert-Schmidt inner product to the ordinary complex inner
 product, which in turn makes the Hilbert-Schmidt adjoint of a
 superoperator the plain conjugate transpose of its matrix.
 
+In the orthonormal basis of Hermitian operators ``E_ii``,
+``(E_ij + E_ji)/sqrt2`` and ``i (E_ij - E_ji)/sqrt2`` (``i < j``), the
+coordinates of a Hermitian operator are real, so a map that preserves
+Hermiticity, ``L(X)^dag = L(X^dag)`` as every Lindbladian does, is a real
+matrix there. The analysis pass in ``metrics`` works in that form.
+
 All values are immutable after construction (arrays are frozen), so they
 are safe to share across threads.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, ModelError
+from .errors import ConfigError, DimensionError, ModelError, NumericalError, RangeError
 from .linalg import as_complex_matrix, dagger, hermiticity_defect, hermiticity_tolerance
 
 __all__ = [
@@ -121,6 +129,104 @@ def devectorize(v, dim: int) -> np.ndarray:
     return v.reshape((dim, dim), order="F")
 
 
+# The generator preserves Hermiticity, and its rotation is taken as real,
+# when a bound on the imaginary part of the rotation stays within this many
+# ulps of the prescaled largest entry of the generator.
+_REAL_FORM_ULPS = 16
+_EPS = float(np.finfo(float).eps)
+
+
+@functools.lru_cache(maxsize=None)
+def _basis_index(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gather indices and row weights of the orthonormal Hermitian basis.
+
+    ``rows`` and ``cols`` pick ``[M[p,p], M[q,q], M[p,q], M[q,p]]`` in one
+    step, for vectorized positions ``p`` and ``q``. Entry ``k < dim`` is
+    the position of ``E_kk`` in both. Each later entry is a pair ``i < j``,
+    with ``p`` the position of ``E_ij`` and ``q`` that of ``E_ji``; the
+    pair gives two basis elements, ``(E_ij + E_ji)/sqrt2`` and, after all
+    pairs, ``i (E_ij - E_ji)/sqrt2``. ``weight`` is 1/sqrt2 on the
+    ``dim`` diagonal elements and 1 on the others.
+    """
+    i, j = np.triu_indices(dim, 1)
+    diag = np.arange(dim) * (dim + 1)
+    p = np.concatenate([diag, i + dim * j])
+    q = np.concatenate([diag, j + dim * i])
+    rows = np.stack([p, q, p, q])[:, :, None]
+    cols = np.stack([p, q, q, p])[:, None, :]
+    weight = np.ones(dim * dim)
+    weight[:dim] = math.sqrt(0.5)
+    return _frozen(rows), _frozen(cols), _frozen(weight)
+
+
+def _fill(out: np.ndarray, h: np.ndarray, dim: int) -> None:
+    """Write ``out`` from the two ``r x r`` complex sums ``h``, overwriting ``h``.
+
+    With ``u = h0 + h1`` and ``v = h0 - h1``, symmetric rows and columns
+    (the first ``r``) take ``Re u``, anti-symmetric ones ``Re v``, and the
+    mixed blocks ``-Im v`` (symmetric rows) and ``Im u``; anti-symmetric
+    elements exist only for the pairs, which follow the ``dim`` diagonal
+    entries. Each entry is a sum in an order that transposition maps onto
+    itself, so a (skew-)symmetric result comes out exactly
+    (skew-)symmetric.
+    """
+    r = h.shape[1]
+    v = h[0] - h[1]
+    u = h[0]
+    u += h[1]
+    out[:r, :r] = u.real
+    out[r:, :r] = u.imag[dim:]
+    out[r:, r:] = v.real[dim:, dim:]
+    np.negative(v.imag[:, dim:], out=out[:r, r:])
+
+
+def _hermitian_form(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(2^-e U^dag m U, e)``, with ``U`` the orthonormal Hermitian operator basis.
+
+    The basis is ``E_ii``, ``(E_ij + E_ji)/sqrt2`` and
+    ``i (E_ij - E_ji)/sqrt2`` (``i < j``), in that order, and the power of
+    two brings the largest real or imaginary entry of ``m`` into
+    ``[1/2, 1)``. The result is float64 when ``m`` preserves Hermiticity
+    up to roundoff: when no entry of the imaginary part of the rotation can
+    exceed ``_REAL_FORM_ULPS`` ulps of that largest entry. Otherwise it is
+    the complex rotation. The work is one O(n^2) index gather and a few
+    O(n^2) sums, in temporaries that together hold about twice the entries
+    of ``m``.
+    """
+    n = m.shape[0]
+    dim = math.isqrt(n)
+    e = math.frexp(float(np.abs(m.view(np.float64)).max()))[1]
+    rows, cols, weight = _basis_index(dim)
+    # 2^-(e+1) is exact; the extra 1/2 is the weight 2 |w_l w_k| = 1 of the
+    # pair-pair entries, and diagonal rows and columns take 1/sqrt2 below
+    g = m[rows, cols]
+    parts = g.view(np.float64)
+    np.ldexp(parts, -e - 1, out=parts)
+    # The real part of the rotation comes from h = [Mpp + conj(Mqq),
+    # Mpq + conj(Mqp)], the imaginary part from the rest, [Mpp - conj(Mqq),
+    # Mpq - conj(Mqp)], which vanishes when m preserves Hermiticity, that
+    # is when conj(m) is m with rows and columns permuted by transposition.
+    odd = np.conjugate(g[1::2])
+    rest = g[0::2] - odd
+    h = g[0::2]
+    h += odd
+    del odd
+    # an imaginary entry is a weighted sum of two entries of rest, no weight
+    # is above 1, and an ulp of the largest entry of 2^-(e+1) m is eps/4
+    if 2.0 * float(np.abs(rest).max()) <= _REAL_FORM_ULPS * _EPS / 4:
+        del rest
+        out = np.empty((n, n))
+        _fill(out, h, dim)
+    else:
+        out = np.empty((n, n), dtype=complex)
+        _fill(out.real, h, dim)
+        _fill(out.imag, -1j * rest, dim)
+    del g, h
+    out *= weight[:, None]
+    out *= weight
+    return out, e
+
+
 def liouvillian(model: LindbladModel) -> Superoperator:
     """Matrix of rho -> -i[H, rho] + sum_k (L_k rho L_k^dag - {L_k^dag L_k, rho}/2).
 
@@ -128,16 +234,24 @@ def liouvillian(model: LindbladModel) -> Superoperator:
         -i (kron(I, H) - kron(H.T, I))
         + sum_k [ kron(conj(L_k), L_k)
                   - kron(I, L_k^dag L_k)/2 - kron((L_k^dag L_k).T, I)/2 ].
+
+    A generator with an entry beyond double precision is a RangeError.
     """
     d = model.dim
     eye = np.eye(d, dtype=complex)
     h = model.hamiltonian
-    m = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for jump in model.jumps:
-        jdj = dagger(jump) @ jump
-        m = m + np.kron(jump.conj(), jump)
-        m = m - 0.5 * np.kron(eye, jdj) - 0.5 * np.kron(jdj.T, eye)
-    return Superoperator(d, m)
+    # entries beyond double precision become inf or nan, which the
+    # Superoperator rejects, rather than printing numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+        for jump in model.jumps:
+            jdj = dagger(jump) @ jump
+            m = m + np.kron(jump.conj(), jump)
+            m = m - 0.5 * np.kron(eye, jdj) - 0.5 * np.kron(jdj.T, eye)
+    try:
+        return Superoperator(d, m)
+    except NumericalError:
+        raise RangeError("the generator overflows double precision; rescale the model") from None
 
 
 def adjoint(s: Superoperator) -> Superoperator:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -419,6 +420,68 @@ class TestExtremeMagnitudes:
                            points=4, log_scale=True)
         with pytest.raises(RangeError, match=r"^omega = 1e\+300: eta"):
             run(config)
+
+    def test_overflowing_explicit_model_one(self, tmp_path, capsys):
+        # the Liouvillian of this jump overflows: one typed error, and no
+        # numpy warning on the way
+        payload = {"dim": 2, "hamiltonian": [[0, 0], [0, 0]],
+                   "jumps": [{"matrix": [[1e200, 0], [0, -1e200]]}]}
+        path = write(tmp_path, "m.json", payload)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["analyze", path])
+        captured = capsys.readouterr()
+        assert (code, captured.out, caught) == (1, "", [])
+        assert captured.err == (
+            "error: the generator overflows double precision; rescale the model\n"
+        )
+
+    @pytest.mark.parametrize(
+        "rate, message",
+        [("Infinity", "rate must be a finite nonnegative number"),
+         ("NaN", "rate must be a finite nonnegative number"),
+         ("1e300", "sqrt(rate) * matrix overflows double precision")],
+        ids=["inf", "nan", "overflow"],
+    )
+    def test_bad_explicit_rate_one(self, tmp_path, capsys, rate, message):
+        path = tmp_path / "m.json"
+        path.write_text(
+            '{"dim": 2, "hamiltonian": [[0, 0], [0, 0]], '
+            f'"jumps": [{{"rate": {rate}, "matrix": [[1e200, 0], [0, 0]]}}]}}',
+            encoding="utf-8",
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["analyze", str(path)])
+        err = capsys.readouterr().err
+        assert (code, caught) == (1, [])
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "value", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],
+        ids=["nan", "inf", "-inf", "huge-int"],
+    )
+    def test_non_finite_parameter_one(self, tmp_path, capsys, value):
+        path = tmp_path / "m.json"
+        path.write_text(
+            '{"model": {"type": "dephasing", "gamma_z": ' + value + "}}", encoding="utf-8"
+        )
+        assert main(["analyze", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: dephasing: parameter 'gamma_z' must be a finite double, got "
+        )
+
+    def test_non_finite_sweep_point_named(self, tmp_path, capsys):
+        path = write(tmp_path, "m.json", DEPHASING)
+        argv = ["sweep", path, "--param", "gamma_z", "--from", "nan", "--to", "1",
+                "--points", "2"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: gamma_z = nan: dephasing: parameter 'gamma_z' must be a finite "
+            "double, got nan\n"
+        )
 
     def test_infinite_t_end_one(self, tmp_path, capsys):
         path = write(tmp_path, "m.json", DEPHASING)

@@ -1,5 +1,6 @@
 import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,8 +43,9 @@ from lindscope import (
     spectral_norm,
     structured_dissipator_report,
 )
+from lindscope.cli import parse_model_file
 from lindscope.metrics import eta_tolerance, zero_tolerance
-from lindscope.superop import decompose
+from lindscope.superop import _hermitian_form, decompose
 
 
 def metrics_of(model):
@@ -389,6 +391,58 @@ class TestOnePass:
         monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
         amplification_series(s, default_grid(s, 20))
         assert calls == {"eigvalsh": 4}
+
+
+MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
+
+
+def _form_dtype(s):
+    return _hermitian_form(s.matrix)[0].dtype
+
+
+class TestRealForm:
+    """A Lindbladian preserves Hermiticity, so the pass runs on a real matrix;
+    a raw superoperator that does not runs on the complex rotation."""
+
+    @pytest.mark.parametrize("path", sorted(MODELS_DIR.glob("*.json")), ids=lambda p: p.stem)
+    def test_shipped_models_real(self, path):
+        assert _form_dtype(liouvillian(parse_model_file(str(path)))) == np.float64
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
+    def test_random_lindbladians_real(self, d):
+        rng = np.random.default_rng(50 + d)
+        for _ in range(5):
+            assert _form_dtype(liouvillian(random_model(rng, d=d))) == np.float64
+
+    def test_cap_dimension_real(self):
+        assert _form_dtype(liouvillian(random_model(np.random.default_rng(57), d=32))) == np.float64
+
+    def test_non_hermiticity_preserving_complex(self):
+        s = Superoperator(4, random_complex(np.random.default_rng(58), 16))
+        assert _form_dtype(s) == np.complex128
+        norm, delta, eta, nd_norm = _oracle(s)
+        m = compute_metrics(s)
+        assert m.generator_norm == pytest.approx(norm, rel=1e-13)
+        assert m.delta == pytest.approx(delta, rel=1e-13)
+        assert m.eta == pytest.approx(eta, rel=1e-13)
+        assert m.nd_norm == pytest.approx(nd_norm, rel=1e-13)
+
+    def test_lindblad_kernels_real(self, monkeypatch):
+        # four eigensolves, each on a float64 matrix, and no SVD
+        s = liouvillian(random_model(np.random.default_rng(59), d=4))
+        calls = {"svd": 0}
+        dtypes = []
+        solver = np.linalg.eigvalsh
+
+        def eigvalsh(a, *args, **kwargs):
+            dtypes.append(a.dtype)
+            return solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", _counting(calls, "svd", np.linalg.svd))
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        compute_metrics(s)
+        assert calls == {"svd": 0}
+        assert dtypes == [np.float64] * 4
 
 
 def _oracle(s):

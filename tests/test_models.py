@@ -159,6 +159,14 @@ class TestBuildFromSpec:
         with pytest.raises(ConfigError):
             build(ModelSpec("multi_qubit_dephasing", {"k": 2, "gamma_1": 0.1}))
 
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), -float("inf"), 10**400],
+        ids=["nan", "inf", "-inf", "huge-int"],
+    )
+    def test_non_finite_parameter_named(self, value):
+        with pytest.raises(ConfigError, match=r"^driven_dephasing: parameter 'omega' must be a finite"):
+            build(ModelSpec("driven_dephasing", {"gamma_z": 1.0, "omega": value}))
+
     def test_integer_parameter_validation(self):
         with pytest.raises(ConfigError):
             build(ModelSpec("jaynes_cummings", {"n_max": 2.5}))

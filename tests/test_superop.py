@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,7 @@ from lindscope import (
     spectral_norm,
     vectorize,
 )
+from lindscope.superop import _hermitian_form
 
 
 class TestVectorize:
@@ -62,6 +65,13 @@ class TestLindbladModel:
     def test_rejects_non_hermitian_hamiltonian(self):
         with pytest.raises(ModelError):
             LindbladModel(dim=2, hamiltonian=np.array([[0, 1], [0, 0]]))
+
+    def test_rejects_overflowing_hermiticity_defect(self):
+        # H - H^dag overflows; the defect is inf, not a nan that passes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelError, match="defect inf"):
+                LindbladModel(dim=2, hamiltonian=np.array([[0, 1e308], [-1e308, 0]]))
 
     def test_rejects_wrong_jump_shape(self):
         with pytest.raises(DimensionError):
@@ -272,3 +282,60 @@ class TestStructuralInvariants:
                 superop_columns(model.hamiltonian, model.jumps),
                 atol=1e-14,
             )
+
+
+def _dense_basis(dim):
+    """Columns vec(E_ii), then vec((E_ij + E_ji)/sqrt2), then vec(i (E_ij - E_ji)/sqrt2), i < j."""
+    def unit(i, j):
+        e = np.zeros((dim, dim), dtype=complex)
+        e[i, j] = 1.0
+        return e
+
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    ops = [unit(i, i) for i in range(dim)]
+    ops += [(unit(i, j) + unit(j, i)) / np.sqrt(2) for i, j in pairs]
+    ops += [1j * (unit(i, j) - unit(j, i)) / np.sqrt(2) for i, j in pairs]
+    return np.column_stack([vectorize(op) for op in ops])
+
+
+class TestHermitianForm:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_basis_orthonormal_and_hermitian(self, dim):
+        u = _dense_basis(dim)
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(dim * dim), atol=1e-15)
+        for k in range(dim * dim):
+            op = devectorize(u[:, k], dim)
+            assert np.array_equal(op, op.conj().T)
+
+    def test_hermitian_operator_has_real_coordinates(self):
+        rng = np.random.default_rng(15)
+        u = _dense_basis(4)
+        for _ in range(5):
+            coords = u.conj().T @ vectorize(random_hermitian(rng, 4))
+            assert np.max(np.abs(coords.imag)) <= 1e-15
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_matches_dense_rotation(self, dim):
+        # a Lindbladian comes out real, a raw complex matrix complex; both
+        # are 2^-e U^dag S U with the largest entry of 2^-e S in [1/2, 1)
+        rng = np.random.default_rng(16 + dim)
+        u = _dense_basis(dim)
+        for m, dtype in [
+            (liouvillian(random_model(rng, d=dim)).matrix, np.float64),
+            (Superoperator(dim, random_complex(rng, dim * dim, scale=300.0)).matrix, complex),
+        ]:
+            a, e = _hermitian_form(m)
+            assert a.dtype == dtype
+            peak = np.max(np.abs(m.view(np.float64)))
+            assert 0.5 <= np.ldexp(peak, -e) < 1.0
+            dense = np.ldexp(1.0, -e) * (u.conj().T @ m @ u)
+            np.testing.assert_allclose(a, dense, rtol=0, atol=4e-16)
+
+    def test_exact_symmetry_survives_rotation(self):
+        # an anti-Hermitian generator rotates to an exactly skew-symmetric
+        # real matrix, a Hermitian one to an exactly symmetric one
+        rng = np.random.default_rng(17)
+        a, _ = _hermitian_form(liouvillian(hamiltonian_only(random_hermitian(rng, 4))).matrix)
+        assert a.dtype == np.float64 and np.array_equal(a, -a.T)
+        a, _ = _hermitian_form(liouvillian(dephasing(0.3)).matrix)
+        assert a.dtype == np.float64 and np.array_equal(a, a.T)
