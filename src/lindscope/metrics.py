@@ -180,9 +180,9 @@ def _scaled_back(name: str, value: float, exponent: int) -> float:
 def _analyze(s: Superoperator) -> StructuralMetrics:
     """The threshold-free metrics of ``s``, regime banded by the default kappa."""
     # a = 2^-e U^dag S U, with U unitary and its largest entry O(1): no
-    # product below can under- or overflow, and every norm is that of 2^-e S.
-    # a is real when S preserves Hermiticity, and then so is every product
-    # and eigensolve below.
+    # product of a with itself can under- or overflow, and every norm is
+    # that of 2^-e S. a is real when S preserves Hermiticity, and then so is
+    # every product and eigensolve below.
     a, e = _hermitian_form(s.matrix)
     # Each n x n temporary is released before the next is allocated, which
     # keeps at most four alive besides S and the eigensolver's own copy.
@@ -199,8 +199,14 @@ def _analyze(s: Superoperator) -> StructuralMetrics:
     delta = hermitian_norm(herm)
     x = _cross_term(herm, skew)
     del herm
-    # ||S_skew||^2 from the Hermitian S_skew^dag S_skew, which stays real
-    nd_norm = math.sqrt(hermitian_norm(skew.conj().T @ skew))
+    # ||S_skew||^2 from the Hermitian S_skew^dag S_skew, which stays real.
+    # S_skew can be smaller than S by any factor (a weak drive next to strong
+    # dissipation), so it takes its own exact power of two, 2^-f, before it
+    # is squared; otherwise S_skew^dag S_skew could underflow to zero.
+    f = math.frexp(float(np.abs(skew).max()))[1]
+    for part in (skew.real, skew.imag) if np.iscomplexobj(skew) else (skew,):
+        np.ldexp(part, -f, out=part)
+    nd_norm = math.ldexp(math.sqrt(hermitian_norm(skew.conj().T @ skew)), f)
     del skew
     # [S, S^dag] = -2 [S_herm, S_skew] = -2 (X + X^dag), so the residual is
     # r = c + 2X + 2X^dag; build conj(r) = conj(c + 2X) + 2X^T in place
@@ -245,12 +251,13 @@ def compute_metrics(
 
     The pass runs on ``2^-e U^dag S U``, with the power of two chosen so
     that the largest entry is of order one, and scales each result back
-    exactly. Squared quantities therefore neither under- nor overflow,
-    ``kappa`` and the regime (dimensionless) are the same at every
-    magnitude, and a reported value that overflows on the way back is a
-    RangeError. ``U`` is the orthonormal basis of Hermitian operators
-    ``E_ii``, ``(E_ij + E_ji)/sqrt2``, ``i (E_ij - E_ji)/sqrt2``; it is
-    unitary, so every norm is that of ``S``. A generator that preserves
+    exactly; ``S_skew``, which can be far smaller than ``S``, takes its own
+    power of two before it is squared. Squared quantities therefore neither
+    under- nor overflow, ``kappa`` and the regime (dimensionless) are the
+    same at every magnitude, and a reported value that overflows on the way
+    back is a RangeError. ``U`` is the orthonormal basis of Hermitian
+    operators ``E_ii``, ``(E_ij + E_ji)/sqrt2``, ``i (E_ij - E_ji)/sqrt2``;
+    it is unitary, so every norm is that of ``S``. A generator that preserves
     Hermiticity, as every Lindbladian does, is real in that basis, and the
     whole pass then runs in float64; one that does not (a raw
     Superoperator) runs the same steps on the complex rotation.

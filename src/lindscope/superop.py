@@ -185,17 +185,17 @@ def _hermitian_form(m: np.ndarray) -> tuple[np.ndarray, int]:
 
     The basis is ``E_ii``, ``(E_ij + E_ji)/sqrt2`` and
     ``i (E_ij - E_ji)/sqrt2`` (``i < j``), in that order, and the power of
-    two brings the largest real or imaginary entry of ``m`` into
-    ``[1/2, 1)``. The result is float64 when ``m`` preserves Hermiticity
-    up to roundoff: when no entry of the imaginary part of the rotation can
-    exceed ``_REAL_FORM_ULPS`` ulps of that largest entry. Otherwise it is
-    the complex rotation. The work is one O(n^2) index gather and a few
+    two brings the largest entry magnitude of ``m`` into ``[1/2, 1)``. The
+    result is float64 when ``m`` preserves Hermiticity up to roundoff: when
+    no entry of the imaginary part of the rotation can exceed
+    ``_REAL_FORM_ULPS`` ulps of that largest entry. Otherwise it is the
+    complex rotation. The work is one O(n^2) index gather and a few
     O(n^2) sums, in temporaries that together hold about twice the entries
     of ``m``.
     """
     n = m.shape[0]
     dim = math.isqrt(n)
-    e = math.frexp(float(np.abs(m.view(np.float64)).max()))[1]
+    e = math.frexp(float(np.abs(m).max()))[1]
     rows, cols, weight = _basis_index(dim)
     # 2^-(e+1) is exact; the extra 1/2 is the weight 2 |w_l w_k| = 1 of the
     # pair-pair entries, and diagonal rows and columns take 1/sqrt2 below
@@ -227,6 +227,12 @@ def _hermitian_form(m: np.ndarray) -> tuple[np.ndarray, int]:
     return out, e
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron(a, b)`` of two square matrices, the same products without its overhead."""
+    d, k = a.shape[0], b.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(d * k, d * k)
+
+
 def liouvillian(model: LindbladModel) -> Superoperator:
     """Matrix of rho -> -i[H, rho] + sum_k (L_k rho L_k^dag - {L_k^dag L_k, rho}/2).
 
@@ -243,11 +249,14 @@ def liouvillian(model: LindbladModel) -> Superoperator:
     # entries beyond double precision become inf or nan, which the
     # Superoperator rejects, rather than printing numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        m = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+        m = _kron(eye, h)
+        m -= _kron(h.T, eye)
+        m *= -1j
         for jump in model.jumps:
             jdj = dagger(jump) @ jump
-            m = m + np.kron(jump.conj(), jump)
-            m = m - 0.5 * np.kron(eye, jdj) - 0.5 * np.kron(jdj.T, eye)
+            m += _kron(jump.conj(), jump)
+            m -= 0.5 * _kron(eye, jdj)
+            m -= 0.5 * _kron(jdj.T, eye)
     try:
         return Superoperator(d, m)
     except NumericalError:

@@ -24,6 +24,7 @@ from lindscope import (
     RegimeThresholds,
     Superoperator,
     TimeGrid,
+    adjoint,
     amplification_series,
     bound_check,
     classify,
@@ -221,6 +222,15 @@ class TestScaleCovariance:
         s = _dissipative_generator(40)
         with pytest.raises(RangeError, match="eta"):
             compute_metrics(Superoperator(s.dim, math.ldexp(1.0, 520) * s.matrix))
+
+    @pytest.mark.parametrize("omega", [1.0, 1e-150, 1e-300])
+    def test_small_skew_part_keeps_its_norm(self, omega):
+        # S_skew is omega/gamma times S here; squared at the prescale of S
+        # alone, S_skew^dag S_skew would underflow below about 1e-154
+        m = metrics_of(driven_dephasing(1.0, omega))
+        assert m.nd_norm == pytest.approx(omega, rel=1e-13)
+        assert m.eta == pytest.approx(4.0 * omega, rel=1e-13)
+        assert abs(m.bound_margin) <= 1e-13 * m.eta
 
     def test_subnormal_generator(self):
         # delta**2 underflows here; the prescaled pass still gives kappa
@@ -426,6 +436,17 @@ class TestRealForm:
         assert m.delta == pytest.approx(delta, rel=1e-13)
         assert m.eta == pytest.approx(eta, rel=1e-13)
         assert m.nd_norm == pytest.approx(nd_norm, rel=1e-13)
+
+    def test_matrix_layout_and_adjoint(self):
+        # a Fortran-ordered matrix gives the same pass; the adjoint, stored
+        # as a transposed view, shares every norm
+        s = liouvillian(random_model(np.random.default_rng(60), d=3))
+        base = compute_metrics(s)
+        assert compute_metrics(Superoperator(s.dim, np.asfortranarray(s.matrix))) == base
+        adj = compute_metrics(adjoint(s))
+        for name in ("generator_norm", "delta", "eta", "nd_norm", "kappa", "bound_margin"):
+            assert getattr(adj, name) == pytest.approx(getattr(base, name), rel=1e-13)
+        assert adj.regime is base.regime
 
     def test_lindblad_kernels_real(self, monkeypatch):
         # four eigensolves, each on a float64 matrix, and no SVD

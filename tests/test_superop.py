@@ -121,6 +121,19 @@ class TestLiouvillian:
                 liouvillian(model).matrix, expected, atol=1e-13
             )
 
+    def test_equals_kron_formula_bit_for_bit(self):
+        # the docstring's formula with np.kron, in the same order of operations
+        rng = np.random.default_rng(3)
+        for d in (1, 2, 3, 5):
+            model = random_model(rng, d=d)
+            h, eye = model.hamiltonian, np.eye(d, dtype=complex)
+            m = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+            for jump in model.jumps:
+                jdj = jump.conj().T @ jump
+                m = m + np.kron(jump.conj(), jump)
+                m = m - 0.5 * np.kron(eye, jdj) - 0.5 * np.kron(jdj.T, eye)
+            assert liouvillian(model).matrix.tobytes() == m.tobytes()
+
     def test_trace_row_annihilated(self):
         rng = np.random.default_rng(2)
         model = random_model(rng, d=3)
