@@ -2,11 +2,13 @@
 """Compare lindscope's CLI output between the working tree and a git ref.
 
 Runs ``analyze`` (json and csv) and ``series`` on every ``models/*.json``,
-and ``sweep`` and ``regimes`` on ``models/driven_dephasing.json`` over omega
-in [1e-3, 30] with 40 log-spaced points. Each side runs in its own
-interpreter with one BLAS thread: the working tree's ``src/``, and the
-``src/`` of a temporary ``git worktree`` of REF (removed afterwards). Both
-read the working tree's model files.
+a long-horizon ``series`` (``models/dephasing_relaxation.json`` with
+``--t-end 200 --steps 4000``, thousands of stepped products), and ``sweep``
+and ``regimes`` on ``models/driven_dephasing.json`` over omega in
+[1e-3, 30] with 40 log-spaced points. Each side runs in its own
+interpreter with one BLAS thread: the working tree's ``src/``, and REF's
+``src/`` unpacked by ``git archive`` into a temporary directory (removed
+afterwards). Both read the working tree's model files.
 
 Prints the largest relative deviation of any number per command and exits
 1 on a changed label (a regime or ``appg_satisfied`` flip), a changed exit
@@ -56,6 +58,9 @@ def commands() -> list[tuple[str, list[str]]]:
         out.append((f"analyze-json {path.name}", ["analyze", model]))
         out.append((f"analyze-csv {path.name}", ["analyze", model, "--format", "csv"]))
         out.append((f"series {path.name}", ["series", model]))
+    long_horizon = ["--t-end", "200", "--steps", "4000"]
+    out.append(("series-long dephasing_relaxation.json",
+                ["series", str(ROOT / "models" / "dephasing_relaxation.json"), *long_horizon]))
     driven = str(ROOT / "models" / "driven_dephasing.json")
     sweep = ["--param", "omega", "--from", "1e-3", "--to", "30", "--points", "40", "--log"]
     out.append(("sweep driven_dephasing.json", ["sweep", driven, *sweep]))
@@ -147,14 +152,10 @@ def main() -> int:
 
     cmds = commands()
     with tempfile.TemporaryDirectory(prefix="cli_drift-") as tmp:
-        tree = Path(tmp) / "ref"
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "-q",
-                        str(tree), args.ref], check=True)
-        try:
-            old = run_side(tree / "src", cmds)
-        finally:
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
-                            str(tree)], check=True)
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar",
+                                  args.ref, "src"], capture_output=True, check=True)
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
+        old = run_side(Path(tmp) / "src", cmds)
     new = run_side(ROOT / "src", cmds)
 
     failed = False

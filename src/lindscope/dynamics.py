@@ -21,9 +21,21 @@ exponentials per grid, ``P_0 = exp(t_start S)`` and ``E = exp(h S)`` with
 safe range, so long horizons need only enough steps. Each product adds a
 relative rounding error of order machine epsilon, so the drift from a
 direct exponential at step k stays below about ``k * 1e-16`` relative;
-tests hold it to that bound up to 20 000 steps. Each norm is still an exact
-dense SVD; no norm-estimation shortcuts, since desk-scale dimensions make
-exactness cheap.
+tests hold it to that bound up to 20 000 steps.
+
+The stepping runs in the orthonormal Hermitian operator basis, on the
+generator as ``superop._hermitian_form`` gives it, ``2^-e U^dag S U``, with
+each time scaled by the exact ``2^e``. ``U`` is unitary, so every norm and
+eigenvalue is that of ``S`` and ``exp(t S)``; a Lindbladian preserves
+Hermiticity, so there it is a real matrix, and so are both exponentials
+and every product. Each norm is exact, not an estimate: the square root of
+the largest eigenvalue of the Gram matrix ``P^dag P`` of the propagator
+(one product and one Hermitian eigensolve, no SVD), after an exact power of
+two brings the largest entry of ``P`` to order one. The top eigenvalue of a
+positive semidefinite matrix is perfectly conditioned, so this holds the
+accuracy of an SVD, as in the analysis pass of ``metrics``. A generator
+that does not preserve Hermiticity runs the same steps on the complex
+rotation.
 """
 
 from __future__ import annotations
@@ -39,12 +51,13 @@ from .linalg import (
     EXP_SAFE_NORM,
     as_complex_matrix,
     eigenvalues_general,
+    hermitian_norm,
     hs_norm,
     matrix_exp,
     spectral_norm,
 )
 from .metrics import Regime, compute_metrics, zero_tolerance
-from .superop import Superoperator, decompose, vectorize
+from .superop import Superoperator, _hermitian_coords, _hermitian_form, decompose
 
 __all__ = [
     "MAX_STEPS",
@@ -137,9 +150,13 @@ def _check_range(norm: float, t: float) -> None:
         )
 
 
-def _stepped_propagators(s: Superoperator, grid: TimeGrid, norm: float) -> Iterator[np.ndarray]:
-    """Yield exp(t S) at each grid time, stepping P_{k+1} = exp(h S) @ P_k.
+def _stepped_propagators(
+    a: np.ndarray, e: int, grid: TimeGrid, norm: float
+) -> Iterator[np.ndarray]:
+    """Yield ``U^dag exp(t S) U`` at each grid time, stepping P_{k+1} = exp(h S) @ P_k.
 
+    ``(a, e)`` is ``_hermitian_form`` of the generator, ``a = 2^-e U^dag S U``,
+    so each exponential is taken of ``(t 2^e) a`` and is real when ``a`` is.
     ``norm`` is ||S||; the start time and the step must each stay in the
     exponential's safe range. Overflow of a growing propagator is an error.
     """
@@ -156,8 +173,10 @@ def _stepped_propagators(s: Superoperator, grid: TimeGrid, norm: float) -> Itera
             f"step h = {h:.6g} gives h * ||S|| = {h * norm:.6g}, beyond safe range "
             f"{EXP_SAFE_NORM:g}; {advice}"
         )
-    step = matrix_exp(h * s.matrix)
-    p = matrix_exp(grid.t_start * s.matrix)
+    # in range, t 2^e <= EXP_SAFE_NORM / ||a||, and ||a|| = ||2^-e S|| >= 1/2
+    # (the largest entry of 2^-e S is), so the scaled times cannot overflow
+    step = matrix_exp(math.ldexp(h, e) * a)
+    p = matrix_exp(math.ldexp(grid.t_start, e) * a)
     yield p
     for t in grid.times[1:]:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -165,6 +184,24 @@ def _stepped_propagators(s: Superoperator, grid: TimeGrid, norm: float) -> Itera
         if not np.isfinite(p).all():
             raise RangeError(f"propagator overflows by t = {t:.6g}")
         yield p
+
+
+def _propagator_norm(p: np.ndarray) -> float:
+    """``||p||_2`` as the square root of the largest eigenvalue of ``p^dag p``.
+
+    ``p`` is first scaled by the exact power of two that brings its largest
+    entry into [1/2, 1), so the Gram matrix can neither over- nor underflow.
+    ``p`` is C-contiguous, as every product and exponential is, so its real
+    and imaginary parts can be scaled as one float64 view.
+    """
+    f = math.frexp(float(np.abs(p).max()))[1]
+    q = np.ldexp(p.view(np.float64), -f).view(p.dtype)
+    return math.ldexp(math.sqrt(hermitian_norm(q.conj().T @ q)), f)
+
+
+def _abscissa(a: np.ndarray, e: int) -> float:
+    """Largest real part over the eigenvalues of ``2^e a``."""
+    return math.ldexp(float(np.max(eigenvalues_general(a).real)), e)
 
 
 def default_grid(s: Superoperator, steps: int = DEFAULT_STEPS) -> TimeGrid:
@@ -189,24 +226,33 @@ def propagator(s: Superoperator, t: float) -> Superoperator:
 
 
 def spectral_abscissa(s: Superoperator) -> float:
-    """Largest real part over the generator's eigenvalues."""
-    return float(np.max(eigenvalues_general(s.matrix).real))
+    """Largest real part over the generator's eigenvalues.
+
+    The spectrum is taken in the Hermitian operator basis, where a
+    Lindbladian is a real matrix; the basis is unitary, so the spectrum is
+    that of ``S``.
+    """
+    return _abscissa(*_hermitian_form(s.matrix))
 
 
 def amplification_series(s: Superoperator, grid: TimeGrid) -> AmplificationSeries:
     """Propagator norms, both amplification factors and both envelopes.
 
-    The propagators are stepped along the grid (see the module docstring):
-    two exponentials per call, then one matrix product and one SVD per
-    point, with a drift from direct exponentials below about
+    The whole pass runs on one rotation of the generator into the
+    Hermitian operator basis (see the module docstring), in float64 for a
+    Lindbladian: two exponentials per call, then per point one step product,
+    one Gram product and one Hermitian eigensolve, and no SVD. The norms are
+    taken one point at a time, so no more than a few n x n matrices are
+    alive at once. The drift from direct exponentials stays below about
     ``steps * 1e-16`` relative. Raises RangeError when ``t_start * ||S||``
     or the step ``h * ||S||`` exceeds EXP_SAFE_NORM.
     """
     m = compute_metrics(s)
     delta, eta, nd_norm = m.delta, m.eta, m.nd_norm
-    propagators = _stepped_propagators(s, grid, m.generator_norm)
-    prop = np.array([spectral_norm(p) for p in propagators])
-    alpha = spectral_abscissa(s)
+    a, e = _hermitian_form(s.matrix)
+    propagators = _stepped_propagators(a, e, grid, m.generator_norm)
+    prop = np.array([_propagator_norm(p) for p in propagators])
+    alpha = _abscissa(a, e)
 
     times = grid.times
     with np.errstate(over="ignore"):
@@ -238,8 +284,13 @@ def gronwall_check(s: Superoperator, rho0, grid: TimeGrid) -> float:
     """
     rho0 = as_complex_matrix(rho0, s.dim, s.dim)
     m = compute_metrics(s)
-    vec0 = vectorize(rho0)
-    norms = [np.linalg.norm(p @ vec0) for p in _stepped_propagators(s, grid, m.generator_norm)]
+    a, e = _hermitian_form(s.matrix)
+    # rho0 in the basis of the propagators; a real propagator maps the real
+    # and imaginary parts of its coordinates, as two real columns, apart
+    x = _hermitian_coords(rho0)
+    x = x.view(np.float64).reshape(-1, 2) if a.dtype == np.float64 else x
+    propagators = _stepped_propagators(a, e, grid, m.generator_norm)
+    norms = [np.linalg.norm(p @ x) for p in propagators]
     with np.errstate(over="ignore"):
         margins = np.exp(m.delta * grid.times) * hs_norm(rho0) - np.array(norms)
     return float(margins.min())

@@ -10,12 +10,15 @@ exist.
 
 The norm of a matrix that is Hermitian by construction is its largest
 eigenvalue magnitude, ``hermitian_norm``, from a Hermitian eigensolver at
-about half the cost of an SVD. ``spectral_norm`` (SVD) is for general
-matrices.
+about half the cost of an SVD. The norm of a general matrix ``P`` is then
+exactly ``sqrt(hermitian_norm(P^dag P))``: the top eigenvalue of a positive
+semidefinite matrix is perfectly conditioned. The analysis pass in
+``metrics`` and the propagator norms in ``dynamics`` take every norm that
+way. ``spectral_norm`` (SVD) is for the remaining one-off general norms.
 
 Every kernel is numpy's. The matrix exponential is the scaling-and-squaring
 Pade method of Higham (2005), written here on numpy's matmul and solve, so
-the package needs numpy alone.
+the package needs numpy alone; it too stays real for a float64 matrix.
 """
 
 from __future__ import annotations
@@ -200,8 +203,12 @@ _PADE_COEF_13 = (
 
 
 def _pade_exp(a: np.ndarray, norm_1: float) -> np.ndarray:
-    """exp(a) for a square complex ``a`` with 1-norm ``norm_1`` (Higham 2005, Alg. 2.3)."""
-    ident = np.eye(a.shape[0], dtype=complex)
+    """exp(a) for a square ``a`` with 1-norm ``norm_1`` (Higham 2005, Alg. 2.3).
+
+    The identity takes the dtype of ``a``, so a float64 ``a`` runs in real
+    arithmetic and gives a real exponential; a complex128 one, a complex one.
+    """
+    ident = np.eye(a.shape[0], dtype=a.dtype)
     squarings = 0
     if norm_1 > _PADE_THETA_13:
         squarings = math.ceil(math.log2(norm_1 / _PADE_THETA_13))

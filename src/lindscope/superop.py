@@ -94,6 +94,12 @@ class LindbladModel:
             raise ModelError(
                 f"hamiltonian is not Hermitian: defect {defect:.3e} exceeds tolerance"
             )
+        if defect > 0.0:
+            # Keep (H + H^dag)/2, so that the generator preserves Hermiticity
+            # and is real in the Hermitian operator basis. The sum of halves
+            # cannot overflow, and it is exactly Hermitian, since IEEE
+            # addition commutes. An exactly Hermitian H (defect 0) keeps its bits.
+            h[...] = 0.5 * h + 0.5 * h.conj().T
         jumps = tuple(as_complex_matrix(j, self.dim, self.dim) for j in self.jumps)
         object.__setattr__(self, "hamiltonian", _frozen(h))
         object.__setattr__(self, "jumps", tuple(_frozen(j) for j in jumps))
@@ -225,6 +231,19 @@ def _hermitian_form(m: np.ndarray) -> tuple[np.ndarray, int]:
     out *= weight[:, None]
     out *= weight
     return out, e
+
+
+def _hermitian_coords(rho: np.ndarray) -> np.ndarray:
+    """``U^dag vec(rho)``: the coordinates of ``rho`` in the basis of ``_hermitian_form``.
+
+    In basis order, ``rho[i, i]``, ``(rho[i, j] + rho[j, i])/sqrt2`` and
+    ``-i (rho[i, j] - rho[j, i])/sqrt2`` (``i < j``). They are real for a
+    Hermitian ``rho``; the result is complex128 either way.
+    """
+    i, j = np.triu_indices(rho.shape[0], 1)
+    upper, lower = rho[i, j], rho[j, i]
+    r = math.sqrt(0.5)
+    return np.concatenate([np.diagonal(rho), r * (upper + lower), -1j * r * (upper - lower)])
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

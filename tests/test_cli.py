@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lindscope
 from lindscope import ConfigError, ModelError, NumericalError, RangeError, liouvillian
@@ -487,6 +491,32 @@ class TestExtremeMagnitudes:
         path = write(tmp_path, "m.json", DEPHASING)
         assert main(["series", path, "--t-end", "inf"]) == 1
         assert "finite" in capsys.readouterr().err
+
+
+NAMED_MODEL_FILES = sorted(
+    str(p) for p in MODELS_DIR.glob("*.json") if not p.stem.endswith("_explicit")
+)
+
+
+class TestSeriesFuzz:
+    """Any --t-end and --steps on the shipped named models gives a result or
+    a typed error: exit 0, 1 or 2, no traceback, no NaN."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        model=st.sampled_from(NAMED_MODEL_FILES),
+        t_end=st.floats() | st.floats(0.0, 1e3),
+        steps=st.integers(-2, 5000) | st.just(10**6 + 1),
+    )
+    def test_series_boundary(self, model, t_end, steps):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["series", model, f"--t-end={t_end!r}", f"--steps={steps}"])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        assert "nan" not in out.getvalue().lower()
+        if code == 0:
+            assert len(out.getvalue().splitlines()) == steps + 2
 
 
 class TestStartup:

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import SX, random_density, random_hermitian, random_model, random_models
+from helpers import (
+    SX,
+    random_complex,
+    random_density,
+    random_hermitian,
+    random_model,
+    random_models,
+)
 from lindscope import (
     ConfigError,
     RangeError,
@@ -31,6 +38,7 @@ from lindscope import (
     normal_factorization_residual,
     pauli_channel,
     propagator,
+    spectral_abscissa,
     spectral_norm,
     truncated_appg_bound,
 )
@@ -237,6 +245,69 @@ class TestSteppingDrift:
         series = amplification_series(s, TimeGrid(0.0, t_end, 2000))
         want = np.linalg.norm(scipy.linalg.expm(t_end * s.matrix), 2)
         assert series.prop_norm[-1] == pytest.approx(want, rel=1e-12)
+
+
+def _real_form_generators():
+    """Seeded Lindbladians at d = 2..8, which step in float64, and one raw
+    complex superoperator, which does not preserve Hermiticity."""
+    rng = np.random.default_rng(40)
+    gens = [liouvillian(random_model(rng, d=d)) for d in range(2, 9)]
+    gens.append(Superoperator(3, random_complex(rng, 9)))
+    return gens
+
+
+REAL_FORM_GENERATORS = _real_form_generators()
+
+
+class TestRealFormSeries:
+    """The series in the Hermitian operator basis against complex dense routes."""
+
+    @pytest.mark.parametrize("index", range(len(REAL_FORM_GENERATORS)))
+    def test_prop_norm_matches_svd(self, index):
+        s = REAL_FORM_GENERATORS[index]
+        series = amplification_series(s, default_grid(s))
+        for k in (0, 100, 200):
+            p = scipy.linalg.expm(series.times[k] * s.matrix)
+            want = np.linalg.svd(p, compute_uv=False)[0]
+            assert series.prop_norm[k] == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("index", range(len(REAL_FORM_GENERATORS)))
+    def test_alpha_matches_complex_eigvals(self, index):
+        s = REAL_FORM_GENERATORS[index]
+        want = np.linalg.eigvals(s.matrix).real.max()
+        norm = compute_metrics(s).generator_norm
+        assert abs(spectral_abscissa(s) - want) <= 1e-14 * norm
+        series = amplification_series(s, TimeGrid(0.0, 1.0 / norm, 4))
+        assert series.alpha == spectral_abscissa(s)
+
+    @pytest.mark.parametrize("index", range(len(REAL_FORM_GENERATORS)))
+    def test_gronwall_matches_direct(self, index):
+        # a density matrix, whose coordinates are real, and a general
+        # operator, whose real and imaginary parts step apart
+        s = REAL_FORM_GENERATORS[index]
+        rng = np.random.default_rng(41 + index)
+        grid = default_grid(s, steps=40)
+        delta = compute_metrics(s).delta
+        for rho0 in (random_density(rng, s.dim), random_complex(rng, s.dim)):
+            vec0 = rho0.flatten(order="F")
+            direct = min(
+                math.exp(delta * t) * hs_norm(rho0)
+                - np.linalg.norm(scipy.linalg.expm(t * s.matrix) @ vec0)
+                for t in grid.times
+            )
+            assert gronwall_check(s, rho0, grid) == pytest.approx(direct, abs=1e-12)
+
+    def test_huge_and_tiny_propagators(self):
+        # the Gram matrix of exp(t S) would over- or underflow without the
+        # power of two taken from the propagator's largest entry; the
+        # propagator is the k-th power of the step, a multiple of I
+        for rate in (700.0, -700.0):
+            s = Superoperator(2, rate * np.eye(4))
+            series = amplification_series(s, TimeGrid(0.0, 1.0, 200))
+            assert series.prop_norm[1] == pytest.approx(math.exp(0.005 * rate), rel=1e-14)
+            want = series.prop_norm[1] ** np.arange(201)
+            assert want[-1] > 1e300 or want[-1] < 1e-300
+            np.testing.assert_allclose(series.prop_norm, want, rtol=1e-13)
 
 
 class TestGronwall:

@@ -244,7 +244,7 @@ class TestMatrixExp:
         assert calls == [1]
 
 
-EXP_KINDS = ("general", "diagonal", "upper_triangular", "nilpotent", "anti_hermitian")
+EXP_KINDS = ("general", "diagonal", "upper_triangular", "nilpotent", "anti_hermitian", "real")
 # error bound in units of eps * max(1, ||arg||_1) * max(1, ||exp(arg)||_2);
 # the measured worst case over these inputs is about 6
 EXP_TOL_EPS = 16
@@ -260,6 +260,8 @@ def _exp_input(kind, rng, n):
         return np.triu(m, 1)
     if kind == "anti_hermitian":
         return 1j * random_hermitian(rng, n)
+    if kind == "real":
+        return np.ascontiguousarray(m.real)
     return m
 
 
@@ -294,7 +296,10 @@ class TestPadeExp:
         base = _exp_input(kind, np.random.default_rng(100 + n), n)
         for arg in _exp_arguments(base):
             got = matrix_exp(arg)
-            _assert_close_exp(got, scipy.linalg.expm(arg), arg)
+            assert got.dtype == arg.dtype  # a real argument runs in real arithmetic
+            # scipy's reference takes a complex argument: its real 2 x 2 path
+            # is off by up to 1e-13 relative against a 50-digit exponential
+            _assert_close_exp(got, scipy.linalg.expm(arg.astype(complex)), arg)
             # the Taylor sum is accurate up to a 1-norm of 2, and a
             # nilpotent argument makes it a finite sum
             if kind == "nilpotent" or np.abs(arg).sum(axis=0).max() <= 2.0:
@@ -307,9 +312,11 @@ class TestPadeExp:
 
     @pytest.mark.parametrize("n", [1, 2, 9, 64])
     def test_zero_is_identity(self, n):
-        out = matrix_exp(np.zeros((n, n)))
-        assert out.dtype == complex
-        assert (out == np.eye(n)).all()
+        # the exponential keeps its input's dtype: real stays real
+        for dtype in (float, complex):
+            out = matrix_exp(np.zeros((n, n), dtype=dtype))
+            assert out.dtype == dtype
+            assert (out == np.eye(n)).all()
 
 
 class TestCommutator:

@@ -363,20 +363,33 @@ class TestOnePass:
         assert calls == {"svd": 0, "eigvalsh": 4, "hermiticity_defect": 0}
 
     def test_series_kernel_counts(self, monkeypatch):
-        # compute_metrics makes no SVD, the two exponentials (start and step)
-        # pass their range check on the O(n^2) bound, then one SVD per grid
-        # point
+        # the pass's four eigensolves, the two exponentials (start and step),
+        # which pass their range check on the O(n^2) bound, then one Gram
+        # eigensolve per grid point and one eigvals for the abscissa, all on
+        # float64 matrices, and no SVD
         import lindscope.linalg
 
         s = liouvillian(random_model(np.random.default_rng(22), d=2))
-        calls = {"svd": 0, "expm": 0}
-        counting = functools.partial(_counting, calls)
-        monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+        dtypes = {"svd": [], "expm": [], "eigvalsh": [], "eigvals": []}
+
+        def recording(name, fn):
+            def wrapper(a, *args, **kwargs):
+                dtypes[name].append(a.dtype)
+                return fn(a, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "svd", recording("svd", np.linalg.svd))
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(np.linalg, "eigvals", recording("eigvals", np.linalg.eigvals))
         monkeypatch.setattr(
-            lindscope.linalg, "_pade_exp", counting("expm", lindscope.linalg._pade_exp)
+            lindscope.linalg, "_pade_exp", recording("expm", lindscope.linalg._pade_exp)
         )
         amplification_series(s, TimeGrid(0.0, 1.0, 40))
-        assert calls == {"svd": 41, "expm": 2}
+        assert {k: len(v) for k, v in dtypes.items()} == {
+            "svd": 0, "expm": 2, "eigvalsh": 4 + 41, "eigvals": 1,
+        }
+        assert all(d == np.float64 for v in dtypes.values() for d in v)
 
     def test_repeat_calls_share_one_pass(self, monkeypatch):
         # the threshold-free scalars are kept on the generator, while the
@@ -400,7 +413,8 @@ class TestOnePass:
         counting = functools.partial(_counting, calls)
         monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
         amplification_series(s, default_grid(s, 20))
-        assert calls == {"eigvalsh": 4}
+        # the pass's four, then one Gram eigensolve per grid point
+        assert calls == {"eigvalsh": 4 + 21}
 
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"

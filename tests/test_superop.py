@@ -32,7 +32,7 @@ from lindscope import (
     spectral_norm,
     vectorize,
 )
-from lindscope.superop import _hermitian_form
+from lindscope.superop import _hermitian_coords, _hermitian_form
 
 
 class TestVectorize:
@@ -72,6 +72,28 @@ class TestLindbladModel:
             warnings.simplefilter("error")
             with pytest.raises(ModelError, match="defect inf"):
                 LindbladModel(dim=2, hamiltonian=np.array([[0, 1e308], [-1e308, 0]]))
+
+    def test_near_hermitian_hamiltonian_symmetrized(self):
+        # a defect within tolerance is averaged away, so the generator
+        # preserves Hermiticity and rotates to a real matrix
+        rng = np.random.default_rng(18)
+        base = random_model(rng, d=4)
+        h = np.array(base.hamiltonian)
+        h[0, 1] += 1e-12
+        model = LindbladModel(4, h, base.jumps)
+        assert np.array_equal(model.hamiltonian, model.hamiltonian.conj().T)
+        assert np.abs(model.hamiltonian - h).max() <= 1e-12
+        assert _hermitian_form(liouvillian(model).matrix)[0].dtype == np.float64
+
+    def test_hermitian_hamiltonian_keeps_its_bits(self):
+        # subnormal and near-overflow entries included: nothing is averaged
+        rng = np.random.default_rng(19)
+        for peak in (1.0, 1e-320, 1.5e308):
+            upper = np.triu(random_complex(rng, 4), 1)
+            h = upper + upper.conj().T + np.diag(rng.normal(size=4))
+            h = peak * (h / np.abs(h).max())
+            assert np.array_equal(h, h.conj().T)
+            assert LindbladModel(4, h).hamiltonian.tobytes() == h.tobytes()
 
     def test_rejects_wrong_jump_shape(self):
         with pytest.raises(DimensionError):
@@ -352,3 +374,16 @@ class TestHermitianForm:
         assert a.dtype == np.float64 and np.array_equal(a, -a.T)
         a, _ = _hermitian_form(liouvillian(dephasing(0.3)).matrix)
         assert a.dtype == np.float64 and np.array_equal(a, a.T)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_coordinates_match_dense_basis(self, dim):
+        # U^dag vec(rho), real for a Hermitian rho, complex otherwise
+        rng = np.random.default_rng(20 + dim)
+        u = _dense_basis(dim)
+        for rho in (random_hermitian(rng, dim), random_complex(rng, dim)):
+            np.testing.assert_allclose(
+                _hermitian_coords(rho), u.conj().T @ vectorize(rho), rtol=0, atol=1e-15
+            )
+        upper = np.triu(random_complex(rng, dim), 1)
+        coords = _hermitian_coords(upper + upper.conj().T + np.diag(rng.normal(size=dim)))
+        assert np.array_equal(coords.imag, np.zeros(dim * dim))
