@@ -5,7 +5,11 @@ Runs ``analyze`` (json and csv) and ``series`` on every ``models/*.json``,
 a long-horizon ``series`` (``models/dephasing_relaxation.json`` with
 ``--t-end 200 --steps 4000``, thousands of stepped products), and ``sweep``
 and ``regimes`` on ``models/driven_dephasing.json`` over omega in
-[1e-3, 30] with 40 log-spaced points. Each side runs in its own
+[1e-3, 30] with 40 log-spaced points. Two more sweeps cover how a sweep is
+split into blocks of points: 600 log-spaced omega points on
+``driven_dephasing`` (past two block boundaries) and ``n_max`` from 1 to 3
+on ``models/jaynes_cummings.json`` (a new dimension, so a new block, at
+every point). Each side runs in its own
 interpreter with one BLAS thread: the working tree's ``src/``, and REF's
 ``src/`` unpacked by ``git archive`` into a temporary directory (removed
 afterwards). Both read the working tree's model files.
@@ -65,6 +69,11 @@ def commands() -> list[tuple[str, list[str]]]:
     sweep = ["--param", "omega", "--from", "1e-3", "--to", "30", "--points", "40", "--log"]
     out.append(("sweep driven_dephasing.json", ["sweep", driven, *sweep]))
     out.append(("regimes driven_dephasing.json", ["regimes", driven, *sweep]))
+    blocks = ["--param", "omega", "--from", "1e-3", "--to", "1e3", "--points", "600", "--log"]
+    out.append(("sweep-600 driven_dephasing.json", ["sweep", driven, *blocks]))
+    jaynes = str(ROOT / "models" / "jaynes_cummings.json")
+    dims = ["--param", "n_max", "--from", "1", "--to", "3", "--points", "3"]
+    out.append(("sweep-n_max jaynes_cummings.json", ["sweep", jaynes, *dims]))
     return out
 
 

@@ -49,9 +49,15 @@ import numpy as np
 
 from .dynamics import DEFAULT_STEPS, TimeGrid, amplification_series, default_grid
 from .errors import ConfigError, IoError, LindscopeError, NumericalError, RangeError
-from .metrics import RegimeThresholds, compute_metrics, structured_dissipator_report
+from .metrics import (
+    RegimeThresholds,
+    _analyze,
+    _banded,
+    compute_metrics,
+    structured_dissipator_report,
+)
 from .models import ModelSpec, build
-from .superop import LindbladModel, liouvillian
+from .superop import _OVERFLOW, LindbladModel, _liouvillians, liouvillian
 
 __all__ = ["RunConfig", "parse_model_file", "run", "main"]
 
@@ -395,11 +401,23 @@ def _sweep_values(config: RunConfig) -> np.ndarray:
     points = config.points if config.points is not None else 10
     if points < 1:
         raise ConfigError(f"--points must be at least 1, got {points}")
-    if config.log_scale:
-        if config.start <= 0 or config.stop <= 0:
-            raise ConfigError("--log needs strictly positive --from and --to")
-        return np.geomspace(config.start, config.stop, points)
-    return np.linspace(config.start, config.stop, points)
+    # an infinite end gives inf or nan points, which the model build names
+    # and rejects, rather than numpy warnings
+    with np.errstate(invalid="ignore", over="ignore"):
+        if config.log_scale:
+            if config.start <= 0 or config.stop <= 0:
+                raise ConfigError("--log needs strictly positive --from and --to")
+            return np.geomspace(config.start, config.stop, points)
+        return np.linspace(config.start, config.stop, points)
+
+
+# A sweep runs its points in blocks: consecutive points of one dimension
+# and jump count, at most this many generator entries (points * n^2) in
+# all, share one stacked Liouvillian build and one stacked analysis pass.
+# That is 256 points at d=2 and one point at d=8. The bound holds a block's
+# temporaries, and so the peak memory of a sweep, to those of a single
+# d=8 point.
+_BLOCK_ENTRIES = 4096
 
 
 def _sweep_rows(config: RunConfig, fields) -> tuple[list[str], list[dict]]:
@@ -410,21 +428,48 @@ def _sweep_rows(config: RunConfig, fields) -> tuple[list[str], list[dict]]:
             '(a top-level "model" object)'
         )
     base = _spec_from_obj(raw["model"])
-    rows = []
+    rows: list[dict] = []
+    block: list[tuple[float, LindbladModel]] = []
     for value in map(float, _sweep_values(config)):
         params = dict(base.params)
         params[config.param] = value
         try:
             model = build(ModelSpec(base.kind, params))
-            metrics = compute_metrics(liouvillian(model), config.thresholds)
         except LindscopeError as exc:
+            # a failure among the points built before this one comes first
+            _sweep_block(config, fields, block, rows)
             raise type(exc)(f"{config.param} = {value!r}: {exc}") from exc
-        row = {config.param: value}
-        row.update(
-            {name: v for name, v in _metrics_fields(metrics).items() if name in fields}
-        )
-        rows.append(row)
+        shape = (model.dim, len(model.jumps))
+        if block and (shape != block_shape or (len(block) + 1) * model.dim**4 > _BLOCK_ENTRIES):
+            _sweep_block(config, fields, block, rows)
+            block = []
+        block_shape = shape
+        block.append((value, model))
+    _sweep_block(config, fields, block, rows)
     return [config.param, *fields], rows
+
+
+def _sweep_block(config: RunConfig, fields, block, rows: list[dict]) -> None:
+    """Analyze a block of built sweep points as one stack and append their rows.
+
+    The first point that fails, in sweep order, raises its error, named by
+    its parameter value: an overflowing generator, or a failed pass.
+    """
+    if not block:
+        return
+    stack = _liouvillians([model for _, model in block])
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    built = len(block) if finite.all() else int(np.argmin(finite))
+    results = _analyze(stack[:built]) if built else []
+    if built < len(block):
+        results.append(RangeError(_OVERFLOW))
+    for (value, _), result in zip(block, results):
+        if isinstance(result, LindscopeError):
+            raise type(result)(f"{config.param} = {value!r}: {result}") from result
+        row = {config.param: value}
+        metrics = _metrics_fields(_banded(result, config.thresholds))
+        row.update({name: v for name, v in metrics.items() if name in fields})
+        rows.append(row)
 
 
 def run(config: RunConfig) -> int:

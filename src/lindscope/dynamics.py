@@ -54,7 +54,6 @@ from .linalg import (
     hermitian_norm,
     hs_norm,
     matrix_exp,
-    spectral_norm,
 )
 from .metrics import Regime, compute_metrics, zero_tolerance
 from .superop import Superoperator, _hermitian_coords, _hermitian_form, decompose
@@ -221,7 +220,7 @@ def default_grid(s: Superoperator, steps: int = DEFAULT_STEPS) -> TimeGrid:
 
 def propagator(s: Superoperator, t: float) -> Superoperator:
     """exp(t S) as a superoperator; t * ||S|| must stay in the safe range."""
-    _check_range(spectral_norm(s.matrix), t)
+    _check_range(compute_metrics(s).generator_norm, t)
     return Superoperator(s.dim, matrix_exp(t * s.matrix))
 
 
@@ -303,19 +302,19 @@ def normal_factorization_residual(s: Superoperator, t: float) -> float:
     then the Hermitian and anti-Hermitian parts commute; generically
     positive otherwise, so it witnesses nonnormality dynamically.
     """
-    _check_range(spectral_norm(s.matrix), t)
+    _check_range(compute_metrics(s).generator_norm, t)
     herm, skew = decompose(s)
     full = matrix_exp(t * s.matrix)
     factored = matrix_exp(t * herm.matrix) @ matrix_exp(t * skew.matrix)
-    return spectral_norm(full - factored)
+    return _propagator_norm(full - factored)
 
 
 def error_amplification(s: Superoperator, t: float, eps: float) -> float:
     """Worst-case state error eps * ||exp(t S)|| from a propagator error eps."""
     if eps < 0:
         raise ConfigError(f"eps must be nonnegative, got {eps}")
-    _check_range(spectral_norm(s.matrix), t)
-    return eps * spectral_norm(matrix_exp(t * s.matrix))
+    _check_range(compute_metrics(s).generator_norm, t)
+    return eps * _propagator_norm(matrix_exp(t * s.matrix))
 
 
 def truncated_appg_bound(s: Superoperator, t: float) -> AppgBound:
@@ -329,7 +328,7 @@ def truncated_appg_bound(s: Superoperator, t: float) -> AppgBound:
     _check_range(m.generator_norm, t)
     with np.errstate(over="ignore"):
         bound = float(np.exp(m.delta * t + m.nd_norm * t + m.eta * t * t / 4.0))
-    prop = spectral_norm(matrix_exp(t * s.matrix))
+    prop = _propagator_norm(matrix_exp(t * s.matrix))
     return AppgBound(bound=bound, satisfied=bool(prop <= bound * (1.0 + 1e-9)))
 
 

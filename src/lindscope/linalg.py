@@ -115,11 +115,16 @@ def hermitian_norm(m) -> float:
     Only the lower triangle is read and nothing is checked, so ``m`` must
     be Hermitian by construction.
     """
+    return float(_hermitian_norms(_square(m)))
+
+
+def _hermitian_norms(m: np.ndarray) -> np.ndarray:
+    """``hermitian_norm`` of each matrix of a stack ``(..., n, n)``, in one eigensolve call."""
     try:
-        ev = np.linalg.eigvalsh(_square(m))
+        ev = np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Hermitian eigensolver failed to converge: {exc}") from exc
-    return float(np.max(np.abs(ev)))
+    return np.abs(ev).max(axis=-1)
 
 
 def hermiticity_defect(m) -> float:

@@ -27,6 +27,12 @@ by an exact power of two, so it holds from subnormal to near-overflow
 magnitudes, and rotated into an orthonormal basis of Hermitian operators,
 where a Lindbladian is a real matrix, so all of its arithmetic is real. Its
 result is kept on the Superoperator, so every caller shares one pass.
+
+The pass takes a stack of generators, ``(k, n, n)``, with one prescale per
+generator and one batched call per step: four Hermitian eigensolve calls
+for the whole stack. ``compute_metrics`` runs it on a stack of one; a
+sweep runs it on a block of points at a time, with the same results bit
+for bit.
 """
 
 from __future__ import annotations
@@ -37,8 +43,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NumericalError, RangeError
-from .linalg import dagger, eigenvalues_general, hermitian_norm
+from .errors import LindscopeError, NumericalError, RangeError
+from .linalg import _hermitian_norms, dagger, eigenvalues_general, hermitian_norm
 from .superop import LindbladModel, Superoperator, _hermitian_form, liouvillian
 
 __all__ = [
@@ -177,44 +183,90 @@ def _scaled_back(name: str, value: float, exponent: int) -> float:
         ) from None
 
 
-def _analyze(s: Superoperator) -> StructuralMetrics:
-    """The threshold-free metrics of ``s``, regime banded by the default kappa."""
+def _analyze(m: np.ndarray) -> list[StructuralMetrics | LindscopeError]:
+    """The threshold-free metrics of each generator of a stack ``(k, n, n)``.
+
+    Regimes are banded by the default kappa. Every step runs once on the
+    whole stack: four batched Hermitian eigensolves in all, whatever ``k``.
+    A generator whose pass fails (routes that disagree, a value beyond
+    double precision) gets its error in place of its metrics, so the caller
+    can tell which one failed.
+    """
+    try:
+        values = _stack_pass(m)
+    except NumericalError as exc:
+        # an eigensolve failed somewhere in the stack: find where, one by one
+        if len(m) == 1:
+            return [exc]
+        return [result for k in range(len(m)) for result in _analyze(m[k : k + 1])]
+    results = []
+    for point in zip(*values):
+        try:
+            results.append(_metrics_of(*point))
+        except LindscopeError as exc:
+            results.append(exc)
+    return results
+
+
+def _stack_pass(m: np.ndarray) -> tuple[list, ...]:
+    """Per-matrix prescaled norms of a stack, each as a list over the stack.
+
+    Returns ``(e, ||S||^2, eta, delta, f, ||S_skew||^2 4^-f, gap^2)`` for
+    ``2^-e S``, with ``2^-f`` the prescale of ``S_skew`` and ``gap`` the
+    Frobenius residual of the two eta routes.
+    """
     # a = 2^-e U^dag S U, with U unitary and its largest entry O(1): no
     # product of a with itself can under- or overflow, and every norm is
     # that of 2^-e S. a is real when S preserves Hermiticity, and then so is
     # every product and eigensolve below.
-    a, e = _hermitian_form(s.matrix)
-    # Each n x n temporary is released before the next is allocated, which
-    # keeps at most four alive besides S and the eigensolver's own copy.
-    ad = a.conj().T  # a view of a when a is real
+    a, e = _hermitian_form(m)
+    # Each stack of temporaries is released before the next is allocated,
+    # which keeps at most four alive besides S and the eigensolver's copy.
+    ad = a.conj().swapaxes(-1, -2)  # a view of a when a is real
     c = ad @ a
-    norm = math.sqrt(hermitian_norm(c))
+    norm_sq = _hermitian_norms(c)
     c = np.subtract(a @ ad, c, out=c)  # [S, S^dag]
-    eta = hermitian_norm(c)
+    eta = _hermitian_norms(c)
     herm = a + ad
     herm *= 0.5
     skew = a - ad
     skew *= 0.5
     del a, ad
-    delta = hermitian_norm(herm)
+    delta = _hermitian_norms(herm)
     x = _cross_term(herm, skew)
     del herm
     # ||S_skew||^2 from the Hermitian S_skew^dag S_skew, which stays real.
     # S_skew can be smaller than S by any factor (a weak drive next to strong
     # dissipation), so it takes its own exact power of two, 2^-f, before it
     # is squared; otherwise S_skew^dag S_skew could underflow to zero.
-    f = math.frexp(float(np.abs(skew).max()))[1]
-    for part in (skew.real, skew.imag) if np.iscomplexobj(skew) else (skew,):
-        np.ldexp(part, -f, out=part)
-    nd_norm = math.ldexp(math.sqrt(hermitian_norm(skew.conj().T @ skew)), f)
+    f = np.frexp(np.abs(skew).max(axis=(-2, -1)))[1]
+    parts = skew.view(np.float64)
+    np.ldexp(parts, -f[:, None, None], out=parts)
+    skew_sq = _hermitian_norms(skew.conj().swapaxes(-1, -2) @ skew)
     del skew
     # [S, S^dag] = -2 [S_herm, S_skew] = -2 (X + X^dag), so the residual is
-    # r = c + 2X + 2X^dag; build conj(r) = conj(c + 2X) + 2X^T in place
+    # r = c + 2X + 2X^dag; build conj(r) = conj(c + 2X) + 2X^T in place and
+    # sum the squares of its entries, real and imaginary parts alike
     x *= 2.0
     c += x
     np.conjugate(c, out=c)
-    c += x.T
-    gap = float(np.linalg.norm(c))
+    c += x.swapaxes(-1, -2)
+    del x
+    parts = c.view(np.float64)
+    gap_sq = np.einsum("kij,kij->k", parts, parts)
+    return (
+        e, norm_sq.tolist(), eta.tolist(), delta.tolist(), f.tolist(),
+        skew_sq.tolist(), gap_sq.tolist(),
+    )
+
+
+def _metrics_of(
+    e: int, norm_sq: float, eta: float, delta: float, f: int, skew_sq: float, gap_sq: float
+) -> StructuralMetrics:
+    """One generator's metrics from its prescaled norms (see ``_stack_pass``)."""
+    norm = math.sqrt(norm_sq)
+    nd_norm = math.ldexp(math.sqrt(skew_sq), f)
+    gap = math.sqrt(gap_sq)
     if gap > 1e-8 * norm**2:
         raise NumericalError(
             "nonnormality routes disagree: ||[S, S^dag] + 2 [S_herm, S_skew]||_F = "
@@ -237,6 +289,13 @@ def _analyze(s: Superoperator) -> StructuralMetrics:
         generator_norm=_scaled_back("generator_norm", norm, e),
         regime=regime,
     )
+
+
+def _banded(base: StructuralMetrics, thresholds: RegimeThresholds | None) -> StructuralMetrics:
+    """``base`` with its regime banded by ``thresholds`` (the default bands for None)."""
+    if thresholds is None:
+        return base
+    return replace(base, regime=classify(base, thresholds))
 
 
 def compute_metrics(
@@ -269,17 +328,19 @@ def compute_metrics(
     ``| ||A|| - ||B|| | <= ||A - B||_F``, this is at least as strict as
     comparing the two norms.
 
-    The threshold-free values are computed once per Superoperator and kept
-    on it (its matrix is frozen); the regime is banded by ``thresholds`` on
+    The pass itself (``_analyze``) takes a stack of generators; this is the
+    stack of one, and sweeps run whole blocks of points through it. The
+    threshold-free values are computed once per Superoperator and kept on
+    it (its matrix is frozen); the regime is banded by ``thresholds`` on
     every call.
     """
     base = getattr(s, "_metrics", None)
     if base is None:
-        base = _analyze(s)
+        (base,) = _analyze(s.matrix[None])
+        if isinstance(base, LindscopeError):
+            raise base
         object.__setattr__(s, "_metrics", base)
-    if thresholds is None:
-        return base
-    return replace(base, regime=classify(base, thresholds))
+    return _banded(base, thresholds)
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,6 +13,12 @@ coordinates of a Hermitian operator are real, so a map that preserves
 Hermiticity, ``L(X)^dag = L(X^dag)`` as every Lindbladian does, is a real
 matrix there. The analysis pass in ``metrics`` works in that form.
 
+The generator build and the rotation both take stacks: ``_liouvillians``
+builds the generators of many models of one shape in one pass, and
+``_hermitian_form`` rotates a ``(..., n, n)`` stack with one power-of-two
+prescale per matrix. ``liouvillian`` is the stack of one; sweeps run whole
+blocks of points through them.
+
 All values are immutable after construction (arrays are frozen), so they
 are safe to share across threads.
 """
@@ -89,17 +95,21 @@ class LindbladModel:
                 "(set LINDSCOPE_DIM_CAP to raise it at your own risk)"
             )
         h = as_complex_matrix(self.hamiltonian, self.dim, self.dim)
-        defect = hermiticity_defect(h)
-        if defect > hermiticity_tolerance(h):
-            raise ModelError(
-                f"hamiltonian is not Hermitian: defect {defect:.3e} exceeds tolerance"
-            )
-        if defect > 0.0:
-            # Keep (H + H^dag)/2, so that the generator preserves Hermiticity
-            # and is real in the Hermitian operator basis. The sum of halves
-            # cannot overflow, and it is exactly Hermitian, since IEEE
-            # addition commutes. An exactly Hermitian H (defect 0) keeps its bits.
-            h[...] = 0.5 * h + 0.5 * h.conj().T
+        # An exactly Hermitian H has defect 0 and keeps its bits, so only
+        # another H pays for the defect (an eigensolve) and its tolerance
+        # (an SVD).
+        if not np.array_equal(h, h.conj().T):
+            defect = hermiticity_defect(h)
+            if defect > hermiticity_tolerance(h):
+                raise ModelError(
+                    f"hamiltonian is not Hermitian: defect {defect:.3e} exceeds tolerance"
+                )
+            if defect > 0.0:
+                # Keep (H + H^dag)/2, so that the generator preserves
+                # Hermiticity and is real in the Hermitian operator basis.
+                # The sum of halves cannot overflow, and it is exactly
+                # Hermitian, since IEEE addition commutes.
+                h[...] = 0.5 * h + 0.5 * h.conj().T
         jumps = tuple(as_complex_matrix(j, self.dim, self.dim) for j in self.jumps)
         object.__setattr__(self, "hamiltonian", _frozen(h))
         object.__setattr__(self, "jumps", tuple(_frozen(j) for j in jumps))
@@ -166,7 +176,7 @@ def _basis_index(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _fill(out: np.ndarray, h: np.ndarray, dim: int) -> None:
-    """Write ``out`` from the two ``r x r`` complex sums ``h``, overwriting ``h``.
+    """Write ``out`` from the two ``r x r`` complex sums ``h[..., :, :, :]``, overwriting ``h``.
 
     With ``u = h0 + h1`` and ``v = h0 - h1``, symmetric rows and columns
     (the first ``r``) take ``Re u``, anti-symmetric ones ``Re v``, and the
@@ -174,63 +184,72 @@ def _fill(out: np.ndarray, h: np.ndarray, dim: int) -> None:
     elements exist only for the pairs, which follow the ``dim`` diagonal
     entries. Each entry is a sum in an order that transposition maps onto
     itself, so a (skew-)symmetric result comes out exactly
-    (skew-)symmetric.
+    (skew-)symmetric. Leading axes are a stack.
     """
-    r = h.shape[1]
-    v = h[0] - h[1]
-    u = h[0]
-    u += h[1]
-    out[:r, :r] = u.real
-    out[r:, :r] = u.imag[dim:]
-    out[r:, r:] = v.real[dim:, dim:]
-    np.negative(v.imag[:, dim:], out=out[:r, r:])
+    r = h.shape[-1]
+    v = h[..., 0, :, :] - h[..., 1, :, :]
+    u = h[..., 0, :, :]
+    u += h[..., 1, :, :]
+    out[..., :r, :r] = u.real
+    out[..., r:, :r] = u.imag[..., dim:, :]
+    out[..., r:, r:] = v.real[..., dim:, dim:]
+    np.negative(v.imag[..., :, dim:], out=out[..., :r, r:])
 
 
-def _hermitian_form(m: np.ndarray) -> tuple[np.ndarray, int]:
+def _hermitian_form(m: np.ndarray) -> tuple[np.ndarray, int | list]:
     """``(2^-e U^dag m U, e)``, with ``U`` the orthonormal Hermitian operator basis.
 
     The basis is ``E_ii``, ``(E_ij + E_ji)/sqrt2`` and
     ``i (E_ij - E_ji)/sqrt2`` (``i < j``), in that order, and the power of
-    two brings the largest entry magnitude of ``m`` into ``[1/2, 1)``. The
-    result is float64 when ``m`` preserves Hermiticity up to roundoff: when
-    no entry of the imaginary part of the rotation can exceed
-    ``_REAL_FORM_ULPS`` ulps of that largest entry. Otherwise it is the
-    complex rotation. The work is one O(n^2) index gather and a few
-    O(n^2) sums, in temporaries that together hold about twice the entries
-    of ``m``.
+    two brings the largest entry magnitude of ``m`` into ``[1/2, 1)``.
+
+    ``m`` is one matrix or a stack of them, ``(..., n, n)``;
+    each matrix of a stack takes its own power of two, and ``e`` is then
+    the nested list of exponents (an int for one matrix). The result is
+    float64 when every matrix preserves Hermiticity up to roundoff: when no
+    entry of the imaginary part of its rotation can exceed
+    ``_REAL_FORM_ULPS`` ulps of its largest entry. Otherwise it is the
+    complex rotation of the whole stack. The work is one O(n^2) index
+    gather and a few O(n^2) sums per matrix, in temporaries that together
+    hold about twice the entries of ``m``.
     """
-    n = m.shape[0]
+    n = m.shape[-1]
     dim = math.isqrt(n)
-    e = math.frexp(float(np.abs(m).max()))[1]
+    e = np.frexp(np.abs(m).max(axis=(-2, -1)))[1]
     rows, cols, weight = _basis_index(dim)
+    # one gather from the flattened matrices keeps the stack axes leading
+    # and the result C-contiguous; the flat index, as large as the result,
+    # is not kept between calls.
     # 2^-(e+1) is exact; the extra 1/2 is the weight 2 |w_l w_k| = 1 of the
     # pair-pair entries, and diagonal rows and columns take 1/sqrt2 below
-    g = m[rows, cols]
+    g = np.take(m.reshape(*m.shape[:-2], n * n), rows * n + cols, axis=-1)
     parts = g.view(np.float64)
-    np.ldexp(parts, -e - 1, out=parts)
+    np.ldexp(parts, (-1 - e)[..., None, None, None], out=parts)
     # The real part of the rotation comes from h = [Mpp + conj(Mqq),
     # Mpq + conj(Mqp)], the imaginary part from the rest, [Mpp - conj(Mqq),
     # Mpq - conj(Mqp)], which vanishes when m preserves Hermiticity, that
     # is when conj(m) is m with rows and columns permuted by transposition.
-    odd = np.conjugate(g[1::2])
-    rest = g[0::2] - odd
-    h = g[0::2]
+    odd = np.conjugate(g[..., 1::2, :, :])
+    rest = g[..., 0::2, :, :] - odd
+    h = g[..., 0::2, :, :]
     h += odd
     del odd
     # an imaginary entry is a weighted sum of two entries of rest, no weight
-    # is above 1, and an ulp of the largest entry of 2^-(e+1) m is eps/4
+    # is above 1, and an ulp of the largest entry of 2^-(e+1) m is eps/4;
+    # the largest entry of rest over the stack passes only if each one does
+    out_shape = (*m.shape[:-2], n, n)
     if 2.0 * float(np.abs(rest).max()) <= _REAL_FORM_ULPS * _EPS / 4:
         del rest
-        out = np.empty((n, n))
+        out = np.empty(out_shape)
         _fill(out, h, dim)
     else:
-        out = np.empty((n, n), dtype=complex)
+        out = np.empty(out_shape, dtype=complex)
         _fill(out.real, h, dim)
         _fill(out.imag, -1j * rest, dim)
     del g, h
     out *= weight[:, None]
     out *= weight
-    return out, e
+    return out, e.tolist()
 
 
 def _hermitian_coords(rho: np.ndarray) -> np.ndarray:
@@ -247,9 +266,40 @@ def _hermitian_coords(rho: np.ndarray) -> np.ndarray:
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron(a, b)`` of two square matrices, the same products without its overhead."""
-    d, k = a.shape[0], b.shape[0]
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(d * k, d * k)
+    """``np.kron`` of square matrices, the same products without its overhead.
+
+    Leading axes are stacks, broadcast against each other.
+    """
+    d, k = a.shape[-1], b.shape[-1]
+    products = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return products.reshape(*products.shape[:-4], d * k, d * k)
+
+
+_OVERFLOW = "the generator overflows double precision; rescale the model"
+
+
+def _liouvillians(models) -> np.ndarray:
+    """The generator matrices of models of one dimension and jump count, stacked.
+
+    The result is ``(len(models), d^2, d^2)``, built by the formula of
+    ``liouvillian`` in one pass over the stack. A generator with an entry
+    beyond double precision comes out with inf or nan entries, and no numpy
+    warning; the caller rejects it.
+    """
+    d = models[0].dim
+    eye = np.eye(d, dtype=complex)
+    h = np.array([model.hamiltonian for model in models])
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = _kron(eye, h)
+        m -= _kron(h.swapaxes(-1, -2), eye)
+        m *= -1j
+        for k in range(len(models[0].jumps)):
+            jump = np.array([model.jumps[k] for model in models])
+            jdj = jump.conj().swapaxes(-1, -2) @ jump
+            m += _kron(jump.conj(), jump)
+            m -= 0.5 * _kron(eye, jdj)
+            m -= 0.5 * _kron(jdj.swapaxes(-1, -2), eye)
+    return m
 
 
 def liouvillian(model: LindbladModel) -> Superoperator:
@@ -260,26 +310,13 @@ def liouvillian(model: LindbladModel) -> Superoperator:
         + sum_k [ kron(conj(L_k), L_k)
                   - kron(I, L_k^dag L_k)/2 - kron((L_k^dag L_k).T, I)/2 ].
 
-    A generator with an entry beyond double precision is a RangeError.
+    It is ``_liouvillians`` of a stack of one. A generator with an entry
+    beyond double precision is a RangeError.
     """
-    d = model.dim
-    eye = np.eye(d, dtype=complex)
-    h = model.hamiltonian
-    # entries beyond double precision become inf or nan, which the
-    # Superoperator rejects, rather than printing numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = _kron(eye, h)
-        m -= _kron(h.T, eye)
-        m *= -1j
-        for jump in model.jumps:
-            jdj = dagger(jump) @ jump
-            m += _kron(jump.conj(), jump)
-            m -= 0.5 * _kron(eye, jdj)
-            m -= 0.5 * _kron(jdj.T, eye)
     try:
-        return Superoperator(d, m)
+        return Superoperator(model.dim, _liouvillians((model,))[0])
     except NumericalError:
-        raise RangeError("the generator overflows double precision; rescale the model") from None
+        raise RangeError(_OVERFLOW) from None
 
 
 def adjoint(s: Superoperator) -> Superoperator:

@@ -15,7 +15,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lindscope
-from lindscope import ConfigError, ModelError, NumericalError, RangeError, liouvillian
+from lindscope import (
+    ConfigError,
+    LindscopeError,
+    ModelError,
+    ModelSpec,
+    NumericalError,
+    RangeError,
+    RegimeThresholds,
+    build,
+    compute_metrics,
+    liouvillian,
+)
+from lindscope import cli
 from lindscope.cli import (
     ANALYZE_FIELDS,
     SERIES_FIELDS,
@@ -40,6 +52,8 @@ def write(tmp_path, name, payload) -> str:
 
 DEPHASING = {"model": {"type": "dephasing", "gamma_z": 1.0}}
 H_ONLY = {"model": {"type": "hamiltonian_only", "omega": 1.0}}
+JAYNES_CUMMINGS = {"model": {"type": "jaynes_cummings", "omega_a": 1.0, "omega_c": 1.0,
+                             "g": 0.1, "n_max": 3}}
 
 
 class TestFormatting:
@@ -306,6 +320,166 @@ class TestSweepAndRegimes:
         ]) == 1
 
 
+def _per_point_sweep(config, fields):
+    """A sweep one point at a time through the public calls, as the reference.
+
+    Returns the header and rows, or the type and message of the first
+    failing point's error.
+    """
+    base = json.loads(Path(config.model_path).read_text(encoding="utf-8"))["model"]
+    rows = []
+    for value in map(float, cli._sweep_values(config)):
+        params = {k: v for k, v in base.items() if k != "type"}
+        params[config.param] = value
+        try:
+            model = build(ModelSpec(base["type"], params))
+            metrics = compute_metrics(liouvillian(model), config.thresholds)
+        except LindscopeError as exc:
+            return type(exc), f"{config.param} = {value!r}: {exc}"
+        row = {config.param: value}
+        row.update({k: v for k, v in cli._metrics_fields(metrics).items() if k in fields})
+        rows.append(row)
+    return [config.param, *fields], rows
+
+
+def _stacked_sweep(config, fields):
+    try:
+        return cli._sweep_rows(config, fields)
+    except LindscopeError as exc:
+        return type(exc), str(exc)
+
+
+def _sweep_config(path, param, start, stop, points, log_scale=False, thresholds=None):
+    return RunConfig("sweep", path, param=param, start=start, stop=stop, points=points,
+                     log_scale=log_scale, thresholds=thresholds)
+
+
+class TestStackedSweeps:
+    """A sweep runs its points in blocks through one stacked build and one
+    stacked pass; its rows, and its first error, are those of the points
+    taken one at a time."""
+
+    @pytest.mark.parametrize("thresholds", [None, RegimeThresholds(0.2, 5.0)])
+    def test_thousand_points_four_blocks(self, tmp_path, monkeypatch, thresholds):
+        path = write(tmp_path, "m.json", {"model": {"type": "driven_dephasing", "gamma_z": 1.3}})
+        config = _sweep_config(path, "omega", 1e-3, 1e3, 1000, log_scale=True,
+                               thresholds=thresholds)
+        want = _per_point_sweep(config, cli.SWEEP_FIELDS)
+        blocks = []
+        stacked = cli._liouvillians
+        monkeypatch.setattr(cli, "_liouvillians", lambda ms: blocks.append(len(ms)) or stacked(ms))
+        assert _stacked_sweep(config, cli.SWEEP_FIELDS) == want
+        assert blocks == [256, 256, 256, 232]
+        assert {row["regime"] for row in want[1]} == {
+            "WeaklyNonnormal", "Crossover", "StronglyNonnormal"
+        }
+
+    @pytest.mark.parametrize(
+        "payload, param, start, stop, points, succeeds",
+        [
+            (JAYNES_CUMMINGS, "n_max", 1.0, 3.0, 3, True),
+            (JAYNES_CUMMINGS, "n_max", 3.0, 1.0, 5, False),
+            ({"model": {"type": "multi_qubit_dephasing", "k": 1, "gamma_1": 0.3}},
+             "k", 1.0, 2.0, 2, False),
+            ({"model": {"type": "multi_qubit_dephasing", "k": 2, "gamma_1": 0.3,
+                        "gamma_2": 0.5}}, "k", 2.0, 1.0, 2, False),
+        ],
+        ids=["jc-up", "jc-down-non-integer", "mqd-missing-rate", "mqd-extra-rate"],
+    )
+    def test_dimension_changing_sweeps(
+        self, tmp_path, payload, param, start, stop, points, succeeds
+    ):
+        path = write(tmp_path, "m.json", payload)
+        config = _sweep_config(path, param, start, stop, points)
+        want = _per_point_sweep(config, cli.SWEEP_FIELDS)
+        assert isinstance(want[0], list) is succeeds
+        assert _stacked_sweep(config, cli.SWEEP_FIELDS) == want
+
+    @pytest.mark.parametrize(
+        "payload, param, start, stop, points, log_scale",
+        [
+            # eta overflows at point 0; points 1 and 2 build, then the
+            # negative rate at the last point fails to build
+            ({"model": {"type": "driven_dephasing", "gamma_z": 1.0, "omega": 1e10}},
+             "gamma_z", 1e300, -1e300, 3, False),
+            # the generator overflows at point 3 of the 5 in one block
+            ({"model": {"type": "dephasing_relaxation", "gamma_z": 1.7e308}},
+             "gamma_z", 1.0, 1.7e308, 5, False),
+            # eta overflows at point 0, the generator at the last point
+            ({"model": {"type": "dephasing_relaxation", "gamma_z": 1.0}},
+             "gamma_minus", 1e308, 1.7e308, 3, False),
+            # eta first overflows at point 308, in the second block
+            ({"model": {"type": "dephasing_relaxation", "gamma_z": 1.0}},
+             "gamma_minus", 1.0, 1e200, 400, True),
+        ],
+        ids=["analysis-before-build", "generator", "eta-then-generator", "second-block"],
+    )
+    def test_first_failure_in_sweep_order(
+        self, tmp_path, payload, param, start, stop, points, log_scale
+    ):
+        path = write(tmp_path, "m.json", payload)
+        config = _sweep_config(path, param, start, stop, points, log_scale)
+        want = _per_point_sweep(config, cli.SWEEP_FIELDS)
+        assert isinstance(want, tuple) and len(want) == 2
+        assert _stacked_sweep(config, cli.SWEEP_FIELDS) == want
+
+    def test_analysis_failure_named_before_build_failure(self, tmp_path, capsys):
+        payload = {"model": {"type": "driven_dephasing", "gamma_z": 1.0, "omega": 1e10}}
+        path = write(tmp_path, "m.json", payload)
+        argv = ["sweep", path, "--param", "gamma_z", "--from", "1e300", "--to=-1e300",
+                "--points", "3"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: gamma_z = 1e+300: eta is about")
+
+    def test_kernel_counts(self, tmp_path, monkeypatch, capsys):
+        # 400 points at d=2 are two blocks of at most 256: four batched
+        # eigensolves each, no SVD, and no Hermiticity check of the
+        # exactly Hermitian Hamiltonians
+        path = write(tmp_path, "m.json", {"model": {"type": "driven_dephasing"}})
+        calls = {"svd": 0, "eigvalsh": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+        argv = ["sweep", path, "--param", "omega", "--from", "1e-3", "--to", "1e3",
+                "--points", "400", "--log"]
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 401
+        assert calls == {"svd": 0, "eigvalsh": 8}
+
+    def test_failed_batched_eigensolve_retried_per_point(self, tmp_path, monkeypatch):
+        # when a batched eigensolve fails, each point of the block is taken
+        # alone, so the rows, or the error, stay those of the points
+        path = write(tmp_path, "m.json", {"model": {"type": "driven_dephasing"}})
+        config = _sweep_config(path, "omega", 1e-3, 1e3, 20, log_scale=True)
+        want = _per_point_sweep(config, cli.SWEEP_FIELDS)
+        solver = np.linalg.eigvalsh
+
+        def batch_fails(a, *args, **kwargs):
+            if a.ndim > 2 and a.shape[0] > 1:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", batch_fails)
+        assert _stacked_sweep(config, cli.SWEEP_FIELDS) == want
+
+        def always_fails(a, *args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", always_fails)
+        error, message = _stacked_sweep(config, cli.SWEEP_FIELDS)
+        assert error is NumericalError
+        assert message.startswith("omega = 0.001: Hermitian eigensolver failed")
+
+
 class TestExitCodesAndFiles:
     def test_success_zero(self, tmp_path):
         path = write(tmp_path, "m.json", DEPHASING)
@@ -487,6 +661,22 @@ class TestExtremeMagnitudes:
             "double, got nan\n"
         )
 
+    @pytest.mark.parametrize(
+        "bounds, log_scale, named",
+        [(["--from=-inf", "--to=inf"], False, "nan"), (["--from=1e-300", "--to=inf"], True, "inf")],
+        ids=["linear", "log"],
+    )
+    def test_infinite_sweep_range_one(self, tmp_path, capsys, bounds, log_scale, named):
+        # the first non-finite point is named, and numpy prints no warning
+        path = write(tmp_path, "m.json", DEPHASING)
+        argv = ["sweep", path, "--param", "gamma_z", *bounds, "--points", "3",
+                *(["--log"] if log_scale else [])]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert (code, caught) == (1, [])
+        assert capsys.readouterr().err.startswith(f"error: gamma_z = {named}: dephasing:")
+
     def test_infinite_t_end_one(self, tmp_path, capsys):
         path = write(tmp_path, "m.json", DEPHASING)
         assert main(["series", path, "--t-end", "inf"]) == 1
@@ -517,6 +707,45 @@ class TestSeriesFuzz:
         assert "nan" not in out.getvalue().lower()
         if code == 0:
             assert len(out.getvalue().splitlines()) == steps + 2
+
+
+def _model_and_param():
+    """A shipped named model file and one of its parameters."""
+    files = {path: json.loads(Path(path).read_text(encoding="utf-8"))["model"]
+             for path in NAMED_MODEL_FILES}
+    return st.sampled_from(sorted(
+        (path, name) for path, model in files.items() for name in model if name != "type"
+    ))
+
+
+class TestSweepFuzz:
+    """Any sweep range on the shipped named models gives a result or a typed
+    error: exit 0, 1 or 2, no traceback, no NaN, one row per point."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        command=st.sampled_from(["sweep", "regimes"]),
+        target=_model_and_param(),
+        start=st.floats() | st.floats(0.0, 1e3),
+        stop=st.floats() | st.floats(0.0, 1e3),
+        points=st.integers(-2, 1200),
+        log_scale=st.booleans(),
+    )
+    def test_sweep_boundary(self, command, target, start, stop, points, log_scale):
+        model, param = target
+        argv = [command, model, "--param", param, f"--from={start!r}", f"--to={stop!r}",
+                f"--points={points}", *(["--log"] if log_scale else [])]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1, 2)
+        assert caught == []
+        assert "Traceback" not in err.getvalue()
+        assert "nan" not in out.getvalue().lower()
+        if code == 0:
+            assert len(out.getvalue().splitlines()) == points + 1
 
 
 class TestStartup:

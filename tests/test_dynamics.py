@@ -459,3 +459,68 @@ class TestCostEstimate:
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ConfigError):
                 cost_estimate(s, 1.0, bad)
+
+
+class TestSvdFreeHelpers:
+    """propagator, error_amplification, truncated_appg_bound and
+    normal_factorization_residual range-check with the memoized ||S|| and
+    take their norms from a Gram eigensolve: no SVD."""
+
+    @staticmethod
+    def _generator():
+        return liouvillian(random_model(np.random.default_rng(90), d=12))
+
+    def test_no_svd(self, monkeypatch):
+        s = self._generator()
+        compute_metrics(s)
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        propagator(s, 0.01)
+        error_amplification(s, 0.01, 1e-3)
+        truncated_appg_bound(s, 0.01)
+        normal_factorization_residual(s, 0.01)
+        assert calls == []
+
+    def test_values_match_svd(self):
+        s = self._generator()
+        t = 0.01
+        full = scipy.linalg.expm(t * s.matrix)
+        herm = (s.matrix + s.matrix.conj().T) / 2
+        skew = (s.matrix - s.matrix.conj().T) / 2
+        residual = full - scipy.linalg.expm(t * herm) @ scipy.linalg.expm(t * skew)
+        prop = spectral_norm(full)
+        assert error_amplification(s, t, 1e-3) == pytest.approx(1e-3 * prop, rel=1e-13)
+        bound, satisfied = truncated_appg_bound(s, t)
+        assert satisfied == bool(prop <= bound * (1.0 + 1e-9))
+        assert normal_factorization_residual(s, t) == pytest.approx(
+            spectral_norm(residual), rel=1e-11
+        )
+
+    def test_gram_norms_match_svd_of_same_matrices(self):
+        # the norms alone, on the exact matrices the helpers form
+        from lindscope.dynamics import _propagator_norm
+        from lindscope.linalg import matrix_exp
+        from lindscope.superop import decompose
+
+        s = self._generator()
+        t = 0.01
+        herm, skew = decompose(s)
+        full = matrix_exp(t * s.matrix)
+        residual = full - matrix_exp(t * herm.matrix) @ matrix_exp(t * skew.matrix)
+        for p in (full, residual):
+            assert _propagator_norm(p) == pytest.approx(spectral_norm(p), rel=1e-13)
+        assert normal_factorization_residual(s, t) == _propagator_norm(residual)
+
+    def test_range_check_uses_generator_norm(self):
+        s = self._generator()
+        norm = compute_metrics(s).generator_norm
+        assert norm == pytest.approx(spectral_norm(s.matrix), rel=1e-13)
+        t = 1.01 * 50.0 / norm
+        for call in (
+            lambda: propagator(s, t),
+            lambda: error_amplification(s, t, 1e-3),
+            lambda: normal_factorization_residual(s, t),
+        ):
+            with pytest.raises(RangeError, match="exceeds safe range"):
+                call()

@@ -45,8 +45,8 @@ from lindscope import (
     structured_dissipator_report,
 )
 from lindscope.cli import parse_model_file
-from lindscope.metrics import eta_tolerance, zero_tolerance
-from lindscope.superop import _hermitian_form, decompose
+from lindscope.metrics import _analyze, eta_tolerance, zero_tolerance
+from lindscope.superop import _hermitian_form, _liouvillians, decompose
 
 
 def metrics_of(model):
@@ -415,6 +415,66 @@ class TestOnePass:
         amplification_series(s, default_grid(s, 20))
         # the pass's four, then one Gram eigensolve per grid point
         assert calls == {"eigvalsh": 4 + 21}
+
+
+class TestStackedPass:
+    """The pass on a stack of generators gives, bit for bit, what it gives
+    on each generator alone (compute_metrics is the stack of one)."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("jumps", [0, 1, 3])
+    def test_stack_equals_per_point(self, d, jumps):
+        rng = np.random.default_rng(70 + 10 * d + jumps)
+        models = []
+        for k in range(6):
+            # magnitudes over many decades, so each matrix takes its own prescale
+            scale = 10.0 ** rng.uniform(-150, 150)
+            h = random_hermitian(rng, d, scale=scale)
+            ls = tuple(random_complex(rng, d, scale=math.sqrt(scale)) for _ in range(jumps))
+            models.append(LindbladModel(d, h, ls))
+        stack = _liouvillians(models)
+        for model, m in zip(models, stack):
+            assert np.array_equal(m, liouvillian(model).matrix)
+        got = _analyze(stack)
+        assert got == [compute_metrics(liouvillian(model)) for model in models]
+        assert len({_hermitian_form(m)[1] for m in stack}) > 1
+
+    def test_raw_complex_stack_equals_per_point(self):
+        rng = np.random.default_rng(80)
+        ss = [Superoperator(3, random_complex(rng, 9, scale=10.0**k)) for k in (-3, 0, 5)]
+        assert _analyze(np.stack([s.matrix for s in ss])) == [compute_metrics(s) for s in ss]
+
+    def test_mixed_stack_runs_complex(self):
+        # one matrix that does not preserve Hermiticity turns the whole
+        # stack complex; the Lindbladian's metrics agree to roundoff
+        rng = np.random.default_rng(81)
+        lindblad = liouvillian(random_model(rng, d=2))
+        raw = Superoperator(2, random_complex(rng, 4))
+        stack = np.stack([lindblad.matrix, raw.matrix])
+        assert _hermitian_form(stack)[0].dtype == np.complex128
+        got, want = _analyze(stack)[0], compute_metrics(lindblad)
+        for name in ("generator_norm", "delta", "eta", "nd_norm"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-13)
+        assert got.regime is want.regime
+
+    def test_failures_in_place(self):
+        # each failing generator gets its own error, the others their metrics
+        good = liouvillian(dephasing_relaxation(1.0, 1.0))
+        huge = liouvillian(driven_dephasing(1e10, 1e300))  # eta overflows
+        results = _analyze(np.stack([good.matrix, huge.matrix, good.matrix]))
+        assert results[0] == results[2] == compute_metrics(good)
+        assert isinstance(results[1], RangeError)
+        assert str(results[1]).startswith("eta is about")
+
+    def test_four_eigensolves_per_stack(self, monkeypatch):
+        models = [random_model(np.random.default_rng(82 + k), d=3, force_hamiltonian_only=True)
+                  for k in range(50)]
+        stack = _liouvillians(models)
+        calls = {"eigvalsh": 0}
+        counting = functools.partial(_counting, calls)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+        assert len(_analyze(stack)) == 50
+        assert calls == {"eigvalsh": 4}
 
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"

@@ -95,6 +95,24 @@ class TestLindbladModel:
             assert np.array_equal(h, h.conj().T)
             assert LindbladModel(4, h).hamiltonian.tobytes() == h.tobytes()
 
+    def test_hermiticity_checked_only_when_not_exact(self, monkeypatch):
+        # an exactly Hermitian H has defect 0: no eigensolve, no SVD
+        import lindscope.superop
+
+        calls = []
+        for name in ("hermiticity_defect", "hermiticity_tolerance"):
+            fn = getattr(lindscope.superop, name)
+            monkeypatch.setattr(
+                lindscope.superop, name, lambda m, fn=fn, name=name: calls.append(name) or fn(m)
+            )
+        rng = np.random.default_rng(24)
+        h = random_hermitian(rng, 3)
+        LindbladModel(3, h)
+        assert calls == []
+        h[0, 1] += 1e-12
+        LindbladModel(3, h)
+        assert calls == ["hermiticity_defect", "hermiticity_tolerance"]
+
     def test_rejects_wrong_jump_shape(self):
         with pytest.raises(DimensionError):
             LindbladModel(dim=2, hamiltonian=np.zeros((2, 2)), jumps=(np.eye(3),))
@@ -365,6 +383,19 @@ class TestHermitianForm:
             assert 0.5 <= np.ldexp(peak, -e) < 1.0
             dense = np.ldexp(1.0, -e) * (u.conj().T @ m @ u)
             np.testing.assert_allclose(a, dense, rtol=0, atol=4e-16)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_stack_rotates_each_matrix_alone(self, dim):
+        # each matrix of a stack takes its own power of two, and the result
+        # is that of the matrix alone, bit for bit
+        rng = np.random.default_rng(25 + dim)
+        ms = [liouvillian(random_model(rng, d=dim)).matrix * 10.0**k for k in (-200, 0, 200)]
+        a, e = _hermitian_form(np.stack(ms))
+        assert a.dtype == np.float64 and len(set(e)) == 3
+        for m, ak, ek in zip(ms, a, e):
+            one, e_one = _hermitian_form(m)
+            assert type(e_one) is int and ek == e_one
+            assert np.array_equal(ak, one)
 
     def test_exact_symmetry_survives_rotation(self):
         # an anti-Hermitian generator rotates to an exactly skew-symmetric
