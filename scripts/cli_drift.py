@@ -9,7 +9,10 @@ and ``regimes`` on ``models/driven_dephasing.json`` over omega in
 split into blocks of points: 600 log-spaced omega points on
 ``driven_dephasing`` (past two block boundaries) and ``n_max`` from 1 to 3
 on ``models/jaynes_cummings.json`` (a new dimension, so a new block, at
-every point). Each side runs in its own
+every point). Log-spaced ``sweep`` and ``regimes`` on the other named
+kinds cover each kind's stacked build: ``dephasing_relaxation`` over
+``gamma_minus``, ``jaynes_cummings`` over ``g``, ``pauli_channel`` over
+``gamma_y`` and ``multi_qubit_dephasing`` over ``gamma_2``. Each side runs in its own
 interpreter with one BLAS thread: the working tree's ``src/``, and REF's
 ``src/`` unpacked by ``git archive`` into a temporary directory (removed
 afterwards). Both read the working tree's model files.
@@ -74,6 +77,17 @@ def commands() -> list[tuple[str, list[str]]]:
     jaynes = str(ROOT / "models" / "jaynes_cummings.json")
     dims = ["--param", "n_max", "--from", "1", "--to", "3", "--points", "3"]
     out.append(("sweep-n_max jaynes_cummings.json", ["sweep", jaynes, *dims]))
+    # every other named kind's stacked build, over one of its parameters
+    for name, param, start, stop, points in (
+        ("dephasing_relaxation", "gamma_minus", "1e-3", "1e2", "300"),
+        ("jaynes_cummings", "g", "1e-3", "1", "60"),
+        ("pauli_channel", "gamma_y", "1e-3", "1e3", "300"),
+        ("multi_qubit_dephasing", "gamma_2", "1e-3", "1e3", "100"),
+    ):
+        path = str(ROOT / "models" / f"{name}.json")
+        flags = ["--param", param, "--from", start, "--to", stop, "--points", points, "--log"]
+        out.append((f"sweep-{param} {name}.json", ["sweep", path, *flags]))
+        out.append((f"regimes-{param} {name}.json", ["regimes", path, *flags]))
     return out
 
 

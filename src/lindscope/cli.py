@@ -36,6 +36,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import functools
 import io
 import json
 import math
@@ -56,7 +57,7 @@ from .metrics import (
     compute_metrics,
     structured_dissipator_report,
 )
-from .models import ModelSpec, build
+from .models import ModelSpec, _stack, build
 from .superop import _OVERFLOW, LindbladModel, _liouvillians, liouvillian
 
 __all__ = ["RunConfig", "parse_model_file", "run", "main"]
@@ -102,15 +103,15 @@ REGIMES_FIELDS = ("delta", "eta", "kappa", "regime")
 # ---------------------------------------------------------------------------
 
 def fmt_float(x: float) -> str:
-    if math.isnan(x):
+    s = "%.17g" % x
+    if "." in s or "e" in s:
+        return s
+    if s == "nan":
         # it would print as "nan.0", neither a JSON number nor a float
         raise NumericalError("a computed value is NaN; nothing was written")
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    s = f"{x:.17g}"
-    if not any(c in s for c in ".eE"):
-        s += ".0"  # keep JSON numbers typed as floats
-    return s
+    if s.endswith("inf"):
+        return "-Infinity" if x < 0 else "Infinity"
+    return s + ".0"  # keep JSON numbers typed as floats
 
 
 def fmt_complex(z: complex) -> str:
@@ -175,12 +176,13 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def to_csv(fieldnames, rows) -> str:
+def to_csv(fieldnames, rows, cells=None) -> str:
+    """CSV with a header row; ``cells``, one per field, formats a column whose type is known."""
+    cells = cells or [_csv_cell] * len(fieldnames)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(fieldnames)
-    for row in rows:
-        writer.writerow([_csv_cell(row[name]) for name in fieldnames])
+    writer.writerows([cell(row[name]) for cell, name in zip(cells, fieldnames)] for row in rows)
     return buf.getvalue()
 
 
@@ -401,23 +403,36 @@ def _sweep_values(config: RunConfig) -> np.ndarray:
     points = config.points if config.points is not None else 10
     if points < 1:
         raise ConfigError(f"--points must be at least 1, got {points}")
-    # an infinite end gives inf or nan points, which the model build names
-    # and rejects, rather than numpy warnings
+    start, stop = config.start, config.stop
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(f"--from and --to must be finite, got {start!r} and {stop!r}")
+    if config.log_scale and (start <= 0 or stop <= 0):
+        raise ConfigError("--log needs strictly positive --from and --to")
+    # ends more than the largest double apart overflow the spacing
     with np.errstate(invalid="ignore", over="ignore"):
         if config.log_scale:
-            if config.start <= 0 or config.stop <= 0:
-                raise ConfigError("--log needs strictly positive --from and --to")
-            return np.geomspace(config.start, config.stop, points)
-        return np.linspace(config.start, config.stop, points)
+            values = np.geomspace(start, stop, points)
+        else:
+            values = np.linspace(start, stop, points)
+    if not np.isfinite(values).all():
+        raise ConfigError(
+            f"--from {start!r} and --to {stop!r} are too far apart: "
+            "the spacing of their points overflows double precision"
+        )
+    return values
 
 
-# A sweep runs its points in blocks: consecutive points of one dimension
-# and jump count, at most this many generator entries (points * n^2) in
-# all, share one stacked Liouvillian build and one stacked analysis pass.
-# That is 256 points at d=2 and one point at d=8. The bound holds a block's
-# temporaries, and so the peak memory of a sweep, to those of a single
-# d=8 point.
+# A sweep builds its points in stacks (models._stack) of at most this many
+# entries per d x d operator, and analyzes them in blocks: consecutive
+# points, at most this many generator entries (points * n^2) in all, share
+# one stacked Liouvillian build and one stacked analysis pass. That is 256
+# points at d=2 and one point at d=8. The bound holds a block's
+# temporaries, and so the peak memory of a sweep, to those of a single d=8
+# point.
 _BLOCK_ENTRIES = 4096
+
+# Sweep columns whose cells are not floats; the others all are.
+_SWEEP_CELLS = {"kappa": _csv_cell, "regime": str}
 
 
 def _sweep_rows(config: RunConfig, fields) -> tuple[list[str], list[dict]]:
@@ -428,42 +443,37 @@ def _sweep_rows(config: RunConfig, fields) -> tuple[list[str], list[dict]]:
             '(a top-level "model" object)'
         )
     base = _spec_from_obj(raw["model"])
+    values = _sweep_values(config)
     rows: list[dict] = []
-    block: list[tuple[float, LindbladModel]] = []
-    for value in map(float, _sweep_values(config)):
-        params = dict(base.params)
-        params[config.param] = value
-        try:
-            model = build(ModelSpec(base.kind, params))
-        except LindscopeError as exc:
-            # a failure among the points built before this one comes first
-            _sweep_block(config, fields, block, rows)
-            raise type(exc)(f"{config.param} = {value!r}: {exc}") from exc
-        shape = (model.dim, len(model.jumps))
-        if block and (shape != block_shape or (len(block) + 1) * model.dim**4 > _BLOCK_ENTRIES):
-            _sweep_block(config, fields, block, rows)
-            block = []
-        block_shape = shape
-        block.append((value, model))
-    _sweep_block(config, fields, block, rows)
+    start = 0
+    while start < len(values):
+        spec = ModelSpec(base.kind, {**base.params, config.param: values[start:]})
+        h, jumps, error, _ = _stack(spec, _BLOCK_ENTRIES)
+        size = max(1, _BLOCK_ENTRIES // max(1, h.shape[-1]) ** 4)
+        for lo in range(0, len(h), size):
+            block = values[start + lo : start + lo + size].tolist()
+            _sweep_block(config, fields, block, h[lo : lo + size], jumps[lo : lo + size], rows)
+        start += len(h)
+        if error is not None:
+            # the points before this one, all analyzed, raised nothing
+            raise type(error)(f"{config.param} = {float(values[start])!r}: {error}") from error
     return [config.param, *fields], rows
 
 
-def _sweep_block(config: RunConfig, fields, block, rows: list[dict]) -> None:
-    """Analyze a block of built sweep points as one stack and append their rows.
+def _sweep_block(config: RunConfig, fields, values, h, jumps, rows: list[dict]) -> None:
+    """Analyze a block of sweep points, their Hamiltonian and jump stacks
+    built, as one stack and append their rows.
 
     The first point that fails, in sweep order, raises its error, named by
     its parameter value: an overflowing generator, or a failed pass.
     """
-    if not block:
-        return
-    stack = _liouvillians([model for _, model in block])
+    stack = _liouvillians(h, jumps)
     finite = np.isfinite(stack).all(axis=(-2, -1))
-    built = len(block) if finite.all() else int(np.argmin(finite))
+    built = len(values) if finite.all() else int(np.argmin(finite))
     results = _analyze(stack[:built]) if built else []
-    if built < len(block):
+    if built < len(values):
         results.append(RangeError(_OVERFLOW))
-    for (value, _), result in zip(block, results):
+    for value, result in zip(values, results):
         if isinstance(result, LindscopeError):
             raise type(result)(f"{config.param} = {value!r}: {result}") from result
         row = {config.param: value}
@@ -491,12 +501,14 @@ def run(config: RunConfig) -> int:
             grid = default_grid(superop, config.steps)
         rows = series_rows(amplification_series(superop, grid))
         text = to_json(rows) if fmt == "json" else to_csv(SERIES_FIELDS, rows)
-    elif config.command == "sweep":
-        header, rows = _sweep_rows(config, SWEEP_FIELDS)
-        text = to_json(rows) if fmt == "json" else to_csv(header, rows)
-    elif config.command == "regimes":
-        header, rows = _sweep_rows(config, REGIMES_FIELDS)
-        text = to_json(rows) if fmt == "json" else to_csv(header, rows)
+    elif config.command in ("sweep", "regimes"):
+        fields = SWEEP_FIELDS if config.command == "sweep" else REGIMES_FIELDS
+        header, rows = _sweep_rows(config, fields)
+        if fmt == "json":
+            text = to_json(rows)
+        else:
+            cells = [fmt_float, *(_SWEEP_CELLS.get(name, fmt_float) for name in fields)]
+            text = to_csv(header, rows, cells)
     else:
         raise ConfigError(f"unknown command {config.command!r}")
     write_output(text, config.output_path)
@@ -512,7 +524,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="lindscope", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

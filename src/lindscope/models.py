@@ -11,19 +11,28 @@ Conventions fixed here, once:
   with zero dephasing rate is Hamiltonian-only).
 * Tensor products put site 0 leftmost; the atom comes before the field
   mode in the two-level-plus-oscillator model.
+
+Every named kind is one stacked builder, ``_stack``: it takes the
+parameters of many points, each a scalar or a vector over the points, and
+returns their Hamiltonians and jumps as ``(m, d, d)`` and ``(m, K, d, d)``
+stacks. Each kind is affine in its parameters, or in ``sqrt(rate)``, times
+fixed matrices; only ``n_max`` and ``k`` fix the shape. ``build`` and the
+public builders are its stack of one plus a label, and sweeps feed its
+stacks straight into ``superop._liouvillians``.
 """
 
 from __future__ import annotations
 
+import functools
 import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ModelError
+from .errors import ConfigError, LindscopeError, ModelError, NumericalError
 from .linalg import as_complex_matrix
-from .superop import LindbladModel, dim_cap
+from .superop import LindbladModel, _frozen, _make_hermitian, dim_cap
 
 __all__ = [
     "ModelSpec",
@@ -47,6 +56,7 @@ _PAULI = {
     "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 }
+_LOWERING = (_PAULI["x"] - 1j * _PAULI["y"]) / 2
 
 
 def pauli(axis: str) -> np.ndarray:
@@ -59,7 +69,7 @@ def pauli(axis: str) -> np.ndarray:
 
 def lowering() -> np.ndarray:
     """(sigma_x - i*sigma_y)/2; nilpotent, with dagger(lowering()) raising."""
-    return (pauli("x") - 1j * pauli("y")) / 2
+    return _LOWERING.copy()
 
 
 def tensor_site(op, site: int, num_sites: int) -> np.ndarray:
@@ -70,8 +80,9 @@ def tensor_site(op, site: int, num_sites: int) -> np.ndarray:
     op = as_complex_matrix(op, 2, 2)
     if not 0 <= site < num_sites:
         raise ConfigError(f"site {site} outside 0..{num_sites - 1}")
-    if 2**num_sites > dim_cap():
-        raise _cap_error(2**num_sites)
+    cap = dim_cap()
+    if 2**num_sites > cap:
+        raise _cap_error(2**num_sites, cap)
     out = np.eye(1, dtype=complex)
     eye2 = np.eye(2, dtype=complex)
     for k in range(num_sites):
@@ -79,141 +90,32 @@ def tensor_site(op, site: int, num_sites: int) -> np.ndarray:
     return out
 
 
-def _cap_error(dim: int) -> ModelError:
+def _cap_error(dim: int, cap: int) -> ModelError:
     return ModelError(
-        f"dimension {dim} exceeds the cap {dim_cap()} "
+        f"dimension {dim} exceeds the cap {cap} "
         "(set LINDSCOPE_DIM_CAP to raise it at your own risk)"
     )
 
 
-def _rate(name: str, value: float) -> float:
-    value = float(value)
-    if value < 0:
-        raise ConfigError(f"{name} must be nonnegative, got {value}")
-    return value
+@functools.lru_cache(maxsize=8)
+def _sites(num: int) -> np.ndarray:
+    """sigma_z at each site of a ``num``-qubit register, stacked ``(num, 2^num, 2^num)``."""
+    return _frozen(np.stack([tensor_site(_PAULI["z"], k, num) for k in range(num)]))
 
 
-def dephasing(gamma_z: float = 1.0) -> LindbladModel:
-    """Single qubit, jump sqrt(gamma_z) * sigma_z, no Hamiltonian."""
-    gamma_z = _rate("gamma_z", gamma_z)
-    return LindbladModel(
-        dim=2,
-        hamiltonian=np.zeros((2, 2), dtype=complex),
-        jumps=(np.sqrt(gamma_z) * pauli("z"),),
-        label=f"dephasing(gamma_z={gamma_z:g})",
-    )
-
-
-def driven_dephasing(gamma_z: float = 1.0, omega: float = 0.1) -> LindbladModel:
-    """Dephasing plus a transverse drive H = (omega/2) * sigma_x."""
-    gamma_z = _rate("gamma_z", gamma_z)
-    return LindbladModel(
-        dim=2,
-        hamiltonian=0.5 * float(omega) * pauli("x"),
-        jumps=(np.sqrt(gamma_z) * pauli("z"),),
-        label=f"driven_dephasing(gamma_z={gamma_z:g}, omega={float(omega):g})",
-    )
-
-
-def relaxation(gamma_minus: float = 1.0) -> LindbladModel:
-    """Single qubit, jump sqrt(gamma_minus) * lowering operator."""
-    gamma_minus = _rate("gamma_minus", gamma_minus)
-    return LindbladModel(
-        dim=2,
-        hamiltonian=np.zeros((2, 2), dtype=complex),
-        jumps=(np.sqrt(gamma_minus) * lowering(),),
-        label=f"relaxation(gamma_minus={gamma_minus:g})",
-    )
-
-
-def dephasing_relaxation(gamma_z: float = 1.0, gamma_minus: float = 1.0) -> LindbladModel:
-    """Competing dephasing and relaxation channels on one qubit."""
-    gamma_z = _rate("gamma_z", gamma_z)
-    gamma_minus = _rate("gamma_minus", gamma_minus)
-    return LindbladModel(
-        dim=2,
-        hamiltonian=np.zeros((2, 2), dtype=complex),
-        jumps=(np.sqrt(gamma_z) * pauli("z"), np.sqrt(gamma_minus) * lowering()),
-        label=f"dephasing_relaxation(gamma_z={gamma_z:g}, gamma_minus={gamma_minus:g})",
-    )
-
-
-def pauli_channel(
-    gamma_x: float = 1.0, gamma_y: float = 1.0, gamma_z: float = 1.0
-) -> LindbladModel:
-    """Jumps sqrt(gamma_a) * sigma_a for each Pauli axis."""
-    rates = [_rate(f"gamma_{a}", g) for a, g in (("x", gamma_x), ("y", gamma_y), ("z", gamma_z))]
-    return LindbladModel(
-        dim=2,
-        hamiltonian=np.zeros((2, 2), dtype=complex),
-        jumps=tuple(np.sqrt(g) * pauli(a) for a, g in zip("xyz", rates)),
-        label=f"pauli_channel(gamma_x={rates[0]:g}, gamma_y={rates[1]:g}, gamma_z={rates[2]:g})",
-    )
-
-
-def multi_qubit_dephasing(gammas: Sequence[float]) -> LindbladModel:
-    """Independent sigma_z dephasing on each qubit of a register.
-
-    One jump sqrt(gamma_k) * sigma_z at site k; the register dimension is
-    2**len(gammas).
-    """
-    rates = [_rate(f"gamma_{k + 1}", g) for k, g in enumerate(gammas)]
-    if not rates:
-        raise ConfigError("multi_qubit_dephasing needs at least one rate")
-    num = len(rates)
-    if 2**num > dim_cap():
-        raise _cap_error(2**num)
-    sz = pauli("z")
-    jumps = tuple(np.sqrt(g) * tensor_site(sz, k, num) for k, g in enumerate(rates))
-    dim = 2**num
-    return LindbladModel(
-        dim=dim,
-        hamiltonian=np.zeros((dim, dim), dtype=complex),
-        jumps=jumps,
-        label=f"multi_qubit_dephasing(K={num})",
-    )
-
-
-def hamiltonian_only(hamiltonian, label: str = "hamiltonian_only") -> LindbladModel:
-    """Closed evolution under an arbitrary Hermitian matrix, no jumps."""
-    h = as_complex_matrix(hamiltonian)
-    return LindbladModel(dim=h.shape[0], hamiltonian=h, jumps=(), label=label)
-
-
-def jaynes_cummings(
-    omega_a: float = 1.0, omega_c: float = 1.0, g: float = 0.1, n_max: int = 3
-) -> LindbladModel:
-    """Two-level atom coupled to one field mode, rotating-wave form.
-
-    H = omega_c * n_field + (omega_a/2) * sigma_z + g * (lower x create + raise x destroy),
-    on atom (x) field with the field truncated at Fock level n_max.
-    """
-    n_max = int(n_max)
-    if n_max < 1:
-        raise ConfigError(f"n_max must be at least 1, got {n_max}")
+@functools.lru_cache(maxsize=32)
+def _jaynes_cummings_terms(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fixed matrices that multiply omega_c, omega_a/2 and g."""
     nf = n_max + 1
-    dim = 2 * nf
-    if dim > dim_cap():
-        raise _cap_error(dim)
     destroy = np.zeros((nf, nf), dtype=complex)
     for n in range(1, nf):
         destroy[n - 1, n] = np.sqrt(n)
     create = destroy.conj().T
-    eye_f = np.eye(nf, dtype=complex)
-    low = lowering()
-    h = (
-        float(omega_c) * np.kron(np.eye(2, dtype=complex), create @ destroy)
-        + 0.5 * float(omega_a) * np.kron(pauli("z"), eye_f)
-        + float(g) * (np.kron(low, create) + np.kron(low.conj().T, destroy))
-    )
-    return LindbladModel(
-        dim=dim,
-        hamiltonian=h,
-        jumps=(),
-        label=(
-            f"jaynes_cummings(omega_a={float(omega_a):g}, omega_c={float(omega_c):g}, "
-            f"g={float(g):g}, n_max={n_max})"
-        ),
+    low = _LOWERING
+    return (
+        _frozen(np.kron(np.eye(2, dtype=complex), create @ destroy)),
+        _frozen(np.kron(_PAULI["z"], np.eye(nf, dtype=complex))),
+        _frozen(np.kron(low, create) + np.kron(low.conj().T, destroy)),
     )
 
 
@@ -237,84 +139,332 @@ MODEL_KINDS = (
 )
 
 
+def _qubit(names, axis, *channels):
+    ops = np.array([op for _, op in channels], dtype=complex).reshape(len(channels), 2, 2)
+    return names, axis, tuple(rate for rate, _ in channels), _frozen(ops)
+
+
+# The single-qubit kinds: parameters in reading order with their defaults,
+# the Pauli axis of H = (omega/2) sigma (None for H = 0), and the jumps
+# sqrt(rate) * op.
+_QUBIT_KINDS = {
+    "dephasing": _qubit((("gamma_z", 1.0),), None, ("gamma_z", _PAULI["z"])),
+    "driven_dephasing": _qubit(
+        (("gamma_z", 1.0), ("omega", 0.1)), "x", ("gamma_z", _PAULI["z"])
+    ),
+    "relaxation": _qubit((("gamma_minus", 1.0),), None, ("gamma_minus", _LOWERING)),
+    "dephasing_relaxation": _qubit(
+        (("gamma_z", 1.0), ("gamma_minus", 1.0)),
+        None,
+        ("gamma_z", _PAULI["z"]),
+        ("gamma_minus", _LOWERING),
+    ),
+    "pauli_channel": _qubit(
+        (("gamma_x", 1.0), ("gamma_y", 1.0), ("gamma_z", 1.0)),
+        None,
+        *((f"gamma_{a}", _PAULI[a]) for a in "xyz"),
+    ),
+    # Scalar parameters cannot carry an arbitrary matrix; the named form
+    # builds H = (omega/2) * sigma_z. Arbitrary Hermitian H goes through
+    # hamiltonian_only() directly or an explicit-matrix model file.
+    "hamiltonian_only": _qubit((("omega", 1.0),), "z"),
+}
+
+
 class _Params:
-    """Pop-and-validate view over a spec's parameter map."""
+    """Pop-and-validate view over a spec's parameters, for a stack of points.
+
+    A parameter is a scalar, the same at every point, or a 1-D array with
+    one value per point. The checks run in the order a single build makes
+    them, and one that fails ends the stack at its first failing point:
+    ``count`` points pass every check so far, and ``error`` is the first
+    error of the point after them (None where the stack ends for another
+    reason, or not at all).
+    """
 
     def __init__(self, spec: ModelSpec):
         self.kind = spec.kind
         self.left = dict(spec.params)
+        self.size = max(
+            (len(v) for v in self.left.values() if isinstance(v, np.ndarray)), default=1
+        )
+        self.count = self.size
+        self.error: LindscopeError | None = None
+        self.read: list[tuple[str, np.ndarray | int]] = []
 
-    def number(self, name: str, default: float | None = None) -> float:
+    def end(self, i: int, error: LindscopeError | None) -> None:
+        """End the stack before point ``i``, whose error is ``error``."""
+        if i < self.count:
+            self.count, self.error = i, error
+
+    def stop(self, bad, error) -> None:
+        """End the stack at the first point where ``bad`` holds.
+
+        ``bad`` is one bool for every point or an array of them, and
+        ``error(i)`` makes the error of point ``i``.
+        """
+        if np.ndim(bad):
+            bad = bad[: self.count]
+            if bad.any():
+                i = int(bad.argmax())
+                self.end(i, error(i))
+        elif bad and self.count:
+            self.end(0, error(0))
+
+    def _pop(self, name: str, default):
         if name in self.left:
-            value = self.left.pop(name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{self.kind}: parameter {name!r} must be a number")
-            # json.loads takes NaN, Infinity and integers of any size
-            if not abs(value) <= sys.float_info.max:
-                raise ConfigError(
-                    f"{self.kind}: parameter {name!r} must be a finite double, got {value!r}"
-                )
-            return float(value)
+            return self.left.pop(name)
         if default is None:
-            raise ConfigError(f"{self.kind}: missing parameter {name!r}")
+            self.stop(True, lambda i: ConfigError(f"{self.kind}: missing parameter {name!r}"))
         return default
+
+    def numbers(self, names) -> dict[str, np.ndarray]:
+        """The values of real parameters, a vector each, by name, for ``(name, default)`` pairs.
+
+        Reading ends once no point is left.
+        """
+        out = {}
+        for name, default in names:
+            if not self.count:
+                break
+            value = self._pop(name, default)
+            if isinstance(value, np.ndarray):
+                self.stop(~np.isfinite(value), lambda i: self._not_finite(name, float(value[i])))
+            elif value is None:  # missing, and the stack has ended
+                value = 0.0
+            elif isinstance(value, bool) or not isinstance(value, (int, float)):
+                self.stop(True, lambda i: ConfigError(
+                    f"{self.kind}: parameter {name!r} must be a number"
+                ))
+                value = 0.0
+            # json.loads takes NaN, Infinity and integers of any size
+            elif not abs(value) <= sys.float_info.max:
+                self.stop(True, lambda i: self._not_finite(name, value))
+                value = 0.0
+            if isinstance(value, np.ndarray):
+                vector = np.asarray(value, dtype=float)
+            else:
+                vector = np.full(self.size, float(value))
+            self.read.append((name, vector))
+            out[name] = vector
+        return out
+
+    def _not_finite(self, name: str, value) -> ConfigError:
+        return ConfigError(
+            f"{self.kind}: parameter {name!r} must be a finite double, got {value!r}"
+        )
 
     def integer(self, name: str, default: int | None = None) -> int:
-        if name in self.left:
-            value = self.left.pop(name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                if isinstance(value, float) and value.is_integer():
-                    value = int(value)
-                else:
-                    raise ConfigError(f"{self.kind}: parameter {name!r} must be an integer")
-            return int(value)
-        if default is None:
-            raise ConfigError(f"{self.kind}: missing parameter {name!r}")
-        return default
+        """A parameter that fixes the shape; the stack ends where its value changes."""
+        value = self._pop(name, default)
+
+        def not_integer(i):
+            return ConfigError(f"{self.kind}: parameter {name!r} must be an integer")
+
+        if isinstance(value, np.ndarray):
+            self.stop(~(np.isfinite(value) & (np.floor(value) == value)), not_integer)
+            if self.count:
+                self.stop(value != value[0], lambda i: None)
+                value = value[0]
+        elif value is None:  # missing, and the stack has ended
+            pass
+        elif isinstance(value, bool) or not isinstance(value, (int, float)):
+            self.stop(True, not_integer)
+        elif isinstance(value, float) and not value.is_integer():
+            self.stop(True, not_integer)
+        value = int(value) if self.count else 0
+        self.read.append((name, value))
+        return value
+
+    def rates(self, *names: str) -> np.ndarray:
+        """The parameters read under ``names``, checked nonnegative, as ``(m, K)``."""
+        if not (self.count and names):
+            return np.zeros((self.size, 0))
+        values = dict(self.read)
+        for name in names:
+            rate = values[name]
+            self.stop(rate < 0, lambda i: ConfigError(
+                f"{name} must be nonnegative, got {float(rate[i])}"
+            ))
+        return np.stack([values[name] for name in names], axis=-1)
+
+    def fits(self, dim: int, cap_error=_cap_error) -> bool:
+        """Check ``dim`` against the cap; True when some point is left to build."""
+        if self.count:
+            try:
+                cap = dim_cap()
+            except ConfigError as exc:
+                self.end(0, exc)
+            else:
+                self.stop(dim > cap, lambda i: cap_error(dim, cap))
+        return self.count > 0
 
     def done(self) -> None:
         if self.left:
             extras = ", ".join(sorted(self.left))
-            raise ConfigError(f"{self.kind}: unknown parameter(s): {extras}")
+            self.stop(True, lambda i: ConfigError(f"{self.kind}: unknown parameter(s): {extras}"))
+
+
+_NOT_FINITE = "matrix contains NaN or Inf entries"
+
+
+def _stack(spec: ModelSpec, max_entries: int | None = None) -> tuple:
+    """The points of a named kind, from the first up to the first that fails.
+
+    Returns ``(h, jumps, error, params)``: the points' Hamiltonians
+    ``(m, d, d)`` and jumps ``(m, K, d, d)``, the error of the point after
+    them (None if there is none), and the parameters read, in order, as
+    ``(name, value)`` (a vector each, an int for a shape).
+
+    Every parameter of ``spec`` is a scalar or a vector over the points.
+    The stack holds the leading points that pass every check and share the
+    first point's shape and, with ``max_entries``, at most
+    ``max(1, max_entries // d^2)`` of them, so that a stack of ``d x d``
+    matrices holds about that many entries. Its ``error`` is the one
+    ``build`` raises for the point after them alone. The checks (finite
+    parameters, nonnegative rates, the dimension cap, read once, finite
+    matrices and an exactly Hermitian H) run once per stack, each on all
+    its points.
+    """
+    p = _Params(spec)
+    kind = spec.kind
+    drive: list[tuple[np.ndarray, np.ndarray]] = []  # H = sum of vector * matrix
+    if kind in _QUBIT_KINDS:
+        names, axis, channels, ops = _QUBIT_KINDS[kind]
+        values = p.numbers(names)
+        rates = p.rates(*channels)
+        if p.fits(2) and axis is not None:
+            drive.append((0.5 * values["omega"], _PAULI[axis]))
+    elif kind == "multi_qubit_dephasing":
+        num = p.integer("k")
+        p.stop(num < 1, lambda i: ConfigError(
+            f"multi_qubit_dephasing: k must be at least 1, got {num}"
+        ))
+        # a missing rate ends the reading, so num is no larger than the
+        # parameters given where the stack goes on
+        read = p.numbers((f"gamma_{j + 1}", None) for j in range(num))
+        rates = p.rates(*read)
+        if p.count and p.fits(2**num):
+            ops = _sites(num)
+    elif kind == "jaynes_cummings":
+        values = p.numbers((("omega_a", 1.0), ("omega_c", 1.0), ("g", 0.1)))
+        n_max = p.integer("n_max", 3)
+        p.stop(n_max < 1, lambda i: ConfigError(f"n_max must be at least 1, got {n_max}"))
+        rates = p.rates()
+        # n_max can be any integer a model file holds: name it, not the dimension
+        if p.fits(2 * (n_max + 1), lambda dim, cap: ModelError(
+            f"jaynes_cummings: n_max makes the dimension 2 (n_max + 1) exceed the cap {cap} "
+            "(set LINDSCOPE_DIM_CAP to raise it at your own risk)"
+        )):
+            number, atom, hop = _jaynes_cummings_terms(n_max)
+            drive = [
+                (values["omega_c"], number), (0.5 * values["omega_a"], atom), (values["g"], hop)
+            ]
+            ops = np.zeros((0, *number.shape), dtype=complex)
+    else:
+        known = ", ".join(MODEL_KINDS)
+        p.end(0, ConfigError(f"unknown model kind {kind!r}; known kinds: {known}"))
+    if not p.count:
+        empty = np.zeros((0, 0, 0), dtype=complex)
+        return empty, empty[:, None], p.error, p.read
+    dim = ops.shape[-1]
+    if max_entries is not None:
+        p.end(max(1, max_entries // dim**2), None)
+    m = p.count
+    with np.errstate(over="ignore", invalid="ignore"):
+        if drive:
+            # summed in the order of a single build, so that every bit, the
+            # sign of a zero included, is the same
+            coefficient, matrix = drive[0]
+            h = coefficient[:m, None, None] * matrix
+            for coefficient, matrix in drive[1:]:
+                h += coefficient[:m, None, None] * matrix
+        else:
+            h = np.zeros((m, dim, dim), dtype=complex)
+        jumps = np.sqrt(rates[:m])[:, :, None, None] * ops
+    p.stop(~np.isfinite(h).all(axis=(-2, -1)), lambda i: NumericalError(_NOT_FINITE))
+    exact = (h == h.conj().swapaxes(-1, -2)).all(axis=(-2, -1))
+    for i in np.flatnonzero(~exact[: p.count]):
+        try:
+            _make_hermitian(h[i])
+        except ModelError as exc:
+            p.end(int(i), exc)
+            break
+    p.stop(~np.isfinite(jumps).all(axis=(-3, -2, -1)), lambda i: NumericalError(_NOT_FINITE))
+    p.done()
+    return h[: p.count], jumps[: p.count], p.error, p.read
 
 
 def build(spec: ModelSpec) -> LindbladModel:
     """Build the model a spec names; unknown kinds or parameters are rejected."""
-    p = _Params(spec)
-    if spec.kind == "dephasing":
-        model = dephasing(p.number("gamma_z", 1.0))
-    elif spec.kind == "driven_dephasing":
-        model = driven_dephasing(p.number("gamma_z", 1.0), p.number("omega", 0.1))
-    elif spec.kind == "relaxation":
-        model = relaxation(p.number("gamma_minus", 1.0))
-    elif spec.kind == "dephasing_relaxation":
-        model = dephasing_relaxation(p.number("gamma_z", 1.0), p.number("gamma_minus", 1.0))
-    elif spec.kind == "pauli_channel":
-        model = pauli_channel(
-            p.number("gamma_x", 1.0), p.number("gamma_y", 1.0), p.number("gamma_z", 1.0)
-        )
-    elif spec.kind == "multi_qubit_dephasing":
-        count = p.integer("k")
-        if count < 1:
-            raise ConfigError(f"multi_qubit_dephasing: k must be at least 1, got {count}")
-        model = multi_qubit_dephasing([p.number(f"gamma_{i + 1}") for i in range(count)])
-    elif spec.kind == "hamiltonian_only":
-        # Scalar parameters cannot carry an arbitrary matrix; the named form
-        # builds H = (omega/2) * sigma_z. Arbitrary Hermitian H goes through
-        # hamiltonian_only() directly or an explicit-matrix model file.
-        omega = p.number("omega", 1.0)
-        model = hamiltonian_only(
-            0.5 * omega * pauli("z"), label=f"hamiltonian_only(omega={omega:g})"
-        )
-    elif spec.kind == "jaynes_cummings":
-        model = jaynes_cummings(
-            p.number("omega_a", 1.0),
-            p.number("omega_c", 1.0),
-            p.number("g", 0.1),
-            p.integer("n_max", 3),
-        )
+    h, jumps, error, params = _stack(spec)
+    if error is not None:
+        raise error
+    if spec.kind == "multi_qubit_dephasing":
+        label = f"multi_qubit_dephasing(K={params[0][1]})"
     else:
-        known = ", ".join(MODEL_KINDS)
-        raise ConfigError(f"unknown model kind {spec.kind!r}; known kinds: {known}")
-    p.done()
-    return model
+        label = ", ".join(
+            f"{name}={v}" if isinstance(v, int) else f"{name}={float(v[0]):g}"
+            for name, v in params
+        )
+        label = f"{spec.kind}({label})"
+    return LindbladModel(dim=h.shape[-1], hamiltonian=h[0], jumps=tuple(jumps[0]), label=label)
+
+
+def _named(kind: str, **params) -> LindbladModel:
+    return build(ModelSpec(kind, {name: float(value) for name, value in params.items()}))
+
+
+def dephasing(gamma_z: float = 1.0) -> LindbladModel:
+    """Single qubit, jump sqrt(gamma_z) * sigma_z, no Hamiltonian."""
+    return _named("dephasing", gamma_z=gamma_z)
+
+
+def driven_dephasing(gamma_z: float = 1.0, omega: float = 0.1) -> LindbladModel:
+    """Dephasing plus a transverse drive H = (omega/2) * sigma_x."""
+    return _named("driven_dephasing", gamma_z=gamma_z, omega=omega)
+
+
+def relaxation(gamma_minus: float = 1.0) -> LindbladModel:
+    """Single qubit, jump sqrt(gamma_minus) * lowering operator."""
+    return _named("relaxation", gamma_minus=gamma_minus)
+
+
+def dephasing_relaxation(gamma_z: float = 1.0, gamma_minus: float = 1.0) -> LindbladModel:
+    """Competing dephasing and relaxation channels on one qubit."""
+    return _named("dephasing_relaxation", gamma_z=gamma_z, gamma_minus=gamma_minus)
+
+
+def pauli_channel(
+    gamma_x: float = 1.0, gamma_y: float = 1.0, gamma_z: float = 1.0
+) -> LindbladModel:
+    """Jumps sqrt(gamma_a) * sigma_a for each Pauli axis."""
+    return _named("pauli_channel", gamma_x=gamma_x, gamma_y=gamma_y, gamma_z=gamma_z)
+
+
+def multi_qubit_dephasing(gammas: Sequence[float]) -> LindbladModel:
+    """Independent sigma_z dephasing on each qubit of a register.
+
+    One jump sqrt(gamma_k) * sigma_z at site k; the register dimension is
+    2**len(gammas).
+    """
+    rates = {f"gamma_{k + 1}": float(g) for k, g in enumerate(gammas)}
+    return build(ModelSpec("multi_qubit_dephasing", {"k": len(rates), **rates}))
+
+
+def hamiltonian_only(hamiltonian, label: str = "hamiltonian_only") -> LindbladModel:
+    """Closed evolution under an arbitrary Hermitian matrix, no jumps."""
+    h = as_complex_matrix(hamiltonian)
+    return LindbladModel(dim=h.shape[0], hamiltonian=h, jumps=(), label=label)
+
+
+def jaynes_cummings(
+    omega_a: float = 1.0, omega_c: float = 1.0, g: float = 0.1, n_max: int = 3
+) -> LindbladModel:
+    """Two-level atom coupled to one field mode, rotating-wave form.
+
+    H = omega_c * n_field + (omega_a/2) * sigma_z + g * (lower x create + raise x destroy),
+    on atom (x) field with the field truncated at Fock level n_max.
+    """
+    spec = {"omega_a": float(omega_a), "omega_c": float(omega_c), "g": float(g)}
+    return build(ModelSpec("jaynes_cummings", {**spec, "n_max": int(n_max)}))

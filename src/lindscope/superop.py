@@ -14,10 +14,12 @@ Hermiticity, ``L(X)^dag = L(X^dag)`` as every Lindbladian does, is a real
 matrix there. The analysis pass in ``metrics`` works in that form.
 
 The generator build and the rotation both take stacks: ``_liouvillians``
-builds the generators of many models of one shape in one pass, and
-``_hermitian_form`` rotates a ``(..., n, n)`` stack with one power-of-two
-prescale per matrix. ``liouvillian`` is the stack of one; sweeps run whole
-blocks of points through them.
+builds the generators of many points of one shape in one pass, from their
+stacked Hamiltonians and jump operators, and ``_hermitian_form`` rotates a
+``(..., n, n)`` stack with one power-of-two prescale per matrix.
+``liouvillian`` is the stack of one. Sweeps build no ``LindbladModel``: the
+stacks of ``models._stack`` go straight into ``_liouvillians``, a block of
+points at a time.
 
 All values are immutable after construction (arrays are frozen), so they
 are safe to share across threads.
@@ -95,24 +97,30 @@ class LindbladModel:
                 "(set LINDSCOPE_DIM_CAP to raise it at your own risk)"
             )
         h = as_complex_matrix(self.hamiltonian, self.dim, self.dim)
-        # An exactly Hermitian H has defect 0 and keeps its bits, so only
-        # another H pays for the defect (an eigensolve) and its tolerance
-        # (an SVD).
-        if not np.array_equal(h, h.conj().T):
-            defect = hermiticity_defect(h)
-            if defect > hermiticity_tolerance(h):
-                raise ModelError(
-                    f"hamiltonian is not Hermitian: defect {defect:.3e} exceeds tolerance"
-                )
-            if defect > 0.0:
-                # Keep (H + H^dag)/2, so that the generator preserves
-                # Hermiticity and is real in the Hermitian operator basis.
-                # The sum of halves cannot overflow, and it is exactly
-                # Hermitian, since IEEE addition commutes.
-                h[...] = 0.5 * h + 0.5 * h.conj().T
+        _make_hermitian(h)
         jumps = tuple(as_complex_matrix(j, self.dim, self.dim) for j in self.jumps)
         object.__setattr__(self, "hamiltonian", _frozen(h))
         object.__setattr__(self, "jumps", tuple(_frozen(j) for j in jumps))
+
+
+def _make_hermitian(h: np.ndarray) -> None:
+    """Make a Hamiltonian that is Hermitian within tolerance exactly Hermitian, in place.
+
+    Another H is a ModelError. An exactly Hermitian H has defect 0 and
+    keeps its bits, so only another H pays for the defect (an eigensolve)
+    and its tolerance (an SVD).
+    """
+    if np.array_equal(h, h.conj().T):
+        return
+    defect = hermiticity_defect(h)
+    if defect > hermiticity_tolerance(h):
+        raise ModelError(f"hamiltonian is not Hermitian: defect {defect:.3e} exceeds tolerance")
+    if defect > 0.0:
+        # Keep (H + H^dag)/2, so that the generator preserves Hermiticity
+        # and is real in the Hermitian operator basis. The sum of halves
+        # cannot overflow, and it is exactly Hermitian, since IEEE
+        # addition commutes.
+        h[...] = 0.5 * h + 0.5 * h.conj().T
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,23 +286,23 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _OVERFLOW = "the generator overflows double precision; rescale the model"
 
 
-def _liouvillians(models) -> np.ndarray:
-    """The generator matrices of models of one dimension and jump count, stacked.
+def _liouvillians(h: np.ndarray, jumps: np.ndarray) -> np.ndarray:
+    """The generator matrices of a stack of points, ``(m, d^2, d^2)``.
 
-    The result is ``(len(models), d^2, d^2)``, built by the formula of
-    ``liouvillian`` in one pass over the stack. A generator with an entry
-    beyond double precision comes out with inf or nan entries, and no numpy
-    warning; the caller rejects it.
+    ``h`` holds the points' Hamiltonians, ``(m, d, d)``, and ``jumps``
+    their jump operators, ``(m, K, d, d)``; the generators are built by the
+    formula of ``liouvillian`` in one pass over the stack. A generator with
+    an entry beyond double precision comes out with inf or nan entries, and
+    no numpy warning; the caller rejects it.
     """
-    d = models[0].dim
+    d = h.shape[-1]
     eye = np.eye(d, dtype=complex)
-    h = np.array([model.hamiltonian for model in models])
     with np.errstate(over="ignore", invalid="ignore"):
         m = _kron(eye, h)
         m -= _kron(h.swapaxes(-1, -2), eye)
         m *= -1j
-        for k in range(len(models[0].jumps)):
-            jump = np.array([model.jumps[k] for model in models])
+        for k in range(jumps.shape[1]):
+            jump = jumps[:, k]
             jdj = jump.conj().swapaxes(-1, -2) @ jump
             m += _kron(jump.conj(), jump)
             m -= 0.5 * _kron(eye, jdj)
@@ -313,8 +321,10 @@ def liouvillian(model: LindbladModel) -> Superoperator:
     It is ``_liouvillians`` of a stack of one. A generator with an entry
     beyond double precision is a RangeError.
     """
+    d = model.dim
+    jumps = np.array(model.jumps).reshape(1, len(model.jumps), d, d)
     try:
-        return Superoperator(model.dim, _liouvillians((model,))[0])
+        return Superoperator(d, _liouvillians(model.hamiltonian[None], jumps)[0])
     except NumericalError:
         raise RangeError(_OVERFLOW) from None
 

@@ -367,7 +367,9 @@ class TestStackedSweeps:
         want = _per_point_sweep(config, cli.SWEEP_FIELDS)
         blocks = []
         stacked = cli._liouvillians
-        monkeypatch.setattr(cli, "_liouvillians", lambda ms: blocks.append(len(ms)) or stacked(ms))
+        monkeypatch.setattr(
+            cli, "_liouvillians", lambda h, jumps: blocks.append(len(h)) or stacked(h, jumps)
+        )
         assert _stacked_sweep(config, cli.SWEEP_FIELDS) == want
         assert blocks == [256, 256, 256, 232]
         assert {row["regime"] for row in want[1]} == {
@@ -478,6 +480,38 @@ class TestStackedSweeps:
         error, message = _stacked_sweep(config, cli.SWEEP_FIELDS)
         assert error is NumericalError
         assert message.startswith("omega = 0.001: Hermitian eigensolver failed")
+
+
+class TestParserReuse:
+    def test_back_to_back_commands_match_fresh_parsers(self, capsys):
+        # the parser is built once per process; commands run one after
+        # another through it print what they print through a fresh one
+        driven = str(MODELS_DIR / "driven_dephasing.json")
+        sweep = ["--param", "omega", "--from", "0.1", "--to", "10", "--points", "5"]
+        argvs = [
+            ["sweep", driven, *sweep, "--kappa-lo", "0.2", "--format", "json"],
+            ["analyze", driven, "--format", "csv"],
+            ["series", driven, "--steps", "4"],
+            ["sweep", driven, "--param", "omega"],
+            ["regimes", driven, *sweep, "--log"],
+            ["analyze", driven],
+            ["sweep", driven, *sweep],
+        ]
+
+        def run_all(fresh):
+            outputs = []
+            for argv in argvs:
+                if fresh:
+                    cli._build_parser.cache_clear()
+                code = main(argv)
+                captured = capsys.readouterr()
+                outputs.append((code, captured.out, captured.err))
+            return outputs
+
+        reused = run_all(fresh=False)
+        assert cli._build_parser() is cli._build_parser()
+        assert reused == run_all(fresh=True)
+        assert [code for code, _, _ in reused] == [0, 0, 0, 1, 0, 0, 0]
 
 
 class TestExitCodesAndFiles:
@@ -657,17 +691,23 @@ class TestExtremeMagnitudes:
                 "--points", "2"]
         assert main(argv) == 1
         assert capsys.readouterr().err == (
-            "error: gamma_z = nan: dephasing: parameter 'gamma_z' must be a finite "
-            "double, got nan\n"
+            "error: --from and --to must be finite, got nan and 1.0\n"
         )
 
     @pytest.mark.parametrize(
-        "bounds, log_scale, named",
-        [(["--from=-inf", "--to=inf"], False, "nan"), (["--from=1e-300", "--to=inf"], True, "inf")],
-        ids=["linear", "log"],
+        "bounds, log_scale, message",
+        [(["--from=-inf", "--to=inf"], False,
+          "--from and --to must be finite, got -inf and inf"),
+         (["--from=1e-300", "--to=inf"], True,
+          "--from and --to must be finite, got 1e-300 and inf"),
+         (["--from=-1.7e308", "--to=1.7e308"], False,
+          "--from -1.7e+308 and --to 1.7e+308 are too far apart: "
+          "the spacing of their points overflows double precision")],
+        ids=["linear", "log", "finite-ends"],
     )
-    def test_infinite_sweep_range_one(self, tmp_path, capsys, bounds, log_scale, named):
-        # the first non-finite point is named, and numpy prints no warning
+    def test_infinite_sweep_range_one(self, tmp_path, capsys, bounds, log_scale, message):
+        # the flag is named, not a point the user never gave, and numpy
+        # prints no warning
         path = write(tmp_path, "m.json", DEPHASING)
         argv = ["sweep", path, "--param", "gamma_z", *bounds, "--points", "3",
                 *(["--log"] if log_scale else [])]
@@ -675,7 +715,7 @@ class TestExtremeMagnitudes:
             warnings.simplefilter("always")
             code = main(argv)
         assert (code, caught) == (1, [])
-        assert capsys.readouterr().err.startswith(f"error: gamma_z = {named}: dephasing:")
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_infinite_t_end_one(self, tmp_path, capsys):
         path = write(tmp_path, "m.json", DEPHASING)

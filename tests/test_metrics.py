@@ -417,6 +417,13 @@ class TestOnePass:
         assert calls == {"eigvalsh": 4 + 21}
 
 
+def _stacked(models):
+    """The Hamiltonians and jumps of models of one shape, as the stacks of ``_liouvillians``."""
+    d, k = models[0].dim, len(models[0].jumps)
+    h = np.array([model.hamiltonian for model in models])
+    return h, np.array([model.jumps for model in models]).reshape(len(models), k, d, d)
+
+
 class TestStackedPass:
     """The pass on a stack of generators gives, bit for bit, what it gives
     on each generator alone (compute_metrics is the stack of one)."""
@@ -432,7 +439,7 @@ class TestStackedPass:
             h = random_hermitian(rng, d, scale=scale)
             ls = tuple(random_complex(rng, d, scale=math.sqrt(scale)) for _ in range(jumps))
             models.append(LindbladModel(d, h, ls))
-        stack = _liouvillians(models)
+        stack = _liouvillians(*_stacked(models))
         for model, m in zip(models, stack):
             assert np.array_equal(m, liouvillian(model).matrix)
         got = _analyze(stack)
@@ -469,7 +476,7 @@ class TestStackedPass:
     def test_four_eigensolves_per_stack(self, monkeypatch):
         models = [random_model(np.random.default_rng(82 + k), d=3, force_hamiltonian_only=True)
                   for k in range(50)]
-        stack = _liouvillians(models)
+        stack = _liouvillians(*_stacked(models))
         calls = {"eigvalsh": 0}
         counting = functools.partial(_counting, calls)
         monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))

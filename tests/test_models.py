@@ -1,7 +1,11 @@
 import itertools
+import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     I2,
@@ -13,6 +17,7 @@ from helpers import (
 )
 from lindscope import (
     ConfigError,
+    LindscopeError,
     ModelError,
     ModelSpec,
     Regime,
@@ -38,6 +43,7 @@ from lindscope import (
     tensor_site,
 )
 from lindscope.metrics import eta_tolerance, zero_tolerance
+from lindscope.models import MODEL_KINDS, _stack
 
 
 class TestPauli:
@@ -114,6 +120,17 @@ class TestBuilders:
         assert jaynes_cummings(n_max=1).dim == 4
         with pytest.raises(ConfigError):
             jaynes_cummings(n_max=0)
+
+    @pytest.mark.parametrize("n_max", [16, 10**300, 1e300], ids=["16", "int", "float"])
+    def test_jaynes_cummings_over_cap_names_n_max(self, n_max):
+        # the dimension of n_max = 1e300 has 301 digits; the error names
+        # the parameter and the cap instead
+        with pytest.raises(ModelError) as raised:
+            build(ModelSpec("jaynes_cummings", {"n_max": n_max}))
+        assert str(raised.value) == (
+            "jaynes_cummings: n_max makes the dimension 2 (n_max + 1) exceed the cap 32 "
+            "(set LINDSCOPE_DIM_CAP to raise it at your own risk)"
+        )
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ConfigError):
@@ -283,3 +300,131 @@ class TestJaynesCummingsStructure:
         comm = h @ excitation - excitation @ h
         assert np.abs(comm).max() <= 1e-12
         assert hs_inner(h, h).real > 0  # nontrivial Hamiltonian
+
+
+# Parameters of each named kind with their defaults (None: required).
+KIND_PARAMS = {
+    "dephasing": {"gamma_z": 1.0},
+    "driven_dephasing": {"gamma_z": 1.0, "omega": 0.1},
+    "relaxation": {"gamma_minus": 1.0},
+    "dephasing_relaxation": {"gamma_z": 1.0, "gamma_minus": 1.0},
+    "pauli_channel": {"gamma_x": 1.0, "gamma_y": 1.0, "gamma_z": 1.0},
+    "multi_qubit_dephasing": {"k": None},
+    "hamiltonian_only": {"omega": 1.0},
+    "jaynes_cummings": {"omega_a": 1.0, "omega_c": 1.0, "g": 0.1, "n_max": 3},
+}
+SHAPES = ("k", "n_max")
+
+
+def _reference(kind, params):
+    """H and jumps of one point, by the formulas of a one-model-at-a-time build."""
+    p = {**KIND_PARAMS[kind], **params}
+    z, zeros = pauli("z"), np.zeros((2, 2), dtype=complex)
+    if kind == "multi_qubit_dephasing":
+        k = int(p["k"])
+        sites = [tensor_site(z, j, k) for j in range(k)]
+        return np.zeros((2**k, 2**k), dtype=complex), [
+            np.sqrt(p[f"gamma_{j + 1}"]) * site for j, site in enumerate(sites)
+        ]
+    if kind == "jaynes_cummings":
+        nf = int(p["n_max"]) + 1
+        destroy = np.zeros((nf, nf), dtype=complex)
+        for n in range(1, nf):
+            destroy[n - 1, n] = np.sqrt(n)
+        create = destroy.conj().T
+        low = lowering()
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = (
+                p["omega_c"] * np.kron(np.eye(2, dtype=complex), create @ destroy)
+                + 0.5 * p["omega_a"] * np.kron(z, np.eye(nf, dtype=complex))
+                + p["g"] * (np.kron(low, create) + np.kron(low.conj().T, destroy))
+            )
+        return h, []
+    h = {"driven_dephasing": 0.5 * p.get("omega", 0.0) * pauli("x"),
+         "hamiltonian_only": 0.5 * p.get("omega", 0.0) * z}.get(kind, zeros)
+    ops = {"gamma_x": pauli("x"), "gamma_y": pauli("y"), "gamma_z": z, "gamma_minus": lowering()}
+    return h, [np.sqrt(p[name]) * ops[name] for name in KIND_PARAMS[kind] if name in ops]
+
+
+def _bits(a) -> tuple:
+    a = np.asarray(a, dtype=complex)
+    return a.shape, a.tobytes()
+
+
+FINITE = st.sampled_from([
+    0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 0.1, 1.0, 3.0, 1e300, 1.7e308,
+])
+REAL = FINITE | st.floats(min_value=0.0) | st.floats()
+INTEGER = st.sampled_from([1, 2, 3, 1.0, 2.0, 3.0, 15.0]) | st.sampled_from(
+    [16.0, 0.0, -1.0, 1.5, 1e300, math.nan, math.inf]
+)
+
+
+class TestStackedBuild:
+    """A stack of points gives, bit for bit, each point's build alone: the
+    same matrices, or the same error for the first point that fails."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_stack_equals_single_builds(self, data):
+        kind = data.draw(st.sampled_from(MODEL_KINDS), label="kind")
+        count = data.draw(st.integers(1, 5), label="count")
+        names = list(KIND_PARAMS[kind])
+        if kind == "multi_qubit_dephasing":
+            rates = data.draw(st.integers(1, 4), label="rates")
+            names = ["k", *(f"gamma_{j + 1}" for j in range(rates))]
+        params = {}
+        for name in names:
+            if data.draw(st.integers(0, 9), label=f"omit {name}") == 0:
+                continue
+            values = INTEGER if name in SHAPES else REAL
+            if name == "k":  # most often the number of rates given
+                values = st.sampled_from([rates, float(rates)]) | values
+            if data.draw(st.booleans(), label=f"vector {name}"):
+                vector = data.draw(st.lists(values, min_size=count, max_size=count), label=name)
+                params[name] = np.array(vector, dtype=float)
+            else:
+                params[name] = data.draw(values, label=name)
+        if data.draw(st.integers(0, 9), label="extra") == 0:
+            params["extra"] = 1.0
+        max_entries = data.draw(st.sampled_from([None, 4, 64, 4096]), label="max_entries")
+
+        def point(i):
+            return {name: float(v[i]) if isinstance(v, np.ndarray) else v
+                    for name, v in params.items()}
+
+        start = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            while start < count:
+                rest = {name: v[start:] if isinstance(v, np.ndarray) else v
+                        for name, v in params.items()}
+                h, jumps, error, _ = _stack(ModelSpec(kind, rest), max_entries)
+                assert len(h) or error is not None
+                for j in range(len(h)):
+                    model = build(ModelSpec(kind, point(start + j)))
+                    assert _bits(h[j]) == _bits(model.hamiltonian)
+                    assert _bits(jumps[j]) == _bits(
+                        np.array(model.jumps).reshape(jumps[j].shape)
+                    )
+                    ref_h, ref_jumps = _reference(kind, point(start + j))
+                    assert _bits(h[j]) == _bits(ref_h)
+                    assert _bits(jumps[j]) == _bits(np.array(ref_jumps).reshape(jumps[j].shape))
+                start += len(h)
+                if error is not None:
+                    with pytest.raises(LindscopeError) as raised:
+                        build(ModelSpec(kind, point(start)))
+                    assert (type(raised.value), str(raised.value)) == (type(error), str(error))
+                    start += 1
+
+    def test_sweep_of_shapes_splits_stacks(self):
+        # n_max 1, 1, 2: a stack of two points at d=4, then one at d=6
+        spec = ModelSpec("jaynes_cummings", {"n_max": np.array([1.0, 1.0, 2.0])})
+        h, jumps, error, _ = _stack(spec)
+        assert (h.shape, jumps.shape, error) == ((2, 4, 4), (2, 0, 4, 4), None)
+
+    def test_max_entries_bounds_the_stack(self):
+        spec = ModelSpec("driven_dephasing", {"omega": np.linspace(0.0, 1.0, 10)})
+        assert _stack(spec, 16)[0].shape == (4, 2, 2)
+        assert _stack(spec, 1)[0].shape == (1, 2, 2)
+        assert _stack(spec)[0].shape == (10, 2, 2)
