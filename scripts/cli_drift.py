@@ -12,14 +12,20 @@ on ``models/jaynes_cummings.json`` (a new dimension, so a new block, at
 every point). Log-spaced ``sweep`` and ``regimes`` on the other named
 kinds cover each kind's stacked build: ``dephasing_relaxation`` over
 ``gamma_minus``, ``jaynes_cummings`` over ``g``, ``pauli_channel`` over
-``gamma_y`` and ``multi_qubit_dephasing`` over ``gamma_2``. Each side runs in its own
-interpreter with one BLAS thread: the working tree's ``src/``, and REF's
-``src/`` unpacked by ``git archive`` into a temporary directory (removed
-afterwards). Both read the working tree's model files.
+``gamma_y`` and ``multi_qubit_dephasing`` over ``gamma_2``. Sweeps that
+fail cover which point a sweep names: the four of
+``tests/test_cli.py::TestStackedSweeps::test_first_failure_in_sweep_order``,
+a 3000-point sweep whose first failing point is in its third stack of
+points, and an ``n_max`` sweep that fails at a non-integer. Each side runs
+in its own interpreter with one BLAS thread: the working tree's ``src/``,
+and REF's ``src/`` unpacked by ``git archive`` into a temporary directory
+(removed afterwards). Both read the working tree's model files, and the
+failing sweeps' model files, written to that directory.
 
 Prints the largest relative deviation of any number per command and exits
 1 on a changed label (a regime or ``appg_satisfied`` flip), a changed exit
-code or output layout, or a deviation above ``--bound``. A deviation is
+code, standard error or output layout, or a deviation above ``--bound``.
+Standard error is compared byte for byte. A deviation is
 relative to the larger of the two values, except that ``bound_margin``, a
 difference that cancels to 0 for some models, is relative to its terms
 ``2 delta nd_norm + eta``::
@@ -44,21 +50,46 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # One interpreter per side runs every command through cli.main and prints
-# {name: [exit code, stdout]} as JSON.
+# {name: [exit code, stdout, stderr]} as JSON.
 RUNNER = """
 import contextlib, io, json, sys
 from lindscope.cli import main
 results = {}
 for name, argv in json.loads(sys.argv[1]):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    results[name] = [code, out.getvalue()]
+    results[name] = [code, out.getvalue(), err.getvalue()]
 json.dump(results, sys.stdout)
 """
 
+# Sweeps that fail: a name, the model, and the sweep's --param, --from,
+# --to, --points and whether it is log-spaced.
+FAILING = (
+    # eta overflows at point 0; points 1 and 2 build, then the negative
+    # rate at the last point fails to build
+    ("analysis-before-build", {"type": "driven_dephasing", "gamma_z": 1.0, "omega": 1e10},
+     "gamma_z", "1e300", "-1e300", "3", False),
+    # the generator overflows at point 3 of the 5 in one block
+    ("generator", {"type": "dephasing_relaxation", "gamma_z": 1.7e308},
+     "gamma_z", "1.0", "1.7e308", "5", False),
+    # eta overflows at point 0, the generator at the last point
+    ("eta-then-generator", {"type": "dephasing_relaxation", "gamma_z": 1.0},
+     "gamma_minus", "1e308", "1.7e308", "3", False),
+    # eta first overflows at point 308, in the second block
+    ("second-block", {"type": "dephasing_relaxation", "gamma_z": 1.0},
+     "gamma_minus", "1.0", "1e200", "400", True),
+    # eta first overflows at point 2567, in the third stack of 1024 points
+    ("third-stack", {"type": "dephasing_relaxation", "gamma_z": 1.0},
+     "gamma_minus", "1.0", "1e180", "3000", True),
+    # n_max 3 builds, 2.5 is not an integer
+    ("non-integer", {"type": "jaynes_cummings", "n_max": 3},
+     "n_max", "3", "1", "5", False),
+)
 
-def commands() -> list[tuple[str, list[str]]]:
+
+def commands(tmp: Path) -> list[tuple[str, list[str]]]:
+    """Every command, as ``(name, argv)``; the failing sweeps' models go to ``tmp``."""
     out = []
     for path in sorted((ROOT / "models").glob("*.json")):
         model = str(path)
@@ -88,6 +119,11 @@ def commands() -> list[tuple[str, list[str]]]:
         flags = ["--param", param, "--from", start, "--to", stop, "--points", points, "--log"]
         out.append((f"sweep-{param} {name}.json", ["sweep", path, *flags]))
         out.append((f"regimes-{param} {name}.json", ["regimes", path, *flags]))
+    for name, model, param, start, stop, points, log_scale in FAILING:
+        path = tmp / f"fail-{name}.json"
+        path.write_text(json.dumps({"model": model}), encoding="utf-8")
+        flags = ["--param", param, f"--from={start}", f"--to={stop}", "--points", points]
+        out.append((f"fail-{name}", ["sweep", str(path), *flags, *(["--log"] * log_scale)]))
     return out
 
 
@@ -173,20 +209,24 @@ def main() -> int:
                         help="largest relative deviation allowed (default 1e-14)")
     args = parser.parse_args()
 
-    cmds = commands()
     with tempfile.TemporaryDirectory(prefix="cli_drift-") as tmp:
+        cmds = commands(Path(tmp))
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar",
                                   args.ref, "src"], capture_output=True, check=True)
         subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
         old = run_side(Path(tmp) / "src", cmds)
-    new = run_side(ROOT / "src", cmds)
+        new = run_side(ROOT / "src", cmds)
 
     failed = False
     overall = 0.0
     for name, _ in cmds:
-        (old_code, old_out), (new_code, new_out) = old[name], new[name]
+        (old_code, old_out, old_err), (new_code, new_out, new_err) = old[name], new[name]
         if old_code != new_code:
             print(f"{name}: exit code {old_code} -> {new_code}")
+            failed = True
+            continue
+        if old_err != new_err:
+            print(f"{name}: stderr {old_err!r} -> {new_err!r}")
             failed = True
             continue
         worst, change = compare(old_out, new_out)

@@ -48,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import DEFAULT_STEPS, TimeGrid, amplification_series, default_grid
+from .dynamics import DEFAULT_STEPS, MAX_STEPS, TimeGrid, amplification_series, default_grid
 from .errors import ConfigError, IoError, LindscopeError, NumericalError, RangeError
 from .metrics import (
     RegimeThresholds,
@@ -224,6 +224,10 @@ def _load_json(path: str):
         raise ConfigError(
             f"invalid JSON in {path!r}: {exc.msg} (line {exc.lineno}, column {exc.colno})"
         ) from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer of more digits than Python converts, or nesting deeper
+        # than its recursion limit
+        raise ConfigError(f"cannot read model file {path!r}: {exc}") from exc
 
 
 def _parse_complex(value, where: str) -> complex:
@@ -403,6 +407,8 @@ def _sweep_values(config: RunConfig) -> np.ndarray:
     points = config.points if config.points is not None else 10
     if points < 1:
         raise ConfigError(f"--points must be at least 1, got {points}")
+    if points > MAX_STEPS:
+        raise ConfigError(f"--points must be at most {MAX_STEPS}, got {points}")
     start, stop = config.start, config.stop
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ConfigError(f"--from and --to must be finite, got {start!r} and {stop!r}")
@@ -428,7 +434,12 @@ def _sweep_values(config: RunConfig) -> np.ndarray:
 # one stacked Liouvillian build and one stacked analysis pass. That is 256
 # points at d=2 and one point at d=8. The bound holds a block's
 # temporaries, and so the peak memory of a sweep, to those of a single d=8
-# point.
+# point. Stacks and blocks pass or fail as a whole. After a failure the
+# sweep goes on one point at a time, from the first point without a row,
+# through build, liouvillian and compute_metrics, and the first point that
+# fails there names the error. A stack is given at most _BLOCK_ENTRIES // 4
+# points (one d=2 stack), so the failing point is at most that many single
+# points on.
 _BLOCK_ENTRIES = 4096
 
 # Sweep columns whose cells are not floats; the others all are.
@@ -445,41 +456,35 @@ def _sweep_rows(config: RunConfig, fields) -> tuple[list[str], list[dict]]:
     base = _spec_from_obj(raw["model"])
     values = _sweep_values(config)
     rows: list[dict] = []
-    start = 0
-    while start < len(values):
-        spec = ModelSpec(base.kind, {**base.params, config.param: values[start:]})
-        h, jumps, error, _ = _stack(spec, _BLOCK_ENTRIES)
-        size = max(1, _BLOCK_ENTRIES // max(1, h.shape[-1]) ** 4)
-        for lo in range(0, len(h), size):
-            block = values[start + lo : start + lo + size].tolist()
-            _sweep_block(config, fields, block, h[lo : lo + size], jumps[lo : lo + size], rows)
-        start += len(h)
-        if error is not None:
-            # the points before this one, all analyzed, raised nothing
-            raise type(error)(f"{config.param} = {float(values[start])!r}: {error}") from error
-    return [config.param, *fields], rows
 
-
-def _sweep_block(config: RunConfig, fields, values, h, jumps, rows: list[dict]) -> None:
-    """Analyze a block of sweep points, their Hamiltonian and jump stacks
-    built, as one stack and append their rows.
-
-    The first point that fails, in sweep order, raises its error, named by
-    its parameter value: an overflowing generator, or a failed pass.
-    """
-    stack = _liouvillians(h, jumps)
-    finite = np.isfinite(stack).all(axis=(-2, -1))
-    built = len(values) if finite.all() else int(np.argmin(finite))
-    results = _analyze(stack[:built]) if built else []
-    if built < len(values):
-        results.append(RangeError(_OVERFLOW))
-    for value, result in zip(values, results):
-        if isinstance(result, LindscopeError):
-            raise type(result)(f"{config.param} = {value!r}: {result}") from result
+    def add(value: float, metrics) -> None:
         row = {config.param: value}
-        metrics = _metrics_fields(_banded(result, config.thresholds))
-        row.update({name: v for name, v in metrics.items() if name in fields})
+        banded = _metrics_fields(_banded(metrics, config.thresholds))
+        row.update({name: v for name, v in banded.items() if name in fields})
         rows.append(row)
+
+    try:
+        while len(rows) < len(values):
+            points = values[len(rows) : len(rows) + _BLOCK_ENTRIES // 4]
+            h, jumps, _ = _stack(
+                ModelSpec(base.kind, {**base.params, config.param: points}), _BLOCK_ENTRIES
+            )
+            size = max(1, _BLOCK_ENTRIES // h.shape[-1] ** 4)
+            for lo in range(0, len(h), size):
+                stack = _liouvillians(h[lo : lo + size], jumps[lo : lo + size])
+                if not np.isfinite(stack).all():
+                    raise RangeError(_OVERFLOW)
+                for value, metrics in zip(points[lo : lo + size].tolist(), _analyze(stack)):
+                    add(value, metrics)
+    except LindscopeError:
+        for value in values[len(rows) :].tolist():
+            spec = ModelSpec(base.kind, {**base.params, config.param: value})
+            try:
+                metrics = compute_metrics(liouvillian(build(spec)))
+            except LindscopeError as exc:
+                raise type(exc)(f"{config.param} = {value!r}: {exc}") from exc
+            add(value, metrics)
+    return [config.param, *fields], rows
 
 
 def run(config: RunConfig) -> int:

@@ -32,7 +32,9 @@ The pass takes a stack of generators, ``(k, n, n)``, with one prescale per
 generator and one batched call per step: four Hermitian eigensolve calls
 for the whole stack. ``compute_metrics`` runs it on a stack of one; a
 sweep runs it on a block of points at a time, with the same results bit
-for bit.
+for bit. A stack passes or fails as a whole; a sweep takes the points of
+a failed block again one at a time, through ``compute_metrics``, to find
+the first that fails.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import LindscopeError, NumericalError, RangeError
+from .errors import NumericalError, RangeError
 from .linalg import _hermitian_norms, dagger, eigenvalues_general, hermitian_norm
 from .superop import LindbladModel, Superoperator, _hermitian_form, liouvillian
 
@@ -183,29 +185,16 @@ def _scaled_back(name: str, value: float, exponent: int) -> float:
         ) from None
 
 
-def _analyze(m: np.ndarray) -> list[StructuralMetrics | LindscopeError]:
+def _analyze(m: np.ndarray) -> list[StructuralMetrics]:
     """The threshold-free metrics of each generator of a stack ``(k, n, n)``.
 
     Regimes are banded by the default kappa. Every step runs once on the
     whole stack: four batched Hermitian eigensolves in all, whatever ``k``.
-    A generator whose pass fails (routes that disagree, a value beyond
-    double precision) gets its error in place of its metrics, so the caller
-    can tell which one failed.
+    The pass is all or nothing: a generator whose pass fails (routes that
+    disagree, a value beyond double precision) raises its error, and a
+    failed batched eigensolve raises for the whole stack.
     """
-    try:
-        values = _stack_pass(m)
-    except NumericalError as exc:
-        # an eigensolve failed somewhere in the stack: find where, one by one
-        if len(m) == 1:
-            return [exc]
-        return [result for k in range(len(m)) for result in _analyze(m[k : k + 1])]
-    results = []
-    for point in zip(*values):
-        try:
-            results.append(_metrics_of(*point))
-        except LindscopeError as exc:
-            results.append(exc)
-    return results
+    return [_metrics_of(*point) for point in zip(*_stack_pass(m))]
 
 
 def _stack_pass(m: np.ndarray) -> tuple[list, ...]:
@@ -337,8 +326,6 @@ def compute_metrics(
     base = getattr(s, "_metrics", None)
     if base is None:
         (base,) = _analyze(s.matrix[None])
-        if isinstance(base, LindscopeError):
-            raise base
         object.__setattr__(s, "_metrics", base)
     return _banded(base, thresholds)
 

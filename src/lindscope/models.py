@@ -18,7 +18,10 @@ returns their Hamiltonians and jumps as ``(m, d, d)`` and ``(m, K, d, d)``
 stacks. Each kind is affine in its parameters, or in ``sqrt(rate)``, times
 fixed matrices; only ``n_max`` and ``k`` fix the shape. ``build`` and the
 public builders are its stack of one plus a label, and sweeps feed its
-stacks straight into ``superop._liouvillians``.
+stacks straight into ``superop._liouvillians``. A stack is built whole or
+not at all: a point that fails a check raises, for the whole stack, the
+error it raises alone, and a sweep then takes its points one at a time
+through ``build`` to name the first that fails.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, LindscopeError, ModelError, NumericalError
+from .errors import ConfigError, ModelError, NumericalError
 from .linalg import as_complex_matrix
 from .superop import LindbladModel, _frozen, _make_hermitian, dim_cap
 
@@ -81,8 +84,8 @@ def tensor_site(op, site: int, num_sites: int) -> np.ndarray:
     if not 0 <= site < num_sites:
         raise ConfigError(f"site {site} outside 0..{num_sites - 1}")
     cap = dim_cap()
-    if 2**num_sites > cap:
-        raise _cap_error(2**num_sites, cap)
+    if num_sites >= cap.bit_length():  # 2**num_sites > cap, without forming 2**num_sites
+        raise _cap_error("num_sites makes the dimension 2**num_sites exceed", cap)
     out = np.eye(1, dtype=complex)
     eye2 = np.eye(2, dtype=complex)
     for k in range(num_sites):
@@ -90,10 +93,10 @@ def tensor_site(op, site: int, num_sites: int) -> np.ndarray:
     return out
 
 
-def _cap_error(dim: int, cap: int) -> ModelError:
+def _cap_error(subject: str, cap: int) -> ModelError:
+    """The error of a dimension over the cap; ``subject`` says what exceeds it."""
     return ModelError(
-        f"dimension {dim} exceeds the cap {cap} "
-        "(set LINDSCOPE_DIM_CAP to raise it at your own risk)"
+        f"{subject} the cap {cap} (set LINDSCOPE_DIM_CAP to raise it at your own risk)"
     )
 
 
@@ -176,10 +179,9 @@ class _Params:
 
     A parameter is a scalar, the same at every point, or a 1-D array with
     one value per point. The checks run in the order a single build makes
-    them, and one that fails ends the stack at its first failing point:
-    ``count`` points pass every check so far, and ``error`` is the first
-    error of the point after them (None where the stack ends for another
-    reason, or not at all).
+    them, each on every point of the stack, and one that fails raises the
+    error of its first failing point. The stack is its first ``count``
+    points: all of them, or those before a shape parameter changes value.
     """
 
     def __init__(self, spec: ModelSpec):
@@ -189,60 +191,34 @@ class _Params:
             (len(v) for v in self.left.values() if isinstance(v, np.ndarray)), default=1
         )
         self.count = self.size
-        self.error: LindscopeError | None = None
         self.read: list[tuple[str, np.ndarray | int]] = []
 
-    def end(self, i: int, error: LindscopeError | None) -> None:
-        """End the stack before point ``i``, whose error is ``error``."""
-        if i < self.count:
-            self.count, self.error = i, error
-
-    def stop(self, bad, error) -> None:
-        """End the stack at the first point where ``bad`` holds.
-
-        ``bad`` is one bool for every point or an array of them, and
-        ``error(i)`` makes the error of point ``i``.
-        """
-        if np.ndim(bad):
-            bad = bad[: self.count]
-            if bad.any():
-                i = int(bad.argmax())
-                self.end(i, error(i))
-        elif bad and self.count:
-            self.end(0, error(0))
+    def check(self, bad: np.ndarray, error) -> None:
+        """Raise ``error(i)`` for the first point ``i`` of the stack where ``bad`` holds."""
+        bad = bad[: self.count]
+        if bad.any():
+            raise error(int(bad.argmax()))
 
     def _pop(self, name: str, default):
         if name in self.left:
             return self.left.pop(name)
         if default is None:
-            self.stop(True, lambda i: ConfigError(f"{self.kind}: missing parameter {name!r}"))
+            raise ConfigError(f"{self.kind}: missing parameter {name!r}")
         return default
 
     def numbers(self, names) -> dict[str, np.ndarray]:
-        """The values of real parameters, a vector each, by name, for ``(name, default)`` pairs.
-
-        Reading ends once no point is left.
-        """
+        """The values of real parameters, a vector each, by name, for ``(name, default)`` pairs."""
         out = {}
         for name, default in names:
-            if not self.count:
-                break
             value = self._pop(name, default)
             if isinstance(value, np.ndarray):
-                self.stop(~np.isfinite(value), lambda i: self._not_finite(name, float(value[i])))
-            elif value is None:  # missing, and the stack has ended
-                value = 0.0
+                self.check(~np.isfinite(value), lambda i: self._not_finite(name, float(value[i])))
+                vector = np.asarray(value, dtype=float)
             elif isinstance(value, bool) or not isinstance(value, (int, float)):
-                self.stop(True, lambda i: ConfigError(
-                    f"{self.kind}: parameter {name!r} must be a number"
-                ))
-                value = 0.0
+                raise ConfigError(f"{self.kind}: parameter {name!r} must be a number")
             # json.loads takes NaN, Infinity and integers of any size
             elif not abs(value) <= sys.float_info.max:
-                self.stop(True, lambda i: self._not_finite(name, value))
-                value = 0.0
-            if isinstance(value, np.ndarray):
-                vector = np.asarray(value, dtype=float)
+                raise self._not_finite(name, value)
             else:
                 vector = np.full(self.size, float(value))
             self.read.append((name, vector))
@@ -255,76 +231,59 @@ class _Params:
         )
 
     def integer(self, name: str, default: int | None = None) -> int:
-        """A parameter that fixes the shape; the stack ends where its value changes."""
+        """A parameter that fixes the shape; the stack is cut where its value changes."""
         value = self._pop(name, default)
-
-        def not_integer(i):
-            return ConfigError(f"{self.kind}: parameter {name!r} must be an integer")
-
+        error = ConfigError(f"{self.kind}: parameter {name!r} must be an integer")
         if isinstance(value, np.ndarray):
-            self.stop(~(np.isfinite(value) & (np.floor(value) == value)), not_integer)
-            if self.count:
-                self.stop(value != value[0], lambda i: None)
-                value = value[0]
-        elif value is None:  # missing, and the stack has ended
-            pass
+            self.check(~(np.isfinite(value) & (np.floor(value) == value)), lambda i: error)
+            changed = value[: self.count] != value[0]
+            if changed.any():
+                self.count = int(changed.argmax())
+            value = value[0]
         elif isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.stop(True, not_integer)
+            raise error
         elif isinstance(value, float) and not value.is_integer():
-            self.stop(True, not_integer)
-        value = int(value) if self.count else 0
+            raise error
+        value = int(value)
         self.read.append((name, value))
         return value
 
     def rates(self, *names: str) -> np.ndarray:
         """The parameters read under ``names``, checked nonnegative, as ``(m, K)``."""
-        if not (self.count and names):
-            return np.zeros((self.size, 0))
         values = dict(self.read)
         for name in names:
             rate = values[name]
-            self.stop(rate < 0, lambda i: ConfigError(
+            self.check(rate < 0, lambda i: ConfigError(
                 f"{name} must be nonnegative, got {float(rate[i])}"
             ))
+        if not names:
+            return np.zeros((self.size, 0))
         return np.stack([values[name] for name in names], axis=-1)
-
-    def fits(self, dim: int, cap_error=_cap_error) -> bool:
-        """Check ``dim`` against the cap; True when some point is left to build."""
-        if self.count:
-            try:
-                cap = dim_cap()
-            except ConfigError as exc:
-                self.end(0, exc)
-            else:
-                self.stop(dim > cap, lambda i: cap_error(dim, cap))
-        return self.count > 0
 
     def done(self) -> None:
         if self.left:
             extras = ", ".join(sorted(self.left))
-            self.stop(True, lambda i: ConfigError(f"{self.kind}: unknown parameter(s): {extras}"))
+            raise ConfigError(f"{self.kind}: unknown parameter(s): {extras}")
 
 
 _NOT_FINITE = "matrix contains NaN or Inf entries"
 
 
 def _stack(spec: ModelSpec, max_entries: int | None = None) -> tuple:
-    """The points of a named kind, from the first up to the first that fails.
+    """The points of a named kind, built together.
 
-    Returns ``(h, jumps, error, params)``: the points' Hamiltonians
-    ``(m, d, d)`` and jumps ``(m, K, d, d)``, the error of the point after
-    them (None if there is none), and the parameters read, in order, as
+    Returns ``(h, jumps, params)``: the points' Hamiltonians ``(m, d, d)``
+    and jumps ``(m, K, d, d)``, and the parameters read, in order, as
     ``(name, value)`` (a vector each, an int for a shape).
 
     Every parameter of ``spec`` is a scalar or a vector over the points.
-    The stack holds the leading points that pass every check and share the
-    first point's shape and, with ``max_entries``, at most
-    ``max(1, max_entries // d^2)`` of them, so that a stack of ``d x d``
-    matrices holds about that many entries. Its ``error`` is the one
-    ``build`` raises for the point after them alone. The checks (finite
-    parameters, nonnegative rates, the dimension cap, read once, finite
-    matrices and an exactly Hermitian H) run once per stack, each on all
-    its points.
+    The stack holds the leading points that share the first point's shape
+    and, with ``max_entries``, at most ``max(1, max_entries // d^2)`` of
+    them, so that a stack of ``d x d`` matrices holds about that many
+    entries. The checks (finite parameters, nonnegative rates, the
+    dimension cap, finite matrices and an exactly Hermitian H) run once per
+    stack, each on all its points. A point that fails one fails the whole
+    stack: it raises the error that point raises alone, and builds nothing.
     """
     p = _Params(spec)
     kind = spec.kind
@@ -333,43 +292,43 @@ def _stack(spec: ModelSpec, max_entries: int | None = None) -> tuple:
         names, axis, channels, ops = _QUBIT_KINDS[kind]
         values = p.numbers(names)
         rates = p.rates(*channels)
-        if p.fits(2) and axis is not None:
+        cap = dim_cap()
+        if cap < 2:
+            raise _cap_error("dimension 2 exceeds", cap)
+        if axis is not None:
             drive.append((0.5 * values["omega"], _PAULI[axis]))
     elif kind == "multi_qubit_dephasing":
         num = p.integer("k")
-        p.stop(num < 1, lambda i: ConfigError(
-            f"multi_qubit_dephasing: k must be at least 1, got {num}"
-        ))
-        # a missing rate ends the reading, so num is no larger than the
-        # parameters given where the stack goes on
-        read = p.numbers((f"gamma_{j + 1}", None) for j in range(num))
-        rates = p.rates(*read)
-        if p.count and p.fits(2**num):
-            ops = _sites(num)
+        if num < 1:
+            raise ConfigError(f"multi_qubit_dephasing: k must be at least 1, got {num}")
+        rates = p.rates(*p.numbers((f"gamma_{j + 1}", None) for j in range(num)))
+        cap = dim_cap()
+        if num >= cap.bit_length():  # 2**num > cap, without forming 2**num
+            raise _cap_error("multi_qubit_dephasing: k makes the dimension 2**k exceed", cap)
+        ops = _sites(num)
     elif kind == "jaynes_cummings":
         values = p.numbers((("omega_a", 1.0), ("omega_c", 1.0), ("g", 0.1)))
         n_max = p.integer("n_max", 3)
-        p.stop(n_max < 1, lambda i: ConfigError(f"n_max must be at least 1, got {n_max}"))
+        if n_max < 1:
+            raise ConfigError(f"n_max must be at least 1, got {n_max}")
         rates = p.rates()
+        cap = dim_cap()
         # n_max can be any integer a model file holds: name it, not the dimension
-        if p.fits(2 * (n_max + 1), lambda dim, cap: ModelError(
-            f"jaynes_cummings: n_max makes the dimension 2 (n_max + 1) exceed the cap {cap} "
-            "(set LINDSCOPE_DIM_CAP to raise it at your own risk)"
-        )):
-            number, atom, hop = _jaynes_cummings_terms(n_max)
-            drive = [
-                (values["omega_c"], number), (0.5 * values["omega_a"], atom), (values["g"], hop)
-            ]
-            ops = np.zeros((0, *number.shape), dtype=complex)
+        if 2 * (n_max + 1) > cap:
+            raise _cap_error(
+                "jaynes_cummings: n_max makes the dimension 2 (n_max + 1) exceed", cap
+            )
+        number, atom, hop = _jaynes_cummings_terms(n_max)
+        drive = [
+            (values["omega_c"], number), (0.5 * values["omega_a"], atom), (values["g"], hop)
+        ]
+        ops = np.zeros((0, *number.shape), dtype=complex)
     else:
         known = ", ".join(MODEL_KINDS)
-        p.end(0, ConfigError(f"unknown model kind {kind!r}; known kinds: {known}"))
-    if not p.count:
-        empty = np.zeros((0, 0, 0), dtype=complex)
-        return empty, empty[:, None], p.error, p.read
+        raise ConfigError(f"unknown model kind {kind!r}; known kinds: {known}")
     dim = ops.shape[-1]
     if max_entries is not None:
-        p.end(max(1, max_entries // dim**2), None)
+        p.count = min(p.count, max(1, max_entries // dim**2))
     m = p.count
     with np.errstate(over="ignore", invalid="ignore"):
         if drive:
@@ -382,24 +341,18 @@ def _stack(spec: ModelSpec, max_entries: int | None = None) -> tuple:
         else:
             h = np.zeros((m, dim, dim), dtype=complex)
         jumps = np.sqrt(rates[:m])[:, :, None, None] * ops
-    p.stop(~np.isfinite(h).all(axis=(-2, -1)), lambda i: NumericalError(_NOT_FINITE))
+    p.check(~np.isfinite(h).all(axis=(-2, -1)), lambda i: NumericalError(_NOT_FINITE))
     exact = (h == h.conj().swapaxes(-1, -2)).all(axis=(-2, -1))
-    for i in np.flatnonzero(~exact[: p.count]):
-        try:
-            _make_hermitian(h[i])
-        except ModelError as exc:
-            p.end(int(i), exc)
-            break
-    p.stop(~np.isfinite(jumps).all(axis=(-3, -2, -1)), lambda i: NumericalError(_NOT_FINITE))
+    for i in np.flatnonzero(~exact):
+        _make_hermitian(h[i])
+    p.check(~np.isfinite(jumps).all(axis=(-3, -2, -1)), lambda i: NumericalError(_NOT_FINITE))
     p.done()
-    return h[: p.count], jumps[: p.count], p.error, p.read
+    return h, jumps, p.read
 
 
 def build(spec: ModelSpec) -> LindbladModel:
     """Build the model a spec names; unknown kinds or parameters are rejected."""
-    h, jumps, error, params = _stack(spec)
-    if error is not None:
-        raise error
+    h, jumps, params = _stack(spec)
     if spec.kind == "multi_qubit_dephasing":
         label = f"multi_qubit_dephasing(K={params[0][1]})"
     else:

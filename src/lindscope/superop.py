@@ -19,7 +19,8 @@ stacked Hamiltonians and jump operators, and ``_hermitian_form`` rotates a
 ``(..., n, n)`` stack with one power-of-two prescale per matrix.
 ``liouvillian`` is the stack of one. Sweeps build no ``LindbladModel``: the
 stacks of ``models._stack`` go straight into ``_liouvillians``, a block of
-points at a time.
+points at a time. A block with an overflowing generator fails as a whole,
+and the sweep takes its points again one at a time through ``liouvillian``.
 
 All values are immutable after construction (arrays are frozen), so they
 are safe to share across threads.
@@ -293,7 +294,7 @@ def _liouvillians(h: np.ndarray, jumps: np.ndarray) -> np.ndarray:
     their jump operators, ``(m, K, d, d)``; the generators are built by the
     formula of ``liouvillian`` in one pass over the stack. A generator with
     an entry beyond double precision comes out with inf or nan entries, and
-    no numpy warning; the caller rejects it.
+    no numpy warning; the caller rejects the stack.
     """
     d = h.shape[-1]
     eye = np.eye(d, dtype=complex)

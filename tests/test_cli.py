@@ -457,6 +457,20 @@ class TestStackedSweeps:
         assert len(capsys.readouterr().out.splitlines()) == 401
         assert calls == {"svd": 0, "eigvalsh": 8}
 
+    def test_failure_at_last_point_replays_one_stack(self, tmp_path, monkeypatch):
+        # 3002 points are stacks of 1024, 1024 and 954; only the last point,
+        # gamma_z = -1, fails, so only the third stack is taken again one
+        # point at a time
+        path = write(tmp_path, "m.json", DEPHASING)
+        config = _sweep_config(path, "gamma_z", 3000.0, -1.0, 3002)
+        want = _per_point_sweep(config, cli.SWEEP_FIELDS)
+        assert want == (ConfigError, "gamma_z = -1.0: gamma_z must be nonnegative, got -1.0")
+        built = []
+        one = cli.build
+        monkeypatch.setattr(cli, "build", lambda spec: built.append(spec) or one(spec))
+        assert _stacked_sweep(config, cli.SWEEP_FIELDS) == want
+        assert 0 < len(built) <= 1024
+
     def test_failed_batched_eigensolve_retried_per_point(self, tmp_path, monkeypatch):
         # when a batched eigensolve fails, each point of the block is taken
         # alone, so the rows, or the error, stay those of the points
@@ -542,6 +556,26 @@ class TestExitCodesAndFiles:
             argv += ["--param", "omega", "--from", "1", "--to", "2", "--points", "2"]
         assert main(argv) == 1
         assert "not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "sweep"])
+    @pytest.mark.parametrize(
+        "text, reason",
+        [('{"model": {"type": "dephasing", "gamma_z": ' + "1" * 5000 + "}}",
+          "Exceeds the limit (4300 digits) for integer string conversion"),
+         ("[" * 100000 + "]" * 100000, "maximum recursion depth exceeded")],
+        ids=["long-integer", "deep-nesting"],
+    )
+    def test_unreadable_json_one(self, tmp_path, capsys, command, text, reason):
+        # JSON that json.loads rejects with a ValueError or RecursionError,
+        # not a JSONDecodeError
+        path = tmp_path / "m.json"
+        path.write_text(text, encoding="utf-8")
+        argv = [command, str(path)]
+        if command == "sweep":
+            argv += ["--param", "omega", "--from", "1", "--to", "2", "--points", "2"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read model file {str(path)!r}: {reason}")
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_nan_result_one(self, tmp_path, capsys, monkeypatch, fmt):
@@ -768,7 +802,7 @@ class TestSweepFuzz:
         target=_model_and_param(),
         start=st.floats() | st.floats(0.0, 1e3),
         stop=st.floats() | st.floats(0.0, 1e3),
-        points=st.integers(-2, 1200),
+        points=st.integers(-2, 1200) | st.sampled_from([10**6 + 1, 10**13]),
         log_scale=st.booleans(),
     )
     def test_sweep_boundary(self, command, target, start, stop, points, log_scale):

@@ -464,14 +464,17 @@ class TestStackedPass:
             assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-13)
         assert got.regime is want.regime
 
-    def test_failures_in_place(self):
-        # each failing generator gets its own error, the others their metrics
+    def test_failure_is_the_failing_generators(self):
+        # a stack passes or fails as a whole, with the error its failing
+        # generator raises alone
         good = liouvillian(dephasing_relaxation(1.0, 1.0))
         huge = liouvillian(driven_dephasing(1e10, 1e300))  # eta overflows
-        results = _analyze(np.stack([good.matrix, huge.matrix, good.matrix]))
-        assert results[0] == results[2] == compute_metrics(good)
-        assert isinstance(results[1], RangeError)
-        assert str(results[1]).startswith("eta is about")
+        with pytest.raises(RangeError) as alone:
+            compute_metrics(huge)
+        with pytest.raises(RangeError) as stacked:
+            _analyze(np.stack([good.matrix, huge.matrix, good.matrix]))
+        assert str(stacked.value) == str(alone.value)
+        assert str(alone.value).startswith("eta is about")
 
     def test_four_eigensolves_per_stack(self, monkeypatch):
         models = [random_model(np.random.default_rng(82 + k), d=3, force_hamiltonian_only=True)

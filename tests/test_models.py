@@ -91,8 +91,15 @@ class TestTensorSite:
             tensor_site(SZ, 2, 2)
 
     def test_cap_exceeded(self):
-        with pytest.raises(ModelError):
-            tensor_site(SZ, 0, 6)
+        # 2**20000 has 6021 digits, more than Python formats: the error
+        # names num_sites and the cap instead
+        for num_sites in (6, 20000):
+            with pytest.raises(ModelError) as raised:
+                tensor_site(SZ, 0, num_sites)
+            assert str(raised.value) == (
+                "num_sites makes the dimension 2**num_sites exceed the cap 32 "
+                "(set LINDSCOPE_DIM_CAP to raise it at your own risk)"
+            )
 
 
 class TestBuilders:
@@ -129,6 +136,16 @@ class TestBuilders:
             build(ModelSpec("jaynes_cummings", {"n_max": n_max}))
         assert str(raised.value) == (
             "jaynes_cummings: n_max makes the dimension 2 (n_max + 1) exceed the cap 32 "
+            "(set LINDSCOPE_DIM_CAP to raise it at your own risk)"
+        )
+
+    @pytest.mark.parametrize("k", [6, 200, 15000])
+    def test_multi_qubit_over_cap_names_k(self, k):
+        # with every rate given, 2**15000 would have 4516 digits
+        with pytest.raises(ModelError) as raised:
+            multi_qubit_dephasing([1.0] * k)
+        assert str(raised.value) == (
+            "multi_qubit_dephasing: k makes the dimension 2**k exceed the cap 32 "
             "(set LINDSCOPE_DIM_CAP to raise it at your own risk)"
         )
 
@@ -361,8 +378,8 @@ INTEGER = st.sampled_from([1, 2, 3, 1.0, 2.0, 3.0, 15.0]) | st.sampled_from(
 
 
 class TestStackedBuild:
-    """A stack of points gives, bit for bit, each point's build alone: the
-    same matrices, or the same error for the first point that fails."""
+    """A stack of points gives, bit for bit, each point's build alone, or it
+    raises an error, type and message, that one of its points raises alone."""
 
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(data=st.data())
@@ -393,14 +410,27 @@ class TestStackedBuild:
             return {name: float(v[i]) if isinstance(v, np.ndarray) else v
                     for name, v in params.items()}
 
+        def alone(i):
+            """The type and message of the error point ``i`` raises alone, or None."""
+            try:
+                build(ModelSpec(kind, point(i)))
+            except LindscopeError as exc:
+                return type(exc), str(exc)
+            return None
+
         start = 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             while start < count:
                 rest = {name: v[start:] if isinstance(v, np.ndarray) else v
                         for name, v in params.items()}
-                h, jumps, error, _ = _stack(ModelSpec(kind, rest), max_entries)
-                assert len(h) or error is not None
+                try:
+                    h, jumps, _ = _stack(ModelSpec(kind, rest), max_entries)
+                except LindscopeError as exc:
+                    errors = {alone(i) for i in range(start, count)}
+                    assert (type(exc), str(exc)) in errors
+                    break
+                assert len(h)
                 for j in range(len(h)):
                     model = build(ModelSpec(kind, point(start + j)))
                     assert _bits(h[j]) == _bits(model.hamiltonian)
@@ -411,17 +441,13 @@ class TestStackedBuild:
                     assert _bits(h[j]) == _bits(ref_h)
                     assert _bits(jumps[j]) == _bits(np.array(ref_jumps).reshape(jumps[j].shape))
                 start += len(h)
-                if error is not None:
-                    with pytest.raises(LindscopeError) as raised:
-                        build(ModelSpec(kind, point(start)))
-                    assert (type(raised.value), str(raised.value)) == (type(error), str(error))
-                    start += 1
 
     def test_sweep_of_shapes_splits_stacks(self):
         # n_max 1, 1, 2: a stack of two points at d=4, then one at d=6
         spec = ModelSpec("jaynes_cummings", {"n_max": np.array([1.0, 1.0, 2.0])})
-        h, jumps, error, _ = _stack(spec)
-        assert (h.shape, jumps.shape, error) == ((2, 4, 4), (2, 0, 4, 4), None)
+        h, jumps, params = _stack(spec)
+        assert (h.shape, jumps.shape) == ((2, 4, 4), (2, 0, 4, 4))
+        assert params[-1] == ("n_max", 1)
 
     def test_max_entries_bounds_the_stack(self):
         spec = ModelSpec("driven_dephasing", {"omega": np.linspace(0.0, 1.0, 10)})
