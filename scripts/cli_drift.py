@@ -9,7 +9,11 @@ and ``regimes`` on ``models/driven_dephasing.json`` over omega in
 split into blocks of points: 600 log-spaced omega points on
 ``driven_dephasing`` (past two block boundaries) and ``n_max`` from 1 to 3
 on ``models/jaynes_cummings.json`` (a new dimension, so a new block, at
-every point). Log-spaced ``sweep`` and ``regimes`` on the other named
+every point). The 40-point ``sweep`` and ``regimes`` run again with
+``--kappa-lo 0.5 --kappa-hi 2`` (re-banded labels) and with
+``--format json``, and a linear ``gamma_z`` sweep from 0 to 1 on
+``driven_dephasing`` starts at a ``Hamiltonian`` point with ``kappa``
+``undefined``. Log-spaced ``sweep`` and ``regimes`` on the other named
 kinds cover each kind's stacked build: ``dephasing_relaxation`` over
 ``gamma_minus``, ``jaynes_cummings`` over ``g``, ``pauli_channel`` over
 ``gamma_y`` and ``multi_qubit_dephasing`` over ``gamma_2``. Sweeps that
@@ -103,6 +107,13 @@ def commands(tmp: Path) -> list[tuple[str, list[str]]]:
     sweep = ["--param", "omega", "--from", "1e-3", "--to", "30", "--points", "40", "--log"]
     out.append(("sweep driven_dephasing.json", ["sweep", driven, *sweep]))
     out.append(("regimes driven_dephasing.json", ["regimes", driven, *sweep]))
+    for command in ("sweep", "regimes"):
+        out.append((f"{command}-bands driven_dephasing.json",
+                    [command, driven, *sweep, "--kappa-lo", "0.5", "--kappa-hi", "2"]))
+        out.append((f"{command}-json driven_dephasing.json",
+                    [command, driven, *sweep, "--format", "json"]))
+    linear = ["--param", "gamma_z", "--from", "0", "--to", "1", "--points", "40"]
+    out.append(("sweep-gamma_z driven_dephasing.json", ["sweep", driven, *linear]))
     blocks = ["--param", "omega", "--from", "1e-3", "--to", "1e3", "--points", "600", "--log"]
     out.append(("sweep-600 driven_dephasing.json", ["sweep", driven, *blocks]))
     jaynes = str(ROOT / "models" / "jaynes_cummings.json")

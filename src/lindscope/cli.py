@@ -50,13 +50,7 @@ import numpy as np
 
 from .dynamics import DEFAULT_STEPS, MAX_STEPS, TimeGrid, amplification_series, default_grid
 from .errors import ConfigError, IoError, LindscopeError, NumericalError, RangeError
-from .metrics import (
-    RegimeThresholds,
-    _analyze,
-    _banded,
-    compute_metrics,
-    structured_dissipator_report,
-)
+from .metrics import RegimeThresholds, _analyze, compute_metrics, structured_dissipator_report
 from .models import ModelSpec, _stack, build
 from .superop import _OVERFLOW, LindbladModel, _liouvillians, liouvillian
 
@@ -176,14 +170,45 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def to_csv(fieldnames, rows, cells=None) -> str:
-    """CSV with a header row; ``cells``, one per field, formats a column whose type is known."""
-    cells = cells or [_csv_cell] * len(fieldnames)
+def _column_cells(name: str, column: np.ndarray, label=str) -> list[str]:
+    """The cells of a column: ``fmt_float`` of each float, ``label`` of each string.
+
+    A NaN ``kappa`` is ``label("undefined")``, as the pass marks an
+    undefined kappa; a NaN in any other column is a NumericalError.
+    """
+    if column.dtype.kind == "U":
+        return [label(v) for v in column.tolist()]
+    values = column.tolist()
+    cells = list(map("%.17g".__mod__, values))
+    # a finite value that is not an integer prints with a point or an
+    # exponent, as fmt_float prints it; the others take fmt_float itself
+    for i in np.flatnonzero((column == np.trunc(column)) | np.isnan(column)).tolist():
+        if name == "kappa" and math.isnan(values[i]):
+            cells[i] = label("undefined")
+        else:
+            cells[i] = fmt_float(values[i])
+    return cells
+
+
+def to_csv(fieldnames, rows=(), columns=None) -> str:
+    """CSV with a header row, of ``rows`` (a dict by field name each) or of
+    ``columns`` (an array each, in field order, its cells by ``_column_cells``)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(fieldnames)
-    writer.writerows([cell(row[name]) for cell, name in zip(cells, fieldnames)] for row in rows)
+    if columns is None:
+        writer.writerows([_csv_cell(row[name]) for name in fieldnames] for row in rows)
+    else:
+        writer.writerows(zip(*map(_column_cells, fieldnames, columns)))
     return buf.getvalue()
+
+
+def _json_table(columns: dict) -> str:
+    """``to_json`` of the rows of ``columns`` (an array each, by field name), one object per row."""
+    keys = [json.dumps(str(name)) + ": " for name in columns]
+    cells = [_column_cells(name, column, json.dumps) for name, column in columns.items()]
+    rows = ("{" + ", ".join(map(str.__add__, keys, row)) + "}" for row in zip(*cells))
+    return "[" + ", ".join(rows) + "]\n"
 
 
 def write_output(text: str, path: str | None) -> None:
@@ -354,8 +379,15 @@ class RunConfig:
     log_scale: bool = False
 
 
-def _metrics_fields(metrics) -> dict:
+def analyze_record(model: LindbladModel, thresholds: RegimeThresholds | None = None) -> dict:
+    """The flat record the analyze command emits."""
+    superop = liouvillian(model)
+    metrics = compute_metrics(superop, thresholds)
+    report = structured_dissipator_report(model)
+    spectrum = report.jump_map_spectrum
     return {
+        "label": model.label,
+        "dim": model.dim,
         "delta": metrics.delta,
         "eta": metrics.eta,
         "nd_norm": metrics.nd_norm,
@@ -363,25 +395,11 @@ def _metrics_fields(metrics) -> dict:
         "bound_margin": metrics.bound_margin,
         "regime": metrics.regime.value,
         "generator_norm": metrics.generator_norm,
+        "is_structured": report.is_structured,
+        "gamma": report.gamma,
+        "jump_map_spectrum": None if spectrum is None else [complex(z) for z in spectrum],
+        "shift_max_error": report.shift_max_error,
     }
-
-
-def analyze_record(model: LindbladModel, thresholds: RegimeThresholds | None = None) -> dict:
-    """The flat record the analyze command emits."""
-    superop = liouvillian(model)
-    metrics = compute_metrics(superop, thresholds)
-    report = structured_dissipator_report(model)
-    record = {"label": model.label, "dim": model.dim}
-    record.update(_metrics_fields(metrics))
-    record["is_structured"] = report.is_structured
-    record["gamma"] = report.gamma
-    record["jump_map_spectrum"] = (
-        None
-        if report.jump_map_spectrum is None
-        else [complex(z) for z in report.jump_map_spectrum]
-    )
-    record["shift_max_error"] = report.shift_max_error
-    return record
 
 
 def series_rows(series) -> list[dict]:
@@ -431,22 +449,21 @@ def _sweep_values(config: RunConfig) -> np.ndarray:
 # A sweep builds its points in stacks (models._stack) of at most this many
 # entries per d x d operator, and analyzes them in blocks: consecutive
 # points, at most this many generator entries (points * n^2) in all, share
-# one stacked Liouvillian build and one stacked analysis pass. That is 256
-# points at d=2 and one point at d=8. The bound holds a block's
-# temporaries, and so the peak memory of a sweep, to those of a single d=8
-# point. Stacks and blocks pass or fail as a whole. After a failure the
-# sweep goes on one point at a time, from the first point without a row,
-# through build, liouvillian and compute_metrics, and the first point that
-# fails there names the error. A stack is given at most _BLOCK_ENTRIES // 4
+# one stacked Liouvillian build and one stacked analysis pass, whose columns
+# the sweep appends as they are. That is 256 points at d=2 and one point at
+# d=8. The bound holds a block's temporaries, and so the peak memory of a
+# sweep, to those of a single d=8 point. Stacks and blocks pass or fail as a
+# whole. After a failure the sweep goes on one point at a time, from the
+# first point without a row, through build, liouvillian and the pass on a
+# stack of one (what compute_metrics runs), and the first point that fails
+# there names the error. A stack is given at most _BLOCK_ENTRIES // 4
 # points (one d=2 stack), so the failing point is at most that many single
 # points on.
 _BLOCK_ENTRIES = 4096
 
-# Sweep columns whose cells are not floats; the others all are.
-_SWEEP_CELLS = {"kappa": _csv_cell, "regime": str}
 
-
-def _sweep_rows(config: RunConfig, fields) -> tuple[list[str], list[dict]]:
+def _sweep_columns(config: RunConfig, fields) -> dict[str, np.ndarray]:
+    """The sweep's table: its parameter values, then ``fields`` of the pass, as columns by name."""
     raw = _load_json(config.model_path)
     if not isinstance(raw, dict) or "model" not in raw:
         raise ConfigError(
@@ -455,17 +472,11 @@ def _sweep_rows(config: RunConfig, fields) -> tuple[list[str], list[dict]]:
         )
     base = _spec_from_obj(raw["model"])
     values = _sweep_values(config)
-    rows: list[dict] = []
-
-    def add(value: float, metrics) -> None:
-        row = {config.param: value}
-        banded = _metrics_fields(_banded(metrics, config.thresholds))
-        row.update({name: v for name, v in banded.items() if name in fields})
-        rows.append(row)
-
+    blocks: list[dict] = []
+    done = 0
     try:
-        while len(rows) < len(values):
-            points = values[len(rows) : len(rows) + _BLOCK_ENTRIES // 4]
+        while done < len(values):
+            points = values[done : done + _BLOCK_ENTRIES // 4]
             h, jumps, _ = _stack(
                 ModelSpec(base.kind, {**base.params, config.param: points}), _BLOCK_ENTRIES
             )
@@ -474,17 +485,18 @@ def _sweep_rows(config: RunConfig, fields) -> tuple[list[str], list[dict]]:
                 stack = _liouvillians(h[lo : lo + size], jumps[lo : lo + size])
                 if not np.isfinite(stack).all():
                     raise RangeError(_OVERFLOW)
-                for value, metrics in zip(points[lo : lo + size].tolist(), _analyze(stack)):
-                    add(value, metrics)
+                blocks.append(_analyze(stack, config.thresholds))
+                done += len(stack)
     except LindscopeError:
-        for value in values[len(rows) :].tolist():
+        for value in values[done:].tolist():
             spec = ModelSpec(base.kind, {**base.params, config.param: value})
             try:
-                metrics = compute_metrics(liouvillian(build(spec)))
+                blocks.append(_analyze(liouvillian(build(spec)).matrix[None], config.thresholds))
             except LindscopeError as exc:
                 raise type(exc)(f"{config.param} = {value!r}: {exc}") from exc
-            add(value, metrics)
-    return [config.param, *fields], rows
+    table = {config.param: values}
+    table.update((name, np.concatenate([block[name] for block in blocks])) for name in fields)
+    return table
 
 
 def run(config: RunConfig) -> int:
@@ -508,12 +520,11 @@ def run(config: RunConfig) -> int:
         text = to_json(rows) if fmt == "json" else to_csv(SERIES_FIELDS, rows)
     elif config.command in ("sweep", "regimes"):
         fields = SWEEP_FIELDS if config.command == "sweep" else REGIMES_FIELDS
-        header, rows = _sweep_rows(config, fields)
+        table = _sweep_columns(config, fields)
         if fmt == "json":
-            text = to_json(rows)
+            text = _json_table(table)
         else:
-            cells = [fmt_float, *(_SWEEP_CELLS.get(name, fmt_float) for name in fields)]
-            text = to_csv(header, rows, cells)
+            text = to_csv(list(table), columns=table.values())
     else:
         raise ConfigError(f"unknown command {config.command!r}")
     write_output(text, config.output_path)

@@ -28,13 +28,16 @@ magnitudes, and rotated into an orthonormal basis of Hermitian operators,
 where a Lindbladian is a real matrix, so all of its arithmetic is real. Its
 result is kept on the Superoperator, so every caller shares one pass.
 
-The pass takes a stack of generators, ``(k, n, n)``, with one prescale per
-generator and one batched call per step: four Hermitian eigensolve calls
-for the whole stack. ``compute_metrics`` runs it on a stack of one; a
-sweep runs it on a block of points at a time, with the same results bit
-for bit. A stack passes or fails as a whole; a sweep takes the points of
-a failed block again one at a time, through ``compute_metrics``, to find
-the first that fails.
+The pass (``_analyze``) takes a stack of generators, ``(k, n, n)``, with
+one prescale per generator and one batched call per step: four Hermitian
+eigensolve calls for the whole stack. It returns columns, one array per
+metric over the stack, and runs its checks and kappa bands on whole
+columns. ``compute_metrics`` runs it on a stack of one and reads row 0; a
+sweep runs it on a block of points at a time and writes its columns as
+they are, with the same results bit for bit. A stack passes or fails as a
+whole, with the error of its first failing generator; a sweep takes the
+points of a failed block again one at a time to find the first that
+fails.
 """
 
 from __future__ import annotations
@@ -103,6 +106,9 @@ class StructuralMetrics:
     regime: Regime
 
 
+_FLOAT_FIELDS = ("delta", "eta", "nd_norm", "bound_margin", "generator_norm")
+
+
 def zero_tolerance(generator_norm: float) -> float:
     """Below this, delta counts as zero (relative test survives rescaling)."""
     return ZERO_RTOL * generator_norm
@@ -146,13 +152,16 @@ def bound_check(s: Superoperator) -> float:
     return compute_metrics(s).bound_margin
 
 
-def _kappa_band(k: float, thresholds: RegimeThresholds | None) -> Regime:
+# The regimes in the order of the codes the pass assigns them, and their labels.
+_REGIMES = tuple(Regime)
+_REGIME_VALUES = np.array([r.value for r in _REGIMES])
+_HAMILTONIAN, _NORMAL, _WEAK, _CROSSOVER, _STRONG = range(len(_REGIMES))
+
+
+def _kappa_bands(k: np.ndarray, thresholds: RegimeThresholds | None) -> np.ndarray:
+    """The regime code of each kappa of a column under the given bands (the default for None)."""
     th = thresholds if thresholds is not None else RegimeThresholds()
-    if k < th.kappa_lo:
-        return Regime.WEAKLY_NONNORMAL
-    if k > th.kappa_hi:
-        return Regime.STRONGLY_NONNORMAL
-    return Regime.CROSSOVER
+    return np.where(k < th.kappa_lo, _WEAK, np.where(k > th.kappa_hi, _STRONG, _CROSSOVER))
 
 
 def classify(m: StructuralMetrics, thresholds: RegimeThresholds | None = None) -> Regime:
@@ -166,7 +175,7 @@ def classify(m: StructuralMetrics, thresholds: RegimeThresholds | None = None) -
     """
     if m.regime in (Regime.HAMILTONIAN, Regime.NORMAL_DISSIPATIVE):
         return m.regime
-    return _kappa_band(m.kappa, thresholds)
+    return _REGIMES[_kappa_bands(np.array([m.kappa]), thresholds)[0]]
 
 
 def _cross_term(herm: np.ndarray, skew: np.ndarray) -> np.ndarray:
@@ -174,46 +183,39 @@ def _cross_term(herm: np.ndarray, skew: np.ndarray) -> np.ndarray:
     return herm @ skew
 
 
-def _scaled_back(name: str, value: float, exponent: int) -> float:
-    """value * 2**exponent, or a RangeError where that overflows."""
-    try:
-        return math.ldexp(value, exponent)
-    except OverflowError:
-        magnitude = math.log10(abs(value)) + exponent * math.log10(2.0)
-        raise RangeError(
-            f"{name} is about 1e{magnitude:.1f}, beyond double precision; rescale the model"
-        ) from None
+def _squares(x: np.ndarray) -> np.ndarray:
+    """``v ** 2`` of each value as a Python float: libm's ``pow``, which can
+    differ by an ulp from numpy's exact square."""
+    return np.array([v**2 for v in x.tolist()])
 
 
-def _analyze(m: np.ndarray) -> list[StructuralMetrics]:
-    """The threshold-free metrics of each generator of a stack ``(k, n, n)``.
+def _analyze(m: np.ndarray, thresholds: RegimeThresholds | None = None) -> dict:
+    """The metrics of each generator of a stack ``(k, n, n)``, as columns.
 
-    Regimes are banded by the default kappa. Every step runs once on the
-    whole stack: four batched Hermitian eigensolves in all, whatever ``k``.
-    The pass is all or nothing: a generator whose pass fails (routes that
-    disagree, a value beyond double precision) raises its error, and a
-    failed batched eigensolve raises for the whole stack.
-    """
-    return [_metrics_of(*point) for point in zip(*_stack_pass(m))]
+    Returns one length-``k`` float64 array per ``StructuralMetrics`` field,
+    by name, with ``kappa`` NaN where it is undefined (the Hamiltonian
+    points), and under ``"regime"`` a string array of the regime labels,
+    banded by ``thresholds`` (the default bands for None). Every step runs
+    once on the whole stack: four batched Hermitian eigensolves in all,
+    whatever ``k``, and the checks and bands on whole columns.
 
-
-def _stack_pass(m: np.ndarray) -> tuple[list, ...]:
-    """Per-matrix prescaled norms of a stack, each as a list over the stack.
-
-    Returns ``(e, ||S||^2, eta, delta, f, ||S_skew||^2 4^-f, gap^2)`` for
-    ``2^-e S``, with ``2^-f`` the prescale of ``S_skew`` and ``gap`` the
-    Frobenius residual of the two eta routes.
+    The pass is all or nothing: a stack with a generator whose pass fails
+    (routes that disagree, a value beyond double precision) raises the
+    error of its first such generator, which is the error that generator
+    raises alone, and a failed batched eigensolve raises for the whole
+    stack.
     """
     # a = 2^-e U^dag S U, with U unitary and its largest entry O(1): no
     # product of a with itself can under- or overflow, and every norm is
     # that of 2^-e S. a is real when S preserves Hermiticity, and then so is
     # every product and eigensolve below.
     a, e = _hermitian_form(m)
+    e = np.array(e)
     # Each stack of temporaries is released before the next is allocated,
     # which keeps at most four alive besides S and the eigensolver's copy.
     ad = a.conj().swapaxes(-1, -2)  # a view of a when a is real
     c = ad @ a
-    norm_sq = _hermitian_norms(c)
+    norm = np.sqrt(_hermitian_norms(c))
     c = np.subtract(a @ ad, c, out=c)  # [S, S^dag]
     eta = _hermitian_norms(c)
     herm = a + ad
@@ -224,14 +226,14 @@ def _stack_pass(m: np.ndarray) -> tuple[list, ...]:
     delta = _hermitian_norms(herm)
     x = _cross_term(herm, skew)
     del herm
-    # ||S_skew||^2 from the Hermitian S_skew^dag S_skew, which stays real.
+    # ||S_skew|| from the Hermitian S_skew^dag S_skew, which stays real.
     # S_skew can be smaller than S by any factor (a weak drive next to strong
     # dissipation), so it takes its own exact power of two, 2^-f, before it
     # is squared; otherwise S_skew^dag S_skew could underflow to zero.
     f = np.frexp(np.abs(skew).max(axis=(-2, -1)))[1]
     parts = skew.view(np.float64)
     np.ldexp(parts, -f[:, None, None], out=parts)
-    skew_sq = _hermitian_norms(skew.conj().swapaxes(-1, -2) @ skew)
+    nd_norm = np.ldexp(np.sqrt(_hermitian_norms(skew.conj().swapaxes(-1, -2) @ skew)), f)
     del skew
     # [S, S^dag] = -2 [S_herm, S_skew] = -2 (X + X^dag), so the residual is
     # r = c + 2X + 2X^dag; build conj(r) = conj(c + 2X) + 2X^T in place and
@@ -242,49 +244,49 @@ def _stack_pass(m: np.ndarray) -> tuple[list, ...]:
     c += x.swapaxes(-1, -2)
     del x
     parts = c.view(np.float64)
-    gap_sq = np.einsum("kij,kij->k", parts, parts)
-    return (
-        e, norm_sq.tolist(), eta.tolist(), delta.tolist(), f.tolist(),
-        skew_sq.tolist(), gap_sq.tolist(),
+    gap = np.sqrt(np.einsum("kij,kij->k", parts, parts))
+    del c, parts
+
+    # Every test is relative, so it reads the prescaled values; the scaled
+    # back ones follow. A failing generator is named by its first failing
+    # test: the routes, then each value in field order.
+    norm_sq = _squares(norm)
+    hamiltonian = delta <= zero_tolerance(norm)
+    k = np.divide(eta, _squares(delta), out=np.full(len(eta), np.nan), where=~hamiltonian)
+    code = np.where(
+        hamiltonian,
+        _HAMILTONIAN,
+        np.where(eta <= ETA_RTOL * norm_sq, _NORMAL, _kappa_bands(k, thresholds)),
     )
-
-
-def _metrics_of(
-    e: int, norm_sq: float, eta: float, delta: float, f: int, skew_sq: float, gap_sq: float
-) -> StructuralMetrics:
-    """One generator's metrics from its prescaled norms (see ``_stack_pass``)."""
-    norm = math.sqrt(norm_sq)
-    nd_norm = math.ldexp(math.sqrt(skew_sq), f)
-    gap = math.sqrt(gap_sq)
-    if gap > 1e-8 * norm**2:
-        raise NumericalError(
-            "nonnormality routes disagree: ||[S, S^dag] + 2 [S_herm, S_skew]||_F = "
-            f"{gap / norm**2:.3e} ||S||^2 exceeds 1e-8 ||S||^2"
-        )
-    if delta <= zero_tolerance(norm):
-        k = None
-        regime = Regime.HAMILTONIAN
-    else:
-        k = eta / delta**2
-        regime = (
-            Regime.NORMAL_DISSIPATIVE if eta <= eta_tolerance(norm) else _kappa_band(k, None)
-        )
-    return StructuralMetrics(
-        delta=_scaled_back("delta", delta, e),
-        eta=_scaled_back("eta", eta, 2 * e),
-        nd_norm=_scaled_back("nd_norm", nd_norm, e),
-        kappa=k,
-        bound_margin=_scaled_back("bound_margin", 2.0 * delta * nd_norm - eta, 2 * e),
-        generator_norm=_scaled_back("generator_norm", norm, e),
-        regime=regime,
+    scaled = (
+        ("delta", delta, e),
+        ("eta", eta, 2 * e),
+        ("nd_norm", nd_norm, e),
+        ("bound_margin", 2.0 * delta * nd_norm - eta, 2 * e),
+        ("generator_norm", norm, e),
     )
-
-
-def _banded(base: StructuralMetrics, thresholds: RegimeThresholds | None) -> StructuralMetrics:
-    """``base`` with its regime banded by ``thresholds`` (the default bands for None)."""
-    if thresholds is None:
-        return base
-    return replace(base, regime=classify(base, thresholds))
+    with np.errstate(over="ignore"):
+        columns = {name: np.ldexp(value, exponent) for name, value, exponent in scaled}
+    disagree = gap > 1e-8 * norm_sq
+    overflow = [np.isinf(columns[name]) & np.isfinite(value) for name, value, _ in scaled]
+    failed = np.logical_or.reduce([disagree, *overflow])
+    if failed.any():
+        i = int(failed.argmax())
+        if disagree[i]:
+            raise NumericalError(
+                "nonnormality routes disagree: ||[S, S^dag] + 2 [S_herm, S_skew]||_F = "
+                f"{float(gap[i]) / float(norm[i]) ** 2:.3e} ||S||^2 exceeds 1e-8 ||S||^2"
+            )
+        for (name, value, exponent), bad in zip(scaled, overflow):
+            if bad[i]:
+                magnitude = math.log10(abs(float(value[i]))) + int(exponent[i]) * math.log10(2.0)
+                raise RangeError(
+                    f"{name} is about 1e{magnitude:.1f}, beyond double precision; "
+                    "rescale the model"
+                )
+    columns["kappa"] = k
+    columns["regime"] = _REGIME_VALUES[code]
+    return columns
 
 
 def compute_metrics(
@@ -317,17 +319,26 @@ def compute_metrics(
     ``| ||A|| - ||B|| | <= ||A - B||_F``, this is at least as strict as
     comparing the two norms.
 
-    The pass itself (``_analyze``) takes a stack of generators; this is the
-    stack of one, and sweeps run whole blocks of points through it. The
+    The pass itself (``_analyze``) takes a stack of generators and returns
+    columns; this is the stack of one, read at row 0, and sweeps run whole
+    blocks of points through it and write its columns as they are. The
     threshold-free values are computed once per Superoperator and kept on
     it (its matrix is frozen); the regime is banded by ``thresholds`` on
     every call.
     """
     base = getattr(s, "_metrics", None)
     if base is None:
-        (base,) = _analyze(s.matrix[None])
+        columns = _analyze(s.matrix[None])
+        k = float(columns["kappa"][0])
+        base = StructuralMetrics(
+            **{name: float(columns[name][0]) for name in _FLOAT_FIELDS},
+            kappa=None if math.isnan(k) else k,
+            regime=Regime(columns["regime"][0]),
+        )
         object.__setattr__(s, "_metrics", base)
-    return _banded(base, thresholds)
+    if thresholds is None:
+        return base
+    return replace(base, regime=classify(base, thresholds))
 
 
 @dataclass(frozen=True, eq=False)

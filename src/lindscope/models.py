@@ -27,6 +27,7 @@ through ``build`` to name the first that fails.
 from __future__ import annotations
 
 import functools
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -174,6 +175,22 @@ _QUBIT_KINDS = {
 }
 
 
+def _shown(value) -> str:
+    """``repr(value)``, or an integer of more than 20 digits by its order of magnitude.
+
+    Python prints no integer of more than 4300 digits, and a parameter can
+    be any integer.
+    """
+    if isinstance(value, int) and abs(value) >= 10**20:
+        exponent, digits = divmod(math.log10(abs(value)), 1.0)
+        mantissa = f"{10**digits:.1f}"
+        if mantissa == "10.0":  # rounded up to the next power of ten
+            mantissa, exponent = "1.0", exponent + 1
+        sign = "-" if value < 0 else ""
+        return f"an integer of about {sign}{mantissa}e{exponent:.0f}"
+    return repr(value)
+
+
 class _Params:
     """Pop-and-validate view over a spec's parameters, for a stack of points.
 
@@ -227,7 +244,7 @@ class _Params:
 
     def _not_finite(self, name: str, value) -> ConfigError:
         return ConfigError(
-            f"{self.kind}: parameter {name!r} must be a finite double, got {value!r}"
+            f"{self.kind}: parameter {name!r} must be a finite double, got {_shown(value)}"
         )
 
     def integer(self, name: str, default: int | None = None) -> int:
@@ -300,7 +317,7 @@ def _stack(spec: ModelSpec, max_entries: int | None = None) -> tuple:
     elif kind == "multi_qubit_dephasing":
         num = p.integer("k")
         if num < 1:
-            raise ConfigError(f"multi_qubit_dephasing: k must be at least 1, got {num}")
+            raise ConfigError(f"multi_qubit_dephasing: k must be at least 1, got {_shown(num)}")
         rates = p.rates(*p.numbers((f"gamma_{j + 1}", None) for j in range(num)))
         cap = dim_cap()
         if num >= cap.bit_length():  # 2**num > cap, without forming 2**num
@@ -310,7 +327,7 @@ def _stack(spec: ModelSpec, max_entries: int | None = None) -> tuple:
         values = p.numbers((("omega_a", 1.0), ("omega_c", 1.0), ("g", 0.1)))
         n_max = p.integer("n_max", 3)
         if n_max < 1:
-            raise ConfigError(f"n_max must be at least 1, got {n_max}")
+            raise ConfigError(f"n_max must be at least 1, got {_shown(n_max)}")
         rates = p.rates()
         cap = dim_cap()
         # n_max can be any integer a model file holds: name it, not the dimension
@@ -364,8 +381,14 @@ def build(spec: ModelSpec) -> LindbladModel:
     return LindbladModel(dim=h.shape[-1], hamiltonian=h[0], jumps=tuple(jumps[0]), label=label)
 
 
+def _number(value):
+    """A builder argument as a parameter: a Python int as it is (``build``
+    checks its range), anything else as a float."""
+    return value if type(value) is int else float(value)
+
+
 def _named(kind: str, **params) -> LindbladModel:
-    return build(ModelSpec(kind, {name: float(value) for name, value in params.items()}))
+    return build(ModelSpec(kind, {name: _number(value) for name, value in params.items()}))
 
 
 def dephasing(gamma_z: float = 1.0) -> LindbladModel:
@@ -401,7 +424,7 @@ def multi_qubit_dephasing(gammas: Sequence[float]) -> LindbladModel:
     One jump sqrt(gamma_k) * sigma_z at site k; the register dimension is
     2**len(gammas).
     """
-    rates = {f"gamma_{k + 1}": float(g) for k, g in enumerate(gammas)}
+    rates = {f"gamma_{k + 1}": _number(g) for k, g in enumerate(gammas)}
     return build(ModelSpec("multi_qubit_dephasing", {"k": len(rates), **rates}))
 
 
@@ -419,5 +442,5 @@ def jaynes_cummings(
     H = omega_c * n_field + (omega_a/2) * sigma_z + g * (lower x create + raise x destroy),
     on atom (x) field with the field truncated at Fock level n_max.
     """
-    spec = {"omega_a": float(omega_a), "omega_c": float(omega_c), "g": float(g)}
+    spec = {"omega_a": _number(omega_a), "omega_c": _number(omega_c), "g": _number(g)}
     return build(ModelSpec("jaynes_cummings", {**spec, "n_max": int(n_max)}))

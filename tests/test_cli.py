@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -320,6 +321,19 @@ class TestSweepAndRegimes:
         ]) == 1
 
 
+def _metrics_fields(metrics) -> dict:
+    """A sweep row's metrics, by field name, as one generator's metrics give them."""
+    return {
+        "delta": metrics.delta,
+        "eta": metrics.eta,
+        "nd_norm": metrics.nd_norm,
+        "kappa": "undefined" if metrics.kappa is None else metrics.kappa,
+        "bound_margin": metrics.bound_margin,
+        "regime": metrics.regime.value,
+        "generator_norm": metrics.generator_norm,
+    }
+
+
 def _per_point_sweep(config, fields):
     """A sweep one point at a time through the public calls, as the reference.
 
@@ -337,16 +351,39 @@ def _per_point_sweep(config, fields):
         except LindscopeError as exc:
             return type(exc), f"{config.param} = {value!r}: {exc}"
         row = {config.param: value}
-        row.update({k: v for k, v in cli._metrics_fields(metrics).items() if k in fields})
+        row.update({k: v for k, v in _metrics_fields(metrics).items() if k in fields})
         rows.append(row)
     return [config.param, *fields], rows
 
 
 def _stacked_sweep(config, fields):
+    """The columns of a sweep as the header and rows of ``_per_point_sweep``, or its error."""
     try:
-        return cli._sweep_rows(config, fields)
+        table = cli._sweep_columns(config, fields)
     except LindscopeError as exc:
         return type(exc), str(exc)
+    assert list(table) == [config.param, *fields]
+    for name, column in table.items():
+        assert column.shape == (len(table[config.param]),)
+        if name == "regime":
+            assert column.dtype.kind == "U"
+        else:
+            assert column.dtype == np.float64
+    rows = [dict(zip(table, row)) for row in zip(*(c.tolist() for c in table.values()))]
+    for row in rows:
+        if "kappa" in row and math.isnan(row["kappa"]):
+            row["kappa"] = "undefined"
+    return list(table), rows
+
+
+def _exact(sweep):
+    """A sweep's header and rows, or its error, with every float as its exact hex form."""
+    header, rows = sweep
+    if not isinstance(header, list):
+        return sweep
+    return header, [
+        {k: v.hex() if isinstance(v, float) else v for k, v in row.items()} for row in rows
+    ]
 
 
 def _sweep_config(path, param, start, stop, points, log_scale=False, thresholds=None):
@@ -370,7 +407,7 @@ class TestStackedSweeps:
         monkeypatch.setattr(
             cli, "_liouvillians", lambda h, jumps: blocks.append(len(h)) or stacked(h, jumps)
         )
-        assert _stacked_sweep(config, cli.SWEEP_FIELDS) == want
+        assert _exact(_stacked_sweep(config, cli.SWEEP_FIELDS)) == _exact(want)
         assert blocks == [256, 256, 256, 232]
         assert {row["regime"] for row in want[1]} == {
             "WeaklyNonnormal", "Crossover", "StronglyNonnormal"
@@ -395,7 +432,7 @@ class TestStackedSweeps:
         config = _sweep_config(path, param, start, stop, points)
         want = _per_point_sweep(config, cli.SWEEP_FIELDS)
         assert isinstance(want[0], list) is succeeds
-        assert _stacked_sweep(config, cli.SWEEP_FIELDS) == want
+        assert _exact(_stacked_sweep(config, cli.SWEEP_FIELDS)) == _exact(want)
 
     @pytest.mark.parametrize(
         "payload, param, start, stop, points, log_scale",
@@ -423,7 +460,7 @@ class TestStackedSweeps:
         config = _sweep_config(path, param, start, stop, points, log_scale)
         want = _per_point_sweep(config, cli.SWEEP_FIELDS)
         assert isinstance(want, tuple) and len(want) == 2
-        assert _stacked_sweep(config, cli.SWEEP_FIELDS) == want
+        assert _exact(_stacked_sweep(config, cli.SWEEP_FIELDS)) == _exact(want)
 
     def test_analysis_failure_named_before_build_failure(self, tmp_path, capsys):
         payload = {"model": {"type": "driven_dephasing", "gamma_z": 1.0, "omega": 1e10}}
@@ -468,7 +505,7 @@ class TestStackedSweeps:
         built = []
         one = cli.build
         monkeypatch.setattr(cli, "build", lambda spec: built.append(spec) or one(spec))
-        assert _stacked_sweep(config, cli.SWEEP_FIELDS) == want
+        assert _exact(_stacked_sweep(config, cli.SWEEP_FIELDS)) == _exact(want)
         assert 0 < len(built) <= 1024
 
     def test_failed_batched_eigensolve_retried_per_point(self, tmp_path, monkeypatch):
@@ -485,7 +522,7 @@ class TestStackedSweeps:
             return solver(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", batch_fails)
-        assert _stacked_sweep(config, cli.SWEEP_FIELDS) == want
+        assert _exact(_stacked_sweep(config, cli.SWEEP_FIELDS)) == _exact(want)
 
         def always_fails(a, *args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -494,6 +531,75 @@ class TestStackedSweeps:
         error, message = _stacked_sweep(config, cli.SWEEP_FIELDS)
         assert error is NumericalError
         assert message.startswith("omega = 0.001: Hermitian eigensolver failed")
+
+
+# Every named kind with a sweepable parameter: the model around the sweep.
+# A rate swept from 0 gives a point where delta is zero (kappa undefined),
+# and every hamiltonian_only point has delta zero.
+_SWEEPABLE = {
+    "dephasing": ({}, ("gamma_z",)),
+    "driven_dephasing": ({"gamma_z": 1.3, "omega": 0.7}, ("gamma_z", "omega")),
+    "relaxation": ({}, ("gamma_minus",)),
+    "dephasing_relaxation": ({"gamma_z": 0.4}, ("gamma_z", "gamma_minus")),
+    "pauli_channel": ({"gamma_x": 0.2, "gamma_y": 0.5}, ("gamma_x", "gamma_y", "gamma_z")),
+    "multi_qubit_dephasing": ({"k": 2, "gamma_1": 0.3, "gamma_2": 0.6}, ("gamma_1", "gamma_2")),
+    "hamiltonian_only": ({}, ("omega",)),
+    "jaynes_cummings": ({"n_max": 2, "g": 0.3}, ("omega_a", "omega_c", "g")),
+}
+
+
+def _main_captured(argv):
+    """``main(argv)`` in process: its exit code, stdout, stderr and warnings."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue(), caught
+
+
+class TestColumnsEqualPerPoint:
+    """A sweep's output text, written from the pass's columns, is the text
+    of its points taken one at a time and formatted row by row."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        command=st.sampled_from(["sweep", "regimes"]),
+        target=st.sampled_from(
+            [(kind, param) for kind, (_, params) in _SWEEPABLE.items() for param in params]
+        ),
+        start=st.just(0.0) | st.floats(1e-3, 1e3),
+        stop=st.floats(1e-3, 1e3),
+        points=st.integers(1, 600),
+        log_scale=st.booleans(),
+        bands=st.none() | st.tuples(st.floats(1e-3, 1.0), st.floats(1.0, 1e3)),
+        fmt=st.sampled_from(["csv", "json"]),
+    )
+    def test_text_equals_per_point(
+        self, command, target, start, stop, points, log_scale, bands, fmt
+    ):
+        kind, param = target
+        if log_scale:
+            start = max(start, 1e-3)
+        argv = [command, "", "--param", param, f"--from={start!r}", f"--to={stop!r}",
+                f"--points={points}", "--format", fmt, *(["--log"] if log_scale else [])]
+        if bands is not None and bands[0] < bands[1]:
+            argv += [f"--kappa-lo={bands[0]!r}", f"--kappa-hi={bands[1]!r}"]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write(Path(tmp), "m.json", {"model": {"type": kind, **_SWEEPABLE[kind][0]}})
+            argv[1] = path
+            config = cli._config_from_args(cli._build_parser().parse_args(argv))
+            fields = cli.SWEEP_FIELDS if command == "sweep" else cli.REGIMES_FIELDS
+            want = _per_point_sweep(config, fields)
+            code, out, err, caught = _main_captured(argv)
+        assert caught == []
+        header, rows = want
+        if not isinstance(header, list):
+            assert (code, out, err) == (1, "", f"error: {rows}\n")
+            return
+        text = to_json(rows) if fmt == "json" else to_csv(header, rows)
+        assert (code, out, err) == (0, text, "")
+        assert len(rows) == points
 
 
 class TestParserReuse:
@@ -594,6 +700,28 @@ class TestExitCodesAndFiles:
         out = tmp_path / "result.txt"
         assert main(["analyze", path, "--format", fmt, "--out", str(out)]) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_nan_sweep_column_one(self, tmp_path, capsys, monkeypatch, fmt):
+        # a NaN kappa marks the undefined kappa of delta = 0 (point 0 here);
+        # a NaN in any other column is an error, so one is planted in eta
+        analyze = cli._analyze
+
+        def planted(*args):
+            columns = analyze(*args)
+            columns["eta"][-1] = math.nan
+            return columns
+
+        path = write(tmp_path, "m.json", DEPHASING)
+        argv = ["regimes", path, "--param", "gamma_z", "--from", "0", "--to", "1",
+                "--points", "3", "--format", fmt]
+        assert main(argv) == 0
+        assert "undefined" in capsys.readouterr().out
+        monkeypatch.setattr(cli, "_analyze", planted)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a computed value is NaN; nothing was written\n"
 
     def test_no_partial_file_on_error(self, tmp_path):
         bad = write(tmp_path, "m.json", {"model": {"type": "nonsense"}})
@@ -820,6 +948,65 @@ class TestSweepFuzz:
         assert "nan" not in out.getvalue().lower()
         if code == 0:
             assert len(out.getvalue().splitlines()) == points + 1
+
+
+# Values json.loads accepts for a parameter: any double (subnormals, +-inf
+# and NaN included), integers past double range, and small integers for the
+# shape parameters.
+_PARAMETER_VALUES = (
+    st.sampled_from(
+        [math.nan, math.inf, -math.inf, 5e-324, 1e-310, -0.0, 1e308, 10**400, -(10**400)]
+    )
+    | st.floats()
+    | st.floats(0.0, 10.0)
+    | st.integers(-3, 40)
+)
+
+
+def _named_model():
+    """A named model object, each of its parameters present or not, at any value."""
+    def model(kind, values, k):
+        names = {
+            "multi_qubit_dephasing": ["k", *(f"gamma_{j + 1}" for j in range(k))],
+            "jaynes_cummings": ["omega_a", "omega_c", "g", "n_max"],
+        }.get(kind, _SWEEPABLE[kind][1])  # a qubit kind's real parameters are all sweepable
+        return {"type": kind, **{n: v for n, v in zip(names, values) if v is not None}}
+
+    return st.builds(
+        model,
+        st.sampled_from(sorted(_SWEEPABLE)),
+        st.lists(st.none() | _PARAMETER_VALUES, min_size=5, max_size=5),
+        st.integers(1, 3),
+    )
+
+
+class TestAnalyzeFuzz:
+    """Any named-model parameters and any analyze flags give a result or a
+    typed error: exit 0, 1 or 2, no traceback, no numpy warning, no NaN."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        model=_named_model(),
+        kappa_lo=st.none() | st.floats(1e-3, 1.0) | st.floats(),
+        kappa_hi=st.none() | st.floats(1.0, 1e3) | st.floats(),
+        fmt=st.none() | st.sampled_from(["csv", "json"]),
+    )
+    def test_analyze_boundary(self, model, kappa_lo, kappa_hi, fmt):
+        argv = ["analyze", ""]
+        if kappa_lo is not None:
+            argv.append(f"--kappa-lo={kappa_lo!r}")
+        if kappa_hi is not None:
+            argv.append(f"--kappa-hi={kappa_hi!r}")
+        if fmt is not None:
+            argv += ["--format", fmt]
+        with tempfile.TemporaryDirectory() as tmp:
+            argv[1] = write(Path(tmp), "m.json", {"model": model})
+            code, out, err, caught = _main_captured(argv)
+        assert code in (0, 1, 2)
+        assert caught == []
+        assert "Traceback" not in err
+        assert "nan" not in out.lower()
+        assert (out == "") is (code != 0)
 
 
 class TestStartup:

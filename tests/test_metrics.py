@@ -424,9 +424,38 @@ def _stacked(models):
     return h, np.array([model.jumps for model in models]).reshape(len(models), k, d, d)
 
 
+def _bits(m):
+    """Every field of one generator's metrics, each float as its exact hex form."""
+    return {
+        name: value.hex() if isinstance(value, float) else value for name, value in vars(m).items()
+    }
+
+
+def _row_bits(columns, i):
+    """Row ``i`` of the pass's columns in the form of ``_bits``: NaN kappa is None."""
+    row = {}
+    for name in ("delta", "eta", "nd_norm", "kappa", "bound_margin", "generator_norm"):
+        column = columns[name]
+        assert column.dtype == np.float64
+        value = float(column[i])
+        row[name] = None if name == "kappa" and math.isnan(value) else value.hex()
+    row["regime"] = Regime(columns["regime"][i])
+    return row
+
+
+def _column_bits(columns):
+    """Every row of the pass's columns in the form of ``_bits``."""
+    (size,) = {len(column) for column in columns.values()}
+    assert list(columns) == [
+        "delta", "eta", "nd_norm", "bound_margin", "generator_norm", "kappa", "regime"
+    ]
+    return [_row_bits(columns, i) for i in range(size)]
+
+
 class TestStackedPass:
     """The pass on a stack of generators gives, bit for bit, what it gives
-    on each generator alone (compute_metrics is the stack of one)."""
+    on each generator alone (compute_metrics is the stack of one, read at
+    row 0), in columns."""
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("jumps", [0, 1, 3])
@@ -442,14 +471,40 @@ class TestStackedPass:
         stack = _liouvillians(*_stacked(models))
         for model, m in zip(models, stack):
             assert np.array_equal(m, liouvillian(model).matrix)
-        got = _analyze(stack)
-        assert got == [compute_metrics(liouvillian(model)) for model in models]
+        for thresholds in (None, RegimeThresholds(0.5, 2.0)):
+            got = _column_bits(_analyze(stack, thresholds))
+            assert got == [
+                _bits(compute_metrics(liouvillian(model), thresholds)) for model in models
+            ]
         assert len({_hermitian_form(m)[1] for m in stack}) > 1
+
+    def test_every_regime_in_one_stack(self):
+        # Hamiltonian (kappa NaN), normal and all three kappa bands side by
+        # side, under the default bands and under custom ones
+        models = [
+            hamiltonian_only(np.diag([1.0, -1.0])),
+            dephasing(1.0),
+            driven_dephasing(1.0, 0.01),
+            driven_dephasing(1.0, 1.0),
+            driven_dephasing(1.0, 100.0),
+        ]
+        stack = np.stack([liouvillian(model).matrix for model in models])
+        for thresholds in (None, RegimeThresholds(0.001, 0.002), RegimeThresholds(1e3, 1e4)):
+            got = _column_bits(_analyze(stack, thresholds))
+            want = [_bits(compute_metrics(liouvillian(m), thresholds)) for m in models]
+            assert got == want
+        got = _analyze(stack)
+        assert got["regime"].tolist() == [
+            "Hamiltonian", "NormalDissipative", "WeaklyNonnormal", "Crossover",
+            "StronglyNonnormal",
+        ]
+        assert np.isnan(got["kappa"]).tolist() == [True, False, False, False, False]
 
     def test_raw_complex_stack_equals_per_point(self):
         rng = np.random.default_rng(80)
         ss = [Superoperator(3, random_complex(rng, 9, scale=10.0**k)) for k in (-3, 0, 5)]
-        assert _analyze(np.stack([s.matrix for s in ss])) == [compute_metrics(s) for s in ss]
+        got = _column_bits(_analyze(np.stack([s.matrix for s in ss])))
+        assert got == [_bits(compute_metrics(s)) for s in ss]
 
     def test_mixed_stack_runs_complex(self):
         # one matrix that does not preserve Hermiticity turns the whole
@@ -459,22 +514,70 @@ class TestStackedPass:
         raw = Superoperator(2, random_complex(rng, 4))
         stack = np.stack([lindblad.matrix, raw.matrix])
         assert _hermitian_form(stack)[0].dtype == np.complex128
-        got, want = _analyze(stack)[0], compute_metrics(lindblad)
+        got, want = _analyze(stack), compute_metrics(lindblad)
         for name in ("generator_norm", "delta", "eta", "nd_norm"):
-            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-13)
-        assert got.regime is want.regime
+            assert got[name][0] == pytest.approx(getattr(want, name), rel=1e-13)
+        assert got["regime"][0] == want.regime.value
+
+    # The messages the one-generator pass has always given for these
+    # generators: the first failing test of each, the routes first, then the
+    # values in field order (delta, eta, nd_norm, bound_margin, generator_norm).
+    ETA = "eta is about 1e310.6, beyond double precision; rescale the model"
+    DELTA = "delta is about 1e308.6, beyond double precision; rescale the model"
+    MARGIN = "bound_margin is about 1e320.3, beyond double precision; rescale the model"
+
+    @staticmethod
+    def _failing():
+        return {
+            TestStackedPass.ETA: liouvillian(driven_dephasing(1e10, 1e300)),
+            TestStackedPass.DELTA: Superoperator(2, np.full((4, 4), 1e308, dtype=complex)),
+            # normal, so eta is 0, but 2 delta nd_norm overflows
+            TestStackedPass.MARGIN: Superoperator(2, np.diag([1e160 + 1e160j, 0, 0, 0])),
+        }
 
     def test_failure_is_the_failing_generators(self):
-        # a stack passes or fails as a whole, with the error its failing
-        # generator raises alone
+        # a stack passes or fails as a whole, with the error its first
+        # failing generator raises alone, whatever later generators fail
         good = liouvillian(dephasing_relaxation(1.0, 1.0))
-        huge = liouvillian(driven_dephasing(1e10, 1e300))  # eta overflows
-        with pytest.raises(RangeError) as alone:
-            compute_metrics(huge)
-        with pytest.raises(RangeError) as stacked:
-            _analyze(np.stack([good.matrix, huge.matrix, good.matrix]))
-        assert str(stacked.value) == str(alone.value)
-        assert str(alone.value).startswith("eta is about")
+        failing = self._failing()
+        for message, s in failing.items():
+            with pytest.raises(RangeError) as alone:
+                compute_metrics(s)
+            assert str(alone.value) == message
+            for order in ([good, s, good], [s, *failing.values()]):
+                with pytest.raises(RangeError) as stacked:
+                    _analyze(np.stack([m.matrix for m in order]))
+                assert str(stacked.value) == message
+
+    def test_route_failure_is_the_failing_generators(self, monkeypatch):
+        # the routes are checked before any value, for the first failing
+        # generator, with the residual it gives alone
+        import lindscope.metrics
+
+        s = _dissipative_generator(41)
+        cross_term = lindscope.metrics._cross_term
+
+        def perturbed(h, k):  # only the stack's last generator disagrees
+            x = cross_term(h, k)
+            x[-1] *= 1 + 1e-6
+            return x
+
+        monkeypatch.setattr(lindscope.metrics, "_cross_term", perturbed)
+        message = (
+            "nonnormality routes disagree: ||[S, S^dag] + 2 [S_herm, S_skew]||_F = "
+            "9.514e-07 ||S||^2 exceeds 1e-8 ||S||^2"
+        )
+        with pytest.raises(NumericalError) as alone:
+            compute_metrics(Superoperator(s.dim, s.matrix))
+        assert str(alone.value) == message
+        good = _dissipative_generator(40).matrix
+        # normal, and fails a value, which is checked after the routes
+        late = np.diag([1e160 + 1e160j, *[0.0] * 8])
+        with pytest.raises(NumericalError) as stacked:
+            _analyze(np.stack([good, s.matrix]))
+        assert str(stacked.value) == message
+        with pytest.raises(RangeError, match="^bound_margin"):
+            _analyze(np.stack([late, s.matrix]))
 
     def test_four_eigensolves_per_stack(self, monkeypatch):
         models = [random_model(np.random.default_rng(82 + k), d=3, force_hamiltonian_only=True)
@@ -483,7 +586,7 @@ class TestStackedPass:
         calls = {"eigvalsh": 0}
         counting = functools.partial(_counting, calls)
         monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
-        assert len(_analyze(stack)) == 50
+        assert len(_column_bits(_analyze(stack))) == 50
         assert calls == {"eigvalsh": 4}
 
 

@@ -201,6 +201,45 @@ class TestBuildFromSpec:
         with pytest.raises(ConfigError, match=r"^driven_dephasing: parameter 'omega' must be a finite"):
             build(ModelSpec("driven_dephasing", {"gamma_z": 1.0, "omega": value}))
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: build(ModelSpec("dephasing", {"gamma_z": 10**5000})),
+             "dephasing: parameter 'gamma_z' must be a finite double, "
+             "got an integer of about 1.0e5000"),
+            (lambda: build(ModelSpec("jaynes_cummings", {"n_max": -10**5000})),
+             "n_max must be at least 1, got an integer of about -1.0e5000"),
+            (lambda: build(ModelSpec("multi_qubit_dephasing", {"k": -10**5000})),
+             "multi_qubit_dephasing: k must be at least 1, got an integer of about -1.0e5000"),
+            (lambda: dephasing(10**5000),
+             "dephasing: parameter 'gamma_z' must be a finite double, "
+             "got an integer of about 1.0e5000"),
+            (lambda: driven_dephasing(omega=-10**5000),
+             "driven_dephasing: parameter 'omega' must be a finite double, "
+             "got an integer of about -1.0e5000"),
+            (lambda: jaynes_cummings(g=3 * 10**400),
+             "jaynes_cummings: parameter 'g' must be a finite double, "
+             "got an integer of about 3.0e400"),
+            (lambda: jaynes_cummings(n_max=-10**5000),
+             "n_max must be at least 1, got an integer of about -1.0e5000"),
+            (lambda: multi_qubit_dephasing([1.0, 10**5000]),
+             "multi_qubit_dephasing: parameter 'gamma_2' must be a finite double, "
+             "got an integer of about 1.0e5000"),
+            (lambda: relaxation(10**400 - 10**397),
+             "relaxation: parameter 'gamma_minus' must be a finite double, "
+             "got an integer of about 1.0e400"),
+        ],
+        ids=["build-rate", "build-n_max", "build-k", "dephasing", "driven_dephasing",
+             "jaynes_cummings-g", "jaynes_cummings-n_max", "multi_qubit_dephasing",
+             "relaxation-rounded-up"],
+    )
+    def test_huge_integer_named_briefly(self, make, message):
+        # Python prints no integer of more than 4300 digits; the error names
+        # the parameter and the integer's order of magnitude
+        with pytest.raises(ConfigError) as raised:
+            make()
+        assert str(raised.value) == message
+
     def test_integer_parameter_validation(self):
         with pytest.raises(ConfigError):
             build(ModelSpec("jaynes_cummings", {"n_max": 2.5}))
