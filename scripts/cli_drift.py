@@ -20,11 +20,15 @@ kinds cover each kind's stacked build: ``dephasing_relaxation`` over
 fail cover which point a sweep names: the four of
 ``tests/test_cli.py::TestStackedSweeps::test_first_failure_in_sweep_order``,
 a 3000-point sweep whose first failing point is in its third stack of
-points, and an ``n_max`` sweep that fails at a non-integer. Each side runs
+points, and an ``n_max`` sweep that fails at a non-integer. The named
+models that split into many symmetry sectors run too: ``analyze`` on
+``jaynes_cummings`` at ``n_max`` 7 and 15 and on ``multi_qubit_dephasing``
+at k 4 and 5, ``series`` on ``jaynes_cummings`` at ``n_max`` 7, and
+``regimes`` over its ``g``. Each side runs
 in its own interpreter with one BLAS thread: the working tree's ``src/``,
 and REF's ``src/`` unpacked by ``git archive`` into a temporary directory
 (removed afterwards). Both read the working tree's model files, and the
-failing sweeps' model files, written to that directory.
+failing sweeps' and the sectored models' files, written to that directory.
 
 Prints the largest relative deviation of any number per command and exits
 1 on a changed label (a regime or ``appg_satisfied`` flip), a changed exit
@@ -92,6 +96,20 @@ FAILING = (
 )
 
 
+# Named models with many symmetry sectors, by the name of their file.
+SECTORED = (
+    ("jaynes_cummings-7", {"type": "jaynes_cummings", "omega_a": 1.0, "omega_c": 1.1,
+                           "g": 0.1, "n_max": 7}),
+    ("jaynes_cummings-15", {"type": "jaynes_cummings", "omega_a": 1.0, "omega_c": 1.1,
+                            "g": 0.1, "n_max": 15}),
+    ("multi_qubit_dephasing-4", {"type": "multi_qubit_dephasing", "k": 4, "gamma_1": 0.1,
+                                 "gamma_2": 0.2, "gamma_3": 0.3, "gamma_4": 0.4}),
+    ("multi_qubit_dephasing-5", {"type": "multi_qubit_dephasing", "k": 5, "gamma_1": 0.1,
+                                 "gamma_2": 0.2, "gamma_3": 0.3, "gamma_4": 0.4,
+                                 "gamma_5": 0.5}),
+)
+
+
 def commands(tmp: Path) -> list[tuple[str, list[str]]]:
     """Every command, as ``(name, argv)``; the failing sweeps' models go to ``tmp``."""
     out = []
@@ -130,6 +148,16 @@ def commands(tmp: Path) -> list[tuple[str, list[str]]]:
         flags = ["--param", param, "--from", start, "--to", stop, "--points", points, "--log"]
         out.append((f"sweep-{param} {name}.json", ["sweep", path, *flags]))
         out.append((f"regimes-{param} {name}.json", ["regimes", path, *flags]))
+    # the named models that split into many sectors, at the sizes where
+    # they split most
+    for name, model in SECTORED:
+        path = tmp / f"{name}.json"
+        path.write_text(json.dumps({"model": model}), encoding="utf-8")
+        out.append((f"analyze {name}", ["analyze", str(path)]))
+    jaynes_7 = str(tmp / "jaynes_cummings-7.json")
+    out.append(("series jaynes_cummings-7", ["series", jaynes_7]))
+    coupling = ["--param", "g", "--from", "1e-3", "--to", "10", "--points", "30", "--log"]
+    out.append(("regimes-g jaynes_cummings-7", ["regimes", jaynes_7, *coupling]))
     for name, model, param, start, stop, points, log_scale in FAILING:
         path = tmp / f"fail-{name}.json"
         path.write_text(json.dumps({"model": model}), encoding="utf-8")

@@ -36,6 +36,17 @@ positive semidefinite matrix is perfectly conditioned, so this holds the
 accuracy of an SVD, as in the analysis pass of ``metrics``. A generator
 that does not preserve Hermiticity runs the same steps on the complex
 rotation.
+
+Where the rotation splits into exact symmetry sectors
+(``superop._sectors``), ``exp(t S)`` and its Gram matrix are block diagonal
+too, so the series steps the blocks, zero-padded into one stack, and each
+norm is the largest over the blocks: one batched exponential, product and
+Gram eigensolve per step, on ``b x b`` blocks instead of the ``n x n``
+whole. The exponential of a padded zero block is the identity, so the
+padded rows of ``P_0`` are zeroed; they then stay zero in every product.
+The spectral abscissa stays on the whole rotation, where no padding adds a
+zero eigenvalue. Against the whole matrix, the norms move by a few ulps
+(3.5e-15 relative at most for ``jaynes_cummings`` at ``n_max = 7``).
 """
 
 from __future__ import annotations
@@ -49,14 +60,14 @@ import numpy as np
 from .errors import ConfigError, RangeError
 from .linalg import (
     EXP_SAFE_NORM,
+    _hermitian_norms,
     as_complex_matrix,
     eigenvalues_general,
-    hermitian_norm,
     hs_norm,
     matrix_exp,
 )
 from .metrics import Regime, compute_metrics, zero_tolerance
-from .superop import Superoperator, _hermitian_coords, _hermitian_form, decompose
+from .superop import Superoperator, _hermitian_coords, _hermitian_form, _sectors, decompose
 
 __all__ = [
     "MAX_STEPS",
@@ -150,13 +161,16 @@ def _check_range(norm: float, t: float) -> None:
 
 
 def _stepped_propagators(
-    a: np.ndarray, e: int, grid: TimeGrid, norm: float
+    a: np.ndarray, e: int, grid: TimeGrid, norm: float, live: np.ndarray | None = None
 ) -> Iterator[np.ndarray]:
     """Yield ``U^dag exp(t S) U`` at each grid time, stepping P_{k+1} = exp(h S) @ P_k.
 
     ``(a, e)`` is ``_hermitian_form`` of the generator, ``a = 2^-e U^dag S U``,
     so each exponential is taken of ``(t 2^e) a`` and is real when ``a`` is.
-    ``norm`` is ||S||; the start time and the step must each stay in the
+    ``a`` may instead be the generator's blocks (``superop._sectors``), with
+    ``live`` the mask of their rows that are not padding; the propagators
+    are then those blocks of ``U^dag exp(t S) U``, and every padded row is
+    0. ``norm`` is ||S||; the start time and the step must each stay in the
     exponential's safe range. Overflow of a growing propagator is an error.
     """
     _check_range(norm, grid.t_start)
@@ -176,6 +190,10 @@ def _stepped_propagators(
     # (the largest entry of 2^-e S is), so the scaled times cannot overflow
     step = matrix_exp(math.ldexp(h, e) * a)
     p = matrix_exp(math.ldexp(grid.t_start, e) * a)
+    if live is not None:
+        # the exponential of a padded zero block is the identity; as zeros,
+        # the padding stays zero in every product and adds no norm
+        p *= live[..., None]
     yield p
     for t in grid.times[1:]:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -188,14 +206,17 @@ def _stepped_propagators(
 def _propagator_norm(p: np.ndarray) -> float:
     """``||p||_2`` as the square root of the largest eigenvalue of ``p^dag p``.
 
-    ``p`` is first scaled by the exact power of two that brings its largest
-    entry into [1/2, 1), so the Gram matrix can neither over- nor underflow.
-    ``p`` is C-contiguous, as every product and exponential is, so its real
-    and imaginary parts can be scaled as one float64 view.
+    ``p`` is one matrix, or the blocks of a block-diagonal one as a stack,
+    whose norm is the largest of theirs. It is first scaled by the exact
+    power of two that brings its largest entry into [1/2, 1), so the Gram
+    matrices can neither over- nor underflow. ``p`` is C-contiguous, as
+    every product and exponential is, so its real and imaginary parts can
+    be scaled as one float64 view.
     """
     f = math.frexp(float(np.abs(p).max()))[1]
     q = np.ldexp(p.view(np.float64), -f).view(p.dtype)
-    return math.ldexp(math.sqrt(hermitian_norm(q.conj().T @ q)), f)
+    gram = q.conj().swapaxes(-1, -2) @ q
+    return math.ldexp(math.sqrt(float(_hermitian_norms(gram).max())), f)
 
 
 def _abscissa(a: np.ndarray, e: int) -> float:
@@ -249,8 +270,10 @@ def amplification_series(s: Superoperator, grid: TimeGrid) -> AmplificationSerie
     m = compute_metrics(s)
     delta, eta, nd_norm = m.delta, m.eta, m.nd_norm
     a, e = _hermitian_form(s.matrix)
-    propagators = _stepped_propagators(a, e, grid, m.generator_norm)
+    blocks, live = _sectors(a[None]) or (a, None)
+    propagators = _stepped_propagators(blocks, e, grid, m.generator_norm, live)
     prop = np.array([_propagator_norm(p) for p in propagators])
+    # on the whole rotation: a padded block would add zero eigenvalues
     alpha = _abscissa(a, e)
 
     times = grid.times

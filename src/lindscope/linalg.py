@@ -85,6 +85,16 @@ def _square(a) -> np.ndarray:
     return m
 
 
+def _square_stack(a) -> np.ndarray:
+    """``a`` as a square matrix or a stack of them, ``(..., n, n)``, typed as by ``_as2d``."""
+    m = np.asarray(a)
+    if m.dtype != np.float64:
+        m = np.asarray(m, dtype=complex)
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise DimensionError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    return m
+
+
 def dagger(m) -> np.ndarray:
     """Conjugate transpose."""
     return _as2d(m).conj().T
@@ -163,11 +173,13 @@ def eigenvalues_general(m) -> np.ndarray:
 def matrix_exp(m) -> np.ndarray:
     """Matrix exponential exp(m), by scaling-and-squaring with a Pade approximant.
 
-    Accuracy is guaranteed only for spectral norm up to EXP_SAFE_NORM; beyond
-    that a RangeError tells the caller to rescale its time grid. The range
-    test first takes the O(n^2) bound ``sqrt(||m||_1 ||m||_inf) >= ||m||_2``
-    and runs the exact SVD only when that bound exceeds the range, so the
-    error is raised exactly when ``||m||_2 > EXP_SAFE_NORM``.
+    ``m`` is a square matrix or a stack of them, ``(..., n, n)``, whose
+    exponentials are taken together. Accuracy is guaranteed only for
+    spectral norm up to EXP_SAFE_NORM; beyond that a RangeError tells the
+    caller to rescale its time grid. The range test first takes the O(n^2)
+    bound ``sqrt(||m||_1 ||m||_inf) >= ||m||_2``, the largest of each over a
+    stack, and runs the exact SVD only when that bound exceeds the range,
+    so the error is raised exactly when some ``||m||_2 > EXP_SAFE_NORM``.
 
     The exponential itself is Algorithm 2.3 of N. J. Higham, "The scaling
     and squaring method for the matrix exponential revisited", SIAM J.
@@ -177,16 +189,16 @@ def matrix_exp(m) -> np.ndarray:
     formed as ``I + 2 (V - U)^-1 U``, so a zero matrix, whose ``U`` is
     exactly zero, gives the identity exactly.
     """
-    m = _square(m)
+    m = _square_stack(m)
     mag = np.abs(m)
-    norm_1 = float(mag.sum(axis=0).max())
+    norm_1 = float(mag.sum(axis=-2).max())
     if not math.isfinite(norm_1):
         raise NumericalError("matrix contains NaN or Inf entries")
-    bound = math.sqrt(norm_1 * float(mag.sum(axis=1).max()))
+    bound = math.sqrt(norm_1 * float(mag.sum(axis=-1).max()))
     # the margin covers the rounding of the sums, so skipping the SVD below
     # it never changes the outcome
-    if not bound <= EXP_SAFE_NORM * (1.0 - 2.0 * m.shape[0] * np.finfo(float).eps):
-        norm = spectral_norm(m)
+    if not bound <= EXP_SAFE_NORM * (1.0 - 2.0 * m.shape[-1] * np.finfo(float).eps):
+        norm = float(np.linalg.svd(m, compute_uv=False)[..., 0].max())
         if norm > EXP_SAFE_NORM:
             raise RangeError(
                 f"matrix norm {norm:.6g} exceeds safe range {EXP_SAFE_NORM:g}; "
@@ -212,8 +224,10 @@ def _pade_exp(a: np.ndarray, norm_1: float) -> np.ndarray:
 
     The identity takes the dtype of ``a``, so a float64 ``a`` runs in real
     arithmetic and gives a real exponential; a complex128 one, a complex one.
+    ``a`` may be a stack ``(..., n, n)``, with ``norm_1`` the largest 1-norm
+    in it; every matrix then takes the same number of squarings.
     """
-    ident = np.eye(a.shape[0], dtype=a.dtype)
+    ident = np.eye(a.shape[-1], dtype=a.dtype)
     squarings = 0
     if norm_1 > _PADE_THETA_13:
         squarings = math.ceil(math.log2(norm_1 / _PADE_THETA_13))

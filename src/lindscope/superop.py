@@ -22,6 +22,10 @@ stacks of ``models._stack`` go straight into ``_liouvillians``, a block of
 points at a time. A block with an overflowing generator fails as a whole,
 and the sweep takes its points again one at a time through ``liouvillian``.
 
+``_sectors`` splits a stack of real forms into its exact symmetry sectors,
+the decoupled blocks that the analysis pass and the propagator series run
+on where the split pays.
+
 All values are immutable after construction (arrays are frozen), so they
 are safe to share across threads.
 """
@@ -259,6 +263,92 @@ def _hermitian_form(m: np.ndarray) -> tuple[np.ndarray, int | list]:
     out *= weight[:, None]
     out *= weight
     return out, e.tolist()
+
+
+# A split into sectors pays when its padded blocks, weighed as B * b^3
+# against the n^3 of the whole, cost at most this share of it. Per matrix,
+# the pass took (one BLAS thread, stacks of 256) 0.5, 2.0, 4.4, 6.4, 18 and
+# 67 us at b = 1, 2, 3, 4, 8 and 16, about b^2 at small sizes. So at d = 2
+# a split into 2 blocks of 3 (share 0.84) or 3 of 2 (0.38) costs 1.3-1.7x
+# the whole, one into 4 blocks of 1 (0.06) saves a fifth, and at d = 8 the
+# split of jaynes_cummings into 16 blocks of at most 8 (0.03) halves it.
+_SECTOR_SHARE = 1 / 8
+
+
+def _sectors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The decoupled blocks of a stack of real forms ``(k, n, n)``, or None.
+
+    Two basis elements are in one sector when a path of nonzero entries of
+    ``a + a^T``, taken over the whole stack, joins them; permuted into
+    sectors, every matrix of the stack is block diagonal. The blocks come
+    zero-padded to the size ``b`` of the largest, as a ``(k * B, b, b)``
+    stack (each matrix's ``B`` blocks in turn), with the ``(B, b)`` mask of
+    the rows that are not padding. None when the stack is one sector or
+    when ``B * b^3`` exceeds ``_SECTOR_SHARE * n^3``, the split then not
+    paying (see ``_SECTOR_SHARE``). The split is exact: a zero computed as
+    exactly 0 makes the matrix exactly block diagonal, and a spurious
+    nonzero only merges blocks.
+
+    A stack whose first basis element is coupled to every other is one
+    sector, which is tested first in O(k n); otherwise the pattern, one
+    bool per entry, decides through ``_sector_table``.
+    """
+    k, n = a.shape[0], a.shape[-1]
+    if ((a[:, 0, 1:] != 0) | (a[:, 1:, 0] != 0)).any(axis=0).all():
+        return None
+    pattern = (a != 0).any(axis=0)
+    pattern |= pattern.T
+    table = _sector_table(np.packbits(pattern).tobytes(), n)
+    if table is None:
+        return None
+    live = table >= 0
+    inside = live[:, :, None] & live[:, None, :]
+    where = (table[:, :, None] * n + table[:, None, :])[inside]
+    blocks = np.zeros((k, *inside.shape), dtype=a.dtype)
+    blocks[:, inside] = a.reshape(k, n * n)[:, where]
+    return blocks.reshape(k * len(table), *inside.shape[1:]), live
+
+
+@functools.lru_cache(maxsize=16)
+def _sector_table(packed: bytes, n: int) -> np.ndarray | None:
+    """The sectors of the symmetric ``n x n`` pattern that ``np.packbits`` packed.
+
+    Returns the ``(B, b)`` table of each sector's elements in ascending
+    order, padded with -1, or None (see ``_sectors``). The pattern is the
+    key, so a hit is exact; a sweep hits it at every point of one pattern.
+    An entry holds ``n`` integers besides its key of ``n^2`` bits.
+    """
+    pattern = np.unpackbits(np.frombuffer(packed, np.uint8), count=n * n).reshape(n, n)
+    # the entries of B blocks of b cover at most b n of the pattern, and
+    # B b^3 >= n b^2, so a pattern denser than sqrt(share) n^2 cannot pay;
+    # it is turned down before any index of its entries is formed
+    if np.count_nonzero(pattern) > math.sqrt(_SECTOR_SHARE) * n * n:
+        return None
+    np.fill_diagonal(pattern, 1)
+    rows, cols = np.nonzero(pattern)
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    # each element takes the least label among its neighbours and then its
+    # label's label, until the labels settle: then every sector is labeled
+    # by its least element
+    label = np.arange(n)
+    while True:
+        new = np.minimum.reduceat(label[cols], starts)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    # the sectors in the order of their least elements
+    sector = np.cumsum(label == np.arange(n))[label] - 1
+    counts = np.bincount(sector)
+    count, size = len(counts), int(counts.max())
+    if count == 1 or count * size**3 > _SECTOR_SHARE * n**3:
+        return None
+    # each sector's elements in ascending order, padded with -1
+    order = np.argsort(sector, kind="stable")
+    first = np.cumsum(counts) - counts
+    table = np.full((count, size), -1)
+    table[sector[order], np.arange(n) - first[sector[order]]] = order
+    return _frozen(table)
 
 
 def _hermitian_coords(rho: np.ndarray) -> np.ndarray:

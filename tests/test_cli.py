@@ -1009,6 +1009,62 @@ class TestAnalyzeFuzz:
         assert (out == "") is (code != 0)
 
 
+# Entries and rates of every magnitude: zeros of both signs, subnormals,
+# tiny, unit and huge values, the largest double, and any finite double.
+_MAGNITUDES = st.sampled_from(
+    [0.0, -0.0, 5e-324, -1e-310, 1e-200, -1e-20, 0.5, -1.0, 3.0, 1e20, -1e200, 1e308,
+     -1.7976931348623157e308]
+) | st.floats(allow_nan=False, allow_infinity=False)
+_RATES = st.sampled_from(
+    [0, 5e-324, 1e-300, 1.0, 2, 1e300, 1.7976931348623157e308, -1.0, math.inf, math.nan]
+) | st.floats(0.0, 1e3)
+
+
+@st.composite
+def _explicit_model(draw):
+    """An explicit model object at d <= 3: a Hermitian H or any H, jumps at
+    any rate, every entry of any magnitude; diagonal H and jumps, whose
+    generators split into sectors, about half the time."""
+    d = draw(st.integers(1, 3))
+    diagonal = draw(st.booleans())
+
+    def matrix(hermitian):
+        m = [[[0.0, 0.0] for _ in range(d)] for _ in range(d)]
+        for i in range(d):
+            for j in range(i if hermitian else 0, d):
+                if diagonal and i != j:
+                    continue
+                re, im = draw(_MAGNITUDES), draw(_MAGNITUDES)
+                m[i][j] = [re, 0.0 if hermitian and i == j else im]
+                if hermitian and i != j:
+                    m[j][i] = [re, -im]
+        return m
+
+    jumps = [
+        {"rate": draw(_RATES), "matrix": matrix(False)} for _ in range(draw(st.integers(0, 2)))
+    ]
+    return {"dim": d, "hamiltonian": matrix(draw(st.booleans())), "jumps": jumps}
+
+
+class TestExplicitFuzz:
+    """Any explicit matrices at d <= 3 give, through analyze and series, a
+    result or a typed error: exit 0, 1 or 2, no traceback, no numpy
+    warning, no NaN."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(model=_explicit_model())
+    def test_explicit_boundary(self, model):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write(Path(tmp), "m.json", model)
+            for command in ("analyze", "series"):
+                code, out, err, caught = _main_captured([command, path])
+                assert code in (0, 1, 2)
+                assert caught == []
+                assert "Traceback" not in err
+                assert "nan" not in out.lower()
+                assert (out == "") is (code != 0)
+
+
 class TestStartup:
     def test_no_scipy_on_cli_path(self):
         # scipy is a test dependency only: importing the CLI and running

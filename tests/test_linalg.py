@@ -26,6 +26,7 @@ from lindscope import (
 )
 from lindscope.linalg import (
     _PADE_THETA_13,
+    _pade_exp,
     as_complex_matrix,
     hermiticity_defect,
     hermiticity_tolerance,
@@ -309,6 +310,30 @@ class TestPadeExp:
             if kind == "anti_hermitian":
                 sv = np.linalg.svd(got, compute_uv=False)
                 assert np.abs(sv - 1.0).max() <= 1e-14
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_stack_equals_per_matrix(self, dtype):
+        # the exponentials of a stack, bit for bit those of its matrices
+        # taken one at a time with the stack's 1-norm (so the same squarings)
+        rng = np.random.default_rng(120)
+        stack = np.stack([_exp_input(kind, rng, 6) for kind in EXP_KINDS])
+        stack = np.ascontiguousarray(stack.real if dtype is float else stack)
+        stack *= np.array([1e-8, 0.1, 1.0, 2.0, 4.0, 8.0])[:, None, None]
+        norm_1 = float(np.abs(stack).sum(axis=-2).max())
+        got = _pade_exp(stack, norm_1)
+        assert got.dtype == dtype
+        for m, g in zip(stack, got):
+            assert g.tobytes() == _pade_exp(m, norm_1).tobytes()
+        assert matrix_exp(stack).tobytes() == got.tobytes()
+
+    def test_stack_range_is_the_largest(self):
+        # the range test of a stack fails when one matrix is out of range
+        hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+        matrix_exp(np.stack([np.eye(2), 49.9 * hadamard]))
+        with pytest.raises(RangeError):
+            matrix_exp(np.stack([np.eye(2), 50.1 * hadamard]))
+        with pytest.raises(DimensionError):
+            matrix_exp(np.zeros((3, 2, 3)))
 
     @pytest.mark.parametrize("n", [1, 2, 9, 64])
     def test_zero_is_identity(self, n):

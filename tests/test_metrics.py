@@ -29,12 +29,14 @@ from lindscope import (
     bound_check,
     classify,
     compute_metrics,
+    default_grid,
     dephasing,
     dephasing_relaxation,
     dissipative_strength,
     driven_dephasing,
     eigenvalues_general,
     hamiltonian_only,
+    jaynes_cummings,
     kappa,
     liouvillian,
     multi_qubit_dephasing,
@@ -46,7 +48,7 @@ from lindscope import (
 )
 from lindscope.cli import parse_model_file
 from lindscope.metrics import _analyze, eta_tolerance, zero_tolerance
-from lindscope.superop import _hermitian_form, _liouvillians, decompose
+from lindscope.superop import _hermitian_form, _liouvillians, _sectors, decompose
 
 
 def metrics_of(model):
@@ -693,3 +695,208 @@ class TestAgainstSvd:
         assert m.bound_margin == pytest.approx(bulk - eta, abs=rel * (bulk + eta + norm**2))
         if m.kappa is not None:
             assert m.kappa == pytest.approx(eta / delta**2, rel=rel, abs=rel)
+
+
+def _planted(seed):
+    """A random Lindbladian with a weak U(1) symmetry, its charges in random basis order.
+
+    Each basis state takes a random charge; H and the charge-keeping jumps
+    couple only states of one charge, and a hopping jump, when present,
+    lowers the charge by one. Every such generator keeps the charge
+    difference of ``|i><j|``, so its real form is block diagonal once its
+    basis is permuted into sectors, which the random charges scatter.
+    """
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(6, 11))
+    charge = rng.integers(0, rng.integers(3, 6), size=d)
+    same = charge[:, None] == charge[None, :]
+    h = random_hermitian(rng, d) * same
+    jumps = [random_complex(rng, d) * same for _ in range(int(rng.integers(1, 3)))]
+    if rng.random() < 0.25:
+        jumps.append(random_complex(rng, d) * (charge[:, None] == charge[None, :] - 1))
+    return LindbladModel(d, h, tuple(jumps), label=f"planted({seed})")
+
+
+def _dephased_jaynes_cummings(n_max):
+    """jaynes_cummings with atomic and cavity dephasing: nonnormal, with the sectors
+    of the excitation numbers of both sides of ``|i><j|``."""
+    jc = jaynes_cummings(omega_a=1.0, omega_c=1.1, g=0.3, n_max=n_max)
+    cavity = np.kron(np.eye(2), np.diag(np.arange(n_max + 1.0)))
+    atom = np.kron(SZ, np.eye(n_max + 1))
+    return LindbladModel(jc.dim, jc.hamiltonian, (0.5 * cavity, 0.2 * atom), label="dephased")
+
+
+SECTOR_MODELS = {
+    **{p.stem: parse_model_file(str(p)) for p in sorted(MODELS_DIR.glob("*.json"))},
+    "jaynes_cummings-7": jaynes_cummings(omega_a=1.0, omega_c=1.1, g=0.1, n_max=7),
+    "multi_qubit_dephasing-4": multi_qubit_dephasing([0.1, 0.2, 0.3, 0.4]),
+    "dephased_jaynes_cummings-3": _dephased_jaynes_cummings(3),
+    "dephased_jaynes_cummings-5": _dephased_jaynes_cummings(5),
+    **{f"planted-{seed}": _planted(seed) for seed in range(12)},
+}
+
+
+def _unsplit(monkeypatch):
+    """From here on, the pass and the series run on the whole generator."""
+    import lindscope.dynamics
+    import lindscope.metrics
+
+    for module in (lindscope.metrics, lindscope.dynamics):
+        monkeypatch.setattr(module, "_sectors", lambda a: None)
+
+
+def _assert_relative(got, want, rel=1e-14):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert (np.abs(got - want) <= rel * np.maximum(np.abs(got), np.abs(want))).all()
+
+
+def _assert_metrics_close(got, want):
+    assert got.regime is want.regime
+    assert (got.kappa is None) is (want.kappa is None)
+    for name in ("delta", "eta", "nd_norm", "generator_norm", *(["kappa"] * (got.kappa is not None))):
+        _assert_relative(getattr(got, name), getattr(want, name))
+    # a difference that cancels: relative to its terms, as scripts/cli_drift.py takes it
+    terms = 2.0 * want.delta * want.nd_norm + want.eta
+    assert abs(got.bound_margin - want.bound_margin) <= 1e-14 * terms
+
+
+class TestSectors:
+    """The pass and the series on the decoupled blocks of the real form give
+    what they give on the whole generator, within 1e-14 relative."""
+
+    @pytest.mark.parametrize("name", sorted(SECTOR_MODELS))
+    def test_sectored_equals_whole(self, name, monkeypatch):
+        s = liouvillian(SECTOR_MODELS[name])
+        grid = default_grid(s)
+        got = compute_metrics(s)
+        series = amplification_series(s, grid)
+        _unsplit(monkeypatch)
+        want = compute_metrics(Superoperator(s.dim, s.matrix))
+        reference = amplification_series(Superoperator(s.dim, s.matrix), grid)
+        _assert_metrics_close(got, want)
+        for field in ("prop_norm", "a_spectral"):
+            _assert_relative(getattr(series, field), getattr(reference, field))
+        # an envelope exp(x t) turns the relative drift of its rate into x t
+        # times as much: delta moves by a few ulps, and delta t reaches 5
+        t = grid.times
+        for field, exponent in (
+            ("a_paper", want.delta * t),
+            ("gronwall_env", want.delta * t),
+            ("appg_env", (want.delta + want.nd_norm) * t + want.eta * t**2 / 4),
+        ):
+            rel = 1e-14 * (1.0 + exponent)
+            _assert_relative(getattr(series, field), getattr(reference, field), rel)
+        assert (series.appg_satisfied == reference.appg_satisfied).all()
+        # the abscissa is taken on the whole rotation either way
+        assert series.alpha == reference.alpha
+
+    def test_models_split(self):
+        # the comparison above runs on split generators: the named models
+        # with many sectors, the damped ones and most planted ones
+        def blocks(name):
+            found = _sectors(_hermitian_form(liouvillian(SECTOR_MODELS[name]).matrix)[0][None])
+            return None if found is None else found[1].shape
+
+        assert blocks("jaynes_cummings") == (16, 8)
+        assert blocks("jaynes_cummings-7") == (45, 8)
+        assert blocks("multi_qubit_dephasing-4") == (256, 1)
+        assert blocks("dephased_jaynes_cummings-3") is not None
+        assert blocks("dephased_jaynes_cummings-5") is not None
+        assert sum(blocks(f"planted-{seed}") is not None for seed in range(12)) >= 6
+        # d = 2 splits would not pay: they stay whole
+        for name in ("driven_dephasing", "dephasing_relaxation", "pauli_channel"):
+            assert blocks(name) is None
+
+    def test_dense_random_model_one_block(self, monkeypatch):
+        # decided by the first basis element's couplings alone: the pattern
+        # is never formed
+        import lindscope.superop
+
+        def unexpected(*args):
+            raise AssertionError("the pattern of a dense generator was formed")
+
+        monkeypatch.setattr(lindscope.superop, "_sector_table", unexpected)
+        for d in (2, 4, 8, 16):
+            rng = np.random.default_rng(90 + d)
+            s = liouvillian(LindbladModel(d, random_hermitian(rng, d), (random_complex(rng, d),)))
+            assert _sectors(_hermitian_form(s.matrix)[0][None]) is None
+            compute_metrics(s)
+
+    def test_dense_hamiltonian_one_block(self):
+        # -i[H, .] does not couple E_00 to the other E_jj, so the pattern
+        # decides, and finds one sector
+        for d in (2, 3, 8):
+            h = random_hermitian(np.random.default_rng(100 + d), d)
+            a = _hermitian_form(liouvillian(hamiltonian_only(h)).matrix)[0][None]
+            assert a[0, 0, 1:d].tolist() == [0.0] * (d - 1)
+            assert _sectors(a) is None
+
+    def test_sector_table_components(self):
+        # eight chains of eight, scattered over the basis, take several
+        # rounds of propagation; the table lists each sector's elements in
+        # ascending order, the sectors by their least elements
+        from lindscope.superop import _sector_table
+
+        n = 64
+        chains = np.random.default_rng(96).permutation(n).reshape(8, 8)
+        pattern = np.zeros((n, n), dtype=bool)
+        pattern[chains[:, :-1], chains[:, 1:]] = True
+        pattern |= pattern.T
+        table = _sector_table.__wrapped__(np.packbits(pattern).tobytes(), n)
+        assert table.tolist() == sorted(sorted(chain) for chain in chains.tolist())
+        # joined end to end, they are one sector
+        pattern[chains[:-1, -1], chains[1:, 0]] = True
+        pattern |= pattern.T
+        assert _sector_table.__wrapped__(np.packbits(pattern).tobytes(), n) is None
+
+    def test_permutation_changes_nothing(self):
+        # a random permutation of the Hilbert basis permutes the real form's
+        # basis (up to signs) and scatters its sectors; every value is kept
+        rng = np.random.default_rng(95)
+        for name in ("dephased_jaynes_cummings-3", "planted-1", "planted-4", "multi_qubit_dephasing"):
+            model = SECTOR_MODELS[name]
+            p = np.eye(model.dim)[rng.permutation(model.dim)]
+            moved = LindbladModel(
+                model.dim, p @ model.hamiltonian @ p.T, tuple(p @ j @ p.T for j in model.jumps)
+            )
+            a = liouvillian(model)
+            b = liouvillian(moved)
+            assert not np.array_equal(a.matrix, b.matrix)
+            _assert_metrics_close(compute_metrics(b), compute_metrics(a))
+            grid = TimeGrid(0.0, 2.0, 50)
+            _assert_relative(
+                amplification_series(b, grid).prop_norm, amplification_series(a, grid).prop_norm
+            )
+
+    def test_padding_adds_no_norm(self):
+        # exp of a padded zero block is the identity; unless the padding is
+        # zeroed, ||P|| of a decaying generator would read 1
+        s = Superoperator(2, -700.0 * np.eye(4))
+        series = amplification_series(s, TimeGrid(0.0, 1.0, 20))
+        # 20 steps of exp(-35): a few ulps each
+        _assert_relative(series.prop_norm[-1], math.exp(-700.0), rel=1e-12)
+        assert series.prop_norm[-1] < 1e-303
+        # two elements coupled, seven alone: padded blocks of 2
+        m = -700.0 * np.eye(9, dtype=complex)
+        m[0, 4] = m[4, 0] = -1.0  # E_00 <-> E_11, which keeps Hermiticity
+        found = _sectors(_hermitian_form(m)[0][None])
+        assert found is not None and not found[1].all()
+        series = amplification_series(Superoperator(3, m), TimeGrid(0.0, 1.0, 20))
+        _assert_relative(series.prop_norm[-1], math.exp(-699.0), rel=1e-12)
+
+    def test_sectored_stack_four_eigensolves(self, monkeypatch):
+        models = [_dephased_jaynes_cummings(3), hamiltonian_only(np.zeros((8, 8)))]
+        models += [jaynes_cummings(g=g, n_max=3) for g in (0.1, 0.2, 0.3)]
+        stack = np.stack([liouvillian(model).matrix for model in models])
+        assert _sectors(_hermitian_form(stack)[0]) is not None
+        calls = {"eigvalsh": 0}
+        counting = functools.partial(_counting, calls)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+        got = _column_bits(_analyze(stack))
+        assert calls == {"eigvalsh": 4}
+        monkeypatch.undo()
+        for row, model in zip(got, models):
+            want = compute_metrics(liouvillian(model))
+            assert row["regime"] is want.regime
+            for name in ("delta", "eta", "nd_norm", "generator_norm"):
+                _assert_relative(float.fromhex(row[name]), getattr(want, name))
