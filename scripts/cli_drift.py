@@ -24,7 +24,11 @@ points, and an ``n_max`` sweep that fails at a non-integer. The named
 models that split into many symmetry sectors run too: ``analyze`` on
 ``jaynes_cummings`` at ``n_max`` 7 and 15 and on ``multi_qubit_dephasing``
 at k 4 and 5, ``series`` on ``jaynes_cummings`` at ``n_max`` 7, and
-``regimes`` over its ``g``. Each side runs
+``regimes`` over its ``g``. Two ``sweep`` runs over ``g`` on
+``models/jaynes_cummings.json`` (d = 8) cover how a sweep pools the sector
+blocks of many points into one analysis pass: 230 log-spaced points (past
+several pools and stacks) and 41 linear points from ``g = 0``, whose first
+point splits into other sectors than the rest. Each side runs
 in its own interpreter with one BLAS thread: the working tree's ``src/``,
 and REF's ``src/`` unpacked by ``git archive`` into a temporary directory
 (removed afterwards). Both read the working tree's model files, and the
@@ -137,6 +141,10 @@ def commands(tmp: Path) -> list[tuple[str, list[str]]]:
     jaynes = str(ROOT / "models" / "jaynes_cummings.json")
     dims = ["--param", "n_max", "--from", "1", "--to", "3", "--points", "3"]
     out.append(("sweep-n_max jaynes_cummings.json", ["sweep", jaynes, *dims]))
+    pools = ["--param", "g", "--from", "1e-3", "--to", "10", "--points", "230", "--log"]
+    out.append(("sweep-g-230 jaynes_cummings.json", ["sweep", jaynes, *pools]))
+    from_zero = ["--param", "g", "--from", "0", "--to", "2", "--points", "41"]
+    out.append(("sweep-g-from-0 jaynes_cummings.json", ["sweep", jaynes, *from_zero]))
     # every other named kind's stacked build, over one of its parameters
     for name, param, start, stop, points in (
         ("dephasing_relaxation", "gamma_minus", "1e-3", "1e2", "300"),

@@ -50,7 +50,14 @@ import numpy as np
 
 from .dynamics import DEFAULT_STEPS, MAX_STEPS, TimeGrid, amplification_series, default_grid
 from .errors import ConfigError, IoError, LindscopeError, NumericalError, RangeError
-from .metrics import RegimeThresholds, _analyze, compute_metrics, structured_dissipator_report
+from .metrics import (
+    RegimeThresholds,
+    _analyze,
+    _block_pass,
+    _sector_form,
+    compute_metrics,
+    structured_dissipator_report,
+)
 from .models import ModelSpec, _stack, build
 from .superop import _OVERFLOW, LindbladModel, _liouvillians, liouvillian
 
@@ -447,19 +454,36 @@ def _sweep_values(config: RunConfig) -> np.ndarray:
 
 
 # A sweep builds its points in stacks (models._stack) of at most this many
-# entries per d x d operator, and analyzes them in blocks: consecutive
-# points, at most this many generator entries (points * n^2) in all, share
-# one stacked Liouvillian build and one stacked analysis pass, whose columns
-# the sweep appends as they are. That is 256 points at d=2 and one point at
-# d=8. The bound holds a block's temporaries, and so the peak memory of a
-# sweep, to those of a single d=8 point. Stacks and blocks pass or fail as a
-# whole. After a failure the sweep goes on one point at a time, from the
-# first point without a row, through build, liouvillian and the pass on a
-# stack of one (what compute_metrics runs), and the first point that fails
-# there names the error. A stack is given at most _BLOCK_ENTRIES // 4
-# points (one d=2 stack), so the failing point is at most that many single
+# entries per d x d operator, and builds and rotates them in blocks:
+# consecutive points, at most this many generator entries (points * n^2) in
+# all, share one stacked Liouvillian build and one rotation into sectors
+# (metrics._sector_form). That is 256 points at d=2 and one point at d=8.
+# The bound holds a block's temporaries, and so the peak memory of a sweep,
+# to those of a single d=8 point. The blocks' sectors then wait in a queue
+# for one pooled analysis pass (metrics._block_pass), whose columns the
+# sweep appends as they are. The queue runs before a block of another
+# block shape (B, b) or dtype, before a block that would take it past
+# _POOL_ENTRIES float64 entries (a complex entry counts twice), and at the
+# end of each stack. A d=8 jaynes_cummings point is 15 or 16 blocks of
+# 8 x 8, so one pass takes 16 or 17 of them; 400 points at d=2 are one
+# pass. Each point's blocks are those of its own build block, and the pass
+# works on each block alone, so the rows are, bit for bit, those of a pass
+# per build block. Stacks, blocks and passes pass or fail as a whole. After
+# a failure the sweep goes on one point at a time, from the first point
+# without a row (the first queued point, after a failed pass), through
+# build, liouvillian and the pass on a stack of one (what compute_metrics
+# runs), and the first point that fails there names the error. A stack is
+# given at most _BLOCK_ENTRIES // 4 points (one d=2 stack), and no pass
+# spans two stacks, so the failing point is at most that many single
 # points on.
 _BLOCK_ENTRIES = 4096
+# Sized by peak RSS: see CHANGES.md, "Pooled sweep passes".
+_POOL_ENTRIES = 16384
+
+
+def _pool_key(a: np.ndarray, e: np.ndarray) -> tuple:
+    """What sector forms ``(a, e)`` must share to share a pass: blocks per point, shape, dtype."""
+    return len(a) // len(e), a.shape[1:], a.dtype
 
 
 def _sweep_columns(config: RunConfig, fields) -> dict[str, np.ndarray]:
@@ -473,7 +497,19 @@ def _sweep_columns(config: RunConfig, fields) -> dict[str, np.ndarray]:
     base = _spec_from_obj(raw["model"])
     values = _sweep_values(config)
     blocks: list[dict] = []
+    # the sector forms of the blocks built since the last pass, all of one
+    # block shape (B, b) and dtype
+    queue: list[tuple[np.ndarray, np.ndarray]] = []
     done = 0
+
+    def run_queue():
+        nonlocal done
+        if queue:
+            a, e = (np.concatenate(parts) for parts in zip(*queue))
+            queue.clear()  # the parts are not kept alive through the pass
+            blocks.append(_block_pass(a, e, config.thresholds))
+            done += len(e)
+
     try:
         while done < len(values):
             points = values[done : done + _BLOCK_ENTRIES // 4]
@@ -485,8 +521,14 @@ def _sweep_columns(config: RunConfig, fields) -> dict[str, np.ndarray]:
                 stack = _liouvillians(h[lo : lo + size], jumps[lo : lo + size])
                 if not np.isfinite(stack).all():
                     raise RangeError(_OVERFLOW)
-                blocks.append(_analyze(stack, config.thresholds))
-                done += len(stack)
+                a, e = _sector_form(stack)
+                if queue and (
+                    _pool_key(*queue[0]) != _pool_key(a, e)
+                    or sum(x.nbytes for x, _ in queue) + a.nbytes > 8 * _POOL_ENTRIES
+                ):
+                    run_queue()
+                queue.append((a, e))
+            run_queue()
     except LindscopeError:
         for value in values[done:].tolist():
             spec = ModelSpec(base.kind, {**base.params, config.param: value})

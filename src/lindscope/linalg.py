@@ -161,13 +161,17 @@ def eigenvalues_general(m) -> np.ndarray:
     is deterministic and directly comparable across runs. The spectrum is
     complex128 also for a real matrix.
     """
-    m = _square(m)
-    try:
-        ev = np.linalg.eigvals(m).astype(complex, copy=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
+    ev = _eigenvalues(_square(m))
     order = np.lexsort((ev.imag, ev.real))
     return ev[order]
+
+
+def _eigenvalues(m: np.ndarray) -> np.ndarray:
+    """The spectra of a stack ``(..., n, n)`` in one eigensolve call: unsorted, complex128."""
+    try:
+        return np.linalg.eigvals(m).astype(complex, copy=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
 
 
 def matrix_exp(m) -> np.ndarray:

@@ -282,8 +282,9 @@ def _sectors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     ``a + a^T``, taken over the whole stack, joins them; permuted into
     sectors, every matrix of the stack is block diagonal. The blocks come
     zero-padded to the size ``b`` of the largest, as a ``(k * B, b, b)``
-    stack (each matrix's ``B`` blocks in turn), with the ``(B, b)`` mask of
-    the rows that are not padding. None when the stack is one sector or
+    stack (each matrix's ``B`` blocks in turn), with the ``(B, b)`` table of
+    the basis elements of each block's rows, in ascending order, then -1 on
+    the padding rows (``_sector_table``). None when the stack is one sector or
     when ``B * b^3`` exceeds ``_SECTOR_SHARE * n^3``, the split then not
     paying (see ``_SECTOR_SHARE``). The split is exact: a zero computed as
     exactly 0 makes the matrix exactly block diagonal, and a spurious
@@ -306,7 +307,7 @@ def _sectors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     where = (table[:, :, None] * n + table[:, None, :])[inside]
     blocks = np.zeros((k, *inside.shape), dtype=a.dtype)
     blocks[:, inside] = a.reshape(k, n * n)[:, where]
-    return blocks.reshape(k * len(table), *inside.shape[1:]), live
+    return blocks.reshape(k * len(table), *inside.shape[1:]), table
 
 
 @functools.lru_cache(maxsize=16)

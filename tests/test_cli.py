@@ -392,9 +392,9 @@ def _sweep_config(path, param, start, stop, points, log_scale=False, thresholds=
 
 
 class TestStackedSweeps:
-    """A sweep runs its points in blocks through one stacked build and one
-    stacked pass; its rows, and its first error, are those of the points
-    taken one at a time."""
+    """A sweep builds its points in blocks, one stacked build each, and runs
+    their sector blocks through pooled passes; its rows, and its first
+    error, are those of the points taken one at a time."""
 
     @pytest.mark.parametrize("thresholds", [None, RegimeThresholds(0.2, 5.0)])
     def test_thousand_points_four_blocks(self, tmp_path, monkeypatch, thresholds):
@@ -473,9 +473,9 @@ class TestStackedSweeps:
         assert captured.err.startswith("error: gamma_z = 1e+300: eta is about")
 
     def test_kernel_counts(self, tmp_path, monkeypatch, capsys):
-        # 400 points at d=2 are two blocks of at most 256: four batched
-        # eigensolves each, no SVD, and no Hermiticity check of the
-        # exactly Hermitian Hamiltonians
+        # 400 points at d=2 are two blocks of at most 256 and one pooled
+        # pass: four batched eigensolves in all, no SVD, and no Hermiticity
+        # check of the exactly Hermitian Hamiltonians
         path = write(tmp_path, "m.json", {"model": {"type": "driven_dephasing"}})
         calls = {"svd": 0, "eigvalsh": 0}
 
@@ -492,7 +492,54 @@ class TestStackedSweeps:
                 "--points", "400", "--log"]
         assert main(argv) == 0
         assert len(capsys.readouterr().out.splitlines()) == 401
-        assert calls == {"svd": 0, "eigvalsh": 8}
+        assert calls == {"svd": 0, "eigvalsh": 4}
+        # 60 points at d=8 are 60 blocks of one point, 15 or 16 sectors of
+        # 8 x 8 each, and four pooled passes of at most 17 points
+        calls.update(svd=0, eigvalsh=0)
+        path = write(tmp_path, "jc.json", JAYNES_CUMMINGS)
+        argv = ["sweep", path, "--param", "g", "--from", "1e-3", "--to", "1",
+                "--points", "60", "--log"]
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 61
+        assert calls == {"svd": 0, "eigvalsh": 16}
+
+    @pytest.mark.parametrize(
+        "payload, param, start, stop, points, log_scale",
+        [
+            (JAYNES_CUMMINGS, "g", 1e-3, 10.0, 230, True),
+            # the g = 0 point splits into more sectors than the others
+            (JAYNES_CUMMINGS, "g", 0.0, 2.0, 41, False),
+            ({"model": {"type": "multi_qubit_dephasing", "k": 3, "gamma_1": 0.3,
+                        "gamma_2": 0.6, "gamma_3": 0.1}}, "gamma_2", 0.0, 5.0, 300, False),
+        ],
+        ids=["jc-several-pools", "jc-from-zero", "mqd-rate"],
+    )
+    def test_pooled_sectors_equal_per_point(
+        self, tmp_path, monkeypatch, payload, param, start, stop, points, log_scale
+    ):
+        path = write(tmp_path, "m.json", payload)
+        config = _sweep_config(path, param, start, stop, points, log_scale)
+        want = _per_point_sweep(config, cli.SWEEP_FIELDS)
+        passes, shapes = [], set()
+        pooled, form = cli._block_pass, cli._sector_form
+
+        def recording_pass(a, e, *args):
+            passes.append(len(e))
+            return pooled(a, e, *args)
+
+        def recording_form(stack):
+            a, e = form(stack)
+            shapes.add(cli._pool_key(a, e))
+            return a, e
+
+        monkeypatch.setattr(cli, "_block_pass", recording_pass)
+        monkeypatch.setattr(cli, "_sector_form", recording_form)
+        assert _exact(_stacked_sweep(config, cli.SWEEP_FIELDS)) == _exact(want)
+        assert sum(passes) == points
+        # the passes pool the build blocks, one point each at d = 8
+        assert len(passes) < points // 4
+        if start == 0.0 and param == "g":
+            assert len(shapes) == 2
 
     def test_failure_at_last_point_replays_one_stack(self, tmp_path, monkeypatch):
         # 3002 points are stacks of 1024, 1024 and 954; only the last point,
@@ -704,11 +751,12 @@ class TestExitCodesAndFiles:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_nan_sweep_column_one(self, tmp_path, capsys, monkeypatch, fmt):
         # a NaN kappa marks the undefined kappa of delta = 0 (point 0 here);
-        # a NaN in any other column is an error, so one is planted in eta
-        analyze = cli._analyze
+        # a NaN in any other column is an error, so one is planted in eta,
+        # in the columns of the sweep's pooled pass
+        pooled = cli._block_pass
 
         def planted(*args):
-            columns = analyze(*args)
+            columns = pooled(*args)
             columns["eta"][-1] = math.nan
             return columns
 
@@ -717,7 +765,7 @@ class TestExitCodesAndFiles:
                 "--points", "3", "--format", fmt]
         assert main(argv) == 0
         assert "undefined" in capsys.readouterr().out
-        monkeypatch.setattr(cli, "_analyze", planted)
+        monkeypatch.setattr(cli, "_block_pass", planted)
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -948,6 +996,42 @@ class TestSweepFuzz:
         assert "nan" not in out.getvalue().lower()
         if code == 0:
             assert len(out.getvalue().splitlines()) == points + 1
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        command=st.sampled_from(["sweep", "regimes"]),
+        target=st.sampled_from([
+            ("jaynes_cummings", param) for param in ("omega_a", "omega_c", "g")
+        ] + [("multi_qubit_dephasing", f"gamma_{j}") for j in (1, 2, 3)]),
+        start=st.just(0.0) | st.floats(-1e3, 0.0),
+        stop=st.floats(0.0, 1e3),
+        points=st.integers(1, 300),
+        reverse=st.booleans(),
+    )
+    def test_sectored_sweep_through_zero(self, command, target, start, stop, points, reverse):
+        # the d = 8 kinds that split into sectors, pooled over many points,
+        # over ranges from or through 0, where the sectors change: the text
+        # is that of the points taken one at a time, or their first error
+        kind, param = target
+        model = {
+            "jaynes_cummings": {"n_max": 3, "g": 0.3},
+            "multi_qubit_dephasing": {"k": 3, "gamma_1": 0.3, "gamma_2": 0.6, "gamma_3": 0.1},
+        }[kind]
+        if reverse:
+            start, stop = stop, start
+        argv = [command, "", "--param", param, f"--from={start!r}", f"--to={stop!r}",
+                f"--points={points}"]
+        with tempfile.TemporaryDirectory() as tmp:
+            argv[1] = write(Path(tmp), "m.json", {"model": {"type": kind, **model}})
+            config = cli._config_from_args(cli._build_parser().parse_args(argv))
+            fields = cli.SWEEP_FIELDS if command == "sweep" else cli.REGIMES_FIELDS
+            header, rows = _per_point_sweep(config, fields)
+            code, out, err, caught = _main_captured(argv)
+        assert caught == []
+        if not isinstance(header, list):
+            assert (code, out, err) == (1, "", f"error: {rows}\n")
+            return
+        assert (code, out, err) == (0, to_csv(header, rows), "")
 
 
 # Values json.loads accepts for a parameter: any double (subnormals, +-inf

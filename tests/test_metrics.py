@@ -10,6 +10,7 @@ from helpers import (
     SZ,
     power_norm,
     random_complex,
+    random_density,
     random_hermitian,
     random_model,
     random_models,
@@ -35,6 +36,7 @@ from lindscope import (
     dissipative_strength,
     driven_dephasing,
     eigenvalues_general,
+    gronwall_check,
     hamiltonian_only,
     jaynes_cummings,
     kappa,
@@ -43,6 +45,7 @@ from lindscope import (
     nonnormality,
     pauli_channel,
     relaxation,
+    spectral_abscissa,
     spectral_norm,
     structured_dissipator_report,
 )
@@ -787,8 +790,49 @@ class TestSectors:
             rel = 1e-14 * (1.0 + exponent)
             _assert_relative(getattr(series, field), getattr(reference, field), rel)
         assert (series.appg_satisfied == reference.appg_satisfied).all()
-        # the abscissa is taken on the whole rotation either way
-        assert series.alpha == reference.alpha
+        # the abscissa, an eigenvalue, moves by a few ulps of ||S||
+        assert abs(series.alpha - reference.alpha) <= 1e-14 * want.generator_norm
+
+    @pytest.mark.parametrize(
+        "name", ["jaynes_cummings", "jaynes_cummings-7", "multi_qubit_dephasing-4", "shifted"]
+    )
+    def test_abscissa_on_blocks_equals_whole(self, name, monkeypatch):
+        # the blocks' padding is cut off: "shifted", jaynes_cummings minus
+        # the identity as a raw Superoperator, has its spectrum at Re <= -1,
+        # and a padded zero row would read alpha = 0
+        if name == "shifted":
+            m = liouvillian(SECTOR_MODELS["jaynes_cummings"]).matrix - np.eye(64)
+            s = Superoperator(8, m)
+        else:
+            s = liouvillian(SECTOR_MODELS[name])
+        table = _sectors(_hermitian_form(s.matrix)[0][None])[1]
+        # blocks of several sizes, so padded, except the equal blocks of 1
+        # of multi_qubit_dephasing
+        assert bool((table < 0).any()) is not name.startswith("multi_qubit")
+        got = spectral_abscissa(s)
+        assert amplification_series(s, TimeGrid(0.0, 1.0, 4)).alpha == got
+        _unsplit(monkeypatch)
+        want = spectral_abscissa(Superoperator(s.dim, s.matrix))
+        assert abs(got - want) <= 1e-14 * compute_metrics(s).generator_norm
+        if name == "shifted":
+            assert got == pytest.approx(-1.0, abs=1e-13)
+
+    @pytest.mark.parametrize("name", sorted(SECTOR_MODELS))
+    def test_gronwall_on_blocks_equals_whole(self, name, monkeypatch):
+        # a density matrix, whose coordinates are real, and a general
+        # operator, whose real and imaginary parts step apart
+        s = liouvillian(SECTOR_MODELS[name])
+        rng = np.random.default_rng(7)
+        grid = default_grid(s, steps=60)
+        operators = [random_density(rng, s.dim), random_complex(rng, s.dim)]
+        got = [gronwall_check(s, rho0, grid) for rho0 in operators]
+        _unsplit(monkeypatch)
+        whole = Superoperator(s.dim, s.matrix)
+        want = [gronwall_check(whole, rho0, grid) for rho0 in operators]
+        # each margin is a difference of terms up to exp(delta t) ||rho0||
+        envelope = math.exp(compute_metrics(s).delta * grid.t_end)
+        for rho0, g, w in zip(operators, got, want):
+            assert abs(g - w) <= 1e-14 * envelope * np.linalg.norm(rho0)
 
     def test_models_split(self):
         # the comparison above runs on split generators: the named models
@@ -880,7 +924,7 @@ class TestSectors:
         m = -700.0 * np.eye(9, dtype=complex)
         m[0, 4] = m[4, 0] = -1.0  # E_00 <-> E_11, which keeps Hermiticity
         found = _sectors(_hermitian_form(m)[0][None])
-        assert found is not None and not found[1].all()
+        assert found is not None and (found[1] < 0).any()
         series = amplification_series(Superoperator(3, m), TimeGrid(0.0, 1.0, 20))
         _assert_relative(series.prop_norm[-1], math.exp(-699.0), rel=1e-12)
 
