@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Compare lindscope's CLI output between the working tree and a git ref.
 
-Runs ``analyze`` (json and csv) and ``series`` on every ``models/*.json``,
-a long-horizon ``series`` (``models/dephasing_relaxation.json`` with
-``--t-end 200 --steps 4000``, thousands of stepped products), and ``sweep``
-and ``regimes`` on ``models/driven_dephasing.json`` over omega in
-[1e-3, 30] with 40 log-spaced points. Two more sweeps cover how a sweep is
+Runs ``analyze`` and ``series``, each as json and as csv, on every
+``models/*.json``, a long-horizon ``series``
+(``models/dephasing_relaxation.json`` with ``--t-end 200 --steps 4000``,
+thousands of stepped products), and ``sweep`` and ``regimes`` on
+``models/driven_dephasing.json`` over omega in [1e-3, 30] with 40
+log-spaced points. Two more sweeps cover how a sweep is
 split into blocks of points: 600 log-spaced omega points on
 ``driven_dephasing`` (past two block boundaries) and ``n_max`` from 1 to 3
 on ``models/jaynes_cummings.json`` (a new dimension, so a new block, at
@@ -122,6 +123,7 @@ def commands(tmp: Path) -> list[tuple[str, list[str]]]:
         out.append((f"analyze-json {path.name}", ["analyze", model]))
         out.append((f"analyze-csv {path.name}", ["analyze", model, "--format", "csv"]))
         out.append((f"series {path.name}", ["series", model]))
+        out.append((f"series-json {path.name}", ["series", model, "--format", "json"]))
     long_horizon = ["--t-end", "200", "--steps", "4000"]
     out.append(("series-long dephasing_relaxation.json",
                 ["series", str(ROOT / "models" / "dephasing_relaxation.json"), *long_horizon]))

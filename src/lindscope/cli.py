@@ -54,12 +54,11 @@ from .metrics import (
     RegimeThresholds,
     _analyze,
     _block_pass,
-    _sector_form,
     compute_metrics,
     structured_dissipator_report,
 )
 from .models import ModelSpec, _stack, build
-from .superop import _OVERFLOW, LindbladModel, _liouvillians, liouvillian
+from .superop import _OVERFLOW, LindbladModel, _liouvillians, _sector_form, liouvillian
 
 __all__ = ["RunConfig", "parse_model_file", "run", "main"]
 
@@ -178,13 +177,16 @@ def _csv_cell(value) -> str:
 
 
 def _column_cells(name: str, column: np.ndarray, label=str) -> list[str]:
-    """The cells of a column: ``fmt_float`` of each float, ``label`` of each string.
+    """The cells of a column: ``fmt_float`` of each float, ``label`` of each
+    string, ``true`` or ``false`` of each bool.
 
     A NaN ``kappa`` is ``label("undefined")``, as the pass marks an
     undefined kappa; a NaN in any other column is a NumericalError.
     """
     if column.dtype.kind == "U":
         return [label(v) for v in column.tolist()]
+    if column.dtype.kind == "b":
+        return ["true" if v else "false" for v in column.tolist()]
     values = column.tolist()
     cells = list(map("%.17g".__mod__, values))
     # a finite value that is not an integer prints with a point or an
@@ -409,23 +411,6 @@ def analyze_record(model: LindbladModel, thresholds: RegimeThresholds | None = N
     }
 
 
-def series_rows(series) -> list[dict]:
-    rows = []
-    for i, t in enumerate(series.times):
-        rows.append(
-            {
-                "t": float(t),
-                "prop_norm": float(series.prop_norm[i]),
-                "a_paper": float(series.a_paper[i]),
-                "a_spectral": float(series.a_spectral[i]),
-                "gronwall_env": float(series.gronwall_env[i]),
-                "appg_env": float(series.appg_env[i]),
-                "appg_satisfied": bool(series.appg_satisfied[i]),
-            }
-        )
-    return rows
-
-
 def _sweep_values(config: RunConfig) -> np.ndarray:
     if config.param is None or config.start is None or config.stop is None:
         raise ConfigError("sweep needs --param, --from and --to")
@@ -457,12 +442,12 @@ def _sweep_values(config: RunConfig) -> np.ndarray:
 # entries per d x d operator, and builds and rotates them in blocks:
 # consecutive points, at most this many generator entries (points * n^2) in
 # all, share one stacked Liouvillian build and one rotation into sectors
-# (metrics._sector_form). That is 256 points at d=2 and one point at d=8.
+# (superop._sector_form). That is 256 points at d=2 and one point at d=8.
 # The bound holds a block's temporaries, and so the peak memory of a sweep,
 # to those of a single d=8 point. The blocks' sectors then wait in a queue
 # for one pooled analysis pass (metrics._block_pass), whose columns the
 # sweep appends as they are. The queue runs before a block of another
-# block shape (B, b) or dtype, before a block that would take it past
+# table shape (B, b) or dtype, before a block that would take it past
 # _POOL_ENTRIES float64 entries (a complex entry counts twice), and at the
 # end of each stack. A d=8 jaynes_cummings point is 15 or 16 blocks of
 # 8 x 8, so one pass takes 16 or 17 of them; 400 points at d=2 are one
@@ -481,9 +466,9 @@ _BLOCK_ENTRIES = 4096
 _POOL_ENTRIES = 16384
 
 
-def _pool_key(a: np.ndarray, e: np.ndarray) -> tuple:
-    """What sector forms ``(a, e)`` must share to share a pass: blocks per point, shape, dtype."""
-    return len(a) // len(e), a.shape[1:], a.dtype
+def _pool_key(a: np.ndarray, e: np.ndarray, table: np.ndarray) -> tuple:
+    """What sector forms ``(a, e, table)`` must share to share a pass: table shape and dtype."""
+    return table.shape, a.dtype
 
 
 def _sweep_columns(config: RunConfig, fields) -> dict[str, np.ndarray]:
@@ -498,14 +483,15 @@ def _sweep_columns(config: RunConfig, fields) -> dict[str, np.ndarray]:
     values = _sweep_values(config)
     blocks: list[dict] = []
     # the sector forms of the blocks built since the last pass, all of one
-    # block shape (B, b) and dtype
-    queue: list[tuple[np.ndarray, np.ndarray]] = []
+    # table shape (B, b) and dtype
+    queue: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     done = 0
 
     def run_queue():
         nonlocal done
         if queue:
-            a, e = (np.concatenate(parts) for parts in zip(*queue))
+            a = np.concatenate([a for a, _, _ in queue])
+            e = np.concatenate([e for _, e, _ in queue])
             queue.clear()  # the parts are not kept alive through the pass
             blocks.append(_block_pass(a, e, config.thresholds))
             done += len(e)
@@ -521,13 +507,13 @@ def _sweep_columns(config: RunConfig, fields) -> dict[str, np.ndarray]:
                 stack = _liouvillians(h[lo : lo + size], jumps[lo : lo + size])
                 if not np.isfinite(stack).all():
                     raise RangeError(_OVERFLOW)
-                a, e = _sector_form(stack)
+                form = _sector_form(stack)
                 if queue and (
-                    _pool_key(*queue[0]) != _pool_key(a, e)
-                    or sum(x.nbytes for x, _ in queue) + a.nbytes > 8 * _POOL_ENTRIES
+                    _pool_key(*queue[0]) != _pool_key(*form)
+                    or sum(a.nbytes for a, _, _ in queue) + form[0].nbytes > 8 * _POOL_ENTRIES
                 ):
                     run_queue()
-                queue.append((a, e))
+                queue.append(form)
             run_queue()
     except LindscopeError:
         for value in values[done:].tolist():
@@ -551,24 +537,25 @@ def run(config: RunConfig) -> int:
             text = to_json(record)
         else:
             text = to_csv(ANALYZE_FIELDS, [record])
-    elif config.command == "series":
-        model = parse_model_file(config.model_path)
-        superop = liouvillian(model)
-        if config.t_end is not None:
-            grid = TimeGrid(0.0, config.t_end, config.steps)
+    else:
+        if config.command == "series":
+            superop = liouvillian(parse_model_file(config.model_path))
+            if config.t_end is not None:
+                grid = TimeGrid(0.0, config.t_end, config.steps)
+            else:
+                grid = default_grid(superop, config.steps)
+            series = amplification_series(superop, grid)
+            columns = [series.times, *(getattr(series, name) for name in SERIES_FIELDS[1:])]
+            table = dict(zip(SERIES_FIELDS, columns))
+        elif config.command in ("sweep", "regimes"):
+            fields = SWEEP_FIELDS if config.command == "sweep" else REGIMES_FIELDS
+            table = _sweep_columns(config, fields)
         else:
-            grid = default_grid(superop, config.steps)
-        rows = series_rows(amplification_series(superop, grid))
-        text = to_json(rows) if fmt == "json" else to_csv(SERIES_FIELDS, rows)
-    elif config.command in ("sweep", "regimes"):
-        fields = SWEEP_FIELDS if config.command == "sweep" else REGIMES_FIELDS
-        table = _sweep_columns(config, fields)
+            raise ConfigError(f"unknown command {config.command!r}")
         if fmt == "json":
             text = _json_table(table)
         else:
             text = to_csv(list(table), columns=table.values())
-    else:
-        raise ConfigError(f"unknown command {config.command!r}")
     write_output(text, config.output_path)
     return 0
 

@@ -37,19 +37,20 @@ accuracy of an SVD, as in the analysis pass of ``metrics``. A generator
 that does not preserve Hermiticity runs the same steps on the complex
 rotation.
 
-Where the rotation splits into exact symmetry sectors
-(``superop._sectors``), ``exp(t S)`` and its Gram matrix are block diagonal
-too, so the series steps the blocks, zero-padded into one stack, and each
-norm is the largest over the blocks: one batched exponential, product and
-Gram eigensolve per step, on ``b x b`` blocks instead of the ``n x n``
-whole. The exponential of a padded zero block is the identity, so the
-padded rows of ``P_0`` are zeroed; they then stay zero in every product.
-The spectral abscissa is taken on the blocks too, with their padding cut
-off, since a padded row would add a zero eigenvalue: one batched
-eigensolve per group of blocks of one true size. ``gronwall_check`` steps
-the blocks as well, with the coordinates of ``rho0`` gathered by the same
-table of sectors. Against the whole matrix, the norms move by a few ulps
-(3.5e-15 relative at most for ``jaynes_cummings`` at ``n_max = 7``).
+Every kernel here takes the generator as ``superop._sector_form`` gives
+it: the blocks of its exact symmetry sectors, zero-padded into one stack,
+with their table of sectors, or one block when it does not split.
+``exp(t S)`` and its Gram matrix are block diagonal too, so the series
+steps the blocks, and each norm is the largest over them: one batched
+exponential, product and Gram eigensolve per step, on ``b x b`` blocks
+instead of the ``n x n`` whole. The exponential of a padded zero block is
+the identity, so the padded rows of ``P_0`` are zeroed; they then stay zero
+in every product. The spectral abscissa is taken with the padding cut off,
+since a padded row would add a zero eigenvalue: one batched eigensolve per
+group of blocks of one true size. ``gronwall_check`` steps the blocks as
+well, with the coordinates of ``rho0`` gathered by the table. Against the
+whole matrix, the norms move by a few ulps (3.5e-15 relative at most for
+``jaynes_cummings`` at ``n_max = 7``).
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ from .linalg import (
     matrix_exp,
 )
 from .metrics import Regime, compute_metrics, zero_tolerance
-from .superop import Superoperator, _hermitian_coords, _hermitian_form, _sectors, decompose
+from .superop import Superoperator, _hermitian_coords, _sector_form, decompose
 
 __all__ = [
     "MAX_STEPS",
@@ -164,18 +165,17 @@ def _check_range(norm: float, t: float) -> None:
 
 
 def _stepped_propagators(
-    a: np.ndarray, e: int, grid: TimeGrid, norm: float, table: np.ndarray | None = None
+    a: np.ndarray, e: int, table: np.ndarray, grid: TimeGrid, norm: float
 ) -> Iterator[np.ndarray]:
-    """Yield ``U^dag exp(t S) U`` at each grid time, stepping P_{k+1} = exp(h S) @ P_k.
+    """Yield the blocks of ``U^dag exp(t S) U`` at each grid time: P_{k+1} = exp(h S) @ P_k.
 
-    ``(a, e)`` is ``_hermitian_form`` of the generator, ``a = 2^-e U^dag S U``,
-    so each exponential is taken of ``(t 2^e) a`` and is real when ``a`` is.
-    ``a`` may instead be the generator's blocks (``superop._sectors``), with
-    ``table`` their table, whose -1 entries mark the padding rows; the
-    propagators are then those blocks of ``U^dag exp(t S) U``, and every
-    padded row is 0. ``norm`` is ||S||; the start time and the step must
-    each stay in the exponential's safe range. Overflow of a growing
-    propagator is an error.
+    ``(a, e, table)`` is ``superop._sector_form`` of the generator, with
+    ``e`` as an int: ``a`` is the blocks of ``2^-e U^dag S U``, so each
+    exponential is taken of ``(t 2^e) a`` and is real when ``a`` is, and
+    every row that ``table`` marks as padding (-1) is 0 in every
+    propagator. ``norm`` is ||S||; the start time and the step must each
+    stay in the exponential's safe range. Overflow of a growing propagator
+    is an error.
     """
     _check_range(norm, grid.t_start)
     h = (grid.t_end - grid.t_start) / grid.steps
@@ -194,10 +194,9 @@ def _stepped_propagators(
     # (the largest entry of 2^-e S is), so the scaled times cannot overflow
     step = matrix_exp(math.ldexp(h, e) * a)
     p = matrix_exp(math.ldexp(grid.t_start, e) * a)
-    if table is not None:
-        # the exponential of a padded zero block is the identity; as zeros,
-        # the padding stays zero in every product and adds no norm
-        p *= (table >= 0)[..., None]
+    # the exponential of a padded zero block is the identity; as zeros, the
+    # padding stays zero in every product and adds no norm
+    p *= (table >= 0)[..., None]
     yield p
     for t in grid.times[1:]:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -223,28 +222,17 @@ def _propagator_norm(p: np.ndarray) -> float:
     return math.ldexp(math.sqrt(float(_hermitian_norms(gram).max())), f)
 
 
-def _split(s: Superoperator) -> tuple[np.ndarray, int, np.ndarray | None]:
-    """``(a, e, table)``: the rotation ``2^-e U^dag S U`` of ``_hermitian_form``
-    as the blocks of its sectors and their table (``superop._sectors``), or
-    whole with table None."""
-    a, e = _hermitian_form(s.matrix)
-    blocks, table = _sectors(a[None]) or (a, None)
-    return blocks, e, table
+def _abscissa(a: np.ndarray, e: int, table: np.ndarray) -> float:
+    """Largest real part over the eigenvalues of the generator whose form is ``(a, e, table)``.
 
-
-def _abscissa(a: np.ndarray, e: int, table: np.ndarray | None) -> float:
-    """Largest real part over the eigenvalues of ``2^e`` times the matrix ``_split`` gives.
-
-    A padded row would add a zero eigenvalue, so the blocks with ``s``
-    rows that are not padding are cut to ``s x s`` and take one batched
-    eigensolve, one for each such size.
+    ``(a, e, table)`` is ``superop._sector_form`` of the generator, with
+    ``e`` as an int. A padded row would add a zero eigenvalue, so the
+    blocks with ``s`` rows that are not padding are cut to ``s x s`` and
+    take one batched eigensolve, one for each such size.
     """
-    if table is None:
-        groups = [a]
-    else:
-        sizes = np.count_nonzero(table >= 0, axis=1)
-        # a set, not np.unique, which imports numpy.ma on its first call
-        groups = [a[sizes == size, :size, :size] for size in set(sizes.tolist())]
+    sizes = np.count_nonzero(table >= 0, axis=1)
+    # a set, not np.unique, which imports numpy.ma on its first call
+    groups = [a[sizes == size, :size, :size] for size in set(sizes.tolist())]
     return math.ldexp(max(float(_eigenvalues(g).real.max()) for g in groups), e)
 
 
@@ -276,7 +264,8 @@ def spectral_abscissa(s: Superoperator) -> float:
     Lindbladian is a real matrix; the basis is unitary, so the spectrum is
     that of ``S``.
     """
-    return _abscissa(*_split(s))
+    a, e, table = _sector_form(s.matrix[None])
+    return _abscissa(a, int(e[0]), table)
 
 
 def amplification_series(s: Superoperator, grid: TimeGrid) -> AmplificationSeries:
@@ -293,8 +282,9 @@ def amplification_series(s: Superoperator, grid: TimeGrid) -> AmplificationSerie
     """
     m = compute_metrics(s)
     delta, eta, nd_norm = m.delta, m.eta, m.nd_norm
-    a, e, table = _split(s)
-    propagators = _stepped_propagators(a, e, grid, m.generator_norm, table)
+    a, e, table = _sector_form(s.matrix[None])
+    e = int(e[0])
+    propagators = _stepped_propagators(a, e, table, grid, m.generator_norm)
     prop = np.array([_propagator_norm(p) for p in propagators])
     alpha = _abscissa(a, e, table)
 
@@ -328,16 +318,15 @@ def gronwall_check(s: Superoperator, rho0, grid: TimeGrid) -> float:
     """
     rho0 = as_complex_matrix(rho0, s.dim, s.dim)
     m = compute_metrics(s)
-    a, e, table = _split(s)
+    a, e, table = _sector_form(s.matrix[None])
     # rho0 in the basis of the propagators; a real propagator maps the real
     # and imaginary parts of its coordinates, as two real columns, apart
     x = _hermitian_coords(rho0)
     x = x.view(np.float64).reshape(-1, 2) if a.dtype == np.float64 else x[:, None]
-    if table is not None:
-        # the coordinates of each sector's elements, in its rows' order,
-        # and 0 on the padding rows, which every propagator block zeroes
-        x = np.where((table >= 0)[..., None], x[table], 0.0)
-    propagators = _stepped_propagators(a, e, grid, m.generator_norm, table)
+    # the coordinates of each sector's elements, in its rows' order, and 0
+    # on the padding rows, which every propagator block zeroes
+    x = np.where((table >= 0)[..., None], x[table], 0.0)
+    propagators = _stepped_propagators(a, int(e[0]), table, grid, m.generator_norm)
     norms = [np.linalg.norm(p @ x) for p in propagators]
     with np.errstate(over="ignore"):
         margins = np.exp(m.delta * grid.times) * hs_norm(rho0) - np.array(norms)

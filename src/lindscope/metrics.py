@@ -33,32 +33,24 @@ one prescale per generator and one batched call per step: four Hermitian
 eigensolve calls for the whole stack. It returns columns, one array per
 metric over the stack, and runs its checks and kappa bands on whole
 columns. ``compute_metrics`` runs it on a stack of one and reads row 0.
-It is two halves: ``_sector_form`` rotates a stack and splits it into
-sectors, and ``_block_pass`` runs the eigensolves, checks and bands on the
-blocks. A sweep runs them apart: it rotates a block of points at a time
-and queues the sector blocks, and runs one pooled ``_block_pass`` on the
-blocks of many of them, up to a fixed number of entries (``cli``'s
-``_POOL_ENTRIES``), so that a d = 8 sweep makes four eigensolve calls per
-16 or 17 points, not per point. Every step works on each block alone, so
-a pooled generator takes the values it takes in its own block's pass, bit
-for bit. A stack passes or fails as a whole, with the error of its first
-failing generator; a sweep takes the points of a failed pass again one at
-a time to find the first that fails.
+It is two halves: ``superop._sector_form`` gives the blocks of the stack,
+and ``_block_pass`` runs the eigensolves, checks and bands on them. Every
+step works on each block alone, so a generator takes the values it takes
+in its own block's pass, bit for bit, whatever blocks share the call; a
+sweep uses this to run one pass on the blocks of many points. A stack
+passes or fails as a whole, with the error of its first failing
+generator.
 
-Every norm of a block-diagonal matrix is the largest of its blocks', so the
-pass runs on the exact symmetry sectors of the real form where that pays
-(``superop._sectors``): the connected components of the pattern of
-``a + a^T``, over the whole stack, zero-padded to the largest into one
-stack of blocks. The steps are the same batched calls on that stack, still
-four eigensolves; each generator then takes the largest value over its
-blocks, and the square root of the sum of their squared residuals for the
-route check. Blocks round differently from the whole matrix, so a
-generator that weak symmetry splits (``jaynes_cummings``,
-``multi_qubit_dephasing``) moves by a few ulps (1.3e-15 relative at most
-on the tests' models); a generator that is one sector, or whose split
-would not pay, runs the steps on the whole matrix. A stack's points take the same results bit for bit as alone when
-they share one pattern of zeros, as the points of a sweep do unless a
-parameter is exactly 0.
+Every norm of a block-diagonal matrix is the largest of its blocks', so
+each generator takes the largest value over its blocks (a padded row of
+zeros adds a zero eigenvalue), and the square root of the sum of their
+squared residuals for the route check. A generator that does not split is
+one block. Blocks round differently from the whole matrix, so a generator
+that weak symmetry splits (``jaynes_cummings``, ``multi_qubit_dephasing``)
+moves by a few ulps (1.3e-15 relative at most on the tests' models). A
+stack's points take the same results bit for bit as alone when they share
+one pattern of zeros, as the points of a sweep do unless a parameter is
+exactly 0.
 """
 
 from __future__ import annotations
@@ -71,7 +63,7 @@ import numpy as np
 
 from .errors import NumericalError, RangeError
 from .linalg import _hermitian_norms, dagger, eigenvalues_general, hermitian_norm
-from .superop import LindbladModel, Superoperator, _hermitian_form, _kron, _sectors, liouvillian
+from .superop import LindbladModel, Superoperator, _kron, _sector_form, liouvillian
 
 __all__ = [
     "ZERO_RTOL",
@@ -226,43 +218,29 @@ def _analyze(m: np.ndarray, thresholds: RegimeThresholds | None = None) -> dict:
     raises alone, and a failed batched eigensolve raises for the whole
     stack.
 
-    It is ``_block_pass`` of ``_sector_form``: a sweep runs the two halves
-    apart, to pool the blocks of many stacks into one pass.
+    It is ``_block_pass`` of ``superop._sector_form``: a sweep runs the two
+    halves apart, to pool the blocks of many stacks into one pass.
     """
-    return _block_pass(*_sector_form(m), thresholds)
-
-
-def _sector_form(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first half of the pass: a stack ``(k, n, n)`` as the blocks it runs on.
-
-    Returns ``(a, e)``: ``a`` is ``2^-e U^dag m U`` of each generator
-    (``superop._hermitian_form``), split into the exact symmetry sectors of
-    the stack where that pays (``superop._sectors``), as a ``(k B, b, b)``
-    stack of the ``B`` blocks of each generator in turn (``B = 1`` and
-    ``b = n`` unsplit); ``e`` is the length-``k`` array of exponents.
-    """
-    # a = 2^-e U^dag S U, with U unitary and its largest entry O(1): no
-    # product of a with itself can under- or overflow, and every norm is
-    # that of 2^-e S. a is real when S preserves Hermiticity, and then so is
-    # every product and eigensolve of the pass.
-    a, e = _hermitian_form(m)
-    # every norm of a block-diagonal matrix is the largest of its blocks'
-    # (a padded row of zeros adds a zero eigenvalue), and the residual's
-    # squares add up over them
-    sectors = _sectors(a)
-    return (a if sectors is None else sectors[0]), np.array(e)
+    a, e, _ = _sector_form(m)
+    return _block_pass(a, e, thresholds)
 
 
 def _block_pass(a: np.ndarray, e: np.ndarray, thresholds: RegimeThresholds | None = None) -> dict:
     """The second half of the pass: the columns of the generators whose blocks are ``a``.
 
-    ``(a, e)`` is ``_sector_form`` of a stack, or of several stacks of one
-    block shape and dtype, concatenated: generator ``i`` is the ``B``
-    blocks ``a[i B : (i + 1) B]``, ``B = len(a) // len(e)``, at exponent
-    ``e[i]``. Every step works on each block alone, so a generator takes
-    the same values bit for bit whatever blocks share its call. Returns
-    the columns of ``_analyze`` and fails as it does. ``a`` is overwritten.
+    ``(a, e)`` is the blocks and exponents of ``superop._sector_form`` of a
+    stack, or of several stacks of one block shape and dtype, concatenated:
+    generator ``i`` is the ``B`` blocks ``a[i B : (i + 1) B]``,
+    ``B = len(a) // len(e)``, at exponent ``e[i]``. Every step works on
+    each block alone, so a generator takes the same values bit for bit
+    whatever blocks share its call. Returns the columns of ``_analyze`` and
+    fails as it does. ``a`` is overwritten.
     """
+    # a = 2^-e U^dag S U, with U unitary and its largest entry O(1): no
+    # product of a with itself can under- or overflow, and every norm is
+    # that of 2^-e S. a is real when S preserves Hermiticity, and then so is
+    # every product and eigensolve of the pass.
+
     # Each stack of temporaries is released before the next is allocated,
     # which keeps at most four alive besides S and the eigensolver's copy.
     ad = a.conj().swapaxes(-1, -2)  # a view of a when a is real

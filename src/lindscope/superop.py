@@ -22,9 +22,12 @@ stacks of ``models._stack`` go straight into ``_liouvillians``, a block of
 points at a time. A block with an overflowing generator fails as a whole,
 and the sweep takes its points again one at a time through ``liouvillian``.
 
-``_sectors`` splits a stack of real forms into its exact symmetry sectors,
-the decoupled blocks that the analysis pass and the propagator series run
-on where the split pays.
+``_sector_form`` is the one layout every kernel runs on: it rotates a
+stack of generators and splits it into its exact symmetry sectors where
+that pays (``_sectors``), and returns the blocks, the exponents and the
+table of sectors. A generator that does not split is one block, with one
+sector in its table, so the analysis pass, the propagator series, the
+spectral abscissa and ``gronwall_check`` each take one form.
 
 All values are immutable after construction (arrays are frozen), so they
 are safe to share across threads.
@@ -286,9 +289,10 @@ def _sectors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     the basis elements of each block's rows, in ascending order, then -1 on
     the padding rows (``_sector_table``). None when the stack is one sector or
     when ``B * b^3`` exceeds ``_SECTOR_SHARE * n^3``, the split then not
-    paying (see ``_SECTOR_SHARE``). The split is exact: a zero computed as
-    exactly 0 makes the matrix exactly block diagonal, and a spurious
-    nonzero only merges blocks.
+    paying (see ``_SECTOR_SHARE``); ``_sector_form`` then takes each matrix
+    as one block. The split is exact: a zero computed as exactly 0 makes
+    the matrix exactly block diagonal, and a spurious nonzero only merges
+    blocks.
 
     A stack whose first basis element is coupled to every other is one
     sector, which is tested first in O(k n); otherwise the pattern, one
@@ -299,25 +303,28 @@ def _sectors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         return None
     pattern = (a != 0).any(axis=0)
     pattern |= pattern.T
-    table = _sector_table(np.packbits(pattern).tobytes(), n)
-    if table is None:
+    found = _sector_table(np.packbits(pattern).tobytes(), n)
+    if found is None:
         return None
-    live = table >= 0
-    inside = live[:, :, None] & live[:, None, :]
-    where = (table[:, :, None] * n + table[:, None, :])[inside]
+    table, inside, where = found
     blocks = np.zeros((k, *inside.shape), dtype=a.dtype)
     blocks[:, inside] = a.reshape(k, n * n)[:, where]
     return blocks.reshape(k * len(table), *inside.shape[1:]), table
 
 
 @functools.lru_cache(maxsize=16)
-def _sector_table(packed: bytes, n: int) -> np.ndarray | None:
+def _sector_table(packed: bytes, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """The sectors of the symmetric ``n x n`` pattern that ``np.packbits`` packed.
 
-    Returns the ``(B, b)`` table of each sector's elements in ascending
-    order, padded with -1, or None (see ``_sectors``). The pattern is the
-    key, so a hit is exact; a sweep hits it at every point of one pattern.
-    An entry holds ``n`` integers besides its key of ``n^2`` bits.
+    Returns ``(table, inside, where)``, or None (see ``_sectors``):
+    ``table`` is the ``(B, b)`` table of each sector's elements in
+    ascending order, padded with -1; ``inside`` marks the ``(B, b, b)``
+    entries of the blocks that are not padding, and ``where`` holds the
+    flat position in the ``n x n`` matrix of each of them, in order. The
+    pattern is the key, so a hit is exact; a sweep hits it at every point
+    of one pattern, and gathers its blocks without forming the index
+    again. Besides its key of ``n^2`` bits, an entry holds ``B b``
+    integers, ``B b^2`` bools and one integer per entry of a true block.
     """
     pattern = np.unpackbits(np.frombuffer(packed, np.uint8), count=n * n).reshape(n, n)
     # the entries of B blocks of b cover at most b n of the pattern, and
@@ -349,7 +356,33 @@ def _sector_table(packed: bytes, n: int) -> np.ndarray | None:
     first = np.cumsum(counts) - counts
     table = np.full((count, size), -1)
     table[sector[order], np.arange(n) - first[sector[order]]] = order
-    return _frozen(table)
+    live = table >= 0
+    inside = live[:, :, None] & live[:, None, :]
+    where = (table[:, :, None] * n + table[:, None, :])[inside]
+    return _frozen(table), _frozen(inside), _frozen(where)
+
+
+@functools.lru_cache(maxsize=None)
+def _one_sector(n: int) -> np.ndarray:
+    """The table of a generator that is one sector: its ``n`` elements in order."""
+    return _frozen(np.arange(n)[None])
+
+
+def _sector_form(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A stack of generators ``(k, n, n)`` as the blocks every kernel runs on.
+
+    Returns ``(a, e, table)``: ``a`` is ``2^-e U^dag m U`` of each
+    generator (``_hermitian_form``), split into the exact symmetry sectors
+    of the stack (``_sectors``), as a ``(k B, b, b)`` stack of the ``B``
+    blocks of each generator in turn; ``e`` is the length-``k`` array of
+    exponents; ``table`` is the ``(B, b)`` table of the basis elements of
+    each block's rows, -1 on the padding rows. A stack that does not split,
+    or whose split would not pay, is one block per generator, its rotation
+    as it is, with the table ``arange(n)[None]`` (``B = 1``, ``b = n``).
+    """
+    a, e = _hermitian_form(m)
+    blocks, table = _sectors(a) or (a, _one_sector(a.shape[-1]))
+    return blocks, np.array(e), table
 
 
 def _hermitian_coords(rho: np.ndarray) -> np.ndarray:

@@ -528,9 +528,9 @@ class TestStackedSweeps:
             return pooled(a, e, *args)
 
         def recording_form(stack):
-            a, e = form(stack)
-            shapes.add(cli._pool_key(a, e))
-            return a, e
+            a, e, table = form(stack)
+            shapes.add(cli._pool_key(a, e, table))
+            return a, e, table
 
         monkeypatch.setattr(cli, "_block_pass", recording_pass)
         monkeypatch.setattr(cli, "_sector_form", recording_form)

@@ -51,7 +51,7 @@ from lindscope import (
 )
 from lindscope.cli import parse_model_file
 from lindscope.metrics import _analyze, eta_tolerance, zero_tolerance
-from lindscope.superop import _hermitian_form, _liouvillians, _sectors, decompose
+from lindscope.superop import _hermitian_form, _liouvillians, _sector_form, _sectors, decompose
 
 
 def metrics_of(model):
@@ -741,11 +741,13 @@ SECTOR_MODELS = {
 
 def _unsplit(monkeypatch):
     """From here on, the pass and the series run on the whole generator."""
-    import lindscope.dynamics
-    import lindscope.metrics
+    import lindscope.superop
 
-    for module in (lindscope.metrics, lindscope.dynamics):
-        monkeypatch.setattr(module, "_sectors", lambda a: None)
+    monkeypatch.setattr(lindscope.superop, "_sectors", lambda a: None)
+    # jaynes_cummings splits into 16 blocks; now each generator is one
+    m = liouvillian(SECTOR_MODELS["jaynes_cummings"]).matrix
+    a, e, table = _sector_form(np.stack([m, m]))
+    assert a.shape == (2, 64, 64) and len(e) == 2 and table.tolist() == [list(range(64))]
 
 
 def _assert_relative(got, want, rel=1e-14):
@@ -838,8 +840,17 @@ class TestSectors:
         # the comparison above runs on split generators: the named models
         # with many sectors, the damped ones and most planted ones
         def blocks(name):
-            found = _sectors(_hermitian_form(liouvillian(SECTOR_MODELS[name]).matrix)[0][None])
-            return None if found is None else found[1].shape
+            m = liouvillian(SECTOR_MODELS[name]).matrix
+            found = _sectors(_hermitian_form(m)[0][None])
+            # the form every kernel runs on has the table of _sectors, or
+            # one sector when they find none
+            a, e, table = _sector_form(m[None])
+            assert len(e) == 1 and len(a) == len(table)
+            if found is None:
+                assert table.tolist() == [list(range(len(m)))]
+                return None
+            assert np.array_equal(table, found[1])
+            return found[1].shape
 
         assert blocks("jaynes_cummings") == (16, 8)
         assert blocks("jaynes_cummings-7") == (45, 8)
@@ -864,6 +875,12 @@ class TestSectors:
             rng = np.random.default_rng(90 + d)
             s = liouvillian(LindbladModel(d, random_hermitian(rng, d), (random_complex(rng, d),)))
             assert _sectors(_hermitian_form(s.matrix)[0][None]) is None
+            # one block, the rotation bit for bit, in a read-only table of one sector
+            a, e, table = _sector_form(s.matrix[None])
+            whole, exponents = _hermitian_form(s.matrix[None])
+            assert a.shape == whole.shape and a.tobytes() == whole.tobytes()
+            assert e.tolist() == exponents
+            assert table.tolist() == [list(range(d * d))] and not table.flags.writeable
             compute_metrics(s)
 
     def test_dense_hamiltonian_one_block(self):
@@ -886,7 +903,7 @@ class TestSectors:
         pattern = np.zeros((n, n), dtype=bool)
         pattern[chains[:, :-1], chains[:, 1:]] = True
         pattern |= pattern.T
-        table = _sector_table.__wrapped__(np.packbits(pattern).tobytes(), n)
+        table = _sector_table.__wrapped__(np.packbits(pattern).tobytes(), n)[0]
         assert table.tolist() == sorted(sorted(chain) for chain in chains.tolist())
         # joined end to end, they are one sector
         pattern[chains[:-1, -1], chains[1:, 0]] = True
@@ -933,6 +950,9 @@ class TestSectors:
         models += [jaynes_cummings(g=g, n_max=3) for g in (0.1, 0.2, 0.3)]
         stack = np.stack([liouvillian(model).matrix for model in models])
         assert _sectors(_hermitian_form(stack)[0]) is not None
+        # one exponent per generator, and its blocks in turn
+        a, e, table = _sector_form(stack)
+        assert len(e) == len(models) and len(a) == len(models) * len(table)
         calls = {"eigvalsh": 0}
         counting = functools.partial(_counting, calls)
         monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
