@@ -29,11 +29,20 @@ at k 4 and 5, ``series`` on ``jaynes_cummings`` at ``n_max`` 7, and
 ``models/jaynes_cummings.json`` (d = 8) cover how a sweep pools the sector
 blocks of many points into one analysis pass: 230 log-spaced points (past
 several pools and stacks) and 41 linear points from ``g = 0``, whose first
-point splits into other sectors than the rest. Each side runs
+point splits into other sectors than the rest. A sweep builds its sector
+blocks straight from H and the jumps, in chunks of points with the same
+exactly-zero coefficients, so three more sweeps cover points that cut
+couplings their neighbours have: a linear ``omega_a`` sweep on
+``jaynes_cummings`` (d = 8, ``omega_c = 1``) that meets ``omega_c``
+exactly, at ``g = 0`` and at ``g = 0.1``, and a linear ``gamma_1`` sweep
+from 0 on ``multi_qubit_dephasing`` at k = 3 (d = 8, one zero-rate point
+among 50). A 50-point ``sweep`` over ``g`` on ``jaynes_cummings`` at
+``n_max`` 7 (d = 16) covers chunks of larger blocks. Each side runs
 in its own interpreter with one BLAS thread: the working tree's ``src/``,
 and REF's ``src/`` unpacked by ``git archive`` into a temporary directory
 (removed afterwards). Both read the working tree's model files, and the
-failing sweeps' and the sectored models' files, written to that directory.
+failing sweeps', the sectored models' and the cutting sweeps' files,
+written to that directory.
 
 Prints the largest relative deviation of any number per command and exits
 1 on a changed label (a regime or ``appg_satisfied`` flip), a changed exit
@@ -115,6 +124,18 @@ SECTORED = (
 )
 
 
+# Models of the sweeps whose points cut couplings: jaynes_cummings with
+# omega_c = 1, which an omega_a sweep from 0 to 2 in steps of 1/8 meets
+# exactly, and multi_qubit_dephasing at k = 3, swept from gamma_1 = 0.
+CUTS = (
+    ("jaynes_cummings-g0", {"type": "jaynes_cummings", "omega_c": 1.0, "g": 0.0, "n_max": 3}),
+    ("jaynes_cummings-g0.1", {"type": "jaynes_cummings", "omega_c": 1.0, "g": 0.1,
+                              "n_max": 3}),
+    ("multi_qubit_dephasing-3", {"type": "multi_qubit_dephasing", "k": 3, "gamma_1": 0.0,
+                                 "gamma_2": 0.2, "gamma_3": 0.3}),
+)
+
+
 def commands(tmp: Path) -> list[tuple[str, list[str]]]:
     """Every command, as ``(name, argv)``; the failing sweeps' models go to ``tmp``."""
     out = []
@@ -168,6 +189,20 @@ def commands(tmp: Path) -> list[tuple[str, list[str]]]:
     out.append(("series jaynes_cummings-7", ["series", jaynes_7]))
     coupling = ["--param", "g", "--from", "1e-3", "--to", "10", "--points", "30", "--log"]
     out.append(("regimes-g jaynes_cummings-7", ["regimes", jaynes_7, *coupling]))
+    coupling = ["--param", "g", "--from", "1e-3", "--to", "10", "--points", "50", "--log"]
+    out.append(("sweep-g-50 jaynes_cummings-7", ["sweep", jaynes_7, *coupling]))
+    # points whose exactly-zero coefficients, or exactly equal frequencies,
+    # cut couplings that their neighbours have
+    for name, model in CUTS:
+        path = tmp / f"{name}.json"
+        path.write_text(json.dumps({"model": model}), encoding="utf-8")
+    crossing = ["--param", "omega_a", "--from", "0", "--to", "2", "--points", "17"]
+    for g in ("0", "0.1"):
+        path = str(tmp / f"jaynes_cummings-g{g}.json")
+        out.append((f"sweep-omega_a jaynes_cummings-g{g}", ["sweep", path, *crossing]))
+    rate = ["--param", "gamma_1", "--from", "0", "--to", "1", "--points", "50"]
+    path = str(tmp / "multi_qubit_dephasing-3.json")
+    out.append(("sweep-gamma_1 multi_qubit_dephasing-3", ["sweep", path, *rate]))
     for name, model, param, start, stop, points, log_scale in FAILING:
         path = tmp / f"fail-{name}.json"
         path.write_text(json.dumps({"model": model}), encoding="utf-8")

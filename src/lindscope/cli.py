@@ -58,7 +58,7 @@ from .metrics import (
     structured_dissipator_report,
 )
 from .models import ModelSpec, _stack, build
-from .superop import _OVERFLOW, LindbladModel, _liouvillians, _sector_form, liouvillian
+from .superop import LindbladModel, _sector_blocks, liouvillian
 
 __all__ = ["RunConfig", "parse_model_file", "run", "main"]
 
@@ -439,28 +439,30 @@ def _sweep_values(config: RunConfig) -> np.ndarray:
 
 
 # A sweep builds its points in stacks (models._stack) of at most this many
-# entries per d x d operator, and builds and rotates them in blocks:
-# consecutive points, at most this many generator entries (points * n^2) in
-# all, share one stacked Liouvillian build and one rotation into sectors
-# (superop._sector_form). That is 256 points at d=2 and one point at d=8.
-# The bound holds a block's temporaries, and so the peak memory of a sweep,
-# to those of a single d=8 point. The blocks' sectors then wait in a queue
-# for one pooled analysis pass (metrics._block_pass), whose columns the
-# sweep appends as they are. The queue runs before a block of another
-# table shape (B, b) or dtype, before a block that would take it past
-# _POOL_ENTRIES float64 entries (a complex entry counts twice), and at the
-# end of each stack. A d=8 jaynes_cummings point is 15 or 16 blocks of
+# entries per d x d operator, at most _BLOCK_ENTRIES // 4 points, and takes
+# their sector blocks straight from H and the jumps (superop._sector_blocks),
+# a chunk of points at a time, with no n x n generator. A chunk is a run of
+# consecutive points whose H and jumps have the same exactly-zero entries,
+# which for a named kind is its set of zero coefficients, so each point
+# gets the sectors it gets alone (a coefficient that is exactly 0 cuts
+# couplings). It holds as many points as fill what is left of the pool,
+# judged by the blocks per point of the last chunk (of one sector, n^2
+# entries, before the first). The blocks then wait in a queue for one
+# pooled analysis pass (metrics._block_pass), whose columns the sweep
+# appends as they are. The queue runs before a chunk of another table shape
+# (B, b) or dtype, before a chunk that would take it past _POOL_ENTRIES
+# float64 entries (a complex entry counts twice), and at the end of each
+# stack, so a chunk's temporaries, of the order of its blocks, are never
+# alive with a pass's. A d=8 jaynes_cummings point is 15 or 16 blocks of
 # 8 x 8, so one pass takes 16 or 17 of them; 400 points at d=2 are one
-# pass. Each point's blocks are those of its own build block, and the pass
-# works on each block alone, so the rows are, bit for bit, those of a pass
-# per build block. Stacks, blocks and passes pass or fail as a whole. After
-# a failure the sweep goes on one point at a time, from the first point
-# without a row (the first queued point, after a failed pass), through
-# build, liouvillian and the pass on a stack of one (what compute_metrics
-# runs), and the first point that fails there names the error. A stack is
-# given at most _BLOCK_ENTRIES // 4 points (one d=2 stack), and no pass
-# spans two stacks, so the failing point is at most that many single
-# points on.
+# chunk and one pass. The pass works on each block alone, so the rows are,
+# bit for bit, those of a pass per point. Stacks, chunks and passes pass
+# or fail as a whole. After a failure the sweep goes on one point at a
+# time, from the first point without a row (the first queued point, after
+# a failed pass), through build, liouvillian and the pass on a stack of
+# one (what compute_metrics runs), and the first point that fails there
+# names the error. No pass spans two stacks, so the failing point is at
+# most _BLOCK_ENTRIES // 4 single points on.
 _BLOCK_ENTRIES = 4096
 # Sized by peak RSS: see CHANGES.md, "Pooled sweep passes".
 _POOL_ENTRIES = 16384
@@ -482,7 +484,7 @@ def _sweep_columns(config: RunConfig, fields) -> dict[str, np.ndarray]:
     base = _spec_from_obj(raw["model"])
     values = _sweep_values(config)
     blocks: list[dict] = []
-    # the sector forms of the blocks built since the last pass, all of one
+    # the sector forms of the chunks built since the last pass, all of one
     # table shape (B, b) and dtype
     queue: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     done = 0
@@ -502,18 +504,27 @@ def _sweep_columns(config: RunConfig, fields) -> dict[str, np.ndarray]:
             h, jumps, _ = _stack(
                 ModelSpec(base.kind, {**base.params, config.param: points}), _BLOCK_ENTRIES
             )
-            size = max(1, _BLOCK_ENTRIES // h.shape[-1] ** 4)
-            for lo in range(0, len(h), size):
-                stack = _liouvillians(h[lo : lo + size], jumps[lo : lo + size])
-                if not np.isfinite(stack).all():
-                    raise RangeError(_OVERFLOW)
-                form = _sector_form(stack)
-                if queue and (
-                    _pool_key(*queue[0]) != _pool_key(*form)
-                    or sum(a.nbytes for a, _, _ in queue) + form[0].nbytes > 8 * _POOL_ENTRIES
-                ):
-                    run_queue()
-                queue.append(form)
+            count = len(h)
+            zero = np.concatenate([(h == 0).reshape(count, -1), (jumps == 0).reshape(count, -1)], 1)
+            ends = [*(np.flatnonzero((zero[1:] != zero[:-1]).any(axis=1)) + 1).tolist(), count]
+            # the float64 entries of a point's blocks: one sector until a chunk tells
+            lo, per = 0, h.shape[-1] ** 4
+            for end in ends:
+                while lo < end:
+                    free = _POOL_ENTRIES - sum(a.nbytes for a, _, _ in queue) // 8
+                    if free < per:
+                        run_queue()
+                        free = _POOL_ENTRIES
+                    size = min(end - lo, max(1, free // per))
+                    form = _sector_blocks(h[lo : lo + size], jumps[lo : lo + size])
+                    per = form[0].nbytes // (8 * size)
+                    if queue and (
+                        _pool_key(*queue[0]) != _pool_key(*form) or form[0].nbytes > 8 * free
+                    ):
+                        run_queue()
+                    queue.append(form)
+                    del form  # the queue's reference is the one a pass frees
+                    lo += size
             run_queue()
     except LindscopeError:
         for value in values[done:].tolist():

@@ -161,6 +161,15 @@ def bound_check(s: Superoperator) -> float:
     ``-2 * delta * ||S_skew||``; roughly 3% of generic random generators
     land below zero. A margin below that provable floor would signal an
     implementation bug.
+
+    The spread of ``S_herm`` gives a sharper bound. For every real ``c``,
+    ``[S, S^dag] = -2 [S_herm - cI, S_skew]``, and at the midpoint ``c``
+    ``||S_herm - cI|| = (lmax - lmin) / 2``, so
+    ``eta <= 2 * (lmax - lmin) * ||S_skew||`` with ``lmin`` and ``lmax``
+    the extreme eigenvalues of ``S_herm``. When ``S_herm`` is semidefinite,
+    ``lmax - lmin <= delta`` and the margin is nonnegative; amplitude
+    damping attains the spread bound with an indefinite ``S_herm``, and
+    its margin is about -0.207.
     """
     return compute_metrics(s).bound_margin
 

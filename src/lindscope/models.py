@@ -18,7 +18,7 @@ returns their Hamiltonians and jumps as ``(m, d, d)`` and ``(m, K, d, d)``
 stacks. Each kind is affine in its parameters, or in ``sqrt(rate)``, times
 fixed matrices; only ``n_max`` and ``k`` fix the shape. ``build`` and the
 public builders are its stack of one plus a label, and sweeps feed its
-stacks straight into ``superop._liouvillians``. A stack is built whole or
+stacks straight into ``superop._sector_blocks``. A stack is built whole or
 not at all: a point that fails a check raises, for the whole stack, the
 error it raises alone, and a sweep then takes its points one at a time
 through ``build`` to name the first that fails.

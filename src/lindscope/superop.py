@@ -17,10 +17,14 @@ The generator build and the rotation both take stacks: ``_liouvillians``
 builds the generators of many points of one shape in one pass, from their
 stacked Hamiltonians and jump operators, and ``_hermitian_form`` rotates a
 ``(..., n, n)`` stack with one power-of-two prescale per matrix.
-``liouvillian`` is the stack of one. Sweeps build no ``LindbladModel``: the
-stacks of ``models._stack`` go straight into ``_liouvillians``, a block of
-points at a time. A block with an overflowing generator fails as a whole,
-and the sweep takes its points again one at a time through ``liouvillian``.
+``liouvillian`` is the stack of one. Sweeps build no ``LindbladModel`` and
+no ``n x n`` generator: ``_sector_blocks`` takes the stacks of
+``models._stack`` a chunk of points at a time and forms, from the
+``d x d`` entries of ``H``, ``L_k`` and ``L_k^dag L_k``, only the entries
+of the real form inside the sectors their patterns allow, bit for bit
+those of ``_sector_form(_liouvillians(h, jumps))``. A chunk with an
+overflowing generator fails as a whole, and the sweep takes its points
+again one at a time through ``liouvillian``.
 
 ``_sector_form`` is the one layout every kernel runs on: it rotates a
 stack of generators and splits it into its exact symmetry sectors where
@@ -383,6 +387,264 @@ def _sector_form(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a, e = _hermitian_form(m)
     blocks, table = _sectors(a) or (a, _one_sector(a.shape[-1]))
     return blocks, np.array(e), table
+
+
+# Which of u = h0 + h1 (Re, Im) and v = h0 - h1 (Re, -Im) of a slot pair
+# (see _fill) an entry of the real form takes, by whether its row and its
+# column are anti-symmetric elements
+_PART = np.array([[0, 3], [1, 2]])
+
+
+def _entry_plan(dim: int, pairs: np.ndarray) -> tuple:
+    """How to form the generator entries of the slot pairs ``pairs``.
+
+    A slot is an entry of ``_basis_index``: ``a < dim`` the diagonal
+    element ``E_aa``, a later one a pair ``i < j``. A slot pair ``(a, b)``,
+    given as ``a r + b``, has the four generator entries ``M[p_a, p_b]``,
+    ``M[q_a, q_b]``, ``M[p_a, q_b]`` and ``M[q_a, p_b]`` that the rotation
+    gathers. Returns, for each distinct generator entry
+    ``M[(i, j), (k, l)]`` among them, the flat ``d x d`` positions
+    ``ik``, ``lj`` and ``jl`` and the identity entries ``I[j, l]`` and
+    ``I[i, k]``, then the ``(4, c)`` index of each pair's four entries
+    into that list.
+    """
+    rows, cols, _ = _basis_index(dim)
+    r, n = rows.shape[1], dim * dim
+    a, b = np.divmod(pairs, r)
+    flat = (rows[:, a, 0] * n + cols[:, 0, b]).ravel()
+    # np.unique, by sorting (it takes more code and memory on a first call)
+    order = np.argsort(flat, kind="stable")
+    first = np.diff(flat[order], prepend=-1) != 0
+    unique = flat[order][first]
+    roles = np.empty(len(flat), dtype=np.intp)
+    roles[order] = np.cumsum(first) - 1
+    (j, i), (l, k) = (np.divmod(x, dim) for x in np.divmod(unique, n))
+    eye = np.eye(dim, dtype=complex)
+    plan = (i * dim + k, l * dim + j, j * dim + l, eye[j, l], eye[i, k], roles.reshape(4, -1))
+    return tuple(_frozen(x) for x in plan)
+
+
+def _pair_of(x: np.ndarray, y: np.ndarray, dim: int) -> np.ndarray:
+    """The slot pair ``a r + b`` whose parts hold the real-form entry ``(x, y)``."""
+    r = dim * (dim + 1) // 2
+    return np.where(x < r, x, x - r + dim) * r + np.where(y < r, y, y - r + dim)
+
+
+@functools.lru_cache(maxsize=16)
+def _candidates(dim: int, key: bytes | None) -> tuple:
+    """The slot pairs to form for the ``d x d`` patterns packed in ``key``.
+
+    ``key`` packs the pattern of ``H`` or of any ``L_k^dag L_k``, then that
+    of each ``L_k``. ``M[(i,j),(k,l)]`` sums ``I[j,l] H[i,k]``,
+    ``H[l,j] I[i,k]``, ``conj(L_k[j,l]) L_k[i,k]`` and the like terms of
+    ``L_k^dag L_k``, so it is zero unless a term has two nonzero factors.
+    The slot pairs with such an entry give a pattern of the real form that
+    holds every nonzero, and its sectors hold those of the generators.
+    Returns the slot pairs inside these sectors (every pair when they are
+    one, when their split does not pay, or for ``key`` None), their
+    ``_entry_plan``, the ``(4, c)`` flat positions in the ``n x n`` real
+    form of each pair's entries of ``Re u``, ``Im u``, ``Re v`` and
+    ``-Im v``, and the ``(4, c)`` mask of those that exist: only a pair
+    slot has an anti-symmetric element.
+    """
+    n, (rows, cols, _) = dim * dim, _basis_index(dim)
+    r = rows.shape[1]
+    found = None
+    if key is not None:
+        ops = np.unpackbits(np.frombuffer(key, np.uint8)).astype(bool)
+        ops = ops[: len(ops) // n * n].reshape(-1, dim, dim)
+        eye = np.eye(dim, dtype=bool)
+        linked = np.kron(eye, ops[0]) | np.kron(ops[0].T, eye)
+        for jump in ops[1:]:
+            linked |= np.kron(jump, jump)
+        held = linked.reshape(n * n)[rows * n + cols].any(axis=0)
+        # placed as _fill places the parts
+        pattern = np.zeros((n, n), dtype=bool)
+        pattern[:r, :r] = held
+        pattern[r:, :r] = held[dim:]
+        pattern[r:, r:] = held[dim:, dim:]
+        pattern[:r, r:] = held[:, dim:]
+        pattern |= pattern.T
+        found = None if pattern[0, 1:].all() else _sector_table(np.packbits(pattern).tobytes(), n)
+    if found is None:
+        pairs = np.arange(r * r)
+    else:
+        inside = np.zeros(r * r, dtype=bool)
+        inside[_pair_of(*np.divmod(found[2], n), dim)] = True
+        pairs = np.flatnonzero(inside)
+    a, b = np.divmod(pairs, r)
+    anti_a, anti_b = a + r - dim, b + r - dim
+    where = np.stack([a * n + b, anti_a * n + b, anti_a * n + anti_b, a * n + anti_b])
+    exists = np.stack([a >= 0, a >= dim, (a >= dim) & (b >= dim), b >= dim])
+    return _frozen(pairs), _entry_plan(dim, pairs), _frozen(where), _frozen(exists)
+
+
+@functools.lru_cache(maxsize=16)
+def _block_plan(dim: int, key: bytes | None, table: bytes, shape: tuple) -> tuple:
+    """How to fill the blocks of a sector table from the parts of ``_candidates(dim, key)``.
+
+    ``table`` is a ``(B, b)`` table of ``_sector_table`` or ``_one_sector``
+    as bytes, with its ``shape``; its sectors lie inside the candidates'.
+    Returns the ``(B, b, b)`` mask of the block entries that are not
+    padding (None for one sector, which has none), and for each of those
+    entries, in the order of ``_sector_table``'s gather, its index into
+    the ``(4, c)`` parts of the candidate pairs, its row weight and its
+    column weight.
+    """
+    n, r = dim * dim, dim * (dim + 1) // 2
+    table = np.frombuffer(table, dtype=np.intp).reshape(shape)
+    live = table >= 0
+    inside = live[:, :, None] & live[:, None, :]
+    x, y = np.divmod((table[:, :, None] * n + table[:, None, :])[inside], n)
+    pairs = _candidates(dim, key)[0]
+    column = np.empty(r * r, dtype=np.intp)
+    column[pairs] = np.arange(len(pairs))
+    index = _PART[(x >= r).astype(int), (y >= r).astype(int)] * len(pairs)
+    index += column[_pair_of(x, y, dim)]
+    weight = _basis_index(dim)[2]
+    inside = None if shape == (1, n) else _frozen(inside)
+    return inside, _frozen(index), _frozen(weight[x]), _frozen(weight[y])
+
+
+def _generator_entries(
+    h: np.ndarray, jumps: np.ndarray, jdj: np.ndarray, plan: tuple
+) -> np.ndarray:
+    """The entries of ``_entry_plan`` of each generator of a stack, ``(m, E)``.
+
+    ``h`` is ``(m, d^2)``, ``jumps`` and ``jdj`` (the ``L_k^dag L_k``)
+    ``(m, K, d^2)``, all flattened row by row. Each entry is formed by the
+    operations ``_liouvillians`` makes on it, in its order and with its
+    operands in their order, products with identity entries included, so
+    every bit is the same: numpy's complex product uses a fused
+    multiply-add, which does not commute. The products in place are those
+    with entries of the identity and with constants, which are exact.
+    """
+    ik, lj, jl, eye_jl, eye_ik, _ = plan
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = np.multiply(eye_jl, np.take(h, ik, axis=1))
+        t = np.take(h, lj, axis=1)
+        m -= np.multiply(t, eye_ik, out=t)
+        np.multiply(m, -1j, out=m)
+        for jump, square in zip(jumps.swapaxes(0, 1), jdj.swapaxes(0, 1)):
+            t = np.take(jump, jl, axis=1)
+            np.conjugate(t, out=t)
+            # not in place: numpy skips the fused multiply-add of a complex
+            # product written in place over a single entry
+            m += t * np.take(jump, ik, axis=1)
+            t = np.take(square, ik, axis=1)
+            np.multiply(eye_jl, t, out=t)
+            m -= np.multiply(0.5, t, out=t)
+            t = np.take(square, lj, axis=1)
+            np.multiply(t, eye_ik, out=t)
+            m -= np.multiply(0.5, t, out=t)
+    return m
+
+
+def _uv_parts(h0: np.ndarray, h1: np.ndarray) -> np.ndarray:
+    """``[Re u, Im u, Re v, -Im v]`` of ``u = h0 + h1`` and ``v = h0 - h1``, as ``_fill`` forms them.
+
+    The result is ``(m, 4, c)`` for ``(m, c)`` halves; ``h0`` is overwritten.
+    """
+    v = h0 - h1
+    h0 += h1
+    out = np.empty((len(h0), 4, h0.shape[-1]))
+    out[:, 0], out[:, 1], out[:, 2] = h0.real, h0.imag, v.real
+    np.negative(v.imag, out=out[:, 3])
+    return out
+
+
+def _formed(h: np.ndarray, jumps: np.ndarray, jdj: np.ndarray, key: bytes | None) -> tuple:
+    """The parts, exponents and sectors of the slot pairs of ``_candidates(d, key)``.
+
+    ``h``, ``jumps`` and ``jdj`` are flattened as ``_generator_entries``
+    takes them. Each step on the pairs' generator entries is that of
+    ``_hermitian_form`` on the same numbers: the prescale by
+    ``2^-(e+1)``, the sums with conjugates, the real-form test and
+    ``_fill``. Returns the ``_uv_parts`` of the real part of the rotation
+    and, for a complex one, those of its imaginary part; the exponents;
+    and the sectors of ``_sectors``, ``_sector_table`` of the pattern of
+    the nonzero entries over the stack, or None.
+    """
+    n = h.shape[-1]
+    _, plan, where, exists = _candidates(math.isqrt(n), key)
+    m = _generator_entries(h, jumps, jdj, plan)
+    if not np.isfinite(m).all():
+        raise RangeError(_OVERFLOW)
+    e = np.frexp(np.abs(m).max(axis=1, initial=0.0))[1]
+    halves = m.view(np.float64)
+    np.ldexp(halves, (-1 - e)[:, None], out=halves)
+    g0, g1, g2, g3 = (np.take(m, role, axis=1) for role in plan[-1])
+    del m, halves
+    np.conjugate(g1, out=g1)
+    np.conjugate(g3, out=g3)
+    rest = g0 - g1, g2 - g3
+    g0 += g1
+    g2 += g3
+    del g1, g3
+    largest = max(float(np.abs(half).max(initial=0.0)) for half in rest)
+    if 2.0 * largest <= _REAL_FORM_ULPS * _EPS / 4:
+        parts = (_uv_parts(g0, g2),)
+    else:
+        parts = _uv_parts(g0, g2), _uv_parts(*(np.multiply(-1j, half) for half in rest))
+    del g0, g2, rest
+    # the weights, at least 1/sqrt2, take no nonzero double to 0
+    nonzero = np.logical_or.reduce([(p != 0).any(axis=0) for p in parts])
+    pattern = np.zeros(n * n, dtype=bool)
+    pattern[where[exists & nonzero]] = True
+    pattern = pattern.reshape(n, n)
+    pattern |= pattern.T
+    found = None if pattern[0, 1:].all() else _sector_table(np.packbits(pattern).tobytes(), n)
+    return parts, e, found
+
+
+def _sector_blocks(h: np.ndarray, jumps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_sector_form(_liouvillians(h, jumps))``, bit for bit, without the ``n x n`` generators.
+
+    ``h`` is ``(m, d, d)`` and ``jumps`` ``(m, K, d, d)``, as
+    ``models._stack`` returns them. The ``d x d`` patterns of ``H``,
+    ``L_k`` and ``L_k^dag L_k`` over the stack give sectors that hold
+    those of the generators (``_candidates``); only the entries inside
+    them are formed, and they give the prescale, the real-form test and
+    the pattern, and so the table of ``_sectors``, whose blocks take them
+    (``_block_plan``). A generator that does not split is its whole
+    rotation, one block. A stack whose generator would hold an entry
+    beyond double precision is a RangeError.
+    """
+    k, d = h.shape[0], h.shape[-1]
+    n = d * d
+    with np.errstate(over="ignore", invalid="ignore"):
+        jdj = [jump.conj().swapaxes(-1, -2) @ jump for jump in jumps.swapaxes(0, 1)]
+    jdj = np.stack(jdj, axis=1) if jdj else jumps
+    # h and the jumps are finite, so an entry outside the candidates is a
+    # zero unless some L_k^dag L_k is not finite
+    if not np.isfinite(jdj).all():
+        raise RangeError(_OVERFLOW)
+    ops = np.concatenate([((h != 0).any(axis=0) | (jdj != 0).any(axis=(0, 1)))[None],
+                          (jumps != 0).any(axis=0)])
+    key = np.packbits(ops).tobytes()
+    h, jumps, jdj = h.reshape(k, n), jumps.reshape(k, -1, n), jdj.reshape(k, -1, n)
+    parts, e, found = _formed(h, jumps, jdj, key)
+    if found is None and len(_candidates(d, key)[0]) < d * d * (d + 1) ** 2 // 4:
+        # the candidates' sectors split, and the generators' finer split
+        # does not pay: the one block takes every entry
+        key = None
+        parts, e, found = _formed(h, jumps, jdj, key)
+    table = _one_sector(n) if found is None else found[0]
+    inside, index, row, col = _block_plan(d, key, table.tobytes(), table.shape)
+    parts = [np.take(p.reshape(k, -1), index, axis=1) for p in parts]
+    if len(parts) == 1:
+        values = parts[0]
+    else:
+        values = np.empty(parts[0].shape, dtype=complex)
+        values.real, values.imag = parts
+    values *= row
+    values *= col
+    e = np.array(e.tolist())
+    if inside is None:
+        return values.reshape(k, n, n), e, table
+    blocks = np.zeros((k, *inside.shape), dtype=values.dtype)
+    blocks[:, inside] = values
+    return blocks.reshape(k * len(table), *inside.shape[1:]), e, table
 
 
 def _hermitian_coords(rho: np.ndarray) -> np.ndarray:

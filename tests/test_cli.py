@@ -402,13 +402,14 @@ class TestStackedSweeps:
         config = _sweep_config(path, "omega", 1e-3, 1e3, 1000, log_scale=True,
                                thresholds=thresholds)
         want = _per_point_sweep(config, cli.SWEEP_FIELDS)
-        blocks = []
-        stacked = cli._liouvillians
+        chunks = []
+        stacked = cli._sector_blocks
         monkeypatch.setattr(
-            cli, "_liouvillians", lambda h, jumps: blocks.append(len(h)) or stacked(h, jumps)
+            cli, "_sector_blocks", lambda h, jumps: chunks.append(len(h)) or stacked(h, jumps)
         )
         assert _exact(_stacked_sweep(config, cli.SWEEP_FIELDS)) == _exact(want)
-        assert blocks == [256, 256, 256, 232]
+        # one stack, and one chunk: 16 entries a point fill 16000 of the pool
+        assert chunks == [1000]
         assert {row["regime"] for row in want[1]} == {
             "WeaklyNonnormal", "Crossover", "StronglyNonnormal"
         }
@@ -521,19 +522,19 @@ class TestStackedSweeps:
         config = _sweep_config(path, param, start, stop, points, log_scale)
         want = _per_point_sweep(config, cli.SWEEP_FIELDS)
         passes, shapes = [], set()
-        pooled, form = cli._block_pass, cli._sector_form
+        pooled, form = cli._block_pass, cli._sector_blocks
 
         def recording_pass(a, e, *args):
             passes.append(len(e))
             return pooled(a, e, *args)
 
-        def recording_form(stack):
-            a, e, table = form(stack)
+        def recording_form(h, jumps):
+            a, e, table = form(h, jumps)
             shapes.add(cli._pool_key(a, e, table))
             return a, e, table
 
         monkeypatch.setattr(cli, "_block_pass", recording_pass)
-        monkeypatch.setattr(cli, "_sector_form", recording_form)
+        monkeypatch.setattr(cli, "_sector_blocks", recording_form)
         assert _exact(_stacked_sweep(config, cli.SWEEP_FIELDS)) == _exact(want)
         assert sum(passes) == points
         # the passes pool the build blocks, one point each at d = 8

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     SM,
@@ -32,7 +34,18 @@ from lindscope import (
     spectral_norm,
     vectorize,
 )
-from lindscope.superop import _hermitian_coords, _hermitian_form
+from lindscope.cli import main
+from lindscope.errors import RangeError
+from lindscope.models import ModelSpec, _stack
+from lindscope.superop import (
+    _OVERFLOW,
+    _hermitian_coords,
+    _hermitian_form,
+    _liouvillians,
+    _sector_blocks,
+    _sector_form,
+)
+from test_cli import _SWEEPABLE
 
 
 class TestVectorize:
@@ -418,3 +431,147 @@ class TestHermitianForm:
         upper = np.triu(random_complex(rng, dim), 1)
         coords = _hermitian_coords(upper + upper.conj().T + np.diag(rng.normal(size=dim)))
         assert np.array_equal(coords.imag, np.zeros(dim * dim))
+
+
+def _dense_route(h, jumps):
+    """The sector form of the dense generators, as sweeps took it before ``_sector_blocks``."""
+    m = _liouvillians(h, jumps)
+    if not np.isfinite(m).all():
+        raise RangeError(_OVERFLOW)
+    return _sector_form(m)
+
+
+def _assert_same_blocks(h, jumps):
+    """``_sector_blocks`` gives the dense route's blocks, exponents and table bit for bit,
+    signs of zeros included, or raises its error; so does each point alone."""
+    for lo, hi in [(0, len(h)), *((i, i + 1) for i in range(len(h)))]:
+        try:
+            want = _dense_route(h[lo:hi], jumps[lo:hi])
+        except RangeError as exc:
+            with pytest.raises(RangeError) as got:
+                _sector_blocks(h[lo:hi], jumps[lo:hi])
+            assert str(got.value) == str(exc)
+            continue
+        got = _sector_blocks(h[lo:hi], jumps[lo:hi])
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert np.array_equal(g, w) and g.tobytes() == w.tobytes()
+
+
+def _sweep_stack(kind, params, param, values):
+    h, jumps, _ = _stack(ModelSpec(kind, {**params, param: np.asarray(values, dtype=float)}))
+    return h, jumps
+
+
+class TestSectorBlocks:
+    """The sector blocks straight from H and the jumps are those of the dense
+    generators, rotated and split, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "kind, param",
+        [(kind, param) for kind, (_, params) in _SWEEPABLE.items() for param in params],
+    )
+    def test_sweepable_parameters(self, kind, param):
+        # an exact zero first, then values over six decades
+        values = [0.0, *np.geomspace(1e-3, 1e3, 7)]
+        _assert_same_blocks(*_sweep_stack(kind, _SWEEPABLE[kind][0], param, values))
+
+    @pytest.mark.parametrize("n_max", range(1, 8))
+    def test_jaynes_cummings_sizes(self, n_max):
+        values = [0.0, 0.05, 0.3]
+        _assert_same_blocks(*_sweep_stack("jaynes_cummings", {"n_max": n_max}, "g", values))
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_multi_qubit_dephasing_sizes(self, k):
+        rates = {f"gamma_{j + 1}": 0.1 * (j + 1) for j in range(k)}
+        values = [0.0, 0.7]
+        _assert_same_blocks(*_sweep_stack("multi_qubit_dephasing", {"k": k, **rates},
+                                          "gamma_1", values))
+
+    def test_exact_zero_coefficients(self):
+        # zero rates and drives cut couplings: alone, and next to points
+        # where they are not zero
+        for kind, params in [
+            ("pauli_channel", {"gamma_x": 0.0, "gamma_y": 0.0, "gamma_z": 0.4}),
+            ("dephasing_relaxation", {"gamma_z": 0.0, "gamma_minus": 0.0}),
+            ("jaynes_cummings", {"omega_a": 0.0, "omega_c": 0.0, "g": 0.0}),
+            ("driven_dephasing", {"gamma_z": 0.0, "omega": 0.0}),
+        ]:
+            for param in params:
+                _assert_same_blocks(*_sweep_stack(kind, params, param, [0.0, 0.5, 0.0]))
+
+    def test_degenerate_frequencies(self):
+        # at g = 0 with omega_a == omega_c exactly, dressed frequencies
+        # cancel to 0 and the crossing point splits finer than its neighbours
+        h, jumps = _sweep_stack("jaynes_cummings", {"omega_c": 1.0, "g": 0.0}, "omega_a",
+                                [0.75, 1.0, 1.25])
+        _assert_same_blocks(h, jumps)
+        tables = [_sector_blocks(h[i : i + 1], jumps[i : i + 1])[2].shape for i in range(3)]
+        assert tables[0] == tables[2] != tables[1]
+
+    def test_overflow_raises_as_dense(self):
+        # the generator's entries overflow; or L^dag L does, a term of the
+        # identity products that no entry of the pattern holds
+        for kind, params, param, values in [
+            ("dephasing_relaxation", {"gamma_z": 1.0}, "gamma_minus", [1e308, 1.7e308]),
+            ("dephasing_relaxation", {"gamma_minus": 1.0}, "gamma_z", [1.0, 1.7e308]),
+            ("pauli_channel", {}, "gamma_y", [1e308]),
+        ]:
+            _assert_same_blocks(*_sweep_stack(kind, params, param, values))
+        jumps = np.zeros((1, 1, 3, 3), dtype=complex)
+        jumps[0, 0, 0, 2] = 1e200
+        with pytest.raises(RangeError, match="overflows"):
+            _sector_blocks(np.zeros((1, 3, 3), dtype=complex), jumps)
+        _assert_same_blocks(np.zeros((1, 3, 3), dtype=complex), jumps)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_dense_and_complex_models(self, dim):
+        # random models are one sector; a non-Hermitian H makes the
+        # rotation complex
+        rng = np.random.default_rng(40 + dim)
+        h = np.stack([random_hermitian(rng, dim) for _ in range(3)])
+        jumps = np.stack([[random_complex(rng, dim) for _ in range(2)] for _ in range(3)])
+        _assert_same_blocks(h, jumps)
+        _assert_same_blocks(h + 1e-3j * random_hermitian(rng, dim), jumps)
+        _assert_same_blocks(h, jumps[:, :0])
+
+    def test_finer_split_that_does_not_pay(self):
+        # the patterns of H and L split the real form into sectors that pay;
+        # the entries that cancel split it further, into more blocks of the
+        # same largest size, which do not pay: one block of every entry
+        h = np.diag([-1.0, 0.0, 0.0, 0.0]).astype(complex)[None]
+        jumps = np.zeros((1, 1, 4, 4), dtype=complex)
+        jumps[0, 0, 0, 1], jumps[0, 0, 2, 2] = -2.0, -1.0
+        _assert_same_blocks(h, jumps)
+        assert _sector_blocks(h, jumps)[2].shape == (1, 16)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        target=st.sampled_from(
+            [(kind, param) for kind, (_, params) in _SWEEPABLE.items() for param in params]
+        ),
+        values=st.lists(
+            st.sampled_from([0.0, 5e-324, 1e-300, 1e-160, 1e150, 1e300])
+            | st.floats(0.0, 1e3, allow_subnormal=False),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    def test_drawn_values(self, target, values):
+        kind, param = target
+        _assert_same_blocks(*_sweep_stack(kind, _SWEEPABLE[kind][0], param, values))
+
+    def test_sweep_forms_no_dense_generator(self, tmp_path, monkeypatch, capsys):
+        def refused(*args):
+            raise AssertionError("a sweep formed a dense generator")
+
+        import lindscope.metrics
+        import lindscope.superop
+
+        monkeypatch.setattr(lindscope.superop, "_liouvillians", refused)
+        monkeypatch.setattr(lindscope.metrics, "_sector_form", refused)
+        path = tmp_path / "jc.json"
+        path.write_text('{"model": {"type": "jaynes_cummings", "n_max": 3}}', encoding="utf-8")
+        argv = ["sweep", str(path), "--param", "g", "--from", "0", "--to", "1", "--points", "30"]
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 31
