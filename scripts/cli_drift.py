@@ -25,7 +25,11 @@ points, and an ``n_max`` sweep that fails at a non-integer. The named
 models that split into many symmetry sectors run too: ``analyze`` on
 ``jaynes_cummings`` at ``n_max`` 7 and 15 and on ``multi_qubit_dephasing``
 at k 4 and 5, ``series`` on ``jaynes_cummings`` at ``n_max`` 7, and
-``regimes`` over its ``g``. Two ``sweep`` runs over ``g`` on
+``regimes`` over its ``g``. ``analyze`` and ``series``, each as json and
+as csv, run on damped ``jaynes_cummings`` at ``n_max`` 3 and 7 (d = 8 and
+16), explicit model files with jumps ``sqrt(kappa) a`` and
+``sqrt(gamma) sigma_-``: nonnormal generators, and at ``n_max`` 7 one that
+splits into sectors. Two ``sweep`` runs over ``g`` on
 ``models/jaynes_cummings.json`` (d = 8) cover how a sweep pools the sector
 blocks of many points into one analysis pass: 230 log-spaced points (past
 several pools and stacks) and 41 linear points from ``g = 0``, whose first
@@ -42,7 +46,7 @@ in its own interpreter with one BLAS thread: the working tree's ``src/``,
 and REF's ``src/`` unpacked by ``git archive`` into a temporary directory
 (removed afterwards). Both read the working tree's model files, and the
 failing sweeps', the sectored models' and the cutting sweeps' files,
-written to that directory.
+written to that directory, the damped ones by this script.
 
 Prints the largest relative deviation of any number per command and exits
 1 on a changed label (a regime or ``appg_satisfied`` flip), a changed exit
@@ -124,6 +128,37 @@ SECTORED = (
 )
 
 
+def damped_jaynes_cummings(n_max: int) -> dict:
+    """An explicit model file: jaynes_cummings (omega_a 1, omega_c 1.1, g 0.1)
+    with jumps sqrt(kappa) a, kappa = 0.3, and sqrt(gamma) sigma_-, gamma = 0.1.
+
+    Atom (x) field, the atom's first state the excited one (sigma_z = +1),
+    entries as [re, im]: a nonnormal generator whose sectors are set by
+    the difference of the excitation numbers of ket and bra.
+    """
+    levels = n_max + 1
+    dim = 2 * levels
+    h = [[0.0] * dim for _ in range(dim)]
+    field = [[0.0] * dim for _ in range(dim)]
+    atom = [[0.0] * dim for _ in range(dim)]
+    for n in range(levels):
+        h[n][n] = 1.1 * n + 0.5
+        h[levels + n][levels + n] = 1.1 * n - 0.5
+        atom[levels + n][n] = 1.0
+        if n < n_max:
+            # g (sigma_- a^dag + sigma_+ a), and the field's lowering operator
+            h[levels + n + 1][n] = h[n][levels + n + 1] = 0.1 * (n + 1) ** 0.5
+            field[n][n + 1] = field[levels + n][levels + n + 1] = (n + 1) ** 0.5
+
+    def entries(m):
+        return [[[x, 0.0] for x in row] for row in m]
+
+    return {"dim": dim, "hamiltonian": entries(h),
+            "jumps": [{"rate": 0.3, "matrix": entries(field)},
+                      {"rate": 0.1, "matrix": entries(atom)}],
+            "label": f"damped jaynes_cummings(n_max={n_max}) explicit"}
+
+
 # Models of the sweeps whose points cut couplings: jaynes_cummings with
 # omega_c = 1, which an omega_a sweep from 0 to 2 in steps of 1/8 meets
 # exactly, and multi_qubit_dephasing at k = 3, swept from gamma_1 = 0.
@@ -185,6 +220,15 @@ def commands(tmp: Path) -> list[tuple[str, list[str]]]:
         path = tmp / f"{name}.json"
         path.write_text(json.dumps({"model": model}), encoding="utf-8")
         out.append((f"analyze {name}", ["analyze", str(path)]))
+    # damped jaynes_cummings: nonnormal, and split at n_max 7
+    for n_max in (3, 7):
+        path = tmp / f"damped_jaynes_cummings-{n_max}.json"
+        path.write_text(json.dumps(damped_jaynes_cummings(n_max)), encoding="utf-8")
+        name = path.stem
+        out.append((f"analyze-json {name}", ["analyze", str(path)]))
+        out.append((f"analyze-csv {name}", ["analyze", str(path), "--format", "csv"]))
+        out.append((f"series {name}", ["series", str(path)]))
+        out.append((f"series-json {name}", ["series", str(path), "--format", "json"]))
     jaynes_7 = str(tmp / "jaynes_cummings-7.json")
     out.append(("series jaynes_cummings-7", ["series", jaynes_7]))
     coupling = ["--param", "g", "--from", "1e-3", "--to", "10", "--points", "30", "--log"]

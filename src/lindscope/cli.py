@@ -52,7 +52,6 @@ from .dynamics import DEFAULT_STEPS, MAX_STEPS, TimeGrid, amplification_series, 
 from .errors import ConfigError, IoError, LindscopeError, NumericalError, RangeError
 from .metrics import (
     RegimeThresholds,
-    _analyze,
     _block_pass,
     compute_metrics,
     structured_dissipator_report,
@@ -459,10 +458,11 @@ def _sweep_values(config: RunConfig) -> np.ndarray:
 # bit for bit, those of a pass per point. Stacks, chunks and passes pass
 # or fail as a whole. After a failure the sweep goes on one point at a
 # time, from the first point without a row (the first queued point, after
-# a failed pass), through build, liouvillian and the pass on a stack of
-# one (what compute_metrics runs), and the first point that fails there
-# names the error. No pass spans two stacks, so the failing point is at
-# most _BLOCK_ENTRIES // 4 single points on.
+# a failed pass), through build, the sector blocks of its stack of one
+# and the pass (the rows of compute_metrics, still with no n x n
+# generator), and the first point that fails there names the error. No
+# pass spans two stacks, so the failing point is at most
+# _BLOCK_ENTRIES // 4 single points on.
 _BLOCK_ENTRIES = 4096
 # Sized by peak RSS: see CHANGES.md, "Pooled sweep passes".
 _POOL_ENTRIES = 16384
@@ -530,7 +530,10 @@ def _sweep_columns(config: RunConfig, fields) -> dict[str, np.ndarray]:
         for value in values[done:].tolist():
             spec = ModelSpec(base.kind, {**base.params, config.param: value})
             try:
-                blocks.append(_analyze(liouvillian(build(spec)).matrix[None], config.thresholds))
+                model = build(spec)
+                jumps = np.array(model.jumps).reshape(1, -1, model.dim, model.dim)
+                a, e, _ = _sector_blocks(model.hamiltonian[None], jumps)
+                blocks.append(_block_pass(a, e, config.thresholds))
             except LindscopeError as exc:
                 raise type(exc)(f"{config.param} = {value!r}: {exc}") from exc
     table = {config.param: values}

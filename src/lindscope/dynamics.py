@@ -24,7 +24,7 @@ direct exponential at step k stays below about ``k * 1e-16`` relative;
 tests hold it to that bound up to 20 000 steps.
 
 The stepping runs in the orthonormal Hermitian operator basis, on the
-generator as ``superop._hermitian_form`` gives it, ``2^-e U^dag S U``, with
+generator as ``superop._sector_form`` gives it, ``2^-e U^dag S U``, with
 each time scaled by the exact ``2^e``. ``U`` is unitary, so every norm and
 eigenvalue is that of ``S`` and ``exp(t S)``; a Lindbladian preserves
 Hermiticity, so there it is a real matrix, and so are both exponentials

@@ -13,25 +13,24 @@ coordinates of a Hermitian operator are real, so a map that preserves
 Hermiticity, ``L(X)^dag = L(X^dag)`` as every Lindbladian does, is a real
 matrix there. The analysis pass in ``metrics`` works in that form.
 
-The generator build and the rotation both take stacks: ``_liouvillians``
-builds the generators of many points of one shape in one pass, from their
-stacked Hamiltonians and jump operators, and ``_hermitian_form`` rotates a
-``(..., n, n)`` stack with one power-of-two prescale per matrix.
-``liouvillian`` is the stack of one. Sweeps build no ``LindbladModel`` and
-no ``n x n`` generator: ``_sector_blocks`` takes the stacks of
-``models._stack`` a chunk of points at a time and forms, from the
-``d x d`` entries of ``H``, ``L_k`` and ``L_k^dag L_k``, only the entries
-of the real form inside the sectors their patterns allow, bit for bit
-those of ``_sector_form(_liouvillians(h, jumps))``. A chunk with an
-overflowing generator fails as a whole, and the sweep takes its points
-again one at a time through ``liouvillian``.
+The generator build takes stacks: ``_liouvillians`` builds the generators
+of many points of one shape in one pass, from their stacked Hamiltonians
+and jump operators, and ``liouvillian`` is the stack of one.
 
-``_sector_form`` is the one layout every kernel runs on: it rotates a
-stack of generators and splits it into its exact symmetry sectors where
-that pays (``_sectors``), and returns the blocks, the exponents and the
-table of sectors. A generator that does not split is one block, with one
-sector in its table, so the analysis pass, the propagator series, the
-spectral abscissa and ``gronwall_check`` each take one form.
+Every kernel runs on one layout (``_sector_form``): the real form
+``2^-e U^dag M U`` of each generator of a stack, split into the exact
+symmetry sectors of the stack where that pays, as blocks with their table
+of sectors; a generator that does not split is one block, so every kernel
+takes one form. It has two inputs. ``_sector_form`` gathers from dense
+``n x n`` generators the four entries that the real form combines for
+every pair of basis slots. ``_sector_blocks`` serves sweeps, which build
+no ``LindbladModel`` and no ``n x n`` generator: it forms those entries
+from the ``d x d`` entries of ``H``, ``L_k`` and ``L_k^dag L_k`` of a
+chunk of points, for only the slot pairs inside the sectors that their
+patterns allow. Both hand them to one tail, ``_form_blocks`` (the
+prescale, the sums with conjugates, the real-form test, the pattern and
+its sectors, and the fill of the blocks), so the two routes agree bit for
+bit.
 
 All values are immutable after construction (arrays are frozen), so they
 are safe to share across threads.
@@ -195,81 +194,46 @@ def _basis_index(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _frozen(rows), _frozen(cols), _frozen(weight)
 
 
-def _fill(out: np.ndarray, h: np.ndarray, dim: int) -> None:
-    """Write ``out`` from the two ``r x r`` complex sums ``h[..., :, :, :]``, overwriting ``h``.
+def _place(out: np.ndarray, parts, dim: int) -> None:
+    """Write the real form ``out`` from the parts of every slot pair, each ``(..., r, r)``.
 
-    With ``u = h0 + h1`` and ``v = h0 - h1``, symmetric rows and columns
-    (the first ``r``) take ``Re u``, anti-symmetric ones ``Re v``, and the
-    mixed blocks ``-Im v`` (symmetric rows) and ``Im u``; anti-symmetric
-    elements exist only for the pairs, which follow the ``dim`` diagonal
-    entries. Each entry is a sum in an order that transposition maps onto
-    itself, so a (skew-)symmetric result comes out exactly
-    (skew-)symmetric. Leading axes are a stack.
+    ``parts`` is ``[Re u, Im u, Re v, -Im v]`` of the sums ``u`` and ``v``
+    of ``_form_blocks``: symmetric rows and columns (the first ``r``) take
+    ``Re u``, anti-symmetric ones ``Re v``, and the mixed blocks ``-Im v``
+    (symmetric rows) and ``Im u``; anti-symmetric elements exist only for
+    the pairs, which follow the ``dim`` diagonal entries. Leading axes are
+    a stack.
     """
-    r = h.shape[-1]
-    v = h[..., 0, :, :] - h[..., 1, :, :]
-    u = h[..., 0, :, :]
-    u += h[..., 1, :, :]
-    out[..., :r, :r] = u.real
-    out[..., r:, :r] = u.imag[..., dim:, :]
-    out[..., r:, r:] = v.real[..., dim:, dim:]
-    np.negative(v.imag[..., :, dim:], out=out[..., :r, r:])
+    r = parts[0].shape[-1]
+    out[..., :r, :r] = parts[0]
+    out[..., r:, :r] = parts[1][..., dim:, :]
+    out[..., r:, r:] = parts[2][..., dim:, dim:]
+    out[..., :r, r:] = parts[3][..., :, dim:]
 
 
-def _hermitian_form(m: np.ndarray) -> tuple[np.ndarray, int | list]:
-    """``(2^-e U^dag m U, e)``, with ``U`` the orthonormal Hermitian operator basis.
+def _quadrants(p: np.ndarray, r: int) -> tuple:
+    """``[Re u, Im u, Re v, -Im v]`` of every slot pair, as ``(..., r, r)`` views of ``p``.
 
-    The basis is ``E_ii``, ``(E_ij + E_ji)/sqrt2`` and
-    ``i (E_ij - E_ji)/sqrt2`` (``i < j``), in that order, and the power of
-    two brings the largest entry magnitude of ``m`` into ``[1/2, 1)``.
-
-    ``m`` is one matrix or a stack of them, ``(..., n, n)``;
-    each matrix of a stack takes its own power of two, and ``e`` is then
-    the nested list of exponents (an int for one matrix). The result is
-    float64 when every matrix preserves Hermiticity up to roundoff: when no
-    entry of the imaginary part of its rotation can exceed
-    ``_REAL_FORM_ULPS`` ulps of its largest entry. Otherwise it is the
-    complex rotation of the whole stack. The work is one O(n^2) index
-    gather and a few O(n^2) sums per matrix, in temporaries that together
-    hold about twice the entries of ``m``.
+    ``p`` holds the floats of ``u`` and of ``conj(v)`` over the ``r^2``
+    slot pairs in order, ``(..., 2, 2 r^2)``.
     """
-    n = m.shape[-1]
-    dim = math.isqrt(n)
-    e = np.frexp(np.abs(m).max(axis=(-2, -1)))[1]
-    rows, cols, weight = _basis_index(dim)
-    # one gather from the flattened matrices keeps the stack axes leading
-    # and the result C-contiguous; the flat index, as large as the result,
-    # is not kept between calls.
-    # 2^-(e+1) is exact; the extra 1/2 is the weight 2 |w_l w_k| = 1 of the
-    # pair-pair entries, and diagonal rows and columns take 1/sqrt2 below
-    g = np.take(m.reshape(*m.shape[:-2], n * n), rows * n + cols, axis=-1)
-    parts = g.view(np.float64)
-    np.ldexp(parts, (-1 - e)[..., None, None, None], out=parts)
-    # The real part of the rotation comes from h = [Mpp + conj(Mqq),
-    # Mpq + conj(Mqp)], the imaginary part from the rest, [Mpp - conj(Mqq),
-    # Mpq - conj(Mqp)], which vanishes when m preserves Hermiticity, that
-    # is when conj(m) is m with rows and columns permuted by transposition.
-    odd = np.conjugate(g[..., 1::2, :, :])
-    rest = g[..., 0::2, :, :] - odd
-    h = g[..., 0::2, :, :]
-    h += odd
-    del odd
-    # an imaginary entry is a weighted sum of two entries of rest, no weight
-    # is above 1, and an ulp of the largest entry of 2^-(e+1) m is eps/4;
-    # the largest entry of rest over the stack passes only if each one does
-    out_shape = (*m.shape[:-2], n, n)
-    if 2.0 * float(np.abs(rest).max()) <= _REAL_FORM_ULPS * _EPS / 4:
-        del rest
-        out = np.empty(out_shape)
-        _fill(out, h, dim)
-    else:
-        out = np.empty(out_shape, dtype=complex)
-        _fill(out.real, h, dim)
-        _fill(out.imag, -1j * rest, dim)
-    del g, h
-    out *= weight[:, None]
-    out *= weight
-    return out, e.tolist()
+    q = p.reshape(*p.shape[:-1], r, r, 2)
+    return q[..., 0, :, :, 0], q[..., 0, :, :, 1], q[..., 1, :, :, 0], q[..., 1, :, :, 1]
+
+
+def _table_of(parts, dim: int) -> np.ndarray | None:
+    """The table of sectors of a real form whose nonzero ``parts`` of every slot pair are given.
+
+    ``parts`` is as ``_place`` takes it, for one ``n x n`` pattern. None
+    when the first basis element is coupled to every other, which makes
+    one sector, or when ``_sector_table`` finds the split not paying.
+    """
+    pattern = np.zeros((dim * dim, dim * dim), dtype=bool)
+    _place(pattern, parts, dim)
+    pattern |= pattern.T
+    if pattern[0, 1:].all():
+        return None
+    return _sector_table(np.packbits(pattern).tobytes(), dim * dim)
 
 
 # A split into sectors pays when its padded blocks, weighed as B * b^3
@@ -282,53 +246,16 @@ def _hermitian_form(m: np.ndarray) -> tuple[np.ndarray, int | list]:
 _SECTOR_SHARE = 1 / 8
 
 
-def _sectors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The decoupled blocks of a stack of real forms ``(k, n, n)``, or None.
-
-    Two basis elements are in one sector when a path of nonzero entries of
-    ``a + a^T``, taken over the whole stack, joins them; permuted into
-    sectors, every matrix of the stack is block diagonal. The blocks come
-    zero-padded to the size ``b`` of the largest, as a ``(k * B, b, b)``
-    stack (each matrix's ``B`` blocks in turn), with the ``(B, b)`` table of
-    the basis elements of each block's rows, in ascending order, then -1 on
-    the padding rows (``_sector_table``). None when the stack is one sector or
-    when ``B * b^3`` exceeds ``_SECTOR_SHARE * n^3``, the split then not
-    paying (see ``_SECTOR_SHARE``); ``_sector_form`` then takes each matrix
-    as one block. The split is exact: a zero computed as exactly 0 makes
-    the matrix exactly block diagonal, and a spurious nonzero only merges
-    blocks.
-
-    A stack whose first basis element is coupled to every other is one
-    sector, which is tested first in O(k n); otherwise the pattern, one
-    bool per entry, decides through ``_sector_table``.
-    """
-    k, n = a.shape[0], a.shape[-1]
-    if ((a[:, 0, 1:] != 0) | (a[:, 1:, 0] != 0)).any(axis=0).all():
-        return None
-    pattern = (a != 0).any(axis=0)
-    pattern |= pattern.T
-    found = _sector_table(np.packbits(pattern).tobytes(), n)
-    if found is None:
-        return None
-    table, inside, where = found
-    blocks = np.zeros((k, *inside.shape), dtype=a.dtype)
-    blocks[:, inside] = a.reshape(k, n * n)[:, where]
-    return blocks.reshape(k * len(table), *inside.shape[1:]), table
-
-
 @functools.lru_cache(maxsize=16)
-def _sector_table(packed: bytes, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def _sector_table(packed: bytes, n: int) -> np.ndarray | None:
     """The sectors of the symmetric ``n x n`` pattern that ``np.packbits`` packed.
 
-    Returns ``(table, inside, where)``, or None (see ``_sectors``):
-    ``table`` is the ``(B, b)`` table of each sector's elements in
-    ascending order, padded with -1; ``inside`` marks the ``(B, b, b)``
-    entries of the blocks that are not padding, and ``where`` holds the
-    flat position in the ``n x n`` matrix of each of them, in order. The
-    pattern is the key, so a hit is exact; a sweep hits it at every point
-    of one pattern, and gathers its blocks without forming the index
-    again. Besides its key of ``n^2`` bits, an entry holds ``B b``
-    integers, ``B b^2`` bools and one integer per entry of a true block.
+    Returns the ``(B, b)`` table of each sector's elements in ascending
+    order, padded with -1, or None when the pattern is one sector or when
+    ``B * b^3`` exceeds ``_SECTOR_SHARE * n^3``, the split then not paying
+    (see ``_SECTOR_SHARE``). The pattern is the key, so a hit is exact; a
+    sweep hits it at every point of one pattern. Besides its key of
+    ``n^2`` bits, an entry holds ``B b`` integers.
     """
     pattern = np.unpackbits(np.frombuffer(packed, np.uint8), count=n * n).reshape(n, n)
     # the entries of B blocks of b cover at most b n of the pattern, and
@@ -360,53 +287,164 @@ def _sector_table(packed: bytes, n: int) -> tuple[np.ndarray, np.ndarray, np.nda
     first = np.cumsum(counts) - counts
     table = np.full((count, size), -1)
     table[sector[order], np.arange(n) - first[sector[order]]] = order
+    return _frozen(table)
+
+
+def _block_entries(table: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``(B, b, b)`` mask of the block entries of ``table`` that are not
+    padding, and the real-form row and column of each of them, in order."""
     live = table >= 0
     inside = live[:, :, None] & live[:, None, :]
-    where = (table[:, :, None] * n + table[:, None, :])[inside]
-    return _frozen(table), _frozen(inside), _frozen(where)
+    x, y = np.divmod((table[:, :, None] * n + table[:, None, :])[inside], n)
+    return inside, x, y
 
 
-@functools.lru_cache(maxsize=None)
-def _one_sector(n: int) -> np.ndarray:
-    """The table of a generator that is one sector: its ``n`` elements in order."""
-    return _frozen(np.arange(n)[None])
+def _pair_of(x: np.ndarray, y: np.ndarray, dim: int) -> np.ndarray:
+    """The slot pair ``a r + b`` whose parts hold the real-form entry ``(x, y)``."""
+    r = dim * (dim + 1) // 2
+    return np.where(x < r, x, x - r + dim) * r + np.where(y < r, y, y - r + dim)
+
+
+def _first_coupled(parts: list, dim: int) -> bool:
+    """Whether the first basis element is coupled to every other, from row
+    and column 0 of the form in the ``parts`` of every slot pair, in O(k n)."""
+    r = dim * (dim + 1) // 2
+    coupled = np.zeros(dim * dim - 1, dtype=bool)
+    for p in parts:
+        re_u, im_u, _, im_v = _quadrants(p, r)
+        row = np.concatenate([re_u[:, 0, 1:], im_v[:, 0, dim:]], axis=1)
+        col = np.concatenate([re_u[:, 1:, 0], im_u[:, dim:, 0]], axis=1)
+        coupled |= ((row != 0) | (col != 0)).any(axis=0)
+    return bool(coupled.all())
+
+
+def _form_blocks(g: np.ndarray, dim: int, key: bytes | None) -> tuple | None:
+    """``_sector_form`` of a stack of generators, from the entries of its slot pairs.
+
+    A slot is an entry of ``_basis_index``: ``a < dim`` the diagonal
+    element ``E_aa``, a later one a pair ``i < j``. ``g`` is ``(4, k, c)``:
+    for each of the ``c`` slot pairs ``(a, b)`` of ``_candidates(dim,
+    key)``, every pair in order for ``key`` None, the entries
+    ``M[p_a, p_b]``, ``M[q_a, q_b]``, ``M[p_a, q_b]`` and ``M[q_a, p_b]``
+    of each of the ``k`` generators, four blocks that each sum below runs
+    over whole. The pairs hold every nonzero entry, and ``g`` is
+    overwritten. Returns None when the stack is one block but the
+    pairs are not all of them. A stack whose first basis element is
+    coupled to every other is one sector, which all pairs test in O(k n)
+    before any pattern; a split stack gathers its blocks by
+    ``_block_plan``.
+    """
+    k, c = g.shape[1:]
+    n, r = dim * dim, dim * (dim + 1) // 2
+    e = np.frexp(np.abs(g).swapaxes(0, 1).reshape(k, -1).max(axis=1, initial=0.0))[1]
+    # 2^-(e+1) is exact; the extra 1/2 is the weight 2 |w_l w_k| = 1 of the
+    # pair-pair entries, and diagonal rows and columns take 1/sqrt2 below
+    floats = g.view(np.float64)
+    np.ldexp(floats, (-1 - e)[:, None], out=floats)
+    # The real part of the rotation comes from h = [Mpp + conj(Mqq),
+    # Mpq + conj(Mqp)], the imaginary part from the rest, [Mpp - conj(Mqq),
+    # Mpq - conj(Mqp)], which vanishes when the generator preserves
+    # Hermiticity, that is when its conjugate is itself with rows and
+    # columns permuted by transposition.
+    odd = np.conjugate(g[1::2])
+    rest = g[0::2] - odd
+    g[0::2] += odd
+    del odd
+    parts = [g]
+    # an imaginary entry is a weighted sum of two entries of rest, no weight
+    # is above 1, and an ulp of the largest entry of 2^-(e+1) M is eps/4;
+    # the largest entry of rest over the stack passes only if each one does
+    if 2.0 * float(np.abs(rest).max(initial=0.0)) > _REAL_FORM_ULPS * _EPS / 4:
+        # the imaginary part's h, -i rest, in the layout of g; the product
+        # with -i is exact, however numpy orders it
+        parts.append(np.empty_like(g))
+        np.multiply(-1j, rest, out=parts[1][0::2])
+    del rest
+    # Each part of the form holds u = h0 + h1 and conj(v), v = h0 - h1, of
+    # its h = [h0, h1], in the two slots that the sums have freed or never
+    # filled. Each entry of the form is a sum in an order that
+    # transposition maps onto itself, so a (skew-)symmetric result comes
+    # out exactly (skew-)symmetric.
+    for p in parts:
+        np.subtract(p[0], p[2], out=p[1])
+        np.conjugate(p[1], out=p[1])
+        p[0] += p[2]
+    # the floats of u and conj(v) of each part, (k, 2, 2 c); the weights,
+    # at least 1/sqrt2, take no nonzero double to 0
+    parts = [p[:2].view(np.float64).swapaxes(0, 1) for p in parts]
+    table = None
+    if c < r * r or not _first_coupled(parts, dim):
+        nonzero = np.logical_or.reduce([(p != 0).any(axis=0) for p in parts])
+        if c < r * r:
+            held = np.zeros((2, r * r, 2), dtype=bool)
+            held[:, _candidates(dim, key)[0]] = nonzero.reshape(2, c, 2)
+            nonzero = held.reshape(2, -1)
+        table = _table_of(_quadrants(nonzero, r), dim)
+    e = e.astype(int)
+    dtype = complex if len(parts) > 1 else np.float64
+    if table is None:
+        if c < r * r:
+            return None
+        out = np.empty((k, n, n), dtype=dtype)
+        for half, p in zip((out.real, out.imag), parts):
+            _place(half, _quadrants(p, r), dim)
+        weight = _basis_index(dim)[2]
+        out *= weight[:, None]
+        out *= weight
+        return out, e, _frozen(np.arange(n)[None])
+    inside, index, row, col = _block_plan(dim, key, table.tobytes(), table.shape)
+    values = np.empty((k, len(index)), dtype=dtype)
+    for half, p in zip((values.real, values.imag), parts):
+        np.take(p.reshape(k, -1), index, axis=1, out=half)
+    values *= row
+    values *= col
+    blocks = np.zeros((k, *inside.shape), dtype=dtype)
+    blocks[:, inside] = values
+    return blocks.reshape(k * len(table), *inside.shape[1:]), e, table
 
 
 def _sector_form(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A stack of generators ``(k, n, n)`` as the blocks every kernel runs on.
 
-    Returns ``(a, e, table)``: ``a`` is ``2^-e U^dag m U`` of each
-    generator (``_hermitian_form``), split into the exact symmetry sectors
-    of the stack (``_sectors``), as a ``(k B, b, b)`` stack of the ``B``
-    blocks of each generator in turn; ``e`` is the length-``k`` array of
-    exponents; ``table`` is the ``(B, b)`` table of the basis elements of
-    each block's rows, -1 on the padding rows. A stack that does not split,
-    or whose split would not pay, is one block per generator, its rotation
-    as it is, with the table ``arange(n)[None]`` (``B = 1``, ``b = n``).
+    Returns ``(a, e, table)``. ``a`` is ``2^-e U^dag m U`` of each
+    generator, with ``U`` the orthonormal Hermitian operator basis
+    ``E_ii``, ``(E_ij + E_ji)/sqrt2``, ``i (E_ij - E_ji)/sqrt2``
+    (``i < j``) and the power of two bringing its largest entry magnitude
+    into ``[1/2, 1)``, split into the exact symmetry sectors of the stack,
+    as a ``(k B, b, b)`` stack of the ``B`` blocks of each generator in
+    turn. ``e`` is the length-``k`` array of exponents, and ``table`` the
+    ``(B, b)`` table of the basis elements of each block's rows, -1 on the
+    padding rows. ``a`` is float64 when every generator preserves
+    Hermiticity up to roundoff, when no entry of the imaginary part of its
+    rotation can exceed ``_REAL_FORM_ULPS`` ulps of its largest entry, and
+    complex for the whole stack otherwise. Two basis elements are in one
+    sector when a path of nonzero entries of ``a + a^T``, taken over the
+    stack, joins them. The split is exact: a zero computed as exactly 0
+    makes the matrix exactly block diagonal, and a spurious nonzero only
+    merges blocks. A stack that does not split, or whose split would not
+    pay (``_sector_table``), is one block per generator, its rotation as it
+    is, with the table ``arange(n)[None]``. The work is one O(n^2) gather
+    of the entries of every slot pair and ``_form_blocks``, in temporaries
+    that together hold about twice the entries of ``m``.
     """
-    a, e = _hermitian_form(m)
-    blocks, table = _sectors(a) or (a, _one_sector(a.shape[-1]))
-    return blocks, np.array(e), table
-
-
-# Which of u = h0 + h1 (Re, Im) and v = h0 - h1 (Re, -Im) of a slot pair
-# (see _fill) an entry of the real form takes, by whether its row and its
-# column are anti-symmetric elements
-_PART = np.array([[0, 3], [1, 2]])
+    k, n = m.shape[0], m.shape[-1]
+    dim = math.isqrt(n)
+    rows, cols, _ = _basis_index(dim)
+    # one gather from the flattened matrices, slot first; the flat index,
+    # half as large as the result, is not kept between calls
+    start = n * n * np.arange(k)[:, None, None]
+    g = np.take(m, (rows[:, None] * n + start + cols[:, None]).reshape(4, k, -1))
+    return _form_blocks(g, dim, None)
 
 
 def _entry_plan(dim: int, pairs: np.ndarray) -> tuple:
     """How to form the generator entries of the slot pairs ``pairs``.
 
-    A slot is an entry of ``_basis_index``: ``a < dim`` the diagonal
-    element ``E_aa``, a later one a pair ``i < j``. A slot pair ``(a, b)``,
-    given as ``a r + b``, has the four generator entries ``M[p_a, p_b]``,
-    ``M[q_a, q_b]``, ``M[p_a, q_b]`` and ``M[q_a, p_b]`` that the rotation
-    gathers. Returns, for each distinct generator entry
-    ``M[(i, j), (k, l)]`` among them, the flat ``d x d`` positions
-    ``ik``, ``lj`` and ``jl`` and the identity entries ``I[j, l]`` and
-    ``I[i, k]``, then the ``(4, c)`` index of each pair's four entries
-    into that list.
+    A slot pair ``(a, b)``, given as ``a r + b``, has the four generator
+    entries of ``_form_blocks``. Returns, for each distinct generator entry
+    ``M[(i, j), (k, l)]`` among them, the flat ``d x d`` positions ``ik``,
+    ``lj`` and ``jl`` and the identity entries ``I[j, l]`` and ``I[i, k]``,
+    then the ``(4, c)`` index of each pair's four entries into that list.
     """
     rows, cols, _ = _basis_index(dim)
     r, n = rows.shape[1], dim * dim
@@ -424,15 +462,9 @@ def _entry_plan(dim: int, pairs: np.ndarray) -> tuple:
     return tuple(_frozen(x) for x in plan)
 
 
-def _pair_of(x: np.ndarray, y: np.ndarray, dim: int) -> np.ndarray:
-    """The slot pair ``a r + b`` whose parts hold the real-form entry ``(x, y)``."""
-    r = dim * (dim + 1) // 2
-    return np.where(x < r, x, x - r + dim) * r + np.where(y < r, y, y - r + dim)
-
-
 @functools.lru_cache(maxsize=16)
 def _candidates(dim: int, key: bytes | None) -> tuple:
-    """The slot pairs to form for the ``d x d`` patterns packed in ``key``.
+    """The slot pairs to form for the ``d x d`` patterns packed in ``key``, with their entry plan.
 
     ``key`` packs the pattern of ``H`` or of any ``L_k^dag L_k``, then that
     of each ``L_k``. ``M[(i,j),(k,l)]`` sums ``I[j,l] H[i,k]``,
@@ -440,16 +472,12 @@ def _candidates(dim: int, key: bytes | None) -> tuple:
     ``L_k^dag L_k``, so it is zero unless a term has two nonzero factors.
     The slot pairs with such an entry give a pattern of the real form that
     holds every nonzero, and its sectors hold those of the generators.
-    Returns the slot pairs inside these sectors (every pair when they are
-    one, when their split does not pay, or for ``key`` None), their
-    ``_entry_plan``, the ``(4, c)`` flat positions in the ``n x n`` real
-    form of each pair's entries of ``Re u``, ``Im u``, ``Re v`` and
-    ``-Im v``, and the ``(4, c)`` mask of those that exist: only a pair
-    slot has an anti-symmetric element.
+    The pairs are those inside these sectors: every pair when they are
+    one, when their split does not pay, or for ``key`` None.
     """
     n, (rows, cols, _) = dim * dim, _basis_index(dim)
     r = rows.shape[1]
-    found = None
+    table = None
     if key is not None:
         ops = np.unpackbits(np.frombuffer(key, np.uint8)).astype(bool)
         ops = ops[: len(ops) // n * n].reshape(-1, dim, dim)
@@ -458,52 +486,39 @@ def _candidates(dim: int, key: bytes | None) -> tuple:
         for jump in ops[1:]:
             linked |= np.kron(jump, jump)
         held = linked.reshape(n * n)[rows * n + cols].any(axis=0)
-        # placed as _fill places the parts
-        pattern = np.zeros((n, n), dtype=bool)
-        pattern[:r, :r] = held
-        pattern[r:, :r] = held[dim:]
-        pattern[r:, r:] = held[dim:, dim:]
-        pattern[:r, r:] = held[:, dim:]
-        pattern |= pattern.T
-        found = None if pattern[0, 1:].all() else _sector_table(np.packbits(pattern).tobytes(), n)
-    if found is None:
+        table = _table_of((held,) * 4, dim)
+    if table is None:
         pairs = np.arange(r * r)
     else:
         inside = np.zeros(r * r, dtype=bool)
-        inside[_pair_of(*np.divmod(found[2], n), dim)] = True
+        inside[_pair_of(*_block_entries(table, n)[1:], dim)] = True
         pairs = np.flatnonzero(inside)
-    a, b = np.divmod(pairs, r)
-    anti_a, anti_b = a + r - dim, b + r - dim
-    where = np.stack([a * n + b, anti_a * n + b, anti_a * n + anti_b, a * n + anti_b])
-    exists = np.stack([a >= 0, a >= dim, (a >= dim) & (b >= dim), b >= dim])
-    return _frozen(pairs), _entry_plan(dim, pairs), _frozen(where), _frozen(exists)
+    return _frozen(pairs), _entry_plan(dim, pairs)
 
 
 @functools.lru_cache(maxsize=16)
 def _block_plan(dim: int, key: bytes | None, table: bytes, shape: tuple) -> tuple:
-    """How to fill the blocks of a sector table from the parts of ``_candidates(dim, key)``.
+    """How ``_form_blocks`` gathers the blocks of a sector table from the parts of its pairs.
 
-    ``table`` is a ``(B, b)`` table of ``_sector_table`` or ``_one_sector``
-    as bytes, with its ``shape``; its sectors lie inside the candidates'.
-    Returns the ``(B, b, b)`` mask of the block entries that are not
-    padding (None for one sector, which has none), and for each of those
-    entries, in the order of ``_sector_table``'s gather, its index into
-    the ``(4, c)`` parts of the candidate pairs, its row weight and its
-    column weight.
+    ``table`` is a ``(B, b)`` table of ``_sector_table`` as bytes, with its
+    ``shape``; its sectors lie inside those of the slot pairs that
+    ``_form_blocks`` takes for ``key``. Returns the ``(B, b, b)`` mask of
+    the block entries that are not padding, and for each of those entries,
+    in order, its index into the ``4 c`` floats of the parts of the pairs,
+    its row weight and its column weight.
     """
     n, r = dim * dim, dim * (dim + 1) // 2
-    table = np.frombuffer(table, dtype=np.intp).reshape(shape)
-    live = table >= 0
-    inside = live[:, :, None] & live[:, None, :]
-    x, y = np.divmod((table[:, :, None] * n + table[:, None, :])[inside], n)
-    pairs = _candidates(dim, key)[0]
+    inside, x, y = _block_entries(np.frombuffer(table, dtype=np.intp).reshape(shape), n)
+    # every pair for key None, without the entry plan of _candidates
+    pairs = np.arange(r * r) if key is None else _candidates(dim, key)[0]
     column = np.empty(r * r, dtype=np.intp)
     column[pairs] = np.arange(len(pairs))
-    index = _PART[(x >= r).astype(int), (y >= r).astype(int)] * len(pairs)
-    index += column[_pair_of(x, y, dim)]
+    # an anti-symmetric column takes conj(v), a symmetric one u (see
+    # _place), and a row and column of unlike symmetry the imaginary part
+    anti_x, anti_y = x >= r, y >= r
+    index = anti_y * 2 * len(pairs) + 2 * column[_pair_of(x, y, dim)] + (anti_x != anti_y)
     weight = _basis_index(dim)[2]
-    inside = None if shape == (1, n) else _frozen(inside)
-    return inside, _frozen(index), _frozen(weight[x]), _frozen(weight[y])
+    return _frozen(inside), _frozen(index), _frozen(weight[x]), _frozen(weight[y])
 
 
 def _generator_entries(
@@ -540,75 +555,17 @@ def _generator_entries(
     return m
 
 
-def _uv_parts(h0: np.ndarray, h1: np.ndarray) -> np.ndarray:
-    """``[Re u, Im u, Re v, -Im v]`` of ``u = h0 + h1`` and ``v = h0 - h1``, as ``_fill`` forms them.
-
-    The result is ``(m, 4, c)`` for ``(m, c)`` halves; ``h0`` is overwritten.
-    """
-    v = h0 - h1
-    h0 += h1
-    out = np.empty((len(h0), 4, h0.shape[-1]))
-    out[:, 0], out[:, 1], out[:, 2] = h0.real, h0.imag, v.real
-    np.negative(v.imag, out=out[:, 3])
-    return out
-
-
-def _formed(h: np.ndarray, jumps: np.ndarray, jdj: np.ndarray, key: bytes | None) -> tuple:
-    """The parts, exponents and sectors of the slot pairs of ``_candidates(d, key)``.
-
-    ``h``, ``jumps`` and ``jdj`` are flattened as ``_generator_entries``
-    takes them. Each step on the pairs' generator entries is that of
-    ``_hermitian_form`` on the same numbers: the prescale by
-    ``2^-(e+1)``, the sums with conjugates, the real-form test and
-    ``_fill``. Returns the ``_uv_parts`` of the real part of the rotation
-    and, for a complex one, those of its imaginary part; the exponents;
-    and the sectors of ``_sectors``, ``_sector_table`` of the pattern of
-    the nonzero entries over the stack, or None.
-    """
-    n = h.shape[-1]
-    _, plan, where, exists = _candidates(math.isqrt(n), key)
-    m = _generator_entries(h, jumps, jdj, plan)
-    if not np.isfinite(m).all():
-        raise RangeError(_OVERFLOW)
-    e = np.frexp(np.abs(m).max(axis=1, initial=0.0))[1]
-    halves = m.view(np.float64)
-    np.ldexp(halves, (-1 - e)[:, None], out=halves)
-    g0, g1, g2, g3 = (np.take(m, role, axis=1) for role in plan[-1])
-    del m, halves
-    np.conjugate(g1, out=g1)
-    np.conjugate(g3, out=g3)
-    rest = g0 - g1, g2 - g3
-    g0 += g1
-    g2 += g3
-    del g1, g3
-    largest = max(float(np.abs(half).max(initial=0.0)) for half in rest)
-    if 2.0 * largest <= _REAL_FORM_ULPS * _EPS / 4:
-        parts = (_uv_parts(g0, g2),)
-    else:
-        parts = _uv_parts(g0, g2), _uv_parts(*(np.multiply(-1j, half) for half in rest))
-    del g0, g2, rest
-    # the weights, at least 1/sqrt2, take no nonzero double to 0
-    nonzero = np.logical_or.reduce([(p != 0).any(axis=0) for p in parts])
-    pattern = np.zeros(n * n, dtype=bool)
-    pattern[where[exists & nonzero]] = True
-    pattern = pattern.reshape(n, n)
-    pattern |= pattern.T
-    found = None if pattern[0, 1:].all() else _sector_table(np.packbits(pattern).tobytes(), n)
-    return parts, e, found
-
-
 def _sector_blocks(h: np.ndarray, jumps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_sector_form(_liouvillians(h, jumps))``, bit for bit, without the ``n x n`` generators.
 
     ``h`` is ``(m, d, d)`` and ``jumps`` ``(m, K, d, d)``, as
     ``models._stack`` returns them. The ``d x d`` patterns of ``H``,
     ``L_k`` and ``L_k^dag L_k`` over the stack give sectors that hold
-    those of the generators (``_candidates``); only the entries inside
-    them are formed, and they give the prescale, the real-form test and
-    the pattern, and so the table of ``_sectors``, whose blocks take them
-    (``_block_plan``). A generator that does not split is its whole
-    rotation, one block. A stack whose generator would hold an entry
-    beyond double precision is a RangeError.
+    those of the generators (``_candidates``); only the generator entries
+    of their slot pairs are formed, and ``_form_blocks`` takes them. A
+    stack whose candidates split while its generators are one block forms
+    every pair. A stack whose generator would hold an entry beyond double
+    precision is a RangeError.
     """
     k, d = h.shape[0], h.shape[-1]
     n = d * d
@@ -621,34 +578,21 @@ def _sector_blocks(h: np.ndarray, jumps: np.ndarray) -> tuple[np.ndarray, np.nda
         raise RangeError(_OVERFLOW)
     ops = np.concatenate([((h != 0).any(axis=0) | (jdj != 0).any(axis=(0, 1)))[None],
                           (jumps != 0).any(axis=0)])
-    key = np.packbits(ops).tobytes()
     h, jumps, jdj = h.reshape(k, n), jumps.reshape(k, -1, n), jdj.reshape(k, -1, n)
-    parts, e, found = _formed(h, jumps, jdj, key)
-    if found is None and len(_candidates(d, key)[0]) < d * d * (d + 1) ** 2 // 4:
-        # the candidates' sectors split, and the generators' finer split
-        # does not pay: the one block takes every entry
-        key = None
-        parts, e, found = _formed(h, jumps, jdj, key)
-    table = _one_sector(n) if found is None else found[0]
-    inside, index, row, col = _block_plan(d, key, table.tobytes(), table.shape)
-    parts = [np.take(p.reshape(k, -1), index, axis=1) for p in parts]
-    if len(parts) == 1:
-        values = parts[0]
-    else:
-        values = np.empty(parts[0].shape, dtype=complex)
-        values.real, values.imag = parts
-    values *= row
-    values *= col
-    e = np.array(e.tolist())
-    if inside is None:
-        return values.reshape(k, n, n), e, table
-    blocks = np.zeros((k, *inside.shape), dtype=values.dtype)
-    blocks[:, inside] = values
-    return blocks.reshape(k * len(table), *inside.shape[1:]), e, table
+    for key in (np.packbits(ops).tobytes(), None):
+        plan = _candidates(d, key)[1]
+        m = _generator_entries(h, jumps, jdj, plan)
+        if not np.isfinite(m).all():
+            raise RangeError(_OVERFLOW)
+        g = np.take(m, plan[-1][:, None] + m.shape[1] * np.arange(k)[:, None])
+        del m
+        form = _form_blocks(g, d, key)
+        if form is not None:
+            return form
 
 
 def _hermitian_coords(rho: np.ndarray) -> np.ndarray:
-    """``U^dag vec(rho)``: the coordinates of ``rho`` in the basis of ``_hermitian_form``.
+    """``U^dag vec(rho)``: the coordinates of ``rho`` in the basis of ``_sector_form``.
 
     In basis order, ``rho[i, i]``, ``(rho[i, j] + rho[j, i])/sqrt2`` and
     ``-i (rho[i, j] - rho[j, i])/sqrt2`` (``i < j``). They are real for a

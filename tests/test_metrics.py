@@ -51,7 +51,7 @@ from lindscope import (
 )
 from lindscope.cli import parse_model_file
 from lindscope.metrics import _analyze, eta_tolerance, zero_tolerance
-from lindscope.superop import _hermitian_form, _liouvillians, _sector_form, _sectors, decompose
+from lindscope.superop import _liouvillians, _sector_form, decompose
 
 
 def metrics_of(model):
@@ -542,7 +542,7 @@ class TestStackedPass:
             assert got == [
                 _bits(compute_metrics(liouvillian(model), thresholds)) for model in models
             ]
-        assert len({_hermitian_form(m)[1] for m in stack}) > 1
+        assert len({_sector_form(m[None])[1][0] for m in stack}) > 1
 
     def test_every_regime_in_one_stack(self):
         # Hamiltonian (kappa NaN), normal and all three kappa bands side by
@@ -579,7 +579,7 @@ class TestStackedPass:
         lindblad = liouvillian(random_model(rng, d=2))
         raw = Superoperator(2, random_complex(rng, 4))
         stack = np.stack([lindblad.matrix, raw.matrix])
-        assert _hermitian_form(stack)[0].dtype == np.complex128
+        assert _sector_form(stack)[0].dtype == np.complex128
         got, want = _analyze(stack), compute_metrics(lindblad)
         for name in ("generator_norm", "delta", "eta", "nd_norm"):
             assert got[name][0] == pytest.approx(getattr(want, name), rel=1e-13)
@@ -660,7 +660,7 @@ MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
 
 def _form_dtype(s):
-    return _hermitian_form(s.matrix)[0].dtype
+    return _sector_form(s.matrix[None])[0].dtype
 
 
 class TestRealForm:
@@ -804,7 +804,7 @@ def _unsplit(monkeypatch):
     """From here on, the pass and the series run on the whole generator."""
     import lindscope.superop
 
-    monkeypatch.setattr(lindscope.superop, "_sectors", lambda a: None)
+    monkeypatch.setattr(lindscope.superop, "_sector_table", lambda packed, n: None)
     # jaynes_cummings splits into 16 blocks; now each generator is one
     m = liouvillian(SECTOR_MODELS["jaynes_cummings"]).matrix
     a, e, table = _sector_form(np.stack([m, m]))
@@ -868,7 +868,7 @@ class TestSectors:
             s = Superoperator(8, m)
         else:
             s = liouvillian(SECTOR_MODELS[name])
-        table = _sectors(_hermitian_form(s.matrix)[0][None])[1]
+        table = _sector_form(s.matrix[None])[2]
         # blocks of several sizes, so padded, except the equal blocks of 1
         # of multi_qubit_dephasing
         assert bool((table < 0).any()) is not name.startswith("multi_qubit")
@@ -902,16 +902,14 @@ class TestSectors:
         # with many sectors, the damped ones and most planted ones
         def blocks(name):
             m = liouvillian(SECTOR_MODELS[name]).matrix
-            found = _sectors(_hermitian_form(m)[0][None])
-            # the form every kernel runs on has the table of _sectors, or
-            # one sector when they find none
+            # the form every kernel runs on has the table of its sectors,
+            # or of one sector when it finds none
             a, e, table = _sector_form(m[None])
             assert len(e) == 1 and len(a) == len(table)
-            if found is None:
+            if len(table) == 1:
                 assert table.tolist() == [list(range(len(m)))]
                 return None
-            assert np.array_equal(table, found[1])
-            return found[1].shape
+            return table.shape
 
         assert blocks("jaynes_cummings") == (16, 8)
         assert blocks("jaynes_cummings-7") == (45, 8)
@@ -935,12 +933,10 @@ class TestSectors:
         for d in (2, 4, 8, 16):
             rng = np.random.default_rng(90 + d)
             s = liouvillian(LindbladModel(d, random_hermitian(rng, d), (random_complex(rng, d),)))
-            assert _sectors(_hermitian_form(s.matrix)[0][None]) is None
-            # one block, the rotation bit for bit, in a read-only table of one sector
+            # one block, the whole rotation, in a read-only table of one sector
             a, e, table = _sector_form(s.matrix[None])
-            whole, exponents = _hermitian_form(s.matrix[None])
-            assert a.shape == whole.shape and a.tobytes() == whole.tobytes()
-            assert e.tolist() == exponents
+            assert a.shape == (1, d * d, d * d) and a.dtype == np.float64
+            assert e.shape == (1,)
             assert table.tolist() == [list(range(d * d))] and not table.flags.writeable
             compute_metrics(s)
 
@@ -949,9 +945,9 @@ class TestSectors:
         # decides, and finds one sector
         for d in (2, 3, 8):
             h = random_hermitian(np.random.default_rng(100 + d), d)
-            a = _hermitian_form(liouvillian(hamiltonian_only(h)).matrix)[0][None]
+            a, _, table = _sector_form(liouvillian(hamiltonian_only(h)).matrix[None])
             assert a[0, 0, 1:d].tolist() == [0.0] * (d - 1)
-            assert _sectors(a) is None
+            assert table.shape == (1, d * d)
 
     def test_sector_table_components(self):
         # eight chains of eight, scattered over the basis, take several
@@ -964,7 +960,7 @@ class TestSectors:
         pattern = np.zeros((n, n), dtype=bool)
         pattern[chains[:, :-1], chains[:, 1:]] = True
         pattern |= pattern.T
-        table = _sector_table.__wrapped__(np.packbits(pattern).tobytes(), n)[0]
+        table = _sector_table.__wrapped__(np.packbits(pattern).tobytes(), n)
         assert table.tolist() == sorted(sorted(chain) for chain in chains.tolist())
         # joined end to end, they are one sector
         pattern[chains[:-1, -1], chains[1:, 0]] = True
@@ -1001,8 +997,8 @@ class TestSectors:
         # two elements coupled, seven alone: padded blocks of 2
         m = -700.0 * np.eye(9, dtype=complex)
         m[0, 4] = m[4, 0] = -1.0  # E_00 <-> E_11, which keeps Hermiticity
-        found = _sectors(_hermitian_form(m)[0][None])
-        assert found is not None and (found[1] < 0).any()
+        table = _sector_form(m[None])[2]
+        assert len(table) > 1 and (table < 0).any()
         series = amplification_series(Superoperator(3, m), TimeGrid(0.0, 1.0, 20))
         _assert_relative(series.prop_norm[-1], math.exp(-699.0), rel=1e-12)
 
@@ -1010,7 +1006,7 @@ class TestSectors:
         models = [_dephased_jaynes_cummings(3), hamiltonian_only(np.zeros((8, 8)))]
         models += [jaynes_cummings(g=g, n_max=3) for g in (0.1, 0.2, 0.3)]
         stack = np.stack([liouvillian(model).matrix for model in models])
-        assert _sectors(_hermitian_form(stack)[0]) is not None
+        assert len(_sector_form(stack)[2]) > 1
         # one exponent per generator, and its blocks in turn
         a, e, table = _sector_form(stack)
         assert len(e) == len(models) and len(a) == len(models) * len(table)

@@ -24,13 +24,17 @@ from lindscope import (
     Superoperator,
     adjoint,
     apply,
+    compute_metrics,
     decompose,
     dephasing,
     devectorize,
+    driven_dephasing,
     hamiltonian_only,
     hs_inner,
     hs_norm,
+    jaynes_cummings,
     liouvillian,
+    multi_qubit_dephasing,
     spectral_norm,
     vectorize,
 )
@@ -40,7 +44,6 @@ from lindscope.models import ModelSpec, _stack
 from lindscope.superop import (
     _OVERFLOW,
     _hermitian_coords,
-    _hermitian_form,
     _liouvillians,
     _sector_blocks,
     _sector_form,
@@ -96,7 +99,7 @@ class TestLindbladModel:
         model = LindbladModel(4, h, base.jumps)
         assert np.array_equal(model.hamiltonian, model.hamiltonian.conj().T)
         assert np.abs(model.hamiltonian - h).max() <= 1e-12
-        assert _hermitian_form(liouvillian(model).matrix)[0].dtype == np.float64
+        assert _sector_form(liouvillian(model).matrix[None])[0].dtype == np.float64
 
     def test_hermitian_hamiltonian_keeps_its_bits(self):
         # subnormal and near-overflow entries included: nothing is averaged
@@ -364,6 +367,26 @@ def _dense_basis(dim):
     return np.column_stack([vectorize(op) for op in ops])
 
 
+def _scattered(a, table):
+    """The whole real forms ``(k, n, n)`` whose sector blocks ``a`` has, placed by ``table``."""
+    count, size = table.shape
+    n = int((table >= 0).sum())
+    blocks = a.reshape(-1, count, size, size)
+    out = np.zeros((len(blocks), n, n), dtype=a.dtype)
+    for sector, row in enumerate(table):
+        live = row[row >= 0]
+        out[:, live[:, None], live] = blocks[:, sector, : len(live), : len(live)]
+    return out
+
+
+def _damped_jaynes_cummings(n_max, kappa=0.3, gamma=0.1):
+    """jaynes_cummings with jumps sqrt(kappa) a and sqrt(gamma) sigma_-: field and atom damped."""
+    base = jaynes_cummings(g=0.2, n_max=n_max)
+    a = np.kron(np.eye(2), np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1))
+    sigma = np.kron(np.array([[0.0, 0.0], [1.0, 0.0]]), np.eye(n_max + 1))
+    return LindbladModel(base.dim, base.hamiltonian, (np.sqrt(kappa) * a, np.sqrt(gamma) * sigma))
+
+
 class TestHermitianForm:
     @pytest.mark.parametrize("dim", [1, 2, 3, 5])
     def test_basis_orthonormal_and_hermitian(self, dim):
@@ -390,7 +413,8 @@ class TestHermitianForm:
             (liouvillian(random_model(rng, d=dim)).matrix, np.float64),
             (Superoperator(dim, random_complex(rng, dim * dim, scale=300.0)).matrix, complex),
         ]:
-            a, e = _hermitian_form(m)
+            a, e, table = _sector_form(m[None])
+            a, e = _scattered(a, table)[0], int(e[0])
             assert a.dtype == dtype
             peak = np.max(np.abs(m.view(np.float64)))
             assert 0.5 <= np.ldexp(peak, -e) < 1.0
@@ -403,21 +427,47 @@ class TestHermitianForm:
         # is that of the matrix alone, bit for bit
         rng = np.random.default_rng(25 + dim)
         ms = [liouvillian(random_model(rng, d=dim)).matrix * 10.0**k for k in (-200, 0, 200)]
-        a, e = _hermitian_form(np.stack(ms))
-        assert a.dtype == np.float64 and len(set(e)) == 3
+        a, e, _ = _sector_form(np.stack(ms))
+        assert a.dtype == np.float64 and len(set(e.tolist())) == 3
         for m, ak, ek in zip(ms, a, e):
-            one, e_one = _hermitian_form(m)
-            assert type(e_one) is int and ek == e_one
-            assert np.array_equal(ak, one)
+            one, e_one, _ = _sector_form(m[None])
+            assert e_one.dtype.kind == "i" and e_one.tolist() == [ek]
+            assert np.array_equal(ak, one[0])
 
     def test_exact_symmetry_survives_rotation(self):
         # an anti-Hermitian generator rotates to an exactly skew-symmetric
         # real matrix, a Hermitian one to an exactly symmetric one
         rng = np.random.default_rng(17)
-        a, _ = _hermitian_form(liouvillian(hamiltonian_only(random_hermitian(rng, 4))).matrix)
+        m = liouvillian(hamiltonian_only(random_hermitian(rng, 4))).matrix
+        a, _, table = _sector_form(m[None])
+        a = _scattered(a, table)[0]
         assert a.dtype == np.float64 and np.array_equal(a, -a.T)
-        a, _ = _hermitian_form(liouvillian(dephasing(0.3)).matrix)
+        a, _, table = _sector_form(liouvillian(dephasing(0.3)).matrix[None])
+        a = _scattered(a, table)[0]
         assert a.dtype == np.float64 and np.array_equal(a, a.T)
+
+    @pytest.mark.parametrize(
+        "name", ["complex-diagonal", "jaynes_cummings", "multi_qubit_dephasing", "damped-jc"]
+    )
+    def test_split_blocks_match_dense_rotation(self, name):
+        # the blocks of a generator that splits, placed back by their table,
+        # are its whole rotation: a raw complex one, and real ones of each
+        # kind of symmetry
+        rng = np.random.default_rng(33)
+        s = {
+            "complex-diagonal": lambda: Superoperator(3, np.diag(random_complex(rng, 3).ravel())),
+            "jaynes_cummings": lambda: liouvillian(jaynes_cummings(g=0.3, n_max=3)),
+            "multi_qubit_dephasing": lambda: liouvillian(multi_qubit_dephasing([0.1, 0.2, 0.3])),
+            "damped-jc": lambda: liouvillian(_damped_jaynes_cummings(7)),
+        }[name]()
+        a, e, table = _sector_form(s.matrix[None])
+        assert len(table) > 1
+        assert a.dtype == (complex if name == "complex-diagonal" else np.float64)
+        if name == "complex-diagonal":
+            assert a.shape == (6, 2, 2)
+        u = _dense_basis(s.dim)
+        dense = np.ldexp(1.0, -int(e[0])) * (u.conj().T @ s.matrix @ u)
+        np.testing.assert_allclose(_scattered(a, table)[0], dense, rtol=0, atol=4e-16)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5])
     def test_coordinates_match_dense_basis(self, dim):
@@ -568,6 +618,10 @@ class TestSectorBlocks:
         import lindscope.metrics
         import lindscope.superop
 
+        # a failing sweep takes its points again one at a time, and names
+        # the first failing one with the error of the dense route
+        with pytest.raises(RangeError) as dense:
+            compute_metrics(liouvillian(driven_dephasing(1e300, 1e10)))
         monkeypatch.setattr(lindscope.superop, "_liouvillians", refused)
         monkeypatch.setattr(lindscope.metrics, "_sector_form", refused)
         path = tmp_path / "jc.json"
@@ -575,3 +629,13 @@ class TestSectorBlocks:
         argv = ["sweep", str(path), "--param", "g", "--from", "0", "--to", "1", "--points", "30"]
         assert main(argv) == 0
         assert len(capsys.readouterr().out.splitlines()) == 31
+        path = tmp_path / "dd.json"
+        path.write_text('{"model": {"type": "driven_dephasing", "gamma_z": 1.0, "omega": 1e10}}',
+                        encoding="utf-8")
+        argv = ["sweep", str(path), "--param", "gamma_z", "--from", "1e300", "--to=-1e300",
+                "--points", "3"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: gamma_z = 1e+300: {dense.value}\n"
+        assert captured.err.startswith("error: gamma_z = 1e+300: eta is about")
