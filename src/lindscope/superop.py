@@ -318,7 +318,7 @@ def _first_coupled(parts: list, dim: int) -> bool:
     return bool(coupled.all())
 
 
-def _form_blocks(g: np.ndarray, dim: int, key: bytes | None) -> tuple | None:
+def _form_blocks(g: np.ndarray, m: np.ndarray, dim: int, key: bytes | None) -> tuple | None:
     """``_sector_form`` of a stack of generators, from the entries of its slot pairs.
 
     A slot is an entry of ``_basis_index``: ``a < dim`` the diagonal
@@ -328,7 +328,9 @@ def _form_blocks(g: np.ndarray, dim: int, key: bytes | None) -> tuple | None:
     ``M[p_a, p_b]``, ``M[q_a, q_b]``, ``M[p_a, q_b]`` and ``M[q_a, p_b]``
     of each of the ``k`` generators, four blocks that each sum below runs
     over whole. The pairs hold every nonzero entry, and ``g`` is
-    overwritten. Returns None when the stack is one block but the
+    overwritten. ``m`` holds the entries that ``g`` was gathered from, each
+    once, ``(k, ...)``: the largest magnitude among them sets the power of
+    two of each generator. Returns None when the stack is one block but the
     pairs are not all of them. A stack whose first basis element is
     coupled to every other is one sector, which all pairs test in O(k n)
     before any pattern; a split stack gathers its blocks by
@@ -336,7 +338,7 @@ def _form_blocks(g: np.ndarray, dim: int, key: bytes | None) -> tuple | None:
     """
     k, c = g.shape[1:]
     n, r = dim * dim, dim * (dim + 1) // 2
-    e = np.frexp(np.abs(g).swapaxes(0, 1).reshape(k, -1).max(axis=1, initial=0.0))[1]
+    e = np.frexp(np.abs(m).reshape(k, -1).max(axis=1, initial=0.0))[1]
     # 2^-(e+1) is exact; the extra 1/2 is the weight 2 |w_l w_k| = 1 of the
     # pair-pair entries, and diagonal rows and columns take 1/sqrt2 below
     floats = g.view(np.float64)
@@ -346,10 +348,9 @@ def _form_blocks(g: np.ndarray, dim: int, key: bytes | None) -> tuple | None:
     # Mpq - conj(Mqp)], which vanishes when the generator preserves
     # Hermiticity, that is when its conjugate is itself with rows and
     # columns permuted by transposition.
-    odd = np.conjugate(g[1::2])
-    rest = g[0::2] - odd
-    g[0::2] += odd
-    del odd
+    np.conjugate(g[1::2], out=g[1::2])
+    rest = g[0::2] - g[1::2]
+    g[0::2] += g[1::2]
     parts = [g]
     # an imaginary entry is a weighted sum of two entries of rest, no weight
     # is above 1, and an ulp of the largest entry of 2^-(e+1) M is eps/4;
@@ -386,16 +387,17 @@ def _form_blocks(g: np.ndarray, dim: int, key: bytes | None) -> tuple | None:
         if c < r * r:
             return None
         out = np.empty((k, n, n), dtype=dtype)
-        for half, p in zip((out.real, out.imag), parts):
-            _place(half, _quadrants(p, r), dim)
+        # .imag of a real array would be a new array of zeros
+        for i, p in enumerate(parts):
+            _place(out.imag if i else out.real, _quadrants(p, r), dim)
         weight = _basis_index(dim)[2]
         out *= weight[:, None]
         out *= weight
         return out, e, _frozen(np.arange(n)[None])
     inside, index, row, col = _block_plan(dim, key, table.tobytes(), table.shape)
     values = np.empty((k, len(index)), dtype=dtype)
-    for half, p in zip((values.real, values.imag), parts):
-        np.take(p.reshape(k, -1), index, axis=1, out=half)
+    for i, p in enumerate(parts):
+        np.take(p.reshape(k, -1), index, axis=1, out=values.imag if i else values.real)
     values *= row
     values *= col
     blocks = np.zeros((k, *inside.shape), dtype=dtype)
@@ -434,7 +436,7 @@ def _sector_form(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # half as large as the result, is not kept between calls
     start = n * n * np.arange(k)[:, None, None]
     g = np.take(m, (rows[:, None] * n + start + cols[:, None]).reshape(4, k, -1))
-    return _form_blocks(g, dim, None)
+    return _form_blocks(g, m, dim, None)
 
 
 def _entry_plan(dim: int, pairs: np.ndarray) -> tuple:
@@ -585,8 +587,7 @@ def _sector_blocks(h: np.ndarray, jumps: np.ndarray) -> tuple[np.ndarray, np.nda
         if not np.isfinite(m).all():
             raise RangeError(_OVERFLOW)
         g = np.take(m, plan[-1][:, None] + m.shape[1] * np.arange(k)[:, None])
-        del m
-        form = _form_blocks(g, d, key)
+        form = _form_blocks(g, m, d, key)
         if form is not None:
             return form
 
