@@ -30,10 +30,10 @@ as csv, run on damped ``jaynes_cummings`` at ``n_max`` 3 and 7 (d = 8 and
 16), explicit model files with jumps ``sqrt(kappa) a`` and
 ``sqrt(gamma) sigma_-``: nonnormal generators, and at ``n_max`` 7 one that
 splits into sectors. Two ``sweep`` runs over ``g`` on
-``models/jaynes_cummings.json`` (d = 8) cover how a sweep pools the sector
-blocks of many points into one analysis pass: 230 log-spaced points (past
-several pools and stacks) and 41 linear points from ``g = 0``, whose first
-point splits into other sectors than the rest. A sweep builds its sector
+``models/jaynes_cummings.json`` (d = 8) cover how a sweep sizes its chunks
+of points, one analysis pass each: 230 log-spaced points (past several
+chunks and stacks) and 41 linear points from ``g = 0``, whose first point
+splits into other sectors than the rest. A sweep builds its sector
 blocks straight from H and the jumps, in chunks of points with the same
 exactly-zero coefficients, so three more sweeps cover points that cut
 couplings their neighbours have: a linear ``omega_a`` sweep on
@@ -41,7 +41,10 @@ couplings their neighbours have: a linear ``omega_a`` sweep on
 exactly, at ``g = 0`` and at ``g = 0.1``, and a linear ``gamma_1`` sweep
 from 0 on ``multi_qubit_dephasing`` at k = 3 (d = 8, one zero-rate point
 among 50). A 50-point ``sweep`` over ``g`` on ``jaynes_cummings`` at
-``n_max`` 7 (d = 16) covers chunks of larger blocks. Each side runs
+``n_max`` 7 (d = 16) covers chunks of larger blocks, and a 21-point linear
+``regimes`` over ``gamma_1`` from 0 on ``multi_qubit_dephasing`` at k = 5
+(d = 32) a sweep at the cap: stacks of 4 points, the first chunk of each
+one point, and the ``gamma_1 = 0`` point a chunk of its own. Each side runs
 in its own interpreter with one BLAS thread: the working tree's ``src/``,
 and REF's ``src/`` unpacked by ``git archive`` into a temporary directory
 (removed afterwards). Both read the working tree's model files, and the
@@ -235,6 +238,9 @@ def commands(tmp: Path) -> list[tuple[str, list[str]]]:
     out.append(("regimes-g jaynes_cummings-7", ["regimes", jaynes_7, *coupling]))
     coupling = ["--param", "g", "--from", "1e-3", "--to", "10", "--points", "50", "--log"]
     out.append(("sweep-g-50 jaynes_cummings-7", ["sweep", jaynes_7, *coupling]))
+    rate = ["--param", "gamma_1", "--from", "0", "--to", "1", "--points", "21"]
+    path = str(tmp / "multi_qubit_dephasing-5.json")
+    out.append(("regimes-gamma_1 multi_qubit_dephasing-5", ["regimes", path, *rate]))
     # points whose exactly-zero coefficients, or exactly equal frequencies,
     # cut couplings that their neighbours have
     for name, model in CUTS:

@@ -439,38 +439,19 @@ def _sweep_values(config: RunConfig) -> np.ndarray:
 
 # A sweep builds its points in stacks (models._stack) of at most this many
 # entries per d x d operator, at most _BLOCK_ENTRIES // 4 points, and takes
-# their sector blocks straight from H and the jumps (superop._sector_blocks),
-# a chunk of points at a time, with no n x n generator. A chunk is a run of
-# consecutive points whose H and jumps have the same exactly-zero entries,
-# which for a named kind is its set of zero coefficients, so each point
-# gets the sectors it gets alone (a coefficient that is exactly 0 cuts
-# couplings). It holds as many points as fill what is left of the pool,
-# judged by the blocks per point of the last chunk (of one sector, n^2
-# entries, before the first). The blocks then wait in a queue for one
-# pooled analysis pass (metrics._block_pass), whose columns the sweep
-# appends as they are. The queue runs before a chunk of another table shape
-# (B, b) or dtype, before a chunk that would take it past _POOL_ENTRIES
-# float64 entries (a complex entry counts twice), and at the end of each
-# stack, so a chunk's temporaries, of the order of its blocks, are never
-# alive with a pass's. A d=8 jaynes_cummings point is 15 or 16 blocks of
-# 8 x 8, so one pass takes 16 or 17 of them; 400 points at d=2 are one
-# chunk and one pass. The pass works on each block alone, so the rows are,
-# bit for bit, those of a pass per point. Stacks, chunks and passes pass
-# or fail as a whole. After a failure the sweep goes on one point at a
-# time, from the first point without a row (the first queued point, after
-# a failed pass), through build, the sector blocks of its stack of one
-# and the pass (the rows of compute_metrics, still with no n x n
-# generator), and the first point that fails there names the error. No
-# pass spans two stacks, so the failing point is at most
-# _BLOCK_ENTRIES // 4 single points on.
+# their sector blocks straight from H and the jumps (superop._sector_blocks)
+# a chunk at a time, with no n x n generator. A chunk is a run of
+# consecutive points of a stack whose H and jumps have the same
+# exactly-zero entries, so each point gets the sectors it gets alone, sized
+# to fill _POOL_ENTRIES float64 entries by the blocks per point of the
+# stack's last chunk (one sector, n^2 entries, before its first). Each
+# chunk is one analysis pass (metrics._block_pass), which works on each
+# block alone, so the rows are, bit for bit, those of a pass per point.
+# After a failure the same loop goes on from the failed chunk's first point
+# in stacks of one point, and the first of those that fails names the error.
 _BLOCK_ENTRIES = 4096
 # Sized by peak RSS: see CHANGES.md, "Pooled sweep passes".
 _POOL_ENTRIES = 16384
-
-
-def _pool_key(a: np.ndarray, e: np.ndarray, table: np.ndarray) -> tuple:
-    """What sector forms ``(a, e, table)`` must share to share a pass: table shape and dtype."""
-    return table.shape, a.dtype
 
 
 def _sweep_columns(config: RunConfig, fields) -> dict[str, np.ndarray]:
@@ -484,23 +465,10 @@ def _sweep_columns(config: RunConfig, fields) -> dict[str, np.ndarray]:
     base = _spec_from_obj(raw["model"])
     values = _sweep_values(config)
     blocks: list[dict] = []
-    # the sector forms of the chunks built since the last pass, all of one
-    # table shape (B, b) and dtype
-    queue: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    done = 0
-
-    def run_queue():
-        nonlocal done
-        if queue:
-            a = np.concatenate([a for a, _, _ in queue])
-            e = np.concatenate([e for _, e, _ in queue])
-            queue.clear()  # the parts are not kept alive through the pass
-            blocks.append(_block_pass(a, e, config.thresholds))
-            done += len(e)
-
-    try:
-        while done < len(values):
-            points = values[done : done + _BLOCK_ENTRIES // 4]
+    done, step = 0, _BLOCK_ENTRIES // 4
+    while done < len(values):
+        points = values[done : done + step]
+        try:
             h, jumps, _ = _stack(
                 ModelSpec(base.kind, {**base.params, config.param: points}), _BLOCK_ENTRIES
             )
@@ -511,31 +479,16 @@ def _sweep_columns(config: RunConfig, fields) -> dict[str, np.ndarray]:
             lo, per = 0, h.shape[-1] ** 4
             for end in ends:
                 while lo < end:
-                    free = _POOL_ENTRIES - sum(a.nbytes for a, _, _ in queue) // 8
-                    if free < per:
-                        run_queue()
-                        free = _POOL_ENTRIES
-                    size = min(end - lo, max(1, free // per))
-                    form = _sector_blocks(h[lo : lo + size], jumps[lo : lo + size])
-                    per = form[0].nbytes // (8 * size)
-                    if queue and (
-                        _pool_key(*queue[0]) != _pool_key(*form) or form[0].nbytes > 8 * free
-                    ):
-                        run_queue()
-                    queue.append(form)
-                    del form  # the queue's reference is the one a pass frees
+                    size = min(end - lo, max(1, _POOL_ENTRIES // per))
+                    a, e, _ = _sector_blocks(h[lo : lo + size], jumps[lo : lo + size])
+                    per = a.nbytes // (8 * size)
+                    blocks.append(_block_pass(a, e, config.thresholds))
+                    done += size
                     lo += size
-            run_queue()
-    except LindscopeError:
-        for value in values[done:].tolist():
-            spec = ModelSpec(base.kind, {**base.params, config.param: value})
-            try:
-                model = build(spec)
-                jumps = np.array(model.jumps).reshape(1, -1, model.dim, model.dim)
-                a, e, _ = _sector_blocks(model.hamiltonian[None], jumps)
-                blocks.append(_block_pass(a, e, config.thresholds))
-            except LindscopeError as exc:
-                raise type(exc)(f"{config.param} = {value!r}: {exc}") from exc
+        except LindscopeError as exc:
+            if step == 1:
+                raise type(exc)(f"{config.param} = {points.item()!r}: {exc}") from exc
+            step = 1
     table = {config.param: values}
     table.update((name, np.concatenate([block[name] for block in blocks])) for name in fields)
     return table

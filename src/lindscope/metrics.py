@@ -16,7 +16,10 @@ ratio there would be a normalization artifact, not physics).
 
 Zero tests are relative: ``delta`` counts as zero below
 ``ZERO_RTOL * ||S||`` and ``eta`` below ``ETA_RTOL * ||S||**2``, which
-makes every classification invariant under rescaling the generator.
+makes every classification invariant under rescaling the generator. The
+structured-dissipator report counts ``sum_k L_k^dag L_k`` as proportional
+to the identity when it is within ``STRUCTURED_ATOL`` times its own norm
+of ``gamma I``, so it too is the same at every rate scale.
 
 ``compute_metrics`` computes them all in one pass, including the two-route
 cross-check of ``eta``; the single-number functions read its result. Every
@@ -227,8 +230,9 @@ def _analyze(m: np.ndarray, thresholds: RegimeThresholds | None = None) -> dict:
     raises alone, and a failed batched eigensolve raises for the whole
     stack.
 
-    It is ``_block_pass`` of ``superop._sector_form``: a sweep runs the two
-    halves apart, to pool the blocks of many stacks into one pass.
+    It is ``_block_pass`` of ``superop._sector_form``: a sweep runs the
+    second half alone, on the blocks ``superop._sector_blocks`` forms
+    straight from H and the jumps of a chunk of points.
     """
     a, e, _ = _sector_form(m)
     return _block_pass(a, e, thresholds)
@@ -237,13 +241,13 @@ def _analyze(m: np.ndarray, thresholds: RegimeThresholds | None = None) -> dict:
 def _block_pass(a: np.ndarray, e: np.ndarray, thresholds: RegimeThresholds | None = None) -> dict:
     """The second half of the pass: the columns of the generators whose blocks are ``a``.
 
-    ``(a, e)`` is the blocks and exponents of ``superop._sector_form`` of a
-    stack, or of several stacks of one block shape and dtype, concatenated:
-    generator ``i`` is the ``B`` blocks ``a[i B : (i + 1) B]``,
-    ``B = len(a) // len(e)``, at exponent ``e[i]``. Every step works on
-    each block alone, so a generator takes the same values bit for bit
-    whatever blocks share its call. Returns the columns of ``_analyze`` and
-    fails as it does. ``a`` is overwritten.
+    ``(a, e)`` is the blocks and exponents of a stack, from
+    ``superop._sector_form`` or ``superop._sector_blocks``: generator ``i``
+    is the ``B`` blocks ``a[i B : (i + 1) B]``, ``B = len(a) // len(e)``,
+    at exponent ``e[i]``. Every step works on each block alone, so a
+    generator takes the same values bit for bit whatever blocks share its
+    call. Returns the columns of ``_analyze`` and fails as it does. ``a``
+    is overwritten.
     """
     # a = 2^-e U^dag S U, with U unitary and its largest entry O(1): no
     # product of a with itself can under- or overflow, and every norm is
@@ -364,11 +368,11 @@ def compute_metrics(
     comparing the two norms.
 
     The pass itself (``_analyze``) takes a stack of generators and returns
-    columns; this is the stack of one, read at row 0, and sweeps run whole
-    blocks of points through it and write its columns as they are. The
-    threshold-free values are computed once per Superoperator and kept on
-    it (its matrix is frozen); the regime is banded by ``thresholds`` on
-    every call.
+    columns; this is the stack of one, read at row 0. A sweep runs the
+    pass's second half on a chunk of points at a time and writes its
+    columns as they are. The threshold-free values are computed once per
+    Superoperator and kept on it (its matrix is frozen); the regime is
+    banded by ``thresholds`` on every call.
     """
     base = getattr(s, "_metrics", None)
     if base is None:
@@ -421,7 +425,10 @@ def structured_dissipator_report(model: LindbladModel) -> StructuredDissipatorRe
     """Detect structured dissipators and verify the uniform spectral shift.
 
     Only the jump operators enter: a Hamiltonian term, if any, is ignored
-    here because the identity concerns the dissipative part alone.
+    here because the identity concerns the dissipative part alone. The sum
+    ``sum_k L_k^dag L_k`` is taken as ``gamma I`` when its distance from it
+    is at most ``STRUCTURED_ATOL`` times its own norm, a relative test; a
+    model without jumps is structured with ``gamma = 0``.
     """
     d = model.dim
     total = np.zeros((d, d), dtype=complex)
@@ -429,7 +436,7 @@ def structured_dissipator_report(model: LindbladModel) -> StructuredDissipatorRe
         total = total + dagger(jump) @ jump
     gamma = float(np.trace(total).real) / d
     deviation = hermitian_norm(total - gamma * np.eye(d))
-    if gamma < 0 or deviation > STRUCTURED_ATOL * max(1.0, gamma):
+    if gamma < 0 or deviation > STRUCTURED_ATOL * hermitian_norm(total):
         return StructuredDissipatorReport(is_structured=False)
 
     # one term at a time: a stack of all terms would hold one n x n matrix

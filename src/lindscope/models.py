@@ -20,8 +20,8 @@ fixed matrices; only ``n_max`` and ``k`` fix the shape. ``build`` and the
 public builders are its stack of one plus a label, and sweeps feed its
 stacks straight into ``superop._sector_blocks``. A stack is built whole or
 not at all: a point that fails a check raises, for the whole stack, the
-error it raises alone, and a sweep then takes its points one at a time
-through ``build`` to name the first that fails.
+error it raises alone, and a sweep then goes on in stacks of one point to
+name the first that fails.
 """
 
 from __future__ import annotations

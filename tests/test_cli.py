@@ -474,9 +474,9 @@ class TestStackedSweeps:
         assert captured.err.startswith("error: gamma_z = 1e+300: eta is about")
 
     def test_kernel_counts(self, tmp_path, monkeypatch, capsys):
-        # 400 points at d=2 are two blocks of at most 256 and one pooled
-        # pass: four batched eigensolves in all, no SVD, and no Hermiticity
-        # check of the exactly Hermitian Hamiltonians
+        # 400 points at d=2 are one stack, one chunk and one pass: four
+        # batched eigensolves in all, no SVD, and no Hermiticity check of
+        # the exactly Hermitian Hamiltonians
         path = write(tmp_path, "m.json", {"model": {"type": "driven_dephasing"}})
         calls = {"svd": 0, "eigvalsh": 0}
 
@@ -494,15 +494,43 @@ class TestStackedSweeps:
         assert main(argv) == 0
         assert len(capsys.readouterr().out.splitlines()) == 401
         assert calls == {"svd": 0, "eigvalsh": 4}
-        # 60 points at d=8 are 60 blocks of one point, 15 or 16 sectors of
-        # 8 x 8 each, and four pooled passes of at most 17 points
+        # 60 points at d=8 are one stack with 15 or 16 sectors of 8 x 8 a
+        # point; each chunk is one pass, and the first is sized by one
+        # sector of 64 x 64 a point, so the passes hold 4, 16, 16, 16 and 8
+        # points: five passes, 20 eigensolves
         calls.update(svd=0, eigvalsh=0)
         path = write(tmp_path, "jc.json", JAYNES_CUMMINGS)
         argv = ["sweep", path, "--param", "g", "--from", "1e-3", "--to", "1",
                 "--points", "60", "--log"]
         assert main(argv) == 0
         assert len(capsys.readouterr().out.splitlines()) == 61
-        assert calls == {"svd": 0, "eigvalsh": 16}
+        assert calls == {"svd": 0, "eigvalsh": 20}
+
+    @pytest.mark.parametrize(
+        "payload, param, start, stop, points, log_scale, want",
+        [
+            ({"model": {"type": "driven_dephasing"}}, "omega", 1e-3, 1e3, 400, True, [400]),
+            # the first chunk is sized by one sector of 64 x 64 a point, the
+            # rest by the 15 or 16 sectors of 8 x 8 of the chunk before
+            (JAYNES_CUMMINGS, "g", 1e-3, 1.0, 60, True, [4, 16, 16, 16, 8]),
+        ],
+        ids=["d2", "jc"],
+    )
+    def test_each_chunk_is_one_pass(
+        self, tmp_path, monkeypatch, payload, param, start, stop, points, log_scale, want
+    ):
+        path = write(tmp_path, "m.json", payload)
+        config = _sweep_config(path, param, start, stop, points, log_scale)
+        chunks, passes = [], []
+        form, pooled = cli._sector_blocks, cli._block_pass
+        monkeypatch.setattr(
+            cli, "_sector_blocks", lambda h, jumps: chunks.append(len(h)) or form(h, jumps)
+        )
+        monkeypatch.setattr(
+            cli, "_block_pass", lambda a, e, *args: passes.append(len(e)) or pooled(a, e, *args)
+        )
+        cli._sweep_columns(config, cli.SWEEP_FIELDS)
+        assert chunks == passes == want
 
     @pytest.mark.parametrize(
         "payload, param, start, stop, points, log_scale",
@@ -530,7 +558,7 @@ class TestStackedSweeps:
 
         def recording_form(h, jumps):
             a, e, table = form(h, jumps)
-            shapes.add(cli._pool_key(a, e, table))
+            shapes.add((table.shape, a.dtype))
             return a, e, table
 
         monkeypatch.setattr(cli, "_block_pass", recording_pass)
@@ -543,18 +571,33 @@ class TestStackedSweeps:
             assert len(shapes) == 2
 
     def test_failure_at_last_point_replays_one_stack(self, tmp_path, monkeypatch):
-        # 3002 points are stacks of 1024, 1024 and 954; only the last point,
-        # gamma_z = -1, fails, so only the third stack is taken again one
-        # point at a time
-        path = write(tmp_path, "m.json", DEPHASING)
-        config = _sweep_config(path, "gamma_z", 3000.0, -1.0, 3002)
-        want = _per_point_sweep(config, cli.SWEEP_FIELDS)
-        assert want == (ConfigError, "gamma_z = -1.0: gamma_z must be nonnegative, got -1.0")
-        built = []
-        one = cli.build
-        monkeypatch.setattr(cli, "build", lambda spec: built.append(spec) or one(spec))
-        assert _exact(_stacked_sweep(config, cli.SWEEP_FIELDS)) == _exact(want)
-        assert 0 < len(built) <= 1024
+        cases = [
+            # 3002 points are stacks of 1024, 1024 and 954; only the last
+            # point, gamma_z = -1, fails to build, so only the third stack
+            # is taken again one point at a time
+            (DEPHASING["model"], "gamma_z", 3000.0, -1.0, 3002, False, ConfigError,
+             "gamma_z = -1.0: gamma_z must be nonnegative, got -1.0", 2048),
+            # one stack and one chunk of 400 points, whose pass fails: eta
+            # first overflows at point 308
+            ({"type": "dephasing_relaxation", "gamma_z": 1.0}, "gamma_minus", 1.0, 1e200, 400,
+             True, RangeError, "gamma_minus = 2.4320075132678504e+154: eta is about", 0),
+        ]
+        stacked = cli._stack
+        for payload, param, start, stop, points, log_scale, error, named, first in cases:
+            path = write(tmp_path, "m.json", {"model": payload})
+            config = _sweep_config(path, param, start, stop, points, log_scale)
+            want = _per_point_sweep(config, cli.SWEEP_FIELDS)
+            assert want[0] is error and want[1].startswith(named)
+            stacks = []
+            monkeypatch.setattr(
+                cli, "_stack",
+                lambda spec, *args: stacks.append(spec.params[param]) or stacked(spec, *args),
+            )
+            assert _exact(_stacked_sweep(config, cli.SWEEP_FIELDS)) == _exact(want)
+            single = [point for point in stacks if len(point) == 1]
+            assert 0 < len(single) <= 1024
+            # the one-point stacks start at the failed chunk's first point
+            assert single[0][0] == cli._sweep_values(config)[first]
 
     def test_failed_batched_eigensolve_retried_per_point(self, tmp_path, monkeypatch):
         # when a batched eigensolve fails, each point of the block is taken

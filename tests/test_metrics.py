@@ -376,6 +376,14 @@ class TestStructuredDissipator:
         assert report.gamma == pytest.approx(0.7, abs=1e-12)
         assert report.shift_max_error <= 1e-12
 
+    @pytest.mark.parametrize("rate", [1.0, 1e-6, 1e-11, 1e-200, 5e-324])
+    def test_structure_independent_of_rate_scale(self, rate):
+        # the test is relative to the size of sum_k L_k^dag L_k, so a
+        # rescaled model keeps its answer down to the smallest subnormal
+        assert not structured_dissipator_report(relaxation(rate)).is_structured
+        assert structured_dissipator_report(dephasing(rate)).is_structured
+        assert structured_dissipator_report(pauli_channel(rate, rate, rate)).is_structured
+
     def test_no_jumps_trivially_structured(self):
         rng = np.random.default_rng(9)
         report = structured_dissipator_report(hamiltonian_only(random_hermitian(rng, 2)))
