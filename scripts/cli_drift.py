@@ -43,8 +43,8 @@ from 0 on ``multi_qubit_dephasing`` at k = 3 (d = 8, one zero-rate point
 among 50). A 50-point ``sweep`` over ``g`` on ``jaynes_cummings`` at
 ``n_max`` 7 (d = 16) covers chunks of larger blocks, and a 21-point linear
 ``regimes`` over ``gamma_1`` from 0 on ``multi_qubit_dephasing`` at k = 5
-(d = 32) a sweep at the cap: stacks of 4 points, the first chunk of each
-one point, and the ``gamma_1 = 0`` point a chunk of its own. Each side runs
+(d = 32) a sweep at the cap: stacks of 4 points, the first a chunk of one
+point, ``gamma_1 = 0``, and one of three. Each side runs
 in its own interpreter with one BLAS thread: the working tree's ``src/``,
 and REF's ``src/`` unpacked by ``git archive`` into a temporary directory
 (removed afterwards). Both read the working tree's model files, and the

@@ -444,9 +444,10 @@ def _sweep_values(config: RunConfig) -> np.ndarray:
 # consecutive points of a stack whose H and jumps have the same
 # exactly-zero entries, so each point gets the sectors it gets alone, sized
 # to fill _POOL_ENTRIES float64 entries by the blocks per point of the
-# stack's last chunk (one sector, n^2 entries, before its first). Each
-# chunk is one analysis pass (metrics._block_pass), which works on each
-# block alone, so the rows are, bit for bit, those of a pass per point.
+# sweep's last chunk of its dimension, in this stack or an earlier one (one
+# sector, n^2 entries, before the first). Each chunk is one analysis pass
+# (metrics._block_pass), which works on each block alone, so the rows are,
+# bit for bit, those of a pass per point.
 # After a failure the same loop goes on from the failed chunk's first point
 # in stacks of one point, and the first of those that fails names the error.
 _BLOCK_ENTRIES = 4096
@@ -465,7 +466,7 @@ def _sweep_columns(config: RunConfig, fields) -> dict[str, np.ndarray]:
     base = _spec_from_obj(raw["model"])
     values = _sweep_values(config)
     blocks: list[dict] = []
-    done, step = 0, _BLOCK_ENTRIES // 4
+    done, step, n, per = 0, _BLOCK_ENTRIES // 4, 0, 0
     while done < len(values):
         points = values[done : done + step]
         try:
@@ -475,8 +476,12 @@ def _sweep_columns(config: RunConfig, fields) -> dict[str, np.ndarray]:
             count = len(h)
             zero = np.concatenate([(h == 0).reshape(count, -1), (jumps == 0).reshape(count, -1)], 1)
             ends = [*(np.flatnonzero((zero[1:] != zero[:-1]).any(axis=1)) + 1).tolist(), count]
-            # the float64 entries of a point's blocks: one sector until a chunk tells
-            lo, per = 0, h.shape[-1] ** 4
+            if h.shape[-1] != n:
+                # the float64 entries of a point's blocks: one sector until
+                # a chunk of this dimension tells
+                n = h.shape[-1]
+                per = n**4
+            lo = 0
             for end in ends:
                 while lo < end:
                     size = min(end - lo, max(1, _POOL_ENTRIES // per))

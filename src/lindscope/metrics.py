@@ -17,9 +17,9 @@ ratio there would be a normalization artifact, not physics).
 Zero tests are relative: ``delta`` counts as zero below
 ``ZERO_RTOL * ||S||`` and ``eta`` below ``ETA_RTOL * ||S||**2``, which
 makes every classification invariant under rescaling the generator. The
-structured-dissipator report counts ``sum_k L_k^dag L_k`` as proportional
-to the identity when it is within ``STRUCTURED_ATOL`` times its own norm
-of ``gamma I``, so it too is the same at every rate scale.
+structured-dissipator report counts ``sum_k L_k^dag L_k`` as ``gamma I``,
+``gamma`` its mean eigenvalue, when it is within ``STRUCTURED_ATOL * gamma``
+of it, so it too is the same at every rate scale.
 
 ``compute_metrics`` computes them all in one pass, including the two-route
 cross-check of ``eta``; the single-number functions read its result. Every
@@ -426,9 +426,10 @@ def structured_dissipator_report(model: LindbladModel) -> StructuredDissipatorRe
 
     Only the jump operators enter: a Hamiltonian term, if any, is ignored
     here because the identity concerns the dissipative part alone. The sum
-    ``sum_k L_k^dag L_k`` is taken as ``gamma I`` when its distance from it
-    is at most ``STRUCTURED_ATOL`` times its own norm, a relative test; a
-    model without jumps is structured with ``gamma = 0``.
+    ``sum_k L_k^dag L_k`` is taken as ``gamma I``, ``gamma`` its mean
+    eigenvalue, when its distance from it is at most
+    ``STRUCTURED_ATOL * gamma``, a relative test; a model without jumps is
+    structured with ``gamma = 0``.
     """
     d = model.dim
     total = np.zeros((d, d), dtype=complex)
@@ -436,7 +437,7 @@ def structured_dissipator_report(model: LindbladModel) -> StructuredDissipatorRe
         total = total + dagger(jump) @ jump
     gamma = float(np.trace(total).real) / d
     deviation = hermitian_norm(total - gamma * np.eye(d))
-    if gamma < 0 or deviation > STRUCTURED_ATOL * hermitian_norm(total):
+    if gamma < 0 or deviation > STRUCTURED_ATOL * gamma:
         return StructuredDissipatorReport(is_structured=False)
 
     # one term at a time: a stack of all terms would hold one n x n matrix

@@ -393,7 +393,7 @@ def _sweep_config(path, param, start, stop, points, log_scale=False, thresholds=
 
 class TestStackedSweeps:
     """A sweep builds its points in blocks, one stacked build each, and runs
-    their sector blocks through pooled passes; its rows, and its first
+    each chunk of their sector blocks as one pass; its rows, and its first
     error, are those of the points taken one at a time."""
 
     @pytest.mark.parametrize("thresholds", [None, RegimeThresholds(0.2, 5.0)])
@@ -489,38 +489,6 @@ class TestStackedSweeps:
 
         monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
         monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
-        argv = ["sweep", path, "--param", "omega", "--from", "1e-3", "--to", "1e3",
-                "--points", "400", "--log"]
-        assert main(argv) == 0
-        assert len(capsys.readouterr().out.splitlines()) == 401
-        assert calls == {"svd": 0, "eigvalsh": 4}
-        # 60 points at d=8 are one stack with 15 or 16 sectors of 8 x 8 a
-        # point; each chunk is one pass, and the first is sized by one
-        # sector of 64 x 64 a point, so the passes hold 4, 16, 16, 16 and 8
-        # points: five passes, 20 eigensolves
-        calls.update(svd=0, eigvalsh=0)
-        path = write(tmp_path, "jc.json", JAYNES_CUMMINGS)
-        argv = ["sweep", path, "--param", "g", "--from", "1e-3", "--to", "1",
-                "--points", "60", "--log"]
-        assert main(argv) == 0
-        assert len(capsys.readouterr().out.splitlines()) == 61
-        assert calls == {"svd": 0, "eigvalsh": 20}
-
-    @pytest.mark.parametrize(
-        "payload, param, start, stop, points, log_scale, want",
-        [
-            ({"model": {"type": "driven_dephasing"}}, "omega", 1e-3, 1e3, 400, True, [400]),
-            # the first chunk is sized by one sector of 64 x 64 a point, the
-            # rest by the 15 or 16 sectors of 8 x 8 of the chunk before
-            (JAYNES_CUMMINGS, "g", 1e-3, 1.0, 60, True, [4, 16, 16, 16, 8]),
-        ],
-        ids=["d2", "jc"],
-    )
-    def test_each_chunk_is_one_pass(
-        self, tmp_path, monkeypatch, payload, param, start, stop, points, log_scale, want
-    ):
-        path = write(tmp_path, "m.json", payload)
-        config = _sweep_config(path, param, start, stop, points, log_scale)
         chunks, passes = [], []
         form, pooled = cli._sector_blocks, cli._block_pass
         monkeypatch.setattr(
@@ -529,8 +497,27 @@ class TestStackedSweeps:
         monkeypatch.setattr(
             cli, "_block_pass", lambda a, e, *args: passes.append(len(e)) or pooled(a, e, *args)
         )
-        cli._sweep_columns(config, cli.SWEEP_FIELDS)
-        assert chunks == passes == want
+        argv = ["sweep", path, "--param", "omega", "--from", "1e-3", "--to", "1e3",
+                "--points", "400", "--log"]
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 401
+        assert calls == {"svd": 0, "eigvalsh": 4}
+        assert chunks == passes == [400]
+        # 60 points at d=8 are one stack with 15 or 16 sectors of 8 x 8 a
+        # point; each chunk is one pass, and the first is sized by one
+        # sector of 64 x 64 a point, the rest by the blocks of the chunk
+        # before, so the passes hold 4, 16, 16, 16 and 8 points: five
+        # passes, 20 eigensolves
+        calls.update(svd=0, eigvalsh=0)
+        chunks.clear()
+        passes.clear()
+        path = write(tmp_path, "jc.json", JAYNES_CUMMINGS)
+        argv = ["sweep", path, "--param", "g", "--from", "1e-3", "--to", "1",
+                "--points", "60", "--log"]
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 61
+        assert calls == {"svd": 0, "eigvalsh": 20}
+        assert chunks == passes == [4, 16, 16, 16, 8]
 
     @pytest.mark.parametrize(
         "payload, param, start, stop, points, log_scale",
@@ -565,7 +552,7 @@ class TestStackedSweeps:
         monkeypatch.setattr(cli, "_sector_blocks", recording_form)
         assert _exact(_stacked_sweep(config, cli.SWEEP_FIELDS)) == _exact(want)
         assert sum(passes) == points
-        # the passes pool the build blocks, one point each at d = 8
+        # each pass holds many points: more than four on average at d = 8
         assert len(passes) < points // 4
         if start == 0.0 and param == "g":
             assert len(shapes) == 2
@@ -576,18 +563,22 @@ class TestStackedSweeps:
             # point, gamma_z = -1, fails to build, so only the third stack
             # is taken again one point at a time
             (DEPHASING["model"], "gamma_z", 3000.0, -1.0, 3002, False, ConfigError,
-             "gamma_z = -1.0: gamma_z must be nonnegative, got -1.0", 2048),
+             "gamma_z = -1.0: gamma_z must be nonnegative, got -1.0", False, 2048),
             # one stack and one chunk of 400 points, whose pass fails: eta
-            # first overflows at point 308
+            # first overflows at point 308, with a long message of which the
+            # head is checked
             ({"type": "dephasing_relaxation", "gamma_z": 1.0}, "gamma_minus", 1.0, 1e200, 400,
-             True, RangeError, "gamma_minus = 2.4320075132678504e+154: eta is about", 0),
+             True, RangeError, "gamma_minus = 2.4320075132678504e+154: eta is about", True, 0),
         ]
         stacked = cli._stack
-        for payload, param, start, stop, points, log_scale, error, named, first in cases:
+        for payload, param, start, stop, points, log_scale, error, named, head, first in cases:
             path = write(tmp_path, "m.json", {"model": payload})
             config = _sweep_config(path, param, start, stop, points, log_scale)
             want = _per_point_sweep(config, cli.SWEEP_FIELDS)
-            assert want[0] is error and want[1].startswith(named)
+            if head:
+                assert want[0] is error and want[1].startswith(named)
+            else:
+                assert want == (error, named)
             stacks = []
             monkeypatch.setattr(
                 cli, "_stack",
