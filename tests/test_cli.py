@@ -518,6 +518,18 @@ class TestStackedSweeps:
         assert len(capsys.readouterr().out.splitlines()) == 61
         assert calls == {"svd": 0, "eigvalsh": 20}
         assert chunks == passes == [4, 16, 16, 16, 8]
+        # 230 points at d=8 are stacks of 64, 64, 64 and 38; a chunk is
+        # sized by the last chunk of its dimension, in an earlier stack
+        # too, so only the first stack starts with an under-filled chunk
+        calls.update(svd=0, eigvalsh=0)
+        chunks.clear()
+        passes.clear()
+        argv = ["sweep", path, "--param", "g", "--from", "1e-3", "--to", "10",
+                "--points", "230", "--log"]
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 231
+        assert calls == {"svd": 0, "eigvalsh": 64}
+        assert chunks == passes == [4, 16, 16, 16, 12, *[16] * 10, 6]
 
     @pytest.mark.parametrize(
         "payload, param, start, stop, points, log_scale",
