@@ -449,7 +449,8 @@ def _sweep_values(config: RunConfig) -> np.ndarray:
 # (metrics._block_pass), which works on each block alone, so the rows are,
 # bit for bit, those of a pass per point.
 # After a failure the same loop goes on from the failed chunk's first point
-# in stacks of one point, and the first of those that fails names the error.
+# in stacks of one point, and the first of those that fails names the error;
+# past the failed chunk's last point it builds full stacks again.
 _BLOCK_ENTRIES = 4096
 # Sized by peak RSS: see CHANGES.md, "Pooled sweep passes".
 _POOL_ENTRIES = 16384
@@ -466,9 +467,11 @@ def _sweep_columns(config: RunConfig, fields) -> dict[str, np.ndarray]:
     base = _spec_from_obj(raw["model"])
     values = _sweep_values(config)
     blocks: list[dict] = []
-    done, step, n, per = 0, _BLOCK_ENTRIES // 4, 0, 0
+    done, until, n, per = 0, 0, 0, 0
     while done < len(values):
-        points = values[done : done + step]
+        points = values[done : done + (1 if done < until else _BLOCK_ENTRIES // 4)]
+        # the failed chunk, should the build fail, is the whole stack
+        size = len(points)
         try:
             h, jumps, _ = _stack(
                 ModelSpec(base.kind, {**base.params, config.param: points}), _BLOCK_ENTRIES
@@ -491,9 +494,9 @@ def _sweep_columns(config: RunConfig, fields) -> dict[str, np.ndarray]:
                     done += size
                     lo += size
         except LindscopeError as exc:
-            if step == 1:
+            if len(points) == 1:
                 raise type(exc)(f"{config.param} = {points.item()!r}: {exc}") from exc
-            step = 1
+            until = done + size
     table = {config.param: values}
     table.update((name, np.concatenate([block[name] for block in blocks])) for name in fields)
     return table

@@ -37,20 +37,27 @@ accuracy of an SVD, as in the analysis pass of ``metrics``. A generator
 that does not preserve Hermiticity runs the same steps on the complex
 rotation.
 
-Every kernel here takes the generator as ``superop._sector_form`` gives
-it: the blocks of its exact symmetry sectors, zero-padded into one stack,
-with their table of sectors, or one block when it does not split.
-``exp(t S)`` and its Gram matrix are block diagonal too, so the series
-steps the blocks, and each norm is the largest over them: one batched
-exponential, product and Gram eigensolve per step, on ``b x b`` blocks
-instead of the ``n x n`` whole. The exponential of a padded zero block is
-the identity, so the padded rows of ``P_0`` are zeroed; they then stay zero
-in every product. The spectral abscissa is taken with the padding cut off,
-since a padded row would add a zero eigenvalue: one batched eigensolve per
-group of blocks of one true size. ``gronwall_check`` steps the blocks as
-well, with the coordinates of ``rho0`` gathered by the table. Against the
-whole matrix, the norms move by a few ulps (3.5e-15 relative at most for
-``jaynes_cummings`` at ``n_max = 7``).
+Every kernel here but ``propagator`` takes the generator as
+``superop._sector_form`` gives it (``_form``): the blocks of its exact
+symmetry sectors, zero-padded into one stack, with their table of sectors,
+or one block when it does not split. ``exp(t S)`` and its Gram matrix are
+block diagonal too, so the series steps the blocks, and each norm is the
+largest over them: one batched exponential, product and Gram eigensolve
+per step, on ``b x b`` blocks instead of the ``n x n`` whole. The
+exponential of a padded zero block is the identity, so the padded rows of
+every exponential at a time ``t`` are zeroed (``_exp_blocks``); they then
+stay zero in every product. ``error_amplification``,
+``truncated_appg_bound`` and ``normal_factorization_residual`` take the
+same exponential as the series' first point, and the residual takes those
+of ``S_herm`` and ``S_skew`` from the blocks ``(a + a^dag)/2`` and
+``(a - a^dag)/2``, which the unitary basis allows. The spectral abscissa
+is taken with the padding cut off, since a padded row would add a zero
+eigenvalue: one batched eigensolve per group of blocks of one true size.
+``gronwall_check`` steps the blocks as well, with the coordinates of
+``rho0`` gathered by the table. Against the whole matrix, the norms move by
+a few ulps (3.5e-15 relative at most for ``jaynes_cummings`` at
+``n_max = 7``). ``propagator`` alone exponentiates the whole ``n x n``
+matrix, since it returns ``exp(t S)`` as a dense ``Superoperator``.
 """
 
 from __future__ import annotations
@@ -71,7 +78,7 @@ from .linalg import (
     matrix_exp,
 )
 from .metrics import Regime, compute_metrics, zero_tolerance
-from .superop import Superoperator, _hermitian_coords, _sector_form, decompose
+from .superop import Superoperator, _hermitian_coords, _sector_form
 
 __all__ = [
     "MAX_STEPS",
@@ -153,8 +160,8 @@ class CostEstimate(NamedTuple):
 
 
 def _check_range(norm: float, t: float) -> None:
-    """Reject t < 0 and t * norm beyond the exponential's safe range."""
-    if t < 0:
+    """Reject t < 0 or NaN and t * norm beyond the exponential's safe range."""
+    if not t >= 0:
         raise RangeError(f"time must be nonnegative, got {t}")
     scaled = t * norm
     if scaled > EXP_SAFE_NORM:
@@ -164,18 +171,37 @@ def _check_range(norm: float, t: float) -> None:
         )
 
 
+def _form(s: Superoperator) -> tuple[np.ndarray, int, np.ndarray]:
+    """``superop._sector_form`` of the generator ``s``, with ``e`` as an int."""
+    a, e, table = _sector_form(s.matrix[None])
+    return a, int(e[0]), table
+
+
+def _exp_blocks(a: np.ndarray, e: int, table: np.ndarray, t: float) -> np.ndarray:
+    """The blocks of ``U^dag exp(t S) U``, with 0 on every padding row.
+
+    ``(a, e, table)`` is ``_form`` of ``S``, so the exponential is taken of
+    ``(t 2^e) a``, and is real when ``a`` is. In range, ``t 2^e <=
+    EXP_SAFE_NORM / ||a||``, and ``||a|| = ||2^-e S|| >= 1/2`` (the largest
+    entry of ``2^-e S`` is), so the scaled time cannot overflow.
+    """
+    p = matrix_exp(math.ldexp(t, e) * a)
+    # the exponential of a padded zero block is the identity; as zeros, the
+    # padding stays zero in every product and adds no norm
+    p *= (table >= 0)[..., None]
+    return p
+
+
 def _stepped_propagators(
     a: np.ndarray, e: int, table: np.ndarray, grid: TimeGrid, norm: float
 ) -> Iterator[np.ndarray]:
     """Yield the blocks of ``U^dag exp(t S) U`` at each grid time: P_{k+1} = exp(h S) @ P_k.
 
-    ``(a, e, table)`` is ``superop._sector_form`` of the generator, with
-    ``e`` as an int: ``a`` is the blocks of ``2^-e U^dag S U``, so each
-    exponential is taken of ``(t 2^e) a`` and is real when ``a`` is, and
-    every row that ``table`` marks as padding (-1) is 0 in every
-    propagator. ``norm`` is ||S||; the start time and the step must each
-    stay in the exponential's safe range. Overflow of a growing propagator
-    is an error.
+    ``(a, e, table)`` is ``_form`` of the generator: ``a`` is the blocks of
+    ``2^-e U^dag S U``, and every row that ``table`` marks as padding (-1)
+    is 0 in every propagator. ``norm`` is ||S||; the start time and the
+    step must each stay in the exponential's safe range. Overflow of a
+    growing propagator is an error.
     """
     _check_range(norm, grid.t_start)
     h = (grid.t_end - grid.t_start) / grid.steps
@@ -190,13 +216,8 @@ def _stepped_propagators(
             f"step h = {h:.6g} gives h * ||S|| = {h * norm:.6g}, beyond safe range "
             f"{EXP_SAFE_NORM:g}; {advice}"
         )
-    # in range, t 2^e <= EXP_SAFE_NORM / ||a||, and ||a|| = ||2^-e S|| >= 1/2
-    # (the largest entry of 2^-e S is), so the scaled times cannot overflow
     step = matrix_exp(math.ldexp(h, e) * a)
-    p = matrix_exp(math.ldexp(grid.t_start, e) * a)
-    # the exponential of a padded zero block is the identity; as zeros, the
-    # padding stays zero in every product and adds no norm
-    p *= (table >= 0)[..., None]
+    p = _exp_blocks(a, e, table, grid.t_start)
     yield p
     for t in grid.times[1:]:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -225,10 +246,10 @@ def _propagator_norm(p: np.ndarray) -> float:
 def _abscissa(a: np.ndarray, e: int, table: np.ndarray) -> float:
     """Largest real part over the eigenvalues of the generator whose form is ``(a, e, table)``.
 
-    ``(a, e, table)`` is ``superop._sector_form`` of the generator, with
-    ``e`` as an int. A padded row would add a zero eigenvalue, so the
-    blocks with ``s`` rows that are not padding are cut to ``s x s`` and
-    take one batched eigensolve, one for each such size.
+    ``(a, e, table)`` is ``_form`` of the generator. A padded row would add
+    a zero eigenvalue, so the blocks with ``s`` rows that are not padding
+    are cut to ``s x s`` and take one batched eigensolve, one for each such
+    size.
     """
     sizes = np.count_nonzero(table >= 0, axis=1)
     # a set, not np.unique, which imports numpy.ma on its first call
@@ -264,8 +285,7 @@ def spectral_abscissa(s: Superoperator) -> float:
     Lindbladian is a real matrix; the basis is unitary, so the spectrum is
     that of ``S``.
     """
-    a, e, table = _sector_form(s.matrix[None])
-    return _abscissa(a, int(e[0]), table)
+    return _abscissa(*_form(s))
 
 
 def amplification_series(s: Superoperator, grid: TimeGrid) -> AmplificationSeries:
@@ -282,8 +302,7 @@ def amplification_series(s: Superoperator, grid: TimeGrid) -> AmplificationSerie
     """
     m = compute_metrics(s)
     delta, eta, nd_norm = m.delta, m.eta, m.nd_norm
-    a, e, table = _sector_form(s.matrix[None])
-    e = int(e[0])
+    a, e, table = _form(s)
     propagators = _stepped_propagators(a, e, table, grid, m.generator_norm)
     prop = np.array([_propagator_norm(p) for p in propagators])
     alpha = _abscissa(a, e, table)
@@ -318,7 +337,7 @@ def gronwall_check(s: Superoperator, rho0, grid: TimeGrid) -> float:
     """
     rho0 = as_complex_matrix(rho0, s.dim, s.dim)
     m = compute_metrics(s)
-    a, e, table = _sector_form(s.matrix[None])
+    a, e, table = _form(s)
     # rho0 in the basis of the propagators; a real propagator maps the real
     # and imaginary parts of its coordinates, as two real columns, apart
     x = _hermitian_coords(rho0)
@@ -326,7 +345,7 @@ def gronwall_check(s: Superoperator, rho0, grid: TimeGrid) -> float:
     # the coordinates of each sector's elements, in its rows' order, and 0
     # on the padding rows, which every propagator block zeroes
     x = np.where((table >= 0)[..., None], x[table], 0.0)
-    propagators = _stepped_propagators(a, int(e[0]), table, grid, m.generator_norm)
+    propagators = _stepped_propagators(a, e, table, grid, m.generator_norm)
     norms = [np.linalg.norm(p @ x) for p in propagators]
     with np.errstate(over="ignore"):
         margins = np.exp(m.delta * grid.times) * hs_norm(rho0) - np.array(norms)
@@ -338,21 +357,25 @@ def normal_factorization_residual(s: Superoperator, t: float) -> float:
 
     Vanishes (to roundoff) exactly when the generator is normal, because
     then the Hermitian and anti-Hermitian parts commute; generically
-    positive otherwise, so it witnesses nonnormality dynamically.
+    positive otherwise, so it witnesses nonnormality dynamically. All
+    three exponentials are taken on the sector blocks ``a`` of ``_form``:
+    ``U`` is unitary, so the blocks of ``S_herm`` and ``S_skew`` are
+    ``(a + a^dag)/2`` and ``(a - a^dag)/2``, and the residual is block
+    diagonal, its norm the largest over the blocks.
     """
     _check_range(compute_metrics(s).generator_norm, t)
-    herm, skew = decompose(s)
-    full = matrix_exp(t * s.matrix)
-    factored = matrix_exp(t * herm.matrix) @ matrix_exp(t * skew.matrix)
-    return _propagator_norm(full - factored)
+    a, e, table = _form(s)
+    adj = a.conj().swapaxes(-1, -2)
+    full, herm, skew = (_exp_blocks(x, e, table, t) for x in (a, (a + adj) / 2, (a - adj) / 2))
+    return _propagator_norm(full - herm @ skew)
 
 
 def error_amplification(s: Superoperator, t: float, eps: float) -> float:
     """Worst-case state error eps * ||exp(t S)|| from a propagator error eps."""
-    if eps < 0:
+    if not eps >= 0:
         raise ConfigError(f"eps must be nonnegative, got {eps}")
     _check_range(compute_metrics(s).generator_norm, t)
-    return eps * _propagator_norm(matrix_exp(t * s.matrix))
+    return eps * _propagator_norm(_exp_blocks(*_form(s), t))
 
 
 def truncated_appg_bound(s: Superoperator, t: float) -> AppgBound:
@@ -366,7 +389,7 @@ def truncated_appg_bound(s: Superoperator, t: float) -> AppgBound:
     _check_range(m.generator_norm, t)
     with np.errstate(over="ignore"):
         bound = float(np.exp(m.delta * t + m.nd_norm * t + m.eta * t * t / 4.0))
-    prop = _propagator_norm(matrix_exp(t * s.matrix))
+    prop = _propagator_norm(_exp_blocks(*_form(s), t))
     return AppgBound(bound=bound, satisfied=bool(prop <= bound * (1.0 + 1e-9)))
 
 
@@ -382,7 +405,7 @@ def cost_estimate(s: Superoperator, t: float, eps_star: float) -> CostEstimate:
     """
     if not 0.0 < eps_star < 1.0:
         raise ConfigError(f"eps_star must lie in (0, 1), got {eps_star}")
-    if t < 0:
+    if not t >= 0:
         raise RangeError(f"time must be nonnegative, got {t}")
     m = compute_metrics(s)
     rate = m.delta if m.delta > zero_tolerance(m.generator_norm) else 0.5 * m.generator_norm

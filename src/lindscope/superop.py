@@ -61,8 +61,10 @@ __all__ = [
     "apply",
 ]
 
-# Dense SVD / eigendecomposition / exponentials stay under seconds up to
-# superoperators of size (32^2) x (32^2).
+# At the cap a generator is (32^2) x (32^2). The analysis pass and the
+# dynamics work on its sector blocks (_sector_form); a dense complex
+# exponential of the whole, which only dynamics.propagator takes, costs
+# about 2 s there.
 DEFAULT_DIM_CAP = 32
 
 
@@ -305,19 +307,6 @@ def _pair_of(x: np.ndarray, y: np.ndarray, dim: int) -> np.ndarray:
     return np.where(x < r, x, x - r + dim) * r + np.where(y < r, y, y - r + dim)
 
 
-def _first_coupled(parts: list, dim: int) -> bool:
-    """Whether the first basis element is coupled to every other, from row
-    and column 0 of the form in the ``parts`` of every slot pair, in O(k n)."""
-    r = dim * (dim + 1) // 2
-    coupled = np.zeros(dim * dim - 1, dtype=bool)
-    for p in parts:
-        re_u, im_u, _, im_v = _quadrants(p, r)
-        row = np.concatenate([re_u[:, 0, 1:], im_v[:, 0, dim:]], axis=1)
-        col = np.concatenate([re_u[:, 1:, 0], im_u[:, dim:, 0]], axis=1)
-        coupled |= ((row != 0) | (col != 0)).any(axis=0)
-    return bool(coupled.all())
-
-
 def _form_blocks(g: np.ndarray, m: np.ndarray, dim: int, key: bytes | None) -> tuple | None:
     """``_sector_form`` of a stack of generators, from the entries of its slot pairs.
 
@@ -331,9 +320,10 @@ def _form_blocks(g: np.ndarray, m: np.ndarray, dim: int, key: bytes | None) -> t
     overwritten. ``m`` holds the entries that ``g`` was gathered from, each
     once, ``(k, ...)``: the largest magnitude among them sets the power of
     two of each generator. Returns None when the stack is one block but the
-    pairs are not all of them. A stack whose first basis element is
-    coupled to every other is one sector, which all pairs test in O(k n)
-    before any pattern; a split stack gathers its blocks by
+    pairs are not all of them. The nonzero pattern of the stack decides
+    its sectors (``_table_of``); a stack whose first basis element is
+    coupled to every other is one sector, which row 0 of the pattern tells
+    before any sector is traced, and a split stack gathers its blocks by
     ``_block_plan``.
     """
     k, c = g.shape[1:]
@@ -373,14 +363,12 @@ def _form_blocks(g: np.ndarray, m: np.ndarray, dim: int, key: bytes | None) -> t
     # the floats of u and conj(v) of each part, (k, 2, 2 c); the weights,
     # at least 1/sqrt2, take no nonzero double to 0
     parts = [p[:2].view(np.float64).swapaxes(0, 1) for p in parts]
-    table = None
-    if c < r * r or not _first_coupled(parts, dim):
-        nonzero = np.logical_or.reduce([(p != 0).any(axis=0) for p in parts])
-        if c < r * r:
-            held = np.zeros((2, r * r, 2), dtype=bool)
-            held[:, _candidates(dim, key)[0]] = nonzero.reshape(2, c, 2)
-            nonzero = held.reshape(2, -1)
-        table = _table_of(_quadrants(nonzero, r), dim)
+    nonzero = np.logical_or.reduce([(p != 0).any(axis=0) for p in parts])
+    if c < r * r:
+        held = np.zeros((2, r * r, 2), dtype=bool)
+        held[:, _candidates(dim, key)[0]] = nonzero.reshape(2, c, 2)
+        nonzero = held.reshape(2, -1)
+    table = _table_of(_quadrants(nonzero, r), dim)
     e = e.astype(int)
     dtype = complex if len(parts) > 1 else np.float64
     if table is None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from lindscope import LindbladModel
+from lindscope import LindbladModel, jaynes_cummings
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -118,3 +118,11 @@ def random_model(rng, d=None, force_hamiltonian_only=False):
 def random_models(seed, count):
     rng = np.random.default_rng(seed)
     return [random_model(rng) for _ in range(count)]
+
+
+def damped_jaynes_cummings(n_max, kappa=0.3, gamma=0.1):
+    """jaynes_cummings with jumps sqrt(kappa) a and sqrt(gamma) sigma_-: field and atom damped."""
+    base = jaynes_cummings(g=0.2, n_max=n_max)
+    a = np.kron(np.eye(2), np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1))
+    sigma = np.kron(np.array([[0.0, 0.0], [1.0, 0.0]]), np.eye(n_max + 1))
+    return LindbladModel(base.dim, base.hamiltonian, (np.sqrt(kappa) * a, np.sqrt(gamma) * sigma))

@@ -530,6 +530,28 @@ class TestStackedSweeps:
         assert len(capsys.readouterr().out.splitlines()) == 231
         assert calls == {"svd": 0, "eigvalsh": 64}
         assert chunks == passes == [4, 16, 16, 16, 12, *[16] * 10, 6]
+        # an eigensolve that fails once sends the loop to stacks of one
+        # point only up to the failed chunk's last point: 3000 points at
+        # d=2 are stacks, chunks and passes of 1024, 1024 and 952, so the
+        # first is taken again in 1024 one-point passes and the other two
+        # keep theirs, with the rows of the sweep that never failed
+        path = write(tmp_path, "m.json", {"model": {"type": "driven_dephasing"}})
+        argv = ["sweep", path, "--param", "omega", "--from", "1e-3", "--to", "1e3",
+                "--points", "3000", "--log"]
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+        solver, failures = np.linalg.eigvalsh, [np.linalg.LinAlgError("did not converge")]
+
+        def fails_once(a, *args, **kwargs):
+            if failures:
+                raise failures.pop()
+            return solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fails_once)
+        passes.clear()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+        assert passes == [1024, *[1] * 1024, 1024, 952]
 
     @pytest.mark.parametrize(
         "payload, param, start, stop, points, log_scale",

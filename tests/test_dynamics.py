@@ -6,6 +6,7 @@ import scipy.linalg
 
 from helpers import (
     SX,
+    damped_jaynes_cummings,
     random_complex,
     random_density,
     random_hermitian,
@@ -23,6 +24,7 @@ from lindscope import (
     apply,
     compute_metrics,
     cost_estimate,
+    decompose,
     default_grid,
     dephasing,
     dephasing_relaxation,
@@ -34,10 +36,12 @@ from lindscope import (
     hs_norm,
     jaynes_cummings,
     liouvillian,
+    matrix_exp,
     multi_qubit_dephasing,
     normal_factorization_residual,
     pauli_channel,
     propagator,
+    relaxation,
     spectral_abscissa,
     spectral_norm,
     truncated_appg_bound,
@@ -405,6 +409,11 @@ class TestErrorAmplification:
         with pytest.raises(ConfigError):
             error_amplification(s, 1.0, -1e-3)
 
+    def test_nan_eps_rejected(self):
+        s = liouvillian(dephasing(1.0))
+        with pytest.raises(ConfigError, match="eps must be nonnegative, got nan"):
+            error_amplification(s, 1.0, math.nan)
+
 
 class TestTruncatedEnvelope:
     def test_normal_generator_satisfied(self):
@@ -459,6 +468,11 @@ class TestCostEstimate:
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ConfigError):
                 cost_estimate(s, 1.0, bad)
+
+    def test_nan_time_rejected(self):
+        s = liouvillian(dephasing(1.0))
+        with pytest.raises(RangeError, match="time must be nonnegative, got nan"):
+            cost_estimate(s, math.nan, 0.5)
 
 
 class TestSvdFreeHelpers:
@@ -524,3 +538,101 @@ class TestSvdFreeHelpers:
         ):
             with pytest.raises(RangeError, match="exceeds safe range"):
                 call()
+
+    def test_nan_time_rejected(self):
+        # NaN fails the range check itself, which names the time, before
+        # any exponential could meet it
+        s = self._generator()
+        for call in (
+            lambda: propagator(s, math.nan),
+            lambda: error_amplification(s, math.nan, 1e-3),
+            lambda: truncated_appg_bound(s, math.nan),
+            lambda: normal_factorization_residual(s, math.nan),
+        ):
+            with pytest.raises(RangeError, match="time must be nonnegative, got nan"):
+                call()
+
+
+def _block_route_generators():
+    """Every named kind, damped Jaynes-Cummings, random Lindbladians and raw
+    complex matrices, all at d <= 8: split, whole, real and complex forms."""
+    rng = np.random.default_rng(21)
+    models = [
+        dephasing(0.7),
+        driven_dephasing(1.0, 3.0),
+        relaxation(0.5),
+        dephasing_relaxation(1.0, 0.4),
+        pauli_channel(0.2, 0.5, 0.9),
+        multi_qubit_dephasing([0.1, 0.3, 0.6]),
+        hamiltonian_only(random_hermitian(rng, 3)),
+        jaynes_cummings(n_max=3),
+        damped_jaynes_cummings(3),
+        *(random_model(rng, d=d) for d in (2, 3, 5, 8)),
+    ]
+    generators = [liouvillian(model) for model in models]
+    return generators + [Superoperator(d, random_complex(rng, d * d)) for d in (2, 3)]
+
+
+class TestBlockRoute:
+    """error_amplification, truncated_appg_bound and
+    normal_factorization_residual take their exponentials on the sector
+    blocks of the generator; ``propagator`` is the one dense exponential."""
+
+    def test_match_dense_reference(self):
+        # The dense route is the oracle: matrix_exp of the whole matrix and
+        # of its decompose parts, and an SVD. Both routes' exponentials err
+        # by about t ||S|| eps, so the norm is held to 8 eps max(1, t ||S||)
+        # relative, and the residual, a difference of products, to the same
+        # times max(1, ||exp(t S)||, ||exp(t S_herm)||) absolute (measured:
+        # at most 5e-15 relative, and 4.3e-15 of that scale, at t ||S|| = 40)
+        eps = np.finfo(float).eps
+        for s in _block_route_generators():
+            norm = spectral_norm(s.matrix)
+            herm, skew = decompose(s)
+            for scaled in (0.1, 1.0, 10.0, 40.0):
+                t = scaled / norm
+                full = matrix_exp(t * s.matrix)
+                part = matrix_exp(t * herm.matrix)
+                prop = spectral_norm(full)
+                residual = spectral_norm(full - part @ matrix_exp(t * skew.matrix))
+                tol = 8 * eps * max(1.0, scaled)
+                assert abs(error_amplification(s, t, 1.0) - prop) <= tol * prop
+                bound, satisfied = truncated_appg_bound(s, t)
+                assert satisfied == bool(prop <= bound * (1.0 + 1e-9))
+                scale = max(1.0, prop, spectral_norm(part))
+                assert abs(normal_factorization_residual(s, t) - residual) <= tol * scale
+
+    def test_norm_is_first_series_point(self):
+        # one exponential route: the norm at t is, bit for bit, the first
+        # point of a series that starts at t
+        for s in _block_route_generators():
+            t = 2.0 / spectral_norm(s.matrix)
+            series = amplification_series(s, TimeGrid(t, 2 * t, 1))
+            assert error_amplification(s, t, 1.0) == series.prop_norm[0]
+
+    @pytest.mark.parametrize(
+        "model", [jaynes_cummings(n_max=3), multi_qubit_dephasing([0.1, 0.3, 0.6])],
+        ids=["jc", "mqd"],
+    )
+    def test_no_whole_exponential(self, monkeypatch, model):
+        from lindscope import dynamics
+
+        s = liouvillian(model)
+        n = s.matrix.shape[0]
+        shapes = []
+        exp = dynamics.matrix_exp
+        monkeypatch.setattr(
+            dynamics, "matrix_exp", lambda m: shapes.append(m.shape) or exp(m)
+        )
+        t = 1.0 / spectral_norm(s.matrix)
+        error_amplification(s, t, 1e-3)
+        truncated_appg_bound(s, t)
+        normal_factorization_residual(s, t)
+        amplification_series(s, TimeGrid(0.0, t, 4))
+        gronwall_check(s, np.eye(s.dim) / s.dim, TimeGrid(0.0, t, 4))
+        # jc splits into 16 blocks of 8, mqd into 64 of 1
+        assert len(shapes) == 9
+        assert all(shape[-1] < n and len(shape) == 3 for shape in shapes)
+        shapes.clear()
+        propagator(s, t)
+        assert shapes == [(n, n)]

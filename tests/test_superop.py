@@ -9,6 +9,7 @@ from helpers import (
     SM,
     SX,
     SZ,
+    damped_jaynes_cummings,
     random_complex,
     random_density,
     random_hermitian,
@@ -379,14 +380,6 @@ def _scattered(a, table):
     return out
 
 
-def _damped_jaynes_cummings(n_max, kappa=0.3, gamma=0.1):
-    """jaynes_cummings with jumps sqrt(kappa) a and sqrt(gamma) sigma_-: field and atom damped."""
-    base = jaynes_cummings(g=0.2, n_max=n_max)
-    a = np.kron(np.eye(2), np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1))
-    sigma = np.kron(np.array([[0.0, 0.0], [1.0, 0.0]]), np.eye(n_max + 1))
-    return LindbladModel(base.dim, base.hamiltonian, (np.sqrt(kappa) * a, np.sqrt(gamma) * sigma))
-
-
 class TestHermitianForm:
     @pytest.mark.parametrize("dim", [1, 2, 3, 5])
     def test_basis_orthonormal_and_hermitian(self, dim):
@@ -458,7 +451,7 @@ class TestHermitianForm:
             "complex-diagonal": lambda: Superoperator(3, np.diag(random_complex(rng, 3).ravel())),
             "jaynes_cummings": lambda: liouvillian(jaynes_cummings(g=0.3, n_max=3)),
             "multi_qubit_dephasing": lambda: liouvillian(multi_qubit_dephasing([0.1, 0.2, 0.3])),
-            "damped-jc": lambda: liouvillian(_damped_jaynes_cummings(7)),
+            "damped-jc": lambda: liouvillian(damped_jaynes_cummings(7)),
         }[name]()
         a, e, table = _sector_form(s.matrix[None])
         assert len(table) > 1
