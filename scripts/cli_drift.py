@@ -54,10 +54,12 @@ written to that directory, the damped ones by this script.
 Prints the largest relative deviation of any number per command and exits
 1 on a changed label (a regime or ``appg_satisfied`` flip), a changed exit
 code, standard error or output layout, or a deviation above ``--bound``.
-Standard error is compared byte for byte. A deviation is
-relative to the larger of the two values, except that ``bound_margin``, a
-difference that cancels to 0 for some models, is relative to its terms
-``2 delta nd_norm + eta``::
+Standard error is compared byte for byte, and so is standard output
+under ``--bound 0``, which prints the first line that differs: a writer
+change that prints ``2.0`` as ``2`` or spaces JSON otherwise changes no
+number. A deviation is relative to the larger of the two values, except
+that ``bound_margin``, a difference that cancels to 0 for some models, is
+relative to its terms ``2 delta nd_norm + eta``::
 
     python3 scripts/cli_drift.py [REF] [--bound 1e-14]
 
@@ -69,6 +71,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -336,6 +339,20 @@ def compare(old: str, new: str) -> tuple[float, str | None]:
     return worst, None
 
 
+def first_difference(old: str, new: str) -> str | None:
+    """Where two outputs first differ: the line, the column, and up to 40
+    characters of each side from a little before it; None if they are equal."""
+    pairs = itertools.zip_longest(
+        old.splitlines(keepends=True), new.splitlines(keepends=True), fillvalue=""
+    )
+    for i, (a, b) in enumerate(pairs):
+        if a != b:
+            col = len(os.path.commonprefix([a, b]))
+            lo = max(0, col - 10)
+            return f"line {i + 1}, column {col + 1}: {a[lo:lo + 40]!r} -> {b[lo:lo + 40]!r}"
+    return None
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("ref", nargs="?", default="HEAD", help="git ref to compare against")
@@ -361,6 +378,10 @@ def main() -> int:
             continue
         if old_err != new_err:
             print(f"{name}: stderr {old_err!r} -> {new_err!r}")
+            failed = True
+            continue
+        if args.bound == 0 and (change := first_difference(old_out, new_out)):
+            print(f"{name}: stdout {change}")
             failed = True
             continue
         worst, change = compare(old_out, new_out)

@@ -25,7 +25,10 @@ jump "matrix" scales it by sqrt(rate)::
                 "matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}]}
 
 Output is deterministic: fixed column order, floats printed with 17
-significant digits, LF newlines, CSV always carries a header row. Files
+significant digits, LF newlines, CSV always carries a header row. The
+column tables of ``series``, ``sweep`` and ``regimes`` are filled into one
+``%`` template per table (``_table``), with the bytes of their rows
+written one cell at a time. Files
 are written to a temporary name and renamed on success, so a failing run
 never leaves a partial file. Exit codes: 0 success, 1 model or
 configuration error, 2 I/O failure.
@@ -38,6 +41,7 @@ import cmath
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -175,48 +179,50 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _column_cells(name: str, column: np.ndarray, label=str) -> list[str]:
-    """The cells of a column: ``fmt_float`` of each float, ``label`` of each
-    string, ``true`` or ``false`` of each bool.
+def _table(columns: dict, label=str) -> str:
+    """The rows of ``columns`` (an array each, by field name), filled into
+    one ``%`` template: CSV lines, or for ``label=json.dumps`` the JSON
+    array ``to_json`` writes of one object per row.
 
-    A NaN ``kappa`` is ``label("undefined")``, as the pass marks an
-    undefined kappa; a NaN in any other column is a NumericalError.
+    A float column whose cells all print with a point or an exponent under
+    ``%.17g`` takes ``%.17g``. A label or bool column, or a float column
+    holding an integer value, an infinity or a NaN, takes ``%s`` of its
+    cells as ``label``, ``true``/``false`` and ``fmt_float`` write them. A
+    NaN ``kappa`` is ``label("undefined")``, as the pass marks an undefined
+    kappa; a NaN in any other column is a NumericalError.
     """
-    if column.dtype.kind == "U":
-        return [label(v) for v in column.tolist()]
-    if column.dtype.kind == "b":
-        return ["true" if v else "false" for v in column.tolist()]
-    values = column.tolist()
-    cells = list(map("%.17g".__mod__, values))
-    # a finite value that is not an integer prints with a point or an
-    # exponent, as fmt_float prints it; the others take fmt_float itself
-    for i in np.flatnonzero((column == np.trunc(column)) | np.isnan(column)).tolist():
-        if name == "kappa" and math.isnan(values[i]):
-            cells[i] = label("undefined")
-        else:
-            cells[i] = fmt_float(values[i])
-    return cells
+    specs, cells = [], []
+    for name, column in columns.items():
+        values = column.tolist()
+        if column.dtype.kind == "U":
+            values = list(map(label, values))
+        elif column.dtype.kind == "b":
+            values = ["true" if v else "false" for v in values]
+        elif special := np.flatnonzero((column == np.trunc(column)) | np.isnan(column)).tolist():
+            xs, values = values, list(map("%.17g".__mod__, values))
+            for i in special:
+                undefined = name == "kappa" and math.isnan(xs[i])
+                values[i] = label("undefined") if undefined else fmt_float(xs[i])
+        # a column left as floats is all regular
+        specs.append("%s" if isinstance(values[0], str) else "%.17g")
+        cells.append(values)
+    flat = tuple(itertools.chain.from_iterable(zip(*cells)))
+    if label is str:
+        return (",".join(specs) + "\n") * len(values) % flat
+    row = ", ".join(json.dumps(name) + ": " + spec for name, spec in zip(columns, specs))
+    return "[" + ", ".join(["{" + row + "}"] * len(values)) % flat + "]\n"
 
 
 def to_csv(fieldnames, rows=(), columns=None) -> str:
     """CSV with a header row, of ``rows`` (a dict by field name each) or of
-    ``columns`` (an array each, in field order, its cells by ``_column_cells``)."""
+    ``columns`` (an array each, in field order, its cells by ``_table``)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(fieldnames)
-    if columns is None:
-        writer.writerows([_csv_cell(row[name]) for name in fieldnames] for row in rows)
-    else:
-        writer.writerows(zip(*map(_column_cells, fieldnames, columns)))
+    if columns is not None:
+        return buf.getvalue() + _table(dict(zip(fieldnames, columns)))
+    writer.writerows([_csv_cell(row[name]) for name in fieldnames] for row in rows)
     return buf.getvalue()
-
-
-def _json_table(columns: dict) -> str:
-    """``to_json`` of the rows of ``columns`` (an array each, by field name), one object per row."""
-    keys = [json.dumps(str(name)) + ": " for name in columns]
-    cells = [_column_cells(name, column, json.dumps) for name, column in columns.items()]
-    rows = ("{" + ", ".join(map(str.__add__, keys, row)) + "}" for row in zip(*cells))
-    return "[" + ", ".join(rows) + "]\n"
 
 
 def write_output(text: str, path: str | None) -> None:
@@ -527,10 +533,8 @@ def run(config: RunConfig) -> int:
             table = _sweep_columns(config, fields)
         else:
             raise ConfigError(f"unknown command {config.command!r}")
-        if fmt == "json":
-            text = _json_table(table)
-        else:
-            text = to_csv(list(table), columns=table.values())
+        text = (_table(table, json.dumps) if fmt == "json"
+                else to_csv(list(table), columns=table.values()))
     write_output(text, config.output_path)
     return 0
 

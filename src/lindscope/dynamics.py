@@ -159,10 +159,17 @@ class CostEstimate(NamedTuple):
     kappa_overhead: float
 
 
-def _check_range(norm: float, t: float) -> None:
-    """Reject t < 0 or NaN and t * norm beyond the exponential's safe range."""
+def _check_time(t: float) -> None:
+    """Reject t < 0 or NaN, and an infinite t, whose ``t * 0`` is NaN."""
     if not t >= 0:
         raise RangeError(f"time must be nonnegative, got {t}")
+    if t == math.inf:
+        raise RangeError(f"time must be finite, got {t}")
+
+
+def _check_range(norm: float, t: float) -> None:
+    """Reject t < 0, NaN or inf and t * norm beyond the exponential's safe range."""
+    _check_time(t)
     scaled = t * norm
     if scaled > EXP_SAFE_NORM:
         raise RangeError(
@@ -405,8 +412,7 @@ def cost_estimate(s: Superoperator, t: float, eps_star: float) -> CostEstimate:
     """
     if not 0.0 < eps_star < 1.0:
         raise ConfigError(f"eps_star must lie in (0, 1), got {eps_star}")
-    if not t >= 0:
-        raise RangeError(f"time must be nonnegative, got {t}")
+    _check_time(t)
     m = compute_metrics(s)
     rate = m.delta if m.delta > zero_tolerance(m.generator_norm) else 0.5 * m.generator_norm
     base = t * rate + math.log(1.0 / eps_star)

@@ -718,6 +718,69 @@ class TestColumnsEqualPerPoint:
         assert len(rows) == points
 
 
+def _rows_of(columns: dict) -> list[dict]:
+    """The rows of a table of columns, one dict by field name each, as a
+    record is written row by row: a NaN kappa is the label ``undefined``."""
+    rows = [dict(zip(columns, values)) for values in zip(*(c.tolist() for c in columns.values()))]
+    for row in rows:
+        if "kappa" in row and math.isnan(row["kappa"]):
+            row["kappa"] = "undefined"
+    return rows
+
+
+class TestTableTemplate:
+    """Tables written from columns in one ``%`` template are the text of
+    their rows written one cell at a time by ``_csv_cell``/``_json_fragment``."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "model",
+        [H_ONLY, DEPHASING,
+         {"model": {"type": "driven_dephasing", "gamma_z": 1.0, "omega": 30.0}}],
+        ids=["hamiltonian_only", "dephasing", "driven_dephasing-30"],
+    )
+    def test_series_text_equals_rows(self, tmp_path, model, fmt):
+        # t = 0.0 and the propagator norms of exactly 1.0 are integer-valued
+        # cells; appg_satisfied is a bool column
+        path = write(tmp_path, "m.json", model)
+        superop = liouvillian(parse_model_file(path))
+        series = lindscope.amplification_series(superop, lindscope.default_grid(superop))
+        columns = [series.times, *(getattr(series, name) for name in SERIES_FIELDS[1:])]
+        rows = _rows_of(dict(zip(SERIES_FIELDS, columns)))
+        assert rows[0]["t"] == 0.0 and 1.0 in series.prop_norm.tolist()
+        code, out, err, caught = _main_captured(["series", path, "--format", fmt])
+        text = to_json(rows) if fmt == "json" else to_csv(SERIES_FIELDS, rows)
+        assert (code, out, err, caught) == (0, text, "", [])
+
+    # every kind of cell: regular floats (a subnormal among them), -0.0 and
+    # integer values, huge values and infinities, a NaN kappa, labels and bools
+    COLUMNS = {
+        "delta": np.array([0.5, 1 / 3, 5e-324, -2.5e-7]),
+        "eta": np.array([-0.0, 2.0, 1e16, 3.0]),
+        "nd_norm": np.array([1e300, np.inf, -np.inf, 0.1]),
+        "kappa": np.array([np.nan, 0.25, 3.0, np.nan]),
+        "regime": np.array(["Hamiltonian", "Crossover", "StronglyNonnormal", "100% label"]),
+        "appg_satisfied": np.array([True, False, True, False]),
+    }
+
+    def test_every_cell_kind(self):
+        # the whole table, then each of its rows as a one-row table
+        rows = _rows_of(self.COLUMNS)
+        csv_text = to_csv(list(self.COLUMNS), columns=self.COLUMNS.values())
+        for cell in ("-0.0", "2.0", "10000000000000000.0", "1.0000000000000001e+300", "Infinity",
+                     "-Infinity", "4.9406564584124654e-324", "undefined", "true", "false"):
+            assert cell in csv_text
+        assert json.loads(to_json(rows))[0]["kappa"] == "undefined"
+        tables = [self.COLUMNS] + [
+            {name: column[i : i + 1] for name, column in self.COLUMNS.items()}
+            for i in range(len(rows))
+        ]
+        for table in tables:
+            rows = _rows_of(table)
+            assert to_csv(list(table), columns=table.values()) == to_csv(list(table), rows)
+            assert cli._table(table, json.dumps) == to_json(rows)
+
+
 class TestParserReuse:
     def test_back_to_back_commands_match_fresh_parsers(self, capsys):
         # the parser is built once per process; commands run one after
@@ -820,25 +883,28 @@ class TestExitCodesAndFiles:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_nan_sweep_column_one(self, tmp_path, capsys, monkeypatch, fmt):
         # a NaN kappa marks the undefined kappa of delta = 0 (point 0 here);
-        # a NaN in any other column is an error, so one is planted in eta,
-        # in the columns of the sweep's pooled pass
+        # a NaN in any other column is an error, so one is planted in delta
+        # and then in eta, in the columns of the sweep's pooled pass
         pooled = cli._block_pass
-
-        def planted(*args):
-            columns = pooled(*args)
-            columns["eta"][-1] = math.nan
-            return columns
-
         path = write(tmp_path, "m.json", DEPHASING)
         argv = ["regimes", path, "--param", "gamma_z", "--from", "0", "--to", "1",
                 "--points", "3", "--format", fmt]
         assert main(argv) == 0
         assert "undefined" in capsys.readouterr().out
-        monkeypatch.setattr(cli, "_block_pass", planted)
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: a computed value is NaN; nothing was written\n"
+        for column in ("delta", "eta"):
+
+            def planted(*args, column=column):
+                columns = pooled(*args)
+                columns[column][-1] = math.nan
+                return columns
+
+            monkeypatch.setattr(cli, "_block_pass", planted)
+            for extra in ([], ["--out", str(tmp_path / "table.txt")]):
+                assert main([*argv, *extra]) == 1
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == "error: a computed value is NaN; nothing was written\n"
+                assert list(tmp_path.iterdir()) == [tmp_path / "m.json"]
 
     def test_no_partial_file_on_error(self, tmp_path):
         bad = write(tmp_path, "m.json", {"model": {"type": "nonsense"}})

@@ -474,6 +474,13 @@ class TestCostEstimate:
         with pytest.raises(RangeError, match="time must be nonnegative, got nan"):
             cost_estimate(s, math.nan, 0.5)
 
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_time_rejected(self):
+        # the rate of a zero generator is 0, and inf * 0 is NaN
+        s = liouvillian(hamiltonian_only(np.zeros((2, 2))))
+        with pytest.raises(RangeError, match="time must be finite, got inf"):
+            cost_estimate(s, math.inf, 0.5)
+
 
 class TestSvdFreeHelpers:
     """propagator, error_amplification, truncated_appg_bound and
@@ -551,6 +558,26 @@ class TestSvdFreeHelpers:
         ):
             with pytest.raises(RangeError, match="time must be nonnegative, got nan"):
                 call()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "call",
+        [
+            propagator,
+            lambda s, t: error_amplification(s, t, 1e-3),
+            truncated_appg_bound,
+            normal_factorization_residual,
+        ],
+        ids=["propagator", "error_amplification", "truncated_appg_bound",
+             "normal_factorization_residual"],
+    )
+    def test_infinite_time_rejected(self, call):
+        # on a zero generator t * ||S|| is inf * 0 = NaN, which no
+        # comparison with the safe range catches, so the time is refused
+        # before any exponential could meet it
+        s = liouvillian(hamiltonian_only(np.zeros((2, 2))))
+        with pytest.raises(RangeError, match="time must be finite, got inf"):
+            call(s, math.inf)
 
 
 def _block_route_generators():
