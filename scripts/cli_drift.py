@@ -29,7 +29,10 @@ at k 4 and 5, ``series`` on ``jaynes_cummings`` at ``n_max`` 7, and
 as csv, run on damped ``jaynes_cummings`` at ``n_max`` 3 and 7 (d = 8 and
 16), explicit model files with jumps ``sqrt(kappa) a`` and
 ``sqrt(gamma) sigma_-``: nonnormal generators, and at ``n_max`` 7 one that
-splits into sectors. Two ``sweep`` runs over ``g`` on
+splits into sectors. ``analyze``, as json and as csv, runs on an explicit
+structured model at d = 3 with one jump ``sqrt(0.7) U``, ``U`` a seeded
+random unitary: its jump map's spectrum holds complex-conjugate pairs,
+which no shipped structured model has. Two ``sweep`` runs over ``g`` on
 ``models/jaynes_cummings.json`` (d = 8) cover how a sweep sizes its chunks
 of points, one analysis pass each: 230 log-spaced points (past several
 chunks and stacks) and 41 linear points from ``g = 0``, whose first point
@@ -49,7 +52,8 @@ in its own interpreter with one BLAS thread: the working tree's ``src/``,
 and REF's ``src/`` unpacked by ``git archive`` into a temporary directory
 (removed afterwards). Both read the working tree's model files, and the
 failing sweeps', the sectored models' and the cutting sweeps' files,
-written to that directory, the damped ones by this script.
+written to that directory, the damped and unitary-jump ones by this
+script.
 
 Prints the largest relative deviation of any number per command and exits
 1 on a changed label (a regime or ``appg_satisfied`` flip), a changed exit
@@ -59,7 +63,12 @@ under ``--bound 0``, which prints the first line that differs: a writer
 change that prints ``2.0`` as ``2`` or spaces JSON otherwise changes no
 number. A deviation is relative to the larger of the two values, except
 that ``bound_margin``, a difference that cancels to 0 for some models, is
-relative to its terms ``2 delta nd_norm + eta``::
+relative to its terms ``2 delta nd_norm + eta``, and that the structured
+report's spectral fields are relative to the largest magnitude of REF's
+``jump_map_spectrum``: the spectrum as a multiset, each REF eigenvalue
+taking a distinct nearest partner, and ``shift_max_error`` by its absolute
+difference. An eigenvalue near 0, or a shift error of 0, moves by ulps
+of the spectrum, not of itself::
 
     python3 scripts/cli_drift.py [REF] [--bound 1e-14]
 
@@ -74,6 +83,7 @@ import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -165,6 +175,29 @@ def damped_jaynes_cummings(n_max: int) -> dict:
             "label": f"damped jaynes_cummings(n_max={n_max}) explicit"}
 
 
+def unitary_jump(dim: int = 3, rate: float = 0.7, seed: int = 6) -> dict:
+    """An explicit model file: H = 0 and one jump ``sqrt(rate) U``.
+
+    ``U`` is the Gram-Schmidt orthonormalization of the columns of a seeded
+    complex Gaussian matrix, so ``sum L^dag L = rate I`` up to roundoff and
+    the jump map's eigenvalues ``rate u_i conj(u_j)`` come in
+    complex-conjugate pairs.
+    """
+    rng = random.Random(seed)
+    columns = []
+    for _ in range(dim):
+        v = [complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(dim)]
+        for q in columns:
+            dot = sum(x.conjugate() * y for x, y in zip(q, v))
+            v = [y - dot * x for x, y in zip(q, v)]
+        norm = sum(abs(y) ** 2 for y in v) ** 0.5
+        columns.append([y / norm for y in v])
+    matrix = [[[columns[j][i].real, columns[j][i].imag] for j in range(dim)] for i in range(dim)]
+    zero = [[[0.0, 0.0]] * dim for _ in range(dim)]
+    return {"dim": dim, "hamiltonian": zero, "jumps": [{"rate": rate, "matrix": matrix}],
+            "label": f"unitary jump(d={dim}, rate={rate}) explicit"}
+
+
 # Models of the sweeps whose points cut couplings: jaynes_cummings with
 # omega_c = 1, which an omega_a sweep from 0 to 2 in steps of 1/8 meets
 # exactly, and multi_qubit_dephasing at k = 3, swept from gamma_1 = 0.
@@ -235,6 +268,11 @@ def commands(tmp: Path) -> list[tuple[str, list[str]]]:
         out.append((f"analyze-csv {name}", ["analyze", str(path), "--format", "csv"]))
         out.append((f"series {name}", ["series", str(path)]))
         out.append((f"series-json {name}", ["series", str(path), "--format", "json"]))
+    # a structured model whose jump map has complex-conjugate eigenvalues
+    path = tmp / "unitary_jump-3.json"
+    path.write_text(json.dumps(unitary_jump()), encoding="utf-8")
+    out.append(("analyze-json unitary_jump-3", ["analyze", str(path)]))
+    out.append(("analyze-csv unitary_jump-3", ["analyze", str(path), "--format", "csv"]))
     jaynes_7 = str(tmp / "jaynes_cummings-7.json")
     out.append(("series jaynes_cummings-7", ["series", jaynes_7]))
     coupling = ["--param", "g", "--from", "1e-3", "--to", "10", "--points", "30", "--log"]
@@ -317,6 +355,45 @@ def _scale(name: str, x: float, y: float, row: dict) -> float:
     return scale
 
 
+# The structured report's fields that are compared on the scale of REF's spectrum.
+SPECTRAL = ("jump_map_spectrum", "shift_max_error")
+
+
+def spectrum(value) -> list[complex] | None:
+    """A ``jump_map_spectrum`` field as complex numbers; None when it is null."""
+    xs = leaves(value)
+    if None in xs:
+        return None
+    return [complex(x, y) for x, y in zip(xs[0::2], xs[1::2])]
+
+
+def matched_distance(a: list[complex], b: list[complex]) -> float:
+    """Largest ``|a_i - b_j|`` when each ``a_i`` takes a distinct nearest ``b_j``,
+    in the order of ``a``, as ``lindscope.metrics._matched_distance`` matches."""
+    free = list(b)
+    worst = 0.0
+    for z in a:
+        i = min(range(len(free)), key=lambda j: abs(free[j] - z))
+        worst = max(worst, abs(free.pop(i) - z))
+    return worst
+
+
+def spectral_deviation(name: str, old, new, ref: list[complex]) -> float | None:
+    """The deviation of a ``SPECTRAL`` field, relative to the largest magnitude
+    of REF's spectrum ``ref``; None when the field changed shape."""
+    if name == "jump_map_spectrum":
+        got = spectrum(new)
+        if got is None or len(got) != len(ref):
+            return None
+        diff = matched_distance(ref, got)
+    else:
+        xs, ys = leaves(old), leaves(new)
+        if len(xs) != 1 or len(ys) != 1 or not all(isinstance(v, float) for v in xs + ys):
+            return None
+        diff = abs(xs[0] - ys[0])
+    return diff / max(abs(z) for z in ref) if diff else 0.0
+
+
 def compare(old: str, new: str) -> tuple[float, str | None]:
     """Largest relative deviation of paired numbers, and the first changed label."""
     old_rows, new_rows = records(old), records(new)
@@ -326,7 +403,14 @@ def compare(old: str, new: str) -> tuple[float, str | None]:
     for i, (a, b) in enumerate(zip(old_rows, new_rows)):
         if list(a) != list(b):
             return 0.0, f"fields {list(a)} -> {list(b)}"
+        ref = spectrum(a["jump_map_spectrum"]) if "jump_map_spectrum" in a else None
         for name in a:
+            if ref and name in SPECTRAL:
+                deviation = spectral_deviation(name, a[name], b[name], ref)
+                if deviation is None:
+                    return 0.0, f"row {i} {name}: {a[name]!r} -> {b[name]!r}"
+                worst = max(worst, deviation)
+                continue
             xs, ys = leaves(a[name]), leaves(b[name])
             if len(xs) != len(ys):
                 return 0.0, f"row {i} {name}: {a[name]!r} -> {b[name]!r}"

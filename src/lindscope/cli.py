@@ -604,8 +604,7 @@ def _thresholds_from_args(args) -> RegimeThresholds | None:
     defaults = RegimeThresholds()
     lo = defaults.kappa_lo if lo is None else lo
     hi = defaults.kappa_hi if hi is None else hi
-    if not 0 < lo < hi:
-        raise ConfigError(f"need 0 < kappa-lo < kappa-hi, got {lo} and {hi}")
+    # RegimeThresholds refuses bands other than 0 < lo < hi
     return RegimeThresholds(kappa_lo=lo, kappa_hi=hi)
 
 

@@ -38,26 +38,27 @@ that does not preserve Hermiticity runs the same steps on the complex
 rotation.
 
 Every kernel here but ``propagator`` takes the generator as
-``superop._sector_form`` gives it (``_form``): the blocks of its exact
-symmetry sectors, zero-padded into one stack, with their table of sectors,
-or one block when it does not split. ``exp(t S)`` and its Gram matrix are
-block diagonal too, so the series steps the blocks, and each norm is the
-largest over them: one batched exponential, product and Gram eigensolve
-per step, on ``b x b`` blocks instead of the ``n x n`` whole. The
-exponential of a padded zero block is the identity, so the padded rows of
-every exponential at a time ``t`` are zeroed (``_exp_blocks``); they then
-stay zero in every product. ``error_amplification``,
+``superop._form`` gives it, as the analysis pass does: the blocks of its
+exact symmetry sectors, zero-padded into one stack, with their table of
+sectors, or one block when it does not split. ``exp(t S)`` and its Gram
+matrix are block diagonal too, so the series steps the blocks, and each
+norm is the largest over them: one batched exponential, product and Gram
+eigensolve per step, on ``b x b`` blocks instead of the ``n x n`` whole.
+The exponential of a padded zero block is the identity, so the padded rows
+of every exponential at a time ``t`` are zeroed (``_exp_blocks``); they
+then stay zero in every product. ``error_amplification``,
 ``truncated_appg_bound`` and ``normal_factorization_residual`` take the
 same exponential as the series' first point, and the residual takes those
-of ``S_herm`` and ``S_skew`` from the blocks ``(a + a^dag)/2`` and
-``(a - a^dag)/2``, which the unitary basis allows. The spectral abscissa
-is taken with the padding cut off, since a padded row would add a zero
-eigenvalue: one batched eigensolve per group of blocks of one true size.
-``gronwall_check`` steps the blocks as well, with the coordinates of
-``rho0`` gathered by the table. Against the whole matrix, the norms move by
-a few ulps (3.5e-15 relative at most for ``jaynes_cummings`` at
-``n_max = 7``). ``propagator`` alone exponentiates the whole ``n x n``
-matrix, since it returns ``exp(t S)`` as a dense ``Superoperator``.
+of ``S_herm`` and ``S_skew`` from the blocks ``(a + a^dag)/2`` and ``(a -
+a^dag)/2``, which the unitary basis allows. The spectral abscissa is taken
+with the padding cut off, since a padded row would add a zero eigenvalue:
+one batched eigensolve per group of blocks of one true size
+(``superop._block_spectrum``, which the structured-dissipator report
+shares). ``gronwall_check`` steps the blocks as well, with the coordinates
+of ``rho0`` gathered by the table. Against the whole matrix, the norms move
+by a few ulps (3.5e-15 relative at most for ``jaynes_cummings`` at ``n_max
+= 7``). ``propagator`` alone exponentiates the whole ``n x n`` matrix,
+since it returns ``exp(t S)`` as a dense ``Superoperator``.
 """
 
 from __future__ import annotations
@@ -69,16 +70,9 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, RangeError
-from .linalg import (
-    EXP_SAFE_NORM,
-    _eigenvalues,
-    _hermitian_norms,
-    as_complex_matrix,
-    hs_norm,
-    matrix_exp,
-)
+from .linalg import EXP_SAFE_NORM, _hermitian_norms, as_complex_matrix, hs_norm, matrix_exp
 from .metrics import Regime, compute_metrics, zero_tolerance
-from .superop import Superoperator, _hermitian_coords, _sector_form
+from .superop import Superoperator, _block_spectrum, _form, _hermitian_coords
 
 __all__ = [
     "MAX_STEPS",
@@ -178,12 +172,6 @@ def _check_range(norm: float, t: float) -> None:
         )
 
 
-def _form(s: Superoperator) -> tuple[np.ndarray, int, np.ndarray]:
-    """``superop._sector_form`` of the generator ``s``, with ``e`` as an int."""
-    a, e, table = _sector_form(s.matrix[None])
-    return a, int(e[0]), table
-
-
 def _exp_blocks(a: np.ndarray, e: int, table: np.ndarray, t: float) -> np.ndarray:
     """The blocks of ``U^dag exp(t S) U``, with 0 on every padding row.
 
@@ -253,15 +241,10 @@ def _propagator_norm(p: np.ndarray) -> float:
 def _abscissa(a: np.ndarray, e: int, table: np.ndarray) -> float:
     """Largest real part over the eigenvalues of the generator whose form is ``(a, e, table)``.
 
-    ``(a, e, table)`` is ``_form`` of the generator. A padded row would add
-    a zero eigenvalue, so the blocks with ``s`` rows that are not padding
-    are cut to ``s x s`` and take one batched eigensolve, one for each such
-    size.
+    ``(a, e, table)`` is ``_form`` of the generator; its spectrum is
+    ``superop._block_spectrum``, one batched eigensolve per size of block.
     """
-    sizes = np.count_nonzero(table >= 0, axis=1)
-    # a set, not np.unique, which imports numpy.ma on its first call
-    groups = [a[sizes == size, :size, :size] for size in set(sizes.tolist())]
-    return math.ldexp(max(float(_eigenvalues(g).real.max()) for g in groups), e)
+    return float(_block_spectrum(a, e, table).real.max())
 
 
 def default_grid(s: Superoperator, steps: int = DEFAULT_STEPS) -> TimeGrid:

@@ -31,18 +31,17 @@ magnitudes, and rotated into an orthonormal basis of Hermitian operators,
 where a Lindbladian is a real matrix, so all of its arithmetic is real. Its
 result is kept on the Superoperator, so every caller shares one pass.
 
-The pass (``_analyze``) takes a stack of generators, ``(k, n, n)``, with
-one prescale per generator and one batched call per step: four Hermitian
-eigensolve calls for the whole stack. It returns columns, one array per
-metric over the stack, and runs its checks and kappa bands on whole
-columns. ``compute_metrics`` runs it on a stack of one and reads row 0.
-It is two halves: ``superop._sector_form`` gives the blocks of the stack,
-and ``_block_pass`` runs the eigensolves, checks and bands on them. Every
-step works on each block alone, so a generator takes the values it takes
-in its own block's pass, bit for bit, whatever blocks share the call; a
-sweep uses this to run one pass on the blocks of many points. A stack
-passes or fails as a whole, with the error of its first failing
-generator.
+The pass (``_block_pass``) takes the sector blocks of a stack of
+generators, with one prescale per generator and one batched call per step:
+four Hermitian eigensolve calls for the whole stack. It returns columns,
+one array per metric over the stack, and runs its checks and kappa bands
+on whole columns. ``compute_metrics`` runs it on ``superop._form`` of one
+generator and reads row 0; a sweep runs it on the blocks that
+``superop._sector_blocks`` forms straight from H and the jumps of a chunk
+of points. Every step works on each block alone, so a generator takes the
+values it takes in its own block's pass, bit for bit, whatever blocks
+share the call. A stack passes or fails as a whole, with the error of its
+first failing generator.
 
 Every norm of a block-diagonal matrix is the largest of its blocks', so
 each generator takes the largest value over its blocks (a padded row of
@@ -54,6 +53,11 @@ moves by a few ulps (1.3e-15 relative at most on the tests' models). A
 stack's points take the same results bit for bit as alone when they share
 one pattern of zeros, as the points of a sweep do unless a parameter is
 exactly 0.
+
+The structured-dissipator report runs on the same layout: the sector
+blocks of the dissipator and of the jump map, formed from the jumps
+(``superop._operator_blocks``), and their spectra taken one eigensolve
+per group of blocks of one size (``superop._block_spectrum``).
 """
 
 from __future__ import annotations
@@ -64,9 +68,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NumericalError, RangeError
-from .linalg import _hermitian_norms, dagger, eigenvalues_general, hermitian_norm
-from .superop import LindbladModel, Superoperator, _kron, _sector_form, liouvillian
+from .errors import ConfigError, NumericalError, RangeError
+from .linalg import _hermitian_norms, hermitian_norm
+from .superop import (LindbladModel, Superoperator, _block_spectrum, _form, _jump_squares,
+                      _operator_blocks)
 
 __all__ = [
     "ZERO_RTOL",
@@ -104,11 +109,18 @@ class Regime(str, enum.Enum):
 class RegimeThresholds:
     """Bands of kappa delimiting the nonnormal regimes.
 
-    Defaults give one decade of crossover on each side of kappa = 1.
+    Defaults give one decade of crossover on each side of kappa = 1. Bands
+    other than ``0 < kappa_lo < kappa_hi`` are a ConfigError.
     """
 
     kappa_lo: float = 0.1
     kappa_hi: float = 10.0
+
+    def __post_init__(self):
+        if not 0 < self.kappa_lo < self.kappa_hi:
+            raise ConfigError(
+                f"need 0 < kappa-lo < kappa-hi, got {self.kappa_lo} and {self.kappa_hi}"
+            )
 
 
 @dataclass(frozen=True)
@@ -214,8 +226,15 @@ def _squares(x: np.ndarray) -> np.ndarray:
     return np.array([v**2 for v in x.tolist()])
 
 
-def _analyze(m: np.ndarray, thresholds: RegimeThresholds | None = None) -> dict:
-    """The metrics of each generator of a stack ``(k, n, n)``, as columns.
+def _block_pass(a: np.ndarray, e: np.ndarray, thresholds: RegimeThresholds | None = None) -> dict:
+    """The metrics of each generator of a stack whose blocks are ``a``, as columns.
+
+    ``(a, e)`` is the blocks and exponents of a stack, from
+    ``superop._sector_form`` or ``superop._sector_blocks``: generator ``i``
+    is the ``B`` blocks ``a[i B : (i + 1) B]``, ``B = len(a) // len(e)``,
+    at exponent ``e[i]``. Every step works on each block alone, so a
+    generator takes the same values bit for bit whatever blocks share its
+    call. ``a`` is overwritten.
 
     Returns one length-``k`` float64 array per ``StructuralMetrics`` field,
     by name, with ``kappa`` NaN where it is undefined (the Hamiltonian
@@ -229,25 +248,6 @@ def _analyze(m: np.ndarray, thresholds: RegimeThresholds | None = None) -> dict:
     error of its first such generator, which is the error that generator
     raises alone, and a failed batched eigensolve raises for the whole
     stack.
-
-    It is ``_block_pass`` of ``superop._sector_form``: a sweep runs the
-    second half alone, on the blocks ``superop._sector_blocks`` forms
-    straight from H and the jumps of a chunk of points.
-    """
-    a, e, _ = _sector_form(m)
-    return _block_pass(a, e, thresholds)
-
-
-def _block_pass(a: np.ndarray, e: np.ndarray, thresholds: RegimeThresholds | None = None) -> dict:
-    """The second half of the pass: the columns of the generators whose blocks are ``a``.
-
-    ``(a, e)`` is the blocks and exponents of a stack, from
-    ``superop._sector_form`` or ``superop._sector_blocks``: generator ``i``
-    is the ``B`` blocks ``a[i B : (i + 1) B]``, ``B = len(a) // len(e)``,
-    at exponent ``e[i]``. Every step works on each block alone, so a
-    generator takes the same values bit for bit whatever blocks share its
-    call. Returns the columns of ``_analyze`` and fails as it does. ``a``
-    is overwritten.
     """
     # a = 2^-e U^dag S U, with U unitary and its largest entry O(1): no
     # product of a with itself can under- or overflow, and every norm is
@@ -367,16 +367,18 @@ def compute_metrics(
     ``| ||A|| - ||B|| | <= ||A - B||_F``, this is at least as strict as
     comparing the two norms.
 
-    The pass itself (``_analyze``) takes a stack of generators and returns
-    columns; this is the stack of one, read at row 0. A sweep runs the
-    pass's second half on a chunk of points at a time and writes its
-    columns as they are. The threshold-free values are computed once per
+    The pass itself (``_block_pass``) takes the blocks of a stack of
+    generators and returns columns; this runs it on ``superop._form`` of
+    ``s``, a stack of one, and reads row 0. A sweep runs it on a chunk of
+    points at a time and writes its columns as they are. The
+    threshold-free values are computed once per
     Superoperator and kept on it (its matrix is frozen); the regime is
     banded by ``thresholds`` on every call.
     """
     base = getattr(s, "_metrics", None)
     if base is None:
-        columns = _analyze(s.matrix[None])
+        a, e, _ = _form(s)
+        columns = _block_pass(a, np.array([e]))
         k = float(columns["kappa"][0])
         base = StructuralMetrics(
             **{name: float(columns[name][0]) for name in _FLOAT_FIELDS},
@@ -429,33 +431,32 @@ def structured_dissipator_report(model: LindbladModel) -> StructuredDissipatorRe
     ``sum_k L_k^dag L_k`` is taken as ``gamma I``, ``gamma`` its mean
     eigenvalue, when its distance from it is at most
     ``STRUCTURED_ATOL * gamma``, a relative test; a model without jumps is
-    structured with ``gamma = 0``.
+    structured with ``gamma = 0``. An ``L_k^dag L_k`` beyond double
+    precision is a RangeError.
+
+    Both spectra come from sector blocks (``superop._operator_blocks``),
+    never from an ``n x n`` matrix: the dissipator's from the jumps and the
+    same ``L_k^dag L_k`` that ``gamma`` sums, the jump map's from the jumps
+    with zeros in their place. Each is formed on its own, not one from the
+    other, so ``shift_max_error`` checks the shift. Both are sorted by real
+    part, then imaginary part.
     """
     d = model.dim
-    total = np.zeros((d, d), dtype=complex)
-    for jump in model.jumps:
-        total = total + dagger(jump) @ jump
+    jumps = np.array(model.jumps).reshape(1, len(model.jumps), d, d)
+    jdj = _jump_squares(jumps)
+    total = sum(jdj[0], np.zeros((d, d), dtype=complex))
     gamma = float(np.trace(total).real) / d
     deviation = hermitian_norm(total - gamma * np.eye(d))
     if gamma < 0 or deviation > STRUCTURED_ATOL * gamma:
         return StructuredDissipatorReport(is_structured=False)
-
-    # one term at a time: a stack of all terms would hold one n x n matrix
-    # per jump, and a structured channel can have up to d^2 - 1 of them
-    jump_map = np.zeros((d * d, d * d), dtype=complex)
-    for jump in model.jumps:
-        jump_map += _kron(jump.conj(), jump)
-    jump_spectrum = eigenvalues_general(jump_map)
-
-    dissipator = liouvillian(
-        LindbladModel(d, np.zeros((d, d), dtype=complex), model.jumps, label="dissipator")
-    )
-    shift_error = _matched_distance(
-        eigenvalues_general(dissipator.matrix), jump_spectrum - gamma
+    zero = np.zeros((1, d, d), dtype=complex)
+    jump_spectrum, dissipator_spectrum = (
+        np.sort_complex(_block_spectrum(*_operator_blocks(zero, jumps, squares)))
+        for squares in (np.zeros_like(jdj), jdj)
     )
     return StructuredDissipatorReport(
         is_structured=True,
         gamma=gamma,
         jump_map_spectrum=jump_spectrum,
-        shift_max_error=shift_error,
+        shift_max_error=_matched_distance(dissipator_spectrum, jump_spectrum - gamma),
     )

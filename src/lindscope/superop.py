@@ -23,14 +23,19 @@ symmetry sectors of the stack where that pays, as blocks with their table
 of sectors; a generator that does not split is one block, so every kernel
 takes one form. It has two inputs. ``_sector_form`` gathers from dense
 ``n x n`` generators the four entries that the real form combines for
-every pair of basis slots. ``_sector_blocks`` serves sweeps, which build
-no ``LindbladModel`` and no ``n x n`` generator: it forms those entries
-from the ``d x d`` entries of ``H``, ``L_k`` and ``L_k^dag L_k`` of a
-chunk of points, for only the slot pairs inside the sectors that their
-patterns allow. Both hand them to one tail, ``_form_blocks`` (the
-prescale, the sums with conjugates, the real-form test, the pattern and
-its sectors, and the fill of the blocks), so the two routes agree bit for
-bit.
+every pair of basis slots; ``_form`` is it for one Superoperator, the
+form that the analysis pass and the dynamics take. ``_operator_blocks``
+builds no ``n x n`` matrix: it forms those entries from the ``d x d``
+entries of ``H``, ``L_k`` and ``L_k^dag L_k`` of a stack, for only the
+slot pairs inside the sectors that their patterns allow. It serves
+sweeps (``_sector_blocks``, a chunk of points), and the structured
+report, which forms the dissipator from the same entries with ``H = 0``
+and the jump map with zeros in place of ``L_k^dag L_k`` too. Both inputs
+go to one tail, ``_form_blocks`` (the prescale, the sums with
+conjugates, the real-form test, the pattern and its sectors, and the
+fill of the blocks), so the two routes agree bit for bit.
+``_block_spectrum`` takes the eigenvalues of a form, one eigensolve per
+size of block.
 
 All values are immutable after construction (arrays are frozen), so they
 are safe to share across threads.
@@ -46,7 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, ModelError, NumericalError, RangeError
-from .linalg import as_complex_matrix, dagger, hermiticity_defect, hermiticity_tolerance
+from .linalg import (_eigenvalues, as_complex_matrix, dagger, hermiticity_defect,
+                     hermiticity_tolerance)
 
 __all__ = [
     "DEFAULT_DIM_CAP",
@@ -427,6 +433,32 @@ def _sector_form(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _form_blocks(g, m, dim, None)
 
 
+def _form(s: Superoperator) -> tuple[np.ndarray, int, np.ndarray]:
+    """``_sector_form`` of the generator ``s``, with ``e`` as an int: the one
+    form that the pass and the dynamics take of a Superoperator."""
+    a, e, table = _sector_form(s.matrix[None])
+    return a, int(e[0]), table
+
+
+def _block_spectrum(a: np.ndarray, e: int | np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The eigenvalues of the map whose form is ``(a, e, table)``, unsorted, complex128.
+
+    ``(a, e, table)`` is a form of one map (``_form``, or
+    ``_operator_blocks`` of a stack of one), ``e`` an int or a length-1
+    array. A padded row would add a zero eigenvalue, so the blocks with
+    ``s`` rows that are not padding are cut to ``s x s`` and take one
+    batched eigensolve, one for each such size; the eigenvalues are then
+    scaled by the exact ``2^e``.
+    """
+    sizes = np.count_nonzero(table >= 0, axis=1)
+    # a set, not np.unique, which imports numpy.ma on its first call
+    spectra = [_eigenvalues(a[sizes == size, :size, :size]).ravel()
+               for size in set(sizes.tolist())]
+    ev = np.concatenate(spectra)
+    np.ldexp(ev.view(np.float64), e, out=ev.view(np.float64))
+    return ev
+
+
 def _entry_plan(dim: int, pairs: np.ndarray) -> tuple:
     """How to form the generator entries of the slot pairs ``pairs``.
 
@@ -463,12 +495,14 @@ def _candidates(dim: int, key: bytes | None) -> tuple:
     The slot pairs with such an entry give a pattern of the real form that
     holds every nonzero, and its sectors hold those of the generators.
     The pairs are those inside these sectors: every pair when they are
-    one, when their split does not pay, or for ``key`` None.
+    one, when their split does not pay, or for ``key`` None, and then the
+    result is that of ``key`` None.
     """
     n, (rows, cols, _) = dim * dim, _basis_index(dim)
     r = rows.shape[1]
-    table = None
-    if key is not None:
+    if key is None:
+        pairs = np.arange(r * r)
+    else:
         ops = np.unpackbits(np.frombuffer(key, np.uint8)).astype(bool)
         ops = ops[: len(ops) // n * n].reshape(-1, dim, dim)
         eye = np.eye(dim, dtype=bool)
@@ -477,9 +511,10 @@ def _candidates(dim: int, key: bytes | None) -> tuple:
             linked |= np.kron(jump, jump)
         held = linked.reshape(n * n)[rows * n + cols].any(axis=0)
         table = _table_of((held,) * 4, dim)
-    if table is None:
-        pairs = np.arange(r * r)
-    else:
+        if table is None:
+            # every pair: the keys that take them all share one plan, of
+            # about 76 MB at d = 32
+            return _candidates(dim, None)
         inside = np.zeros(r * r, dtype=bool)
         inside[_pair_of(*_block_entries(table, n)[1:], dim)] = True
         pairs = np.flatnonzero(inside)
@@ -545,27 +580,51 @@ def _generator_entries(
     return m
 
 
+def _jump_squares(jumps: np.ndarray) -> np.ndarray:
+    """The ``L_k^dag L_k`` of a stack of jumps ``(m, K, d, d)``, stacked as the jumps are.
+
+    A product beyond double precision is a RangeError, with no numpy
+    warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        jdj = [jump.conj().swapaxes(-1, -2) @ jump for jump in jumps.swapaxes(0, 1)]
+    jdj = np.stack(jdj, axis=1) if jdj else jumps
+    if not np.isfinite(jdj).all():
+        raise RangeError(_OVERFLOW)
+    return jdj
+
+
 def _sector_blocks(h: np.ndarray, jumps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_sector_form(_liouvillians(h, jumps))``, bit for bit, without the ``n x n`` generators.
 
     ``h`` is ``(m, d, d)`` and ``jumps`` ``(m, K, d, d)``, as
-    ``models._stack`` returns them. The ``d x d`` patterns of ``H``,
-    ``L_k`` and ``L_k^dag L_k`` over the stack give sectors that hold
-    those of the generators (``_candidates``); only the generator entries
-    of their slot pairs are formed, and ``_form_blocks`` takes them. A
-    stack whose candidates split while its generators are one block forms
-    every pair. A stack whose generator would hold an entry beyond double
-    precision is a RangeError.
+    ``models._stack`` returns them. It is ``_operator_blocks`` with the
+    ``L_k^dag L_k`` of the jumps; a stack whose generator would hold an
+    entry beyond double precision is a RangeError.
+    """
+    return _operator_blocks(h, jumps, _jump_squares(jumps))
+
+
+def _operator_blocks(h: np.ndarray, jumps: np.ndarray, jdj: np.ndarray) -> tuple:
+    """The sector form of the maps ``-i[H, X] + sum_k (L_k X L_k^dag - {J_k, X}/2)``.
+
+    ``h`` is ``(m, d, d)``, ``jumps`` and ``jdj``, the ``J_k``, ``(m, K,
+    d, d)``, all finite. With ``J_k = L_k^dag L_k`` the maps are the
+    generators (``_sector_blocks``), with ``H = 0`` their dissipators, and
+    with ``H = 0`` and ``J_k = 0`` the jump maps ``X -> sum_k L_k X
+    L_k^dag``. Each entry is formed by the operations that
+    ``_liouvillians`` makes on it, so the generators' form is that of the
+    dense generators, bit for bit. The ``d x d``
+    patterns of ``H``, ``L_k`` and ``J_k`` over the stack give sectors that
+    hold those of the maps (``_candidates``); only the entries of their
+    slot pairs are formed, and ``_form_blocks`` takes them. A stack whose
+    candidates split while its maps are one block forms every pair. A map
+    with an entry beyond double precision is a RangeError.
     """
     k, d = h.shape[0], h.shape[-1]
     n = d * d
-    with np.errstate(over="ignore", invalid="ignore"):
-        jdj = [jump.conj().swapaxes(-1, -2) @ jump for jump in jumps.swapaxes(0, 1)]
-    jdj = np.stack(jdj, axis=1) if jdj else jumps
-    # h and the jumps are finite, so an entry outside the candidates is a
-    # zero unless some L_k^dag L_k is not finite
-    if not np.isfinite(jdj).all():
-        raise RangeError(_OVERFLOW)
+    # h, the jumps and jdj are finite, so an entry outside the candidates
+    # is a zero
     ops = np.concatenate([((h != 0).any(axis=0) | (jdj != 0).any(axis=(0, 1)))[None],
                           (jumps != 0).any(axis=0)])
     h, jumps, jdj = h.reshape(k, n), jumps.reshape(k, -1, n), jdj.reshape(k, -1, n)

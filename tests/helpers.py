@@ -3,14 +3,19 @@
 The oracle functions deliberately avoid the package's construction paths:
 the superoperator oracle applies the dense master-equation right-hand side
 to basis matrices column by column (no Kronecker products), and the norm
-oracle runs power iteration (no library SVD call).
+oracle runs power iteration (no library SVD call). The one exception is
+``dense_structured_report``, the structured-dissipator report on dense
+``n x n`` matrices, kept as the reference for its sector-block route.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from lindscope import LindbladModel, jaynes_cummings
+from lindscope import LindbladModel, eigenvalues_general, jaynes_cummings, liouvillian
+from lindscope.linalg import dagger, hermitian_norm
+from lindscope.metrics import STRUCTURED_ATOL, StructuredDissipatorReport, _matched_distance
+from lindscope.superop import _kron
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -126,3 +131,27 @@ def damped_jaynes_cummings(n_max, kappa=0.3, gamma=0.1):
     a = np.kron(np.eye(2), np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1))
     sigma = np.kron(np.array([[0.0, 0.0], [1.0, 0.0]]), np.eye(n_max + 1))
     return LindbladModel(base.dim, base.hamiltonian, (np.sqrt(kappa) * a, np.sqrt(gamma) * sigma))
+
+
+def dense_structured_report(model):
+    """``structured_dissipator_report`` on dense ``n x n`` matrices.
+
+    The jump map is summed from Kronecker products, the dissipator is the
+    generator of the jumps alone, and each spectrum is one eigensolve of the
+    whole matrix.
+    """
+    d = model.dim
+    total = np.zeros((d, d), dtype=complex)
+    for jump in model.jumps:
+        total = total + dagger(jump) @ jump
+    gamma = float(np.trace(total).real) / d
+    deviation = hermitian_norm(total - gamma * np.eye(d))
+    if gamma < 0 or deviation > STRUCTURED_ATOL * gamma:
+        return StructuredDissipatorReport(is_structured=False)
+    jump_map = np.zeros((d * d, d * d), dtype=complex)
+    for jump in model.jumps:
+        jump_map += _kron(jump.conj(), jump)
+    spectrum = eigenvalues_general(jump_map)
+    dissipator = liouvillian(LindbladModel(d, np.zeros((d, d)), model.jumps))
+    shift = _matched_distance(eigenvalues_general(dissipator.matrix), spectrum - gamma)
+    return StructuredDissipatorReport(True, gamma, spectrum, shift)

@@ -8,6 +8,8 @@ import pytest
 from helpers import (
     SM,
     SZ,
+    damped_jaynes_cummings,
+    dense_structured_report,
     power_norm,
     random_complex,
     random_density,
@@ -18,6 +20,7 @@ from helpers import (
     superop_columns,
 )
 from lindscope import (
+    ConfigError,
     LindbladModel,
     NumericalError,
     RangeError,
@@ -50,8 +53,8 @@ from lindscope import (
     structured_dissipator_report,
 )
 from lindscope.cli import parse_model_file
-from lindscope.metrics import _analyze, eta_tolerance, zero_tolerance
-from lindscope.superop import _liouvillians, _sector_form, decompose
+from lindscope.metrics import _block_pass, _matched_distance, eta_tolerance, zero_tolerance
+from lindscope.superop import _OVERFLOW, _liouvillians, _sector_form, decompose
 
 
 def metrics_of(model):
@@ -338,6 +341,27 @@ class TestClassify:
         assert m.kappa is None
 
 
+def _unitary_jump(d):
+    u = random_unitary(np.random.default_rng(6), d)
+    return LindbladModel(d, np.zeros((d, d)), (np.sqrt(0.7) * u,))
+
+
+# Models to compare the structured report with its dense reference on, by
+# name: every shipped model file (every named kind, named and explicit),
+# a damped Jaynes-Cummings model, unitary jumps, jump-free models and
+# Pauli channels at extreme rates.
+_REPORT_MODELS = {
+    **{path.stem: functools.partial(parse_model_file, str(path))
+       for path in sorted((Path(__file__).resolve().parent.parent / "models").glob("*.json"))},
+    "damped_jaynes_cummings-3": functools.partial(damped_jaynes_cummings, 3),
+    **{f"unitary_jump-{d}": functools.partial(_unitary_jump, d) for d in (2, 3, 5, 8)},
+    "jaynes_cummings-3": functools.partial(jaynes_cummings, n_max=3),
+    "hamiltonian_only-3": lambda: hamiltonian_only(random_hermitian(np.random.default_rng(9), 3)),
+    **{f"pauli_channel-{rate:g}": functools.partial(pauli_channel, rate, rate, rate)
+       for rate in (1e-300, 1e300)},
+}
+
+
 class TestStructuredDissipator:
     def test_uniform_pauli_channel(self):
         g = 0.8
@@ -389,6 +413,72 @@ class TestStructuredDissipator:
         report = structured_dissipator_report(hamiltonian_only(random_hermitian(rng, 2)))
         assert report.is_structured
         assert report.gamma == 0.0
+
+    @pytest.mark.parametrize("name", sorted(_REPORT_MODELS))
+    def test_matches_dense_reference(self, name):
+        # is_structured and gamma bit for bit; the spectrum, as a multiset,
+        # and shift_max_error within 2e-14 of the spectrum's largest
+        # magnitude (the worst seen on 60 seeded unitary jumps at d = 8 was
+        # 8.1e-15): blocks round differently from the whole matrix
+        model = _REPORT_MODELS[name]()
+        got, want = structured_dissipator_report(model), dense_structured_report(model)
+        assert got.is_structured is want.is_structured
+        assert got.gamma == want.gamma
+        if not want.is_structured:
+            assert got.jump_map_spectrum is None and got.shift_max_error is None
+            return
+        bound = 2e-14 * float(np.abs(want.jump_map_spectrum).max())
+        assert len(got.jump_map_spectrum) == model.dim**2
+        assert _matched_distance(want.jump_map_spectrum, got.jump_map_spectrum) <= bound
+        assert abs(got.shift_max_error - want.shift_max_error) <= bound
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_squares_raise_range_error(self):
+        # L^dag L of 1e160 sigma_z is 1e320: a RangeError before any sum,
+        # with no numpy warning; at 1e150 it is 1e300 and the report holds
+        with pytest.raises(RangeError) as caught:
+            structured_dissipator_report(LindbladModel(2, np.zeros((2, 2)), (1e160 * SZ,)))
+        assert str(caught.value) == _OVERFLOW
+        report = structured_dissipator_report(LindbladModel(2, np.zeros((2, 2)), (1e150 * SZ,)))
+        assert report.is_structured
+        assert report.gamma == 1e150 * 1e150
+
+    @pytest.mark.parametrize(
+        "model", [multi_qubit_dephasing([0.1, 0.3, 0.6]), jaynes_cummings(n_max=3)],
+        ids=["mqd", "jc"],
+    )
+    def test_spectra_on_blocks(self, monkeypatch, model):
+        # every eigensolve of the report takes a stack of blocks smaller
+        # than the n x n whole
+        import lindscope.superop
+
+        shapes = []
+        eigenvalues = lindscope.superop._eigenvalues
+        monkeypatch.setattr(
+            lindscope.superop, "_eigenvalues", lambda m: shapes.append(m.shape) or eigenvalues(m)
+        )
+        assert structured_dissipator_report(model).is_structured
+        assert shapes
+        n = model.dim**2
+        assert all(len(shape) == 3 and shape[-1] < n for shape in shapes)
+
+
+class TestRegimeThresholds:
+    @pytest.mark.parametrize(
+        "bands", [(5.0, 1.0), (math.nan, 10.0), (-1.0, 0.5), (0.1, math.nan)],
+        ids=["reversed", "nan-lo", "negative-lo", "nan-hi"],
+    )
+    def test_bad_bands_refused(self, bands):
+        lo, hi = bands
+        with pytest.raises(ConfigError) as caught:
+            RegimeThresholds(lo, hi)
+        assert str(caught.value) == f"need 0 < kappa-lo < kappa-hi, got {lo} and {hi}"
+
+    def test_reversed_bands_never_label(self):
+        # kappa = 3 is below kappa_lo and above kappa_hi of reversed bands
+        s = liouvillian(driven_dephasing(1.0, 3.0))
+        with pytest.raises(ConfigError):
+            compute_metrics(s, RegimeThresholds(5.0, 1.0))
 
 
 class TestStructuralMetricsInvariants:
@@ -546,7 +636,7 @@ class TestStackedPass:
         for model, m in zip(models, stack):
             assert np.array_equal(m, liouvillian(model).matrix)
         for thresholds in (None, RegimeThresholds(0.5, 2.0)):
-            got = _column_bits(_analyze(stack, thresholds))
+            got = _column_bits(_block_pass(*_sector_form(stack)[:2], thresholds))
             assert got == [
                 _bits(compute_metrics(liouvillian(model), thresholds)) for model in models
             ]
@@ -564,10 +654,10 @@ class TestStackedPass:
         ]
         stack = np.stack([liouvillian(model).matrix for model in models])
         for thresholds in (None, RegimeThresholds(0.001, 0.002), RegimeThresholds(1e3, 1e4)):
-            got = _column_bits(_analyze(stack, thresholds))
+            got = _column_bits(_block_pass(*_sector_form(stack)[:2], thresholds))
             want = [_bits(compute_metrics(liouvillian(m), thresholds)) for m in models]
             assert got == want
-        got = _analyze(stack)
+        got = _block_pass(*_sector_form(stack)[:2])
         assert got["regime"].tolist() == [
             "Hamiltonian", "NormalDissipative", "WeaklyNonnormal", "Crossover",
             "StronglyNonnormal",
@@ -577,7 +667,7 @@ class TestStackedPass:
     def test_raw_complex_stack_equals_per_point(self):
         rng = np.random.default_rng(80)
         ss = [Superoperator(3, random_complex(rng, 9, scale=10.0**k)) for k in (-3, 0, 5)]
-        got = _column_bits(_analyze(np.stack([s.matrix for s in ss])))
+        got = _column_bits(_block_pass(*_sector_form(np.stack([s.matrix for s in ss]))[:2]))
         assert got == [_bits(compute_metrics(s)) for s in ss]
 
     def test_mixed_stack_runs_complex(self):
@@ -588,7 +678,7 @@ class TestStackedPass:
         raw = Superoperator(2, random_complex(rng, 4))
         stack = np.stack([lindblad.matrix, raw.matrix])
         assert _sector_form(stack)[0].dtype == np.complex128
-        got, want = _analyze(stack), compute_metrics(lindblad)
+        got, want = _block_pass(*_sector_form(stack)[:2]), compute_metrics(lindblad)
         for name in ("generator_norm", "delta", "eta", "nd_norm"):
             assert got[name][0] == pytest.approx(getattr(want, name), rel=1e-13)
         assert got["regime"][0] == want.regime.value
@@ -620,7 +710,7 @@ class TestStackedPass:
             assert str(alone.value) == message
             for order in ([good, s, good], [s, *failing.values()]):
                 with pytest.raises(RangeError) as stacked:
-                    _analyze(np.stack([m.matrix for m in order]))
+                    _block_pass(*_sector_form(np.stack([m.matrix for m in order]))[:2])
                 assert str(stacked.value) == message
 
     def test_route_failure_is_the_failing_generators(self, monkeypatch):
@@ -648,10 +738,10 @@ class TestStackedPass:
         # normal, and fails a value, which is checked after the routes
         late = np.diag([1e160 + 1e160j, *[0.0] * 8])
         with pytest.raises(NumericalError) as stacked:
-            _analyze(np.stack([good, s.matrix]))
+            _block_pass(*_sector_form(np.stack([good, s.matrix]))[:2])
         assert str(stacked.value) == message
         with pytest.raises(RangeError, match="^bound_margin"):
-            _analyze(np.stack([late, s.matrix]))
+            _block_pass(*_sector_form(np.stack([late, s.matrix]))[:2])
 
     def test_four_eigensolves_per_stack(self, monkeypatch):
         models = [random_model(np.random.default_rng(82 + k), d=3, force_hamiltonian_only=True)
@@ -660,7 +750,7 @@ class TestStackedPass:
         calls = {"eigvalsh": 0}
         counting = functools.partial(_counting, calls)
         monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
-        assert len(_column_bits(_analyze(stack))) == 50
+        assert len(_column_bits(_block_pass(*_sector_form(stack)[:2]))) == 50
         assert calls == {"eigvalsh": 4}
 
 
@@ -1021,7 +1111,7 @@ class TestSectors:
         calls = {"eigvalsh": 0}
         counting = functools.partial(_counting, calls)
         monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
-        got = _column_bits(_analyze(stack))
+        got = _column_bits(_block_pass(*_sector_form(stack)[:2]))
         assert calls == {"eigvalsh": 4}
         monkeypatch.undo()
         for row, model in zip(got, models):

@@ -608,7 +608,6 @@ class TestSectorBlocks:
         def refused(*args):
             raise AssertionError("a sweep formed a dense generator")
 
-        import lindscope.metrics
         import lindscope.superop
 
         # a failing sweep takes its points again one at a time, and names
@@ -616,7 +615,7 @@ class TestSectorBlocks:
         with pytest.raises(RangeError) as dense:
             compute_metrics(liouvillian(driven_dephasing(1e300, 1e10)))
         monkeypatch.setattr(lindscope.superop, "_liouvillians", refused)
-        monkeypatch.setattr(lindscope.metrics, "_sector_form", refused)
+        monkeypatch.setattr(lindscope.superop, "_sector_form", refused)
         path = tmp_path / "jc.json"
         path.write_text('{"model": {"type": "jaynes_cummings", "n_max": 3}}', encoding="utf-8")
         argv = ["sweep", str(path), "--param", "g", "--from", "0", "--to", "1", "--points", "30"]
