@@ -4,7 +4,10 @@
 Runs ``analyze`` and ``series``, each as json and as csv, on every
 ``models/*.json``, a long-horizon ``series``
 (``models/dephasing_relaxation.json`` with ``--t-end 200 --steps 4000``,
-thousands of stepped products), and ``sweep`` and ``regimes`` on
+thousands of stepped products), a one-step ``series`` on
+``models/relaxation.json`` whose step ``h * ||S||`` is exactly the
+exponential's safe range 50 (``--t-end 35.35533905932737 --steps 1``, as
+csv), and ``sweep`` and ``regimes`` on
 ``models/driven_dephasing.json`` over omega in [1e-3, 30] with 40
 log-spaced points. Two more sweeps cover how a sweep is
 split into blocks of points: 600 log-spaced omega points on
@@ -222,6 +225,9 @@ def commands(tmp: Path) -> list[tuple[str, list[str]]]:
     long_horizon = ["--t-end", "200", "--steps", "4000"]
     out.append(("series-long dephasing_relaxation.json",
                 ["series", str(ROOT / "models" / "dephasing_relaxation.json"), *long_horizon]))
+    boundary = ["--t-end", "35.35533905932737", "--steps", "1"]
+    out.append(("series-boundary relaxation.json",
+                ["series", str(ROOT / "models" / "relaxation.json"), *boundary]))
     driven = str(ROOT / "models" / "driven_dephasing.json")
     sweep = ["--param", "omega", "--from", "1e-3", "--to", "30", "--points", "40", "--log"]
     out.append(("sweep driven_dephasing.json", ["sweep", driven, *sweep]))

@@ -18,10 +18,18 @@ Along a uniform time grid the propagators are built by stepping: two
 exponentials per grid, ``P_0 = exp(t_start S)`` and ``E = exp(h S)`` with
 ``h = (t_end - t_start) / steps``, then ``P_{k+1} = E @ P_k``. Only
 ``t_start * ||S||`` and ``h * ||S||`` have to stay within the exponential's
-safe range, so long horizons need only enough steps. Each product adds a
-relative rounding error of order machine epsilon, so the drift from a
-direct exponential at step k stays below about ``k * 1e-16`` relative;
-tests hold it to that bound up to 20 000 steps.
+safe range, ``EXP_SAFE_NORM``, so long horizons need only enough steps.
+Each product adds a relative rounding error of order machine epsilon, so
+the drift from a direct exponential at step k stays below about ``k *
+1e-16`` relative; tests hold it to that bound up to 20 000 steps.
+
+Every exponential here is range-checked once, exactly, against ``||S||``
+from the analysis pass: a time by ``_check_range``, a step by the step
+check of ``_stepped_propagators``. It then goes straight to the Pade kernel
+(``_exp``). ``linalg.matrix_exp`` takes a check of its own, a 1-norm bound
+and, above the range, an SVD; as a second check it would cost an SVD per
+call near the end of the range, and its rounding could refuse a time at
+``t * ||S||`` exactly 50 that the exact check accepts.
 
 The stepping runs in the orthonormal Hermitian operator basis, on the
 generator as ``superop._sector_form`` gives it, ``2^-e U^dag S U``, with
@@ -70,8 +78,8 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, RangeError
-from .linalg import EXP_SAFE_NORM, _hermitian_norms, as_complex_matrix, hs_norm, matrix_exp
-from .metrics import Regime, compute_metrics, zero_tolerance
+from .linalg import EXP_SAFE_NORM, _hermitian_norms, _pade_exp, as_complex_matrix, hs_norm
+from .metrics import Regime, StructuralMetrics, compute_metrics
 from .superop import Superoperator, _block_spectrum, _form, _hermitian_coords
 
 __all__ = [
@@ -105,14 +113,17 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if self.t_start < 0:
+        if not self.t_start >= 0:
             raise ConfigError(f"t_start must be nonnegative, got {self.t_start}")
-        if not math.isfinite(self.t_end):
-            raise ConfigError(f"t_end must be finite, got {self.t_end}")
+        for name, value in (("t_start", self.t_start), ("t_end", self.t_end)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if not self.t_end > self.t_start:
             raise ConfigError(
                 f"t_end must exceed t_start, got [{self.t_start}, {self.t_end}]"
             )
+        if isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer)):
+            raise ConfigError(f"steps must be an integer, got {self.steps!r}")
         if not 1 <= self.steps <= MAX_STEPS:
             raise ConfigError(f"steps must be in 1..{MAX_STEPS}, got {self.steps}")
 
@@ -162,7 +173,12 @@ def _check_time(t: float) -> None:
 
 
 def _check_range(norm: float, t: float) -> None:
-    """Reject t < 0, NaN or inf and t * norm beyond the exponential's safe range."""
+    """Reject t < 0, NaN or inf and t * norm beyond the exponential's safe range.
+
+    ``norm`` is ``||S||`` from the analysis pass, so this is the exact range
+    test of every exponential of ``t S`` taken here: ``_exp`` takes none of
+    its own.
+    """
     _check_time(t)
     scaled = t * norm
     if scaled > EXP_SAFE_NORM:
@@ -172,15 +188,23 @@ def _check_range(norm: float, t: float) -> None:
         )
 
 
+def _exp(m: np.ndarray) -> np.ndarray:
+    """exp(m) of a matrix or a stack whose range its caller has checked: the Pade kernel alone."""
+    return _pade_exp(m, float(np.abs(m).sum(axis=-2).max()))
+
+
 def _exp_blocks(a: np.ndarray, e: int, table: np.ndarray, t: float) -> np.ndarray:
     """The blocks of ``U^dag exp(t S) U``, with 0 on every padding row.
 
     ``(a, e, table)`` is ``_form`` of ``S``, so the exponential is taken of
-    ``(t 2^e) a``, and is real when ``a`` is. In range, ``t 2^e <=
-    EXP_SAFE_NORM / ||a||``, and ``||a|| = ||2^-e S|| >= 1/2`` (the largest
-    entry of ``2^-e S`` is), so the scaled time cannot overflow.
+    ``(t 2^e) a``, and is real when ``a`` is. The caller has checked ``t``
+    against ``||S||`` (``_check_range`` or the step check of
+    ``_stepped_propagators``), which is the exact test of this range, so no
+    second one runs. In range, ``t 2^e <= EXP_SAFE_NORM / ||a||``, and
+    ``||a|| = ||2^-e S|| >= 1/2`` (the largest entry of ``2^-e S`` is), so
+    the scaled time cannot overflow.
     """
-    p = matrix_exp(math.ldexp(t, e) * a)
+    p = _exp(math.ldexp(t, e) * a)
     # the exponential of a padded zero block is the identity; as zeros, the
     # padding stays zero in every product and adds no norm
     p *= (table >= 0)[..., None]
@@ -211,7 +235,7 @@ def _stepped_propagators(
             f"step h = {h:.6g} gives h * ||S|| = {h * norm:.6g}, beyond safe range "
             f"{EXP_SAFE_NORM:g}; {advice}"
         )
-    step = matrix_exp(math.ldexp(h, e) * a)
+    step = _exp_blocks(a, e, table, h)
     p = _exp_blocks(a, e, table, grid.t_start)
     yield p
     for t in grid.times[1:]:
@@ -238,21 +262,14 @@ def _propagator_norm(p: np.ndarray) -> float:
     return math.ldexp(math.sqrt(float(_hermitian_norms(gram).max())), f)
 
 
-def _abscissa(a: np.ndarray, e: int, table: np.ndarray) -> float:
-    """Largest real part over the eigenvalues of the generator whose form is ``(a, e, table)``.
-
-    ``(a, e, table)`` is ``_form`` of the generator; its spectrum is
-    ``superop._block_spectrum``, one batched eigensolve per size of block.
-    """
-    return float(_block_spectrum(a, e, table).real.max())
-
-
 def default_grid(s: Superoperator, steps: int = DEFAULT_STEPS) -> TimeGrid:
     """Grid covering the intrinsic timescale: [0, 5/delta] for dissipative
-    generators, [0, 10/||S||] otherwise, [0, 10] for the zero generator."""
+    generators, [0, 10/||S||] for those the pass labels Hamiltonian, [0, 10]
+    for the zero generator. A delta that underflows to 0 when scaled back
+    makes the timescale overflow."""
     m = compute_metrics(s)
-    if m.delta > zero_tolerance(m.generator_norm):
-        t_end = 5.0 / m.delta
+    if m.regime is not Regime.HAMILTONIAN:
+        t_end = 5.0 / m.delta if m.delta else math.inf
     elif m.generator_norm > 0.0:
         t_end = 10.0 / m.generator_norm
     else:
@@ -265,7 +282,7 @@ def default_grid(s: Superoperator, steps: int = DEFAULT_STEPS) -> TimeGrid:
 def propagator(s: Superoperator, t: float) -> Superoperator:
     """exp(t S) as a superoperator; t * ||S|| must stay in the safe range."""
     _check_range(compute_metrics(s).generator_norm, t)
-    return Superoperator(s.dim, matrix_exp(t * s.matrix))
+    return Superoperator(s.dim, _exp(t * s.matrix))
 
 
 def spectral_abscissa(s: Superoperator) -> float:
@@ -273,9 +290,21 @@ def spectral_abscissa(s: Superoperator) -> float:
 
     The spectrum is taken in the Hermitian operator basis, where a
     Lindbladian is a real matrix; the basis is unitary, so the spectrum is
-    that of ``S``.
+    that of ``S``. It is ``superop._block_spectrum`` of ``_form(s)``, one
+    batched eigensolve per size of block.
     """
-    return _abscissa(*_form(s))
+    return float(_block_spectrum(*_form(s)).real.max())
+
+
+def _appg(m: StructuralMetrics, times: np.ndarray, prop: np.ndarray) -> tuple:
+    """The truncated APPG envelope exp(t delta + t nd_norm + t^2 eta/4) at
+    ``times``, for the metrics ``m``, and whether each norm of ``prop`` sits
+    under it, with a relative slack of 1e-9."""
+    with np.errstate(over="ignore"):
+        # a zero eta adds nothing, even where times**2 overflows
+        quadratic = m.eta * times**2 / 4.0 if m.eta else 0.0
+        env = np.exp(m.delta * times + m.nd_norm * times + quadratic)
+    return env, prop <= env * (1.0 + 1e-9)
 
 
 def amplification_series(s: Superoperator, grid: TimeGrid) -> AmplificationSeries:
@@ -291,21 +320,17 @@ def amplification_series(s: Superoperator, grid: TimeGrid) -> AmplificationSerie
     or the step ``h * ||S||`` exceeds EXP_SAFE_NORM.
     """
     m = compute_metrics(s)
-    delta, eta, nd_norm = m.delta, m.eta, m.nd_norm
     a, e, table = _form(s)
     propagators = _stepped_propagators(a, e, table, grid, m.generator_norm)
     prop = np.array([_propagator_norm(p) for p in propagators])
-    alpha = _abscissa(a, e, table)
+    alpha = float(_block_spectrum(a, e, table).real.max())
 
     times = grid.times
     with np.errstate(over="ignore"):
-        a_paper = prop * np.exp(-delta * times)
+        a_paper = prop * np.exp(-m.delta * times)
         a_spectral = prop * np.exp(-alpha * times)
-        gronwall_env = np.exp(delta * times)
-        # a zero eta adds nothing, even where times**2 overflows
-        quadratic = eta * times**2 / 4.0 if eta else 0.0
-        appg_env = np.exp(delta * times + nd_norm * times + quadratic)
-    satisfied = prop <= appg_env * (1.0 + 1e-9)
+        gronwall_env = np.exp(m.delta * times)
+    appg_env, satisfied = _appg(m, times, prop)
     return AmplificationSeries(
         times=times,
         prop_norm=prop,
@@ -314,7 +339,7 @@ def amplification_series(s: Superoperator, grid: TimeGrid) -> AmplificationSerie
         gronwall_env=gronwall_env,
         appg_env=appg_env,
         appg_satisfied=satisfied,
-        delta=delta,
+        delta=m.delta,
         alpha=alpha,
     )
 
@@ -371,16 +396,19 @@ def error_amplification(s: Superoperator, t: float, eps: float) -> float:
 def truncated_appg_bound(s: Superoperator, t: float) -> AppgBound:
     """Truncated interaction-picture envelope and whether the norm sits under it.
 
-    bound = exp(t*delta) * exp(t*||S_skew|| + t^2*eta/4). Higher-order
+    bound = exp(t*delta + t*||S_skew|| + t^2*eta/4). Higher-order
     nested-commutator terms are dropped, so this is a diagnostic, not a
-    proven upper bound; the flag is reported, never asserted.
+    proven upper bound; the flag is reported, never asserted. Both come from
+    the code that gives ``amplification_series`` its ``appg_env`` and
+    ``appg_satisfied``, so at a grid time the bound is the series' envelope
+    bit for bit; the flag tests the norm of one exponential, which can
+    differ by ulps from the series' stepped norm.
     """
     m = compute_metrics(s)
     _check_range(m.generator_norm, t)
-    with np.errstate(over="ignore"):
-        bound = float(np.exp(m.delta * t + m.nd_norm * t + m.eta * t * t / 4.0))
     prop = _propagator_norm(_exp_blocks(*_form(s), t))
-    return AppgBound(bound=bound, satisfied=bool(prop <= bound * (1.0 + 1e-9)))
+    bound, satisfied = _appg(m, np.array(t), prop)
+    return AppgBound(bound=float(bound), satisfied=bool(satisfied))
 
 
 def cost_estimate(s: Superoperator, t: float, eps_star: float) -> CostEstimate:
@@ -397,12 +425,7 @@ def cost_estimate(s: Superoperator, t: float, eps_star: float) -> CostEstimate:
         raise ConfigError(f"eps_star must lie in (0, 1), got {eps_star}")
     _check_time(t)
     m = compute_metrics(s)
-    rate = m.delta if m.delta > zero_tolerance(m.generator_norm) else 0.5 * m.generator_norm
+    rate = 0.5 * m.generator_norm if m.regime is Regime.HAMILTONIAN else m.delta
     base = t * rate + math.log(1.0 / eps_star)
-    if m.regime is Regime.STRONGLY_NONNORMAL and m.kappa is not None:
-        overhead = m.kappa
-    elif m.regime is Regime.CROSSOVER:
-        overhead = 1.0
-    else:
-        overhead = 0.0
+    overhead = {Regime.STRONGLY_NONNORMAL: m.kappa, Regime.CROSSOVER: 1.0}.get(m.regime, 0.0)
     return CostEstimate(base_cost=base, kappa_overhead=overhead)

@@ -184,6 +184,9 @@ def matrix_exp(m) -> np.ndarray:
     bound ``sqrt(||m||_1 ||m||_inf) >= ||m||_2``, the largest of each over a
     stack, and runs the exact SVD only when that bound exceeds the range,
     so the error is raised exactly when some ``||m||_2 > EXP_SAFE_NORM``.
+    The test is for callers that do not know ``||m||_2``: ``dynamics``
+    checks each time against the generator norm it already holds and calls
+    the kernel, ``_pade_exp``, directly.
 
     The exponential itself is Algorithm 2.3 of N. J. Higham, "The scaling
     and squaring method for the matrix exponential revisited", SIAM J.

@@ -15,6 +15,7 @@ from helpers import (
 )
 from lindscope import (
     ConfigError,
+    LindbladModel,
     RangeError,
     Regime,
     Superoperator,
@@ -46,6 +47,7 @@ from lindscope import (
     spectral_norm,
     truncated_appg_bound,
 )
+from lindscope.linalg import EXP_SAFE_NORM
 
 SHIPPED_NORMAL_MODELS = [
     dephasing(1.0),
@@ -87,10 +89,37 @@ class TestTimeGrid:
         with pytest.raises(ConfigError, match="finite"):
             TimeGrid(0.0, math.inf, 10)
 
+    @pytest.mark.parametrize("t_start", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_named(self, t_start):
+        # the start is what is wrong, not the order of the ends
+        with pytest.raises(ConfigError, match="^t_start must be"):
+            TimeGrid(t_start, 1.0, 3)
+
+    @pytest.mark.parametrize("steps", [2.5, 3.0, True, "3", None])
+    def test_non_integer_steps_rejected(self, steps):
+        # a float count would reach np.linspace as an untyped TypeError
+        with pytest.raises(ConfigError, match="steps must be an integer"):
+            TimeGrid(0.0, 1.0, steps)
+
+    def test_numpy_integer_steps(self):
+        np.testing.assert_array_equal(TimeGrid(0.0, 1.0, np.int64(2)).times, [0.0, 0.5, 1.0])
+
     def test_default_grid_overflowing_timescale(self):
         # delta ~ 2e-320 is dissipative at its own scale, but 5/delta overflows
         with pytest.raises(RangeError, match="timescale"):
             default_grid(liouvillian(dephasing(1e-320)))
+
+    def test_default_grid_delta_underflows(self):
+        # S_herm's entries are 2^-1075, half the smallest subnormal: the pass
+        # labels the generator dissipative at its own scale, and delta
+        # scaled back rounds to 0, so the timescale overflows
+        m = np.zeros((4, 4), dtype=complex)
+        m[0, 1] = 5e-324
+        s = Superoperator(2, m)
+        metrics = compute_metrics(s)
+        assert metrics.regime is not Regime.HAMILTONIAN and metrics.delta == 0.0
+        with pytest.raises(RangeError, match="timescale"):
+            default_grid(s)
 
 
 class TestPropagator:
@@ -503,6 +532,26 @@ class TestSvdFreeHelpers:
         normal_factorization_residual(s, 0.01)
         assert calls == []
 
+    def test_no_svd_near_range_end(self, monkeypatch):
+        # at t ||S|| = 45 a 1-norm bound no longer proves the range, so a
+        # second range check would take an SVD; the pass's ||S|| proves it
+        s = liouvillian(random_model(np.random.default_rng(91), d=8))
+        t = 45.0 / compute_metrics(s).generator_norm
+        grid = TimeGrid(0.0, t, 1)
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        for name, call in (
+            ("propagator", lambda: propagator(s, t)),
+            ("error_amplification", lambda: error_amplification(s, t, 1e-3)),
+            ("truncated_appg_bound", lambda: truncated_appg_bound(s, t)),
+            ("normal_factorization_residual", lambda: normal_factorization_residual(s, t)),
+            ("amplification_series", lambda: amplification_series(s, grid)),
+            ("gronwall_check", lambda: gronwall_check(s, np.eye(8) / 8, grid)),
+        ):
+            call()
+            assert calls == [], name
+
     def test_values_match_svd(self):
         s = self._generator()
         t = 0.01
@@ -580,6 +629,82 @@ class TestSvdFreeHelpers:
             call(s, math.inf)
 
 
+def _boundary_time(norm):
+    """The largest double t with t * norm <= EXP_SAFE_NORM."""
+    t = EXP_SAFE_NORM / norm
+    while t * norm > EXP_SAFE_NORM:
+        t = math.nextafter(t, 0.0)
+    while math.nextafter(t, math.inf) * norm <= EXP_SAFE_NORM:
+        t = math.nextafter(t, math.inf)
+    return t
+
+
+class TestSafeRangeBoundary:
+    """At the largest t the range check accepts, every entry point that takes
+    an exponential returns a result: no second check refuses it."""
+
+    @staticmethod
+    def _generators():
+        rng = np.random.default_rng(95)
+        models = [relaxation(1.0)]
+        for d in (2, 3, 4, 6, 8):
+            for _ in range(8):
+                jump = random_complex(rng, d)
+                models.append(LindbladModel(d, random_hermitian(rng, d), (jump,)))
+        return [liouvillian(model) for model in models]
+
+    def test_every_entry_point_runs(self):
+        for s in self._generators():
+            t = _boundary_time(compute_metrics(s).generator_norm)
+            grid = TimeGrid(0.0, t, 1)
+            assert math.isfinite(spectral_norm(propagator(s, t).matrix))
+            assert math.isfinite(error_amplification(s, t, 1.0))
+            assert math.isfinite(truncated_appg_bound(s, t).bound)
+            assert math.isfinite(normal_factorization_residual(s, t))
+            assert np.isfinite(amplification_series(s, grid).prop_norm).all()
+            assert math.isfinite(gronwall_check(s, np.eye(s.dim) / s.dim, grid))
+
+    def test_one_step_past_is_refused(self):
+        # the check that accepts the boundary still refuses the next double
+        for s in self._generators()[:6]:
+            t = math.nextafter(_boundary_time(compute_metrics(s).generator_norm), math.inf)
+            with pytest.raises(RangeError, match=r"t \* \|\|S\|\| = .* exceeds safe range"):
+                error_amplification(s, t, 1.0)
+            with pytest.raises(RangeError, match="raise --steps to at least 2"):
+                amplification_series(s, TimeGrid(0.0, t, 1))
+
+
+class TestOneEnvelope:
+    """truncated_appg_bound and the series' appg_env are one computation."""
+
+    @staticmethod
+    def _generators():
+        models = [
+            dephasing(0.7),
+            driven_dephasing(1.0, 3.0),
+            driven_dephasing(1.0, 30.0),
+            relaxation(0.5),
+            dephasing_relaxation(1.0, 0.4),
+            pauli_channel(0.2, 0.5, 0.9),
+            multi_qubit_dephasing([0.1, 0.3, 0.6]),
+            hamiltonian_only(np.array([[0.5, 0.2], [0.2, -0.5]])),
+            jaynes_cummings(n_max=2),
+            *random_models(96, 12),
+        ]
+        return [liouvillian(model) for model in models]
+
+    def test_bound_is_series_envelope(self):
+        for s in self._generators():
+            norm = compute_metrics(s).generator_norm
+            series = amplification_series(s, default_grid(s, 40))
+            for i, t in enumerate(series.times):
+                if t * norm > EXP_SAFE_NORM:
+                    continue
+                bound, satisfied = truncated_appg_bound(s, float(t))
+                assert bound == series.appg_env[i]
+                assert satisfied == series.appg_satisfied[i]
+
+
 def _block_route_generators():
     """Every named kind, damped Jaynes-Cummings, random Lindbladians and raw
     complex matrices, all at d <= 8: split, whole, real and complex forms."""
@@ -647,9 +772,9 @@ class TestBlockRoute:
         s = liouvillian(model)
         n = s.matrix.shape[0]
         shapes = []
-        exp = dynamics.matrix_exp
+        exp = dynamics._pade_exp
         monkeypatch.setattr(
-            dynamics, "matrix_exp", lambda m: shapes.append(m.shape) or exp(m)
+            dynamics, "_pade_exp", lambda m, norm_1: shapes.append(m.shape) or exp(m, norm_1)
         )
         t = 1.0 / spectral_norm(s.matrix)
         error_amplification(s, t, 1e-3)

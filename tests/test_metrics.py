@@ -528,10 +528,11 @@ class TestOnePass:
 
     def test_series_kernel_counts(self, monkeypatch):
         # the pass's four eigensolves, the two exponentials (start and step),
-        # which pass their range check on the O(n^2) bound, then one Gram
-        # eigensolve per grid point and one eigvals for the abscissa, all on
-        # float64 matrices, and no SVD
-        import lindscope.linalg
+        # whose range the step check has proven, so they go to the Pade
+        # kernel with no range check of their own, then one Gram eigensolve
+        # per grid point and one eigvals for the abscissa, all on float64
+        # matrices, and no SVD
+        import lindscope.dynamics
 
         s = liouvillian(random_model(np.random.default_rng(22), d=2))
         dtypes = {"svd": [], "expm": [], "eigvalsh": [], "eigvals": []}
@@ -547,7 +548,7 @@ class TestOnePass:
         monkeypatch.setattr(np.linalg, "eigvalsh", recording("eigvalsh", np.linalg.eigvalsh))
         monkeypatch.setattr(np.linalg, "eigvals", recording("eigvals", np.linalg.eigvals))
         monkeypatch.setattr(
-            lindscope.linalg, "_pade_exp", recording("expm", lindscope.linalg._pade_exp)
+            lindscope.dynamics, "_pade_exp", recording("expm", lindscope.dynamics._pade_exp)
         )
         amplification_series(s, TimeGrid(0.0, 1.0, 40))
         assert {k: len(v) for k, v in dtypes.items()} == {
