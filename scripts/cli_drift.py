@@ -28,7 +28,14 @@ points, and an ``n_max`` sweep that fails at a non-integer. The named
 models that split into many symmetry sectors run too: ``analyze`` on
 ``jaynes_cummings`` at ``n_max`` 7 and 15 and on ``multi_qubit_dephasing``
 at k 4 and 5, ``series`` on ``jaynes_cummings`` at ``n_max`` 7, and
-``regimes`` over its ``g``. ``analyze`` and ``series``, each as json and
+``regimes`` over its ``g``; ``analyze`` as csv on ``jaynes_cummings`` at
+``n_max`` 7 and on ``multi_qubit_dephasing`` at k 5, and ``series`` as json
+on the first, cover a model's generator formed from the ``d x d``
+entries, and ``analyze`` and ``series``, each as json and as csv, on an
+explicit seeded random model at d = 8 (all entries nonzero, one sector)
+one formed from its dense generator, built and dropped. ``series`` with
+``--t-end=-1`` on an explicit model whose generator overflows covers
+which error is reported first. ``analyze`` and ``series``, each as json and
 as csv, run on damped ``jaynes_cummings`` at ``n_max`` 3 and 7 (d = 8 and
 16), explicit model files with jumps ``sqrt(kappa) a`` and
 ``sqrt(gamma) sigma_-``: nonnormal generators, and at ``n_max`` 7 one that
@@ -201,6 +208,31 @@ def unitary_jump(dim: int = 3, rate: float = 0.7, seed: int = 6) -> dict:
             "label": f"unitary jump(d={dim}, rate={rate}) explicit"}
 
 
+def random_model(dim: int = 8, seed: int = 3) -> dict:
+    """An explicit model file: a seeded Hermitian H and two seeded jumps, all
+    entries nonzero, so the generator is one sector: the route of a model
+    whose patterns do not split.
+
+    Gaussian entries, H scaled by ``0.3 / sqrt(dim)`` and the jumps by
+    ``0.5 / sqrt(dim)``, so that ``||S|| / delta`` keeps the default
+    series grid inside the exponential's safe range.
+    """
+    rng = random.Random(seed)
+
+    def gauss(scale):
+        return [[complex(rng.gauss(0.0, scale), rng.gauss(0.0, scale)) for _ in range(dim)]
+                for _ in range(dim)]
+
+    def entries(m):
+        return [[[z.real, z.imag] for z in row] for row in m]
+
+    a = gauss(0.3 / dim ** 0.5)
+    h = [[(a[i][j] + a[j][i].conjugate()) / 2 for j in range(dim)] for i in range(dim)]
+    jumps = [{"matrix": entries(gauss(0.5 / dim ** 0.5))} for _ in range(2)]
+    return {"dim": dim, "hamiltonian": entries(h), "jumps": jumps,
+            "label": f"random(d={dim}, seed={seed}) explicit"}
+
+
 # Models of the sweeps whose points cut couplings: jaynes_cummings with
 # omega_c = 1, which an omega_a sweep from 0 to 2 in steps of 1/8 meets
 # exactly, and multi_qubit_dephasing at k = 3, swept from gamma_1 = 0.
@@ -281,6 +313,24 @@ def commands(tmp: Path) -> list[tuple[str, list[str]]]:
     out.append(("analyze-csv unitary_jump-3", ["analyze", str(path), "--format", "csv"]))
     jaynes_7 = str(tmp / "jaynes_cummings-7.json")
     out.append(("series jaynes_cummings-7", ["series", jaynes_7]))
+    # both routes of a model's form at size: the sectored models from the
+    # d x d entries, a random one from its dense generator, built and dropped
+    out.append(("analyze-csv jaynes_cummings-7", ["analyze", jaynes_7, "--format", "csv"]))
+    out.append(("series-json jaynes_cummings-7", ["series", jaynes_7, "--format", "json"]))
+    path = str(tmp / "multi_qubit_dephasing-5.json")
+    out.append(("analyze-csv multi_qubit_dephasing-5", ["analyze", path, "--format", "csv"]))
+    path = tmp / "random-8.json"
+    path.write_text(json.dumps(random_model()), encoding="utf-8")
+    out.append(("analyze-json random-8", ["analyze", str(path)]))
+    out.append(("analyze-csv random-8", ["analyze", str(path), "--format", "csv"]))
+    out.append(("series random-8", ["series", str(path)]))
+    out.append(("series-json random-8", ["series", str(path), "--format", "json"]))
+    # an overflowing generator is reported before an invalid --t-end
+    path = tmp / "overflow.json"
+    path.write_text(json.dumps({"dim": 2, "hamiltonian": [[0, 0], [0, 0]],
+                                "jumps": [{"matrix": [[1e200, 0], [0, -1e200]]}]}),
+                    encoding="utf-8")
+    out.append(("series-overflow-t-end overflow.json", ["series", str(path), "--t-end=-1"]))
     coupling = ["--param", "g", "--from", "1e-3", "--to", "10", "--points", "30", "--log"]
     out.append(("regimes-g jaynes_cummings-7", ["regimes", jaynes_7, *coupling]))
     coupling = ["--param", "g", "--from", "1e-3", "--to", "10", "--points", "50", "--log"]

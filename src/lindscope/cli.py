@@ -61,7 +61,7 @@ from .metrics import (
     structured_dissipator_report,
 )
 from .models import ModelSpec, _stack, build
-from .superop import LindbladModel, _sector_blocks, liouvillian
+from .superop import LindbladModel, _form, _sector_blocks, liouvillian
 
 __all__ = ["RunConfig", "parse_model_file", "run", "main"]
 
@@ -522,7 +522,12 @@ def run(config: RunConfig) -> int:
         if config.command == "series":
             superop = liouvillian(parse_model_file(config.model_path))
             if config.t_end is not None:
-                grid = TimeGrid(0.0, config.t_end, config.steps)
+                try:
+                    grid = TimeGrid(0.0, config.t_end, config.steps)
+                except ConfigError:
+                    # an overflowing generator is reported before the grid
+                    _form(superop)
+                    raise
             else:
                 grid = default_grid(superop, config.steps)
             series = amplification_series(superop, grid)

@@ -48,7 +48,11 @@ rotation.
 Every kernel here but ``propagator`` takes the generator as
 ``superop._form`` gives it, as the analysis pass does: the blocks of its
 exact symmetry sectors, zero-padded into one stack, with their table of
-sectors, or one block when it does not split. ``exp(t S)`` and its Gram
+sectors, or one block when it does not split. The generator of a model
+is formed anew by each call, from its H and jumps, and keeps no dense
+matrix: one that does not split is built as a dense matrix for its form
+and dropped before any step. ``propagator`` reads the dense matrix, which
+the generator then builds and keeps. ``exp(t S)`` and its Gram
 matrix are block diagonal too, so the series steps the blocks, and each
 norm is the largest over them: one batched exponential, product and Gram
 eigensolve per step, on ``b x b`` blocks instead of the ``n x n`` whole.
@@ -106,13 +110,21 @@ DEFAULT_STEPS = 200
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid of steps+1 points on [t_start, t_end]."""
+    """Uniform grid of steps+1 points on [t_start, t_end].
+
+    The times are Python or numpy ints or floats, and ``steps`` an integer;
+    anything else is a ConfigError that names the field.
+    """
 
     t_start: float
     t_end: float
     steps: int
 
     def __post_init__(self):
+        for name, value in (("t_start", self.t_start), ("t_end", self.t_end)):
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer,
+                                                                 np.floating)):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
         if not self.t_start >= 0:
             raise ConfigError(f"t_start must be nonnegative, got {self.t_start}")
         for name, value in (("t_start", self.t_start), ("t_end", self.t_end)):

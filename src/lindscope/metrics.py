@@ -36,7 +36,10 @@ generators, with one prescale per generator and one batched call per step:
 four Hermitian eigensolve calls for the whole stack. It returns columns,
 one array per metric over the stack, and runs its checks and kappa bands
 on whole columns. ``compute_metrics`` runs it on ``superop._form`` of one
-generator and reads row 0; a sweep runs it on the blocks that
+generator and reads row 0: for the generator of a model, the form is taken
+from H and the jumps, and its dense matrix is never built (a generator
+that does not split is built as a dense matrix for its form, and dropped
+before the pass). A sweep runs the pass on the blocks that
 ``superop._sector_blocks`` forms straight from H and the jumps of a chunk
 of points. Every step works on each block alone, so a generator takes the
 values it takes in its own block's pass, bit for bit, whatever blocks
@@ -55,9 +58,10 @@ one pattern of zeros, as the points of a sweep do unless a parameter is
 exactly 0.
 
 The structured-dissipator report runs on the same layout: the sector
-blocks of the dissipator and of the jump map, formed from the jumps
-(``superop._operator_blocks``), and their spectra taken one eigensolve
-per group of blocks of one size (``superop._block_spectrum``).
+blocks of the dissipator and of the jump map, formed from the jumps as a
+model's generator is (``superop._operator_form``), and their spectra taken
+one eigensolve per group of blocks of one size
+(``superop._block_spectrum``).
 """
 
 from __future__ import annotations
@@ -71,7 +75,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError, RangeError
 from .linalg import _hermitian_norms, hermitian_norm
 from .superop import (LindbladModel, Superoperator, _block_spectrum, _form, _jump_squares,
-                      _operator_blocks)
+                      _operator_form)
 
 __all__ = [
     "ZERO_RTOL",
@@ -369,11 +373,13 @@ def compute_metrics(
 
     The pass itself (``_block_pass``) takes the blocks of a stack of
     generators and returns columns; this runs it on ``superop._form`` of
-    ``s``, a stack of one, and reads row 0. A sweep runs it on a chunk of
-    points at a time and writes its columns as they are. The
-    threshold-free values are computed once per
-    Superoperator and kept on it (its matrix is frozen); the regime is
-    banded by ``thresholds`` on every call.
+    ``s``, a stack of one, and reads row 0. The generator of a model
+    (``liouvillian``) is formed from its H and jumps, so this builds no
+    matrix that it keeps. A sweep runs the pass on a chunk of points at a
+    time and writes its columns as they are. The threshold-free values are
+    computed once per Superoperator and kept on it (its operators and
+    matrix are frozen); the regime is banded by ``thresholds`` on every
+    call.
     """
     base = getattr(s, "_metrics", None)
     if base is None:
@@ -434,12 +440,14 @@ def structured_dissipator_report(model: LindbladModel) -> StructuredDissipatorRe
     structured with ``gamma = 0``. An ``L_k^dag L_k`` beyond double
     precision is a RangeError.
 
-    Both spectra come from sector blocks (``superop._operator_blocks``),
-    never from an ``n x n`` matrix: the dissipator's from the jumps and the
-    same ``L_k^dag L_k`` that ``gamma`` sums, the jump map's from the jumps
-    with zeros in their place. Each is formed on its own, not one from the
-    other, so ``shift_max_error`` checks the shift. Both are sorted by real
-    part, then imaginary part.
+    Both spectra come from sector blocks (``superop._operator_form``): the
+    dissipator's from the jumps and the same ``L_k^dag L_k`` that ``gamma``
+    sums, the jump map's from the jumps with zeros in their place. Where the
+    jumps' patterns split a map, its blocks are formed from the ``d x d``
+    entries; where they do not, from its dense matrix, which is built and
+    dropped before the spectrum is taken. Each is formed on its own, not
+    one from the other, so ``shift_max_error`` checks the shift. Both are
+    sorted by real part, then imaginary part.
     """
     d = model.dim
     jumps = np.array(model.jumps).reshape(1, len(model.jumps), d, d)
@@ -451,7 +459,7 @@ def structured_dissipator_report(model: LindbladModel) -> StructuredDissipatorRe
         return StructuredDissipatorReport(is_structured=False)
     zero = np.zeros((1, d, d), dtype=complex)
     jump_spectrum, dissipator_spectrum = (
-        np.sort_complex(_block_spectrum(*_operator_blocks(zero, jumps, squares)))
+        np.sort_complex(_block_spectrum(*_operator_form(zero, jumps, squares)))
         for squares in (np.zeros_like(jdj), jdj)
     )
     return StructuredDissipatorReport(

@@ -1,4 +1,4 @@
-"""Generators of Markovian open-system dynamics as explicit matrices.
+"""Generators of Markovian open-system dynamics and their matrices.
 
 Operators on a d-dimensional Hilbert space are vectorized by column
 stacking, ``vec(A)[i + d*j] = A[i, j]``, so a map ``rho -> A rho B`` has
@@ -13,9 +13,14 @@ coordinates of a Hermitian operator are real, so a map that preserves
 Hermiticity, ``L(X)^dag = L(X^dag)`` as every Lindbladian does, is a real
 matrix there. The analysis pass in ``metrics`` works in that form.
 
-The generator build takes stacks: ``_liouvillians`` builds the generators
-of many points of one shape in one pass, from their stacked Hamiltonians
-and jump operators, and ``liouvillian`` is the stack of one.
+The generator build takes stacks: ``_liouvillians`` builds the dense
+generators of many points of one shape in one pass, from their stacked
+Hamiltonians, jump operators and ``L_k^dag L_k``. A ``Superoperator`` is
+stored as its dense ``d^2 x d^2`` matrix, except the generator of a model:
+``liouvillian`` keeps the model's ``H`` and jumps, as a stack of one, and
+its ``matrix`` is built by ``_liouvillians`` on the first read, then kept.
+The analysis pass and the dynamics form it without reading its matrix
+(``_form``); only ``dynamics.propagator`` reads it.
 
 Every kernel runs on one layout (``_sector_form``): the real form
 ``2^-e U^dag M U`` of each generator of a stack, split into the exact
@@ -23,22 +28,30 @@ symmetry sectors of the stack where that pays, as blocks with their table
 of sectors; a generator that does not split is one block, so every kernel
 takes one form. It has two inputs. ``_sector_form`` gathers from dense
 ``n x n`` generators the four entries that the real form combines for
-every pair of basis slots; ``_form`` is it for one Superoperator, the
-form that the analysis pass and the dynamics take. ``_operator_blocks``
-builds no ``n x n`` matrix: it forms those entries from the ``d x d``
-entries of ``H``, ``L_k`` and ``L_k^dag L_k`` of a stack, for only the
-slot pairs inside the sectors that their patterns allow. It serves
-sweeps (``_sector_blocks``, a chunk of points), and the structured
-report, which forms the dissipator from the same entries with ``H = 0``
-and the jump map with zeros in place of ``L_k^dag L_k`` too. Both inputs
-go to one tail, ``_form_blocks`` (the prescale, the sums with
-conjugates, the real-form test, the pattern and its sectors, and the
-fill of the blocks), so the two routes agree bit for bit.
-``_block_spectrum`` takes the eigenvalues of a form, one eigensolve per
-size of block.
+every pair of basis slots. ``_operator_blocks`` builds no ``n x n``
+matrix: it forms those entries from the ``d x d`` entries of ``H``,
+``L_k`` and ``L_k^dag L_k`` of a stack, for only the slot pairs inside the
+sectors that their patterns allow. It serves sweeps (``_sector_blocks``,
+a chunk of points). ``_operator_form`` forms one model's maps by the route
+that suits them: from those entries where the patterns split the maps,
+and otherwise from their dense matrices, built, formed and dropped.
+``_form`` is the one form that the analysis pass and the dynamics take of
+a Superoperator: ``_operator_form`` of a model's generator, whose matrix
+is then never built, and ``_sector_form`` of any other's matrix. The
+structured report takes ``_operator_form`` of the dissipator, with ``H =
+0``, and of the jump map, with zeros in place of ``L_k^dag L_k`` too. Both
+inputs go to one tail, ``_form_blocks`` (the prescale, the sums with
+conjugates, the real-form test, the pattern and its sectors, and the fill
+of the blocks), so every route agrees bit for bit. ``_block_spectrum``
+takes the eigenvalues of a form, one eigensolve per size of block.
 
 All values are immutable after construction (arrays are frozen), so they
-are safe to share across threads.
+are safe to share across threads. Two attributes of a Superoperator are
+set lazily, on first use: the matrix of a model's generator and the
+metrics of the analysis pass (``metrics.compute_metrics``). Threads that
+race to set one each compute it, from the same frozen inputs to the same
+bits, and any one of them may be kept; a reader sees either no value or a
+whole one.
 """
 
 from __future__ import annotations
@@ -50,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, ModelError, NumericalError, RangeError
+from .errors import ConfigError, DimensionError, ModelError, RangeError
 from .linalg import (_eigenvalues, as_complex_matrix, dagger, hermiticity_defect,
                      hermiticity_tolerance)
 
@@ -67,10 +80,11 @@ __all__ = [
     "apply",
 ]
 
-# At the cap a generator is (32^2) x (32^2). The analysis pass and the
-# dynamics work on its sector blocks (_sector_form); a dense complex
-# exponential of the whole, which only dynamics.propagator takes, costs
-# about 2 s there.
+# At the cap a generator is (32^2) x (32^2), 16 MB as a complex matrix. The
+# analysis pass and the dynamics work on its sector blocks (_form), and a
+# model's generator builds that matrix only when it is read, as
+# dynamics.propagator does for its dense complex exponential of the whole,
+# which costs about 2 s there.
 DEFAULT_DIM_CAP = 32
 
 
@@ -144,7 +158,15 @@ def _make_hermitian(h: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Superoperator:
-    """A linear map on operators, stored as its dense d^2 x d^2 matrix."""
+    """A linear map on operators, with its dense d^2 x d^2 ``matrix``.
+
+    ``Superoperator(dim, matrix)`` stores a frozen complex copy of
+    ``matrix``. The generator that ``liouvillian`` makes of a model stores
+    the model's ``H`` and jumps instead, and builds ``matrix`` on its first
+    read, then keeps it, frozen; an entry beyond double precision makes
+    that read a RangeError. The analysis pass and the dynamics form such a
+    generator from its operators (``_form``), so they never build it.
+    """
 
     dim: int
     matrix: np.ndarray
@@ -154,6 +176,23 @@ class Superoperator:
             raise ModelError(f"dimension must be positive, got {self.dim}")
         m = as_complex_matrix(self.matrix, self.dim**2, self.dim**2)
         object.__setattr__(self, "matrix", _frozen(m))
+
+    def __repr__(self) -> str:
+        # the dataclass repr would read, and so build, a model's matrix
+        matrix = self.__dict__.get("matrix")
+        shown = "<built on first read>" if matrix is None else repr(matrix)
+        return f"{type(self).__qualname__}(dim={self.dim!r}, matrix={shown})"
+
+    def __getattr__(self, name: str):
+        # called only for an attribute that is not set, as the matrix of a
+        # model's generator is until its first read
+        operators = self.__dict__.get("_operators")
+        if name != "matrix" or operators is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        h, jumps = operators
+        m = _frozen(_liouvillians(h, jumps, _jump_squares(jumps)))[0]
+        object.__setattr__(self, "matrix", m)
+        return m
 
 
 def vectorize(a) -> np.ndarray:
@@ -435,8 +474,19 @@ def _sector_form(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _form(s: Superoperator) -> tuple[np.ndarray, int, np.ndarray]:
     """``_sector_form`` of the generator ``s``, with ``e`` as an int: the one
-    form that the pass and the dynamics take of a Superoperator."""
-    a, e, table = _sector_form(s.matrix[None])
+    form that the pass and the dynamics take of a Superoperator.
+
+    The generator of a model (``liouvillian``) is formed from its ``H``
+    and jumps by ``_operator_form``, bit for bit as from its matrix, which
+    is not built; a generator with an entry beyond double precision is a
+    RangeError here. Any other Superoperator is formed from its matrix.
+    """
+    operators = s.__dict__.get("_operators")
+    if operators is None:
+        a, e, table = _sector_form(s.matrix[None])
+    else:
+        h, jumps = operators
+        a, e, table = _operator_form(h, jumps, _jump_squares(jumps))
     return a, int(e[0]), table
 
 
@@ -484,9 +534,17 @@ def _entry_plan(dim: int, pairs: np.ndarray) -> tuple:
     return tuple(_frozen(x) for x in plan)
 
 
+def _pattern_key(h: np.ndarray, jumps: np.ndarray, jdj: np.ndarray) -> bytes:
+    """The key of ``_candidate_pairs`` for a stack: the pattern of ``H`` and
+    every ``J_k`` over the stack, then that of each ``L_k``, packed."""
+    ops = np.concatenate([((h != 0).any(axis=0) | (jdj != 0).any(axis=(0, 1)))[None],
+                          (jumps != 0).any(axis=0)])
+    return np.packbits(ops).tobytes()
+
+
 @functools.lru_cache(maxsize=16)
-def _candidates(dim: int, key: bytes | None) -> tuple:
-    """The slot pairs to form for the ``d x d`` patterns packed in ``key``, with their entry plan.
+def _candidate_pairs(dim: int, key: bytes) -> np.ndarray | None:
+    """The slot pairs inside the sectors that the ``d x d`` patterns packed in ``key`` allow.
 
     ``key`` packs the pattern of ``H`` or of any ``L_k^dag L_k``, then that
     of each ``L_k``. ``M[(i,j),(k,l)]`` sums ``I[j,l] H[i,k]``,
@@ -494,31 +552,42 @@ def _candidates(dim: int, key: bytes | None) -> tuple:
     ``L_k^dag L_k``, so it is zero unless a term has two nonzero factors.
     The slot pairs with such an entry give a pattern of the real form that
     holds every nonzero, and its sectors hold those of the generators.
-    The pairs are those inside these sectors: every pair when they are
-    one, when their split does not pay, or for ``key`` None, and then the
-    result is that of ``key`` None.
+    Returns the pairs inside these sectors, or None when they are one or
+    their split does not pay. No entry plan is formed.
     """
     n, (rows, cols, _) = dim * dim, _basis_index(dim)
     r = rows.shape[1]
-    if key is None:
-        pairs = np.arange(r * r)
-    else:
-        ops = np.unpackbits(np.frombuffer(key, np.uint8)).astype(bool)
-        ops = ops[: len(ops) // n * n].reshape(-1, dim, dim)
-        eye = np.eye(dim, dtype=bool)
-        linked = np.kron(eye, ops[0]) | np.kron(ops[0].T, eye)
-        for jump in ops[1:]:
-            linked |= np.kron(jump, jump)
-        held = linked.reshape(n * n)[rows * n + cols].any(axis=0)
-        table = _table_of((held,) * 4, dim)
-        if table is None:
+    ops = np.unpackbits(np.frombuffer(key, np.uint8)).astype(bool)
+    ops = ops[: len(ops) // n * n].reshape(-1, dim, dim)
+    eye = np.eye(dim, dtype=bool)
+    linked = np.kron(eye, ops[0]) | np.kron(ops[0].T, eye)
+    for jump in ops[1:]:
+        linked |= np.kron(jump, jump)
+    held = linked.reshape(n * n)[rows * n + cols].any(axis=0)
+    table = _table_of((held,) * 4, dim)
+    if table is None:
+        return None
+    inside = np.zeros(r * r, dtype=bool)
+    inside[_pair_of(*_block_entries(table, n)[1:], dim)] = True
+    return _frozen(np.flatnonzero(inside))
+
+
+@functools.lru_cache(maxsize=16)
+def _candidates(dim: int, key: bytes | None) -> tuple:
+    """The slot pairs to form for the ``d x d`` patterns packed in ``key``, with their entry plan.
+
+    The pairs are those of ``_candidate_pairs``, or every pair when it
+    gives None or for ``key`` None, and then the result is that of ``key``
+    None.
+    """
+    pairs = None if key is None else _candidate_pairs(dim, key)
+    if pairs is None:
+        if key is not None:
             # every pair: the keys that take them all share one plan, of
             # about 76 MB at d = 32
             return _candidates(dim, None)
-        inside = np.zeros(r * r, dtype=bool)
-        inside[_pair_of(*_block_entries(table, n)[1:], dim)] = True
-        pairs = np.flatnonzero(inside)
-    return _frozen(pairs), _entry_plan(dim, pairs)
+        pairs = _frozen(np.arange((dim * (dim + 1) // 2) ** 2))
+    return pairs, _entry_plan(dim, pairs)
 
 
 @functools.lru_cache(maxsize=16)
@@ -621,22 +690,44 @@ def _operator_blocks(h: np.ndarray, jumps: np.ndarray, jdj: np.ndarray) -> tuple
     candidates split while its maps are one block forms every pair. A map
     with an entry beyond double precision is a RangeError.
     """
+    key = _pattern_key(h, jumps, jdj)
+    form = _pair_blocks(h, jumps, jdj, key)
+    return form if form is not None else _pair_blocks(h, jumps, jdj, None)
+
+
+def _pair_blocks(h: np.ndarray, jumps: np.ndarray, jdj: np.ndarray, key: bytes | None):
+    """``_form_blocks`` of the entries of the maps of ``_operator_blocks`` on
+    the slot pairs of ``_candidates(d, key)``: None where it gives None."""
     k, d = h.shape[0], h.shape[-1]
     n = d * d
+    plan = _candidates(d, key)[1]
+    m = _generator_entries(h.reshape(k, n), jumps.reshape(k, -1, n), jdj.reshape(k, -1, n), plan)
     # h, the jumps and jdj are finite, so an entry outside the candidates
     # is a zero
-    ops = np.concatenate([((h != 0).any(axis=0) | (jdj != 0).any(axis=(0, 1)))[None],
-                          (jumps != 0).any(axis=0)])
-    h, jumps, jdj = h.reshape(k, n), jumps.reshape(k, -1, n), jdj.reshape(k, -1, n)
-    for key in (np.packbits(ops).tobytes(), None):
-        plan = _candidates(d, key)[1]
-        m = _generator_entries(h, jumps, jdj, plan)
-        if not np.isfinite(m).all():
-            raise RangeError(_OVERFLOW)
-        g = np.take(m, plan[-1][:, None] + m.shape[1] * np.arange(k)[:, None])
-        form = _form_blocks(g, m, d, key)
+    if not np.isfinite(m).all():
+        raise RangeError(_OVERFLOW)
+    g = np.take(m, plan[-1][:, None] + m.shape[1] * np.arange(k)[:, None])
+    return _form_blocks(g, m, d, key)
+
+
+def _operator_form(h: np.ndarray, jumps: np.ndarray, jdj: np.ndarray) -> tuple:
+    """``_operator_blocks`` of a stack, bit for bit, by the route that suits it.
+
+    Where the ``d x d`` patterns split the maps (``_candidate_pairs``) and
+    the maps are more than one block, it is ``_operator_blocks``, which
+    forms the entries of the candidate pairs alone. Otherwise the dense
+    maps are built (``_liouvillians``), formed by ``_sector_form`` and
+    dropped: where nothing splits, that is faster at d = 32 than forming
+    every pair, and it needs no entry plan of every pair (``_candidates(d,
+    None)``, about 76 MB at d = 32). Sweeps, whose stacks at d = 2 form
+    every pair faster than a dense build, take ``_operator_blocks`` itself.
+    """
+    key = _pattern_key(h, jumps, jdj)
+    if _candidate_pairs(h.shape[-1], key) is not None:
+        form = _pair_blocks(h, jumps, jdj, key)
         if form is not None:
             return form
+    return _sector_form(_liouvillians(h, jumps, jdj))
 
 
 def _hermitian_coords(rho: np.ndarray) -> np.ndarray:
@@ -655,7 +746,9 @@ def _hermitian_coords(rho: np.ndarray) -> np.ndarray:
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.kron`` of square matrices, the same products without its overhead.
 
-    Leading axes are stacks, broadcast against each other.
+    Leading axes are stacks, broadcast against each other. The products
+    take the memory order of the operands, so for a transposed operand the
+    reshape copies them.
     """
     d, k = a.shape[-1], b.shape[-1]
     products = a[..., :, None, :, None] * b[..., None, :, None, :]
@@ -665,47 +758,65 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _OVERFLOW = "the generator overflows double precision; rescale the model"
 
 
-def _liouvillians(h: np.ndarray, jumps: np.ndarray) -> np.ndarray:
-    """The generator matrices of a stack of points, ``(m, d^2, d^2)``.
+def _liouvillians(h: np.ndarray, jumps: np.ndarray, jdj: np.ndarray) -> np.ndarray:
+    """The matrices of the maps of ``_operator_blocks`` of a stack, ``(m, d^2, d^2)``.
 
-    ``h`` holds the points' Hamiltonians, ``(m, d, d)``, and ``jumps``
-    their jump operators, ``(m, K, d, d)``; the generators are built by the
-    formula of ``liouvillian`` in one pass over the stack. A generator with
-    an entry beyond double precision comes out with inf or nan entries, and
-    no numpy warning; the caller rejects the stack.
+    ``h`` holds the points' Hamiltonians, ``(m, d, d)``, ``jumps`` their
+    jump operators and ``jdj`` the ``J_k``, both ``(m, K, d, d)``. With
+    ``J_k = L_k^dag L_k`` (``_jump_squares``) these are the generators, by
+    the formula of ``liouvillian``, built in one pass over the stack. Each
+    term takes one ``n x n`` temporary besides the result. A map with an
+    entry beyond double precision is a RangeError, with no numpy warning.
     """
     d = h.shape[-1]
     eye = np.eye(d, dtype=complex)
+
+    def transposed(x):
+        # a C-ordered copy: the products of a transposed view would take its
+        # order, and _kron's reshape would copy them; products with entries
+        # of the identity are exact, so their bits do not depend on the order
+        return np.ascontiguousarray(x.swapaxes(-1, -2))
+
     with np.errstate(over="ignore", invalid="ignore"):
         m = _kron(eye, h)
-        m -= _kron(h.swapaxes(-1, -2), eye)
+        m -= _kron(transposed(h), eye)
         m *= -1j
-        for k in range(jumps.shape[1]):
-            jump = jumps[:, k]
-            jdj = jump.conj().swapaxes(-1, -2) @ jump
+        for jump, square in zip(jumps.swapaxes(0, 1), jdj.swapaxes(0, 1)):
             m += _kron(jump.conj(), jump)
-            m -= 0.5 * _kron(eye, jdj)
-            m -= 0.5 * _kron(jdj.swapaxes(-1, -2), eye)
+            # 0.5 t in place, as _generator_entries takes it: the same
+            # products, and each temporary is released before the next
+            t = _kron(eye, square)
+            m -= np.multiply(0.5, t, out=t)
+            del t
+            t = _kron(transposed(square), eye)
+            m -= np.multiply(0.5, t, out=t)
+            del t
+    if not np.isfinite(m).all():
+        raise RangeError(_OVERFLOW)
     return m
 
 
 def liouvillian(model: LindbladModel) -> Superoperator:
-    """Matrix of rho -> -i[H, rho] + sum_k (L_k rho L_k^dag - {L_k^dag L_k, rho}/2).
+    """The generator rho -> -i[H, rho] + sum_k (L_k rho L_k^dag - {L_k^dag L_k, rho}/2).
 
-    Under column stacking this is
+    Under column stacking its matrix is
         -i (kron(I, H) - kron(H.T, I))
         + sum_k [ kron(conj(L_k), L_k)
                   - kron(I, L_k^dag L_k)/2 - kron((L_k^dag L_k).T, I)/2 ].
 
-    It is ``_liouvillians`` of a stack of one. A generator with an entry
-    beyond double precision is a RangeError.
+    The Superoperator keeps the model's ``H`` and jumps, as a stack of
+    one, and builds that matrix, ``_liouvillians`` of them, on the first
+    read of its ``matrix``. The analysis pass and the dynamics form the
+    generator from the operators instead (``_form``). A generator with an
+    entry beyond double precision is a RangeError from the first read of
+    its matrix or the first call that forms it.
     """
     d = model.dim
+    s = object.__new__(Superoperator)
+    object.__setattr__(s, "dim", d)
     jumps = np.array(model.jumps).reshape(1, len(model.jumps), d, d)
-    try:
-        return Superoperator(d, _liouvillians(model.hamiltonian[None], jumps)[0])
-    except NumericalError:
-        raise RangeError(_OVERFLOW) from None
+    object.__setattr__(s, "_operators", (model.hamiltonian[None], _frozen(jumps)))
+    return s
 
 
 def adjoint(s: Superoperator) -> Superoperator:

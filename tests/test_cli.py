@@ -993,6 +993,20 @@ class TestExtremeMagnitudes:
             "error: the generator overflows double precision; rescale the model\n"
         )
 
+    @pytest.mark.parametrize("t_end", ["inf", "0", "-1", "1.0"])
+    def test_overflow_reported_before_the_grid(self, tmp_path, capsys, t_end):
+        # the generator is formed only by the series, yet its overflow is
+        # reported before an invalid --t-end, as when the build came first
+        payload = {"dim": 2, "hamiltonian": [[0, 0], [0, 0]],
+                   "jumps": [{"matrix": [[1e200, 0], [0, -1e200]]}]}
+        path = write(tmp_path, "m.json", payload)
+        assert main(["series", path, f"--t-end={t_end}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the generator overflows double precision; rescale the model\n"
+        )
+
     @pytest.mark.parametrize(
         "rate, message",
         [("Infinity", "rate must be a finite nonnegative number"),

@@ -104,6 +104,24 @@ class TestTimeGrid:
     def test_numpy_integer_steps(self):
         np.testing.assert_array_equal(TimeGrid(0.0, 1.0, np.int64(2)).times, [0.0, 0.5, 1.0])
 
+    @pytest.mark.parametrize(
+        "t_start, t_end, name",
+        [(0.0, "1", "t_end"), ("0", 1.0, "t_start"), (None, 1.0, "t_start"),
+         (0.0, None, "t_end"), (0.0, 1j, "t_end"), (0.0, np.complex128(1.0), "t_end"),
+         (True, 2.0, "t_start"), (0.0, True, "t_end"), (np.bool_(False), 1.0, "t_start")],
+    )
+    def test_non_number_times_rejected(self, t_start, t_end, name):
+        # a str, None or complex time would reach a comparison or
+        # math.isfinite as an untyped TypeError, and a bool passed as 0 or 1
+        value = t_start if name == "t_start" else t_end
+        with pytest.raises(ConfigError) as caught:
+            TimeGrid(t_start, t_end, 3)
+        assert str(caught.value) == f"{name} must be a real number, got {value!r}"
+
+    def test_numpy_and_int_times(self):
+        for t_start, t_end in [(0, 2), (np.int64(0), np.float32(2.0)), (np.float64(0.0), 2)]:
+            np.testing.assert_array_equal(TimeGrid(t_start, t_end, 2).times, [0.0, 1.0, 2.0])
+
     def test_default_grid_overflowing_timescale(self):
         # delta ~ 2e-320 is dissipative at its own scale, but 5/delta overflows
         with pytest.raises(RangeError, match="timescale"):
@@ -723,6 +741,34 @@ def _block_route_generators():
     ]
     generators = [liouvillian(model) for model in models]
     return generators + [Superoperator(d, random_complex(rng, d * d)) for d in (2, 3)]
+
+
+class TestModelRoute:
+    """A model's generator reaches the pass and the dynamics with no dense
+    generator: the named kinds that split form their blocks from H and the
+    jumps."""
+
+    @pytest.mark.parametrize(
+        "model", [jaynes_cummings(n_max=3), multi_qubit_dephasing([0.1, 0.3, 0.6])],
+        ids=["jc", "mqd"],
+    )
+    def test_no_dense_generator(self, monkeypatch, model):
+        import lindscope.superop
+
+        def refused(*args):
+            raise AssertionError("a dense generator was formed")
+
+        monkeypatch.setattr(lindscope.superop, "_liouvillians", refused)
+        monkeypatch.setattr(lindscope.superop, "_sector_form", refused)
+        s = liouvillian(model)
+        m = compute_metrics(s)
+        t = 1.0 / m.generator_norm
+        grid = TimeGrid(0.0, t, 4)
+        assert amplification_series(s, grid).prop_norm[0] == 1.0
+        assert spectral_abscissa(s) <= 1e-12 * m.generator_norm
+        assert gronwall_check(s, np.eye(s.dim) / s.dim, grid) >= -1e-12
+        assert error_amplification(s, t, 1.0) >= 1.0 - 1e-12
+        assert "matrix" not in vars(s)
 
 
 class TestBlockRoute:

@@ -54,7 +54,7 @@ from lindscope import (
 )
 from lindscope.cli import parse_model_file
 from lindscope.metrics import _block_pass, _matched_distance, eta_tolerance, zero_tolerance
-from lindscope.superop import _OVERFLOW, _liouvillians, _sector_form, decompose
+from lindscope.superop import _OVERFLOW, _jump_squares, _liouvillians, _sector_form, decompose
 
 
 def metrics_of(model):
@@ -583,10 +583,12 @@ class TestOnePass:
 
 
 def _stacked(models):
-    """The Hamiltonians and jumps of models of one shape, as the stacks of ``_liouvillians``."""
+    """The Hamiltonians, jumps and ``L_k^dag L_k`` of models of one shape, as the
+    stacks of ``_liouvillians``."""
     d, k = models[0].dim, len(models[0].jumps)
     h = np.array([model.hamiltonian for model in models])
-    return h, np.array([model.jumps for model in models]).reshape(len(models), k, d, d)
+    jumps = np.array([model.jumps for model in models]).reshape(len(models), k, d, d)
+    return h, jumps, _jump_squares(jumps)
 
 
 def _bits(m):

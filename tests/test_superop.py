@@ -41,10 +41,14 @@ from lindscope import (
 )
 from lindscope.cli import main
 from lindscope.errors import RangeError
+from lindscope.metrics import structured_dissipator_report
 from lindscope.models import ModelSpec, _stack
 from lindscope.superop import (
-    _OVERFLOW,
+    _candidate_pairs,
+    _candidates,
+    _form,
     _hermitian_coords,
+    _jump_squares,
     _liouvillians,
     _sector_blocks,
     _sector_form,
@@ -478,10 +482,7 @@ class TestHermitianForm:
 
 def _dense_route(h, jumps):
     """The sector form of the dense generators, as sweeps took it before ``_sector_blocks``."""
-    m = _liouvillians(h, jumps)
-    if not np.isfinite(m).all():
-        raise RangeError(_OVERFLOW)
-    return _sector_form(m)
+    return _sector_form(_liouvillians(h, jumps, _jump_squares(jumps)))
 
 
 def _assert_same_blocks(h, jumps):
@@ -631,3 +632,122 @@ class TestSectorBlocks:
         assert captured.out == ""
         assert captured.err == f"error: gamma_z = 1e+300: {dense.value}\n"
         assert captured.err.startswith("error: gamma_z = 1e+300: eta is about")
+
+
+def _models_of(kind, params, param, values):
+    """One model per point of a stack of ``_stack``."""
+    h, jumps = _sweep_stack(kind, params, param, values)
+    d = h.shape[-1]
+    return [LindbladModel(d, h[i], tuple(jumps[i])) for i in range(len(h))]
+
+
+def _overflow_models():
+    """The models of ``test_overflow_raises_as_dense``, one per point."""
+    models = [
+        model
+        for kind, params, param, values in [
+            ("dephasing_relaxation", {"gamma_z": 1.0}, "gamma_minus", [1e308, 1.7e308]),
+            ("dephasing_relaxation", {"gamma_minus": 1.0}, "gamma_z", [1.0, 1.7e308]),
+            ("pauli_channel", {}, "gamma_y", [1e308]),
+        ]
+        for model in _models_of(kind, params, param, values)
+    ]
+    jump = np.zeros((3, 3), dtype=complex)
+    jump[0, 2] = 1e200
+    return [*models, LindbladModel(3, np.zeros((3, 3)), (jump,))]
+
+
+def _model_form_cases():
+    """Every named kind, damped jaynes_cummings, random models at d = 1-8,
+    and the overflow cases, by name."""
+    cases = [(kind, _models_of(kind, params, names[0], [0.7])[0])
+             for kind, (params, names) in _SWEEPABLE.items()]
+    cases += [(f"damped-jc-{n_max}", damped_jaynes_cummings(n_max)) for n_max in (3, 7)]
+    rng = np.random.default_rng(90)
+    cases += [(f"random-{d}", random_model(rng, d=d)) for d in range(1, 9)]
+    cases += [(f"overflow-{i}", model) for i, model in enumerate(_overflow_models())]
+    return cases
+
+
+class TestModelForm:
+    """A model's generator is formed from H and the jumps, bit for bit as
+    from its dense matrix, which it builds only when it is read."""
+
+    @pytest.mark.parametrize("name, model", _model_form_cases(),
+                             ids=[name for name, _ in _model_form_cases()])
+    def test_equals_dense_form(self, name, model):
+        # blocks, exponent and table bit for bit, signs of zeros included,
+        # or the same RangeError text
+        try:
+            want = _sector_form(liouvillian(model).matrix[None])
+        except RangeError as exc:
+            with pytest.raises(RangeError) as got:
+                _form(liouvillian(model))
+            assert str(got.value) == str(exc)
+            return
+        a, e, table = _form(liouvillian(model))
+        assert isinstance(e, int) and e == int(want[1][0])
+        for g, w in ((a, want[0]), (table, want[2])):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+    def test_matrix_built_on_first_read(self):
+        # after the pass, a generator that does not split holds no n x n
+        # array; its matrix, once read, is frozen and is the dense build
+        rng = np.random.default_rng(91)
+        model = LindbladModel(4, random_hermitian(rng, 4), (random_complex(rng, 4),))
+        s = liouvillian(model)
+        compute_metrics(s)
+        n = model.dim**2
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                return [value]
+            if isinstance(value, tuple):
+                return [a for v in value for a in arrays(v)]
+            return []
+
+        held = [a for value in vars(s).values() for a in arrays(value)]
+        assert held and all(a.size < n * n for a in held)
+        m = s.matrix
+        assert not m.flags.writeable and s.matrix is m
+        jumps = np.array(model.jumps)[None]
+        want = _liouvillians(model.hamiltonian[None], jumps, _jump_squares(jumps))[0]
+        assert m.dtype == want.dtype and m.tobytes() == want.tobytes()
+
+    def test_repr_builds_no_matrix(self):
+        # the repr of a generator whose matrix is not built reads none, so
+        # an overflowing one prints; a built or raw matrix prints as such
+        jump = np.zeros((2, 2), dtype=complex)
+        jump[0, 0] = 1e200
+        s = liouvillian(LindbladModel(2, np.zeros((2, 2)), (jump,)))
+        assert repr(s) == "Superoperator(dim=2, matrix=<built on first read>)"
+        assert "matrix" not in vars(s)
+        raw = Superoperator(1, np.ones((1, 1)))
+        assert repr(raw) == f"Superoperator(dim=1, matrix={raw.matrix!r})"
+        s = liouvillian(dephasing(0.3))
+        m = s.matrix
+        assert repr(s) == f"Superoperator(dim=2, matrix={m!r})"
+
+    def test_no_all_pairs_plan(self, monkeypatch):
+        # neither the form nor the report asks for the entry plan of every
+        # slot pair, on models that split and on ones that do not
+        import lindscope.superop
+
+        lengths = []
+        entry_plan = lindscope.superop._entry_plan
+        monkeypatch.setattr(lindscope.superop, "_entry_plan",
+                            lambda dim, pairs: lengths.append((dim, len(pairs)))
+                            or entry_plan(dim, pairs))
+        _candidates.cache_clear()
+        _candidate_pairs.cache_clear()
+        rng = np.random.default_rng(93)
+        unitary = random_unitary(rng, 3)
+        for model in (jaynes_cummings(n_max=3), multi_qubit_dephasing([0.1, 0.2, 0.3]),
+                      dephasing(0.3), random_model(rng, d=4),
+                      LindbladModel(3, np.zeros((3, 3)), (np.sqrt(0.7) * unitary,))):
+            _form(liouvillian(model))
+            structured_dissipator_report(model)
+        _candidates.cache_clear()
+        assert lengths
+        assert all(length < (dim * (dim + 1) // 2) ** 2 for dim, length in lengths)
