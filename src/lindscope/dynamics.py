@@ -14,6 +14,14 @@ provable invariant asserted in tests; the dissipative-strength variant is
 then exp(t * (alpha - delta)) <= 1. Keeping both makes transient growth
 visible relative to either baseline.
 
+For the generator of a model, alpha is exactly 0 (Lindblad 1976): trace
+preservation puts 0 in the spectrum, and a CPTP semigroup has no eigenvalue
+with a positive real part. ``liouvillian`` keeps that value on the
+generator, so ``spectral_abscissa`` runs no eigensolve for it, and
+``a_spectral`` is ``prop_norm`` bit for bit. A computed abscissa would be
+roundoff of either sign, positive (unphysical) for about half of random
+models. Only a raw ``Superoperator`` has its spectrum taken.
+
 Along a uniform time grid the propagators are built by stepping: two
 exponentials per grid, ``P_0 = exp(t_start S)`` and ``E = exp(h S)`` with
 ``h = (t_end - t_start) / steps``, then ``P_{k+1} = E @ P_k``. Only
@@ -62,15 +70,16 @@ then stay zero in every product. ``error_amplification``,
 ``truncated_appg_bound`` and ``normal_factorization_residual`` take the
 same exponential as the series' first point, and the residual takes those
 of ``S_herm`` and ``S_skew`` from the blocks ``(a + a^dag)/2`` and ``(a -
-a^dag)/2``, which the unitary basis allows. The spectral abscissa is taken
-with the padding cut off, since a padded row would add a zero eigenvalue:
-one batched eigensolve per group of blocks of one true size
-(``superop._block_spectrum``, which the structured-dissipator report
-shares). ``gronwall_check`` steps the blocks as well, with the coordinates
-of ``rho0`` gathered by the table. Against the whole matrix, the norms move
-by a few ulps (3.5e-15 relative at most for ``jaynes_cummings`` at ``n_max
-= 7``). ``propagator`` alone exponentiates the whole ``n x n`` matrix,
-since it returns ``exp(t S)`` as a dense ``Superoperator``.
+a^dag)/2``, which the unitary basis allows. The spectral abscissa of a raw
+``Superoperator`` is taken on its blocks with the padding cut off, since a
+padded row would add a zero eigenvalue: one batched eigensolve per group of
+blocks of one true size (``superop._block_spectrum``, which the
+structured-dissipator report shares). ``gronwall_check`` steps the blocks
+as well, with the coordinates of ``rho0`` gathered by the table. Against
+the whole matrix, the norms move by a few ulps (3.5e-15 relative at most
+for ``jaynes_cummings`` at ``n_max = 7``). ``propagator`` alone
+exponentiates the whole ``n x n`` matrix, since it returns ``exp(t S)`` as
+a dense ``Superoperator``.
 """
 
 from __future__ import annotations
@@ -300,12 +309,20 @@ def propagator(s: Superoperator, t: float) -> Superoperator:
 def spectral_abscissa(s: Superoperator) -> float:
     """Largest real part over the generator's eigenvalues.
 
-    The spectrum is taken in the Hermitian operator basis, where a
-    Lindbladian is a real matrix; the basis is unitary, so the spectrum is
-    that of ``S``. It is ``superop._block_spectrum`` of ``_form(s)``, one
-    batched eigensolve per size of block.
+    For the generator of a model (``liouvillian``) it is exactly 0.0, which
+    that generator keeps: the trace is preserved, so 0 is an eigenvalue,
+    and a CPTP semigroup has no eigenvalue with a positive real part. So no
+    form is taken and no eigensolve runs, and a generator with an entry
+    beyond double precision gives 0.0 here too, where every call that
+    forms it is a RangeError.
+
+    For any other Superoperator the spectrum is taken in the Hermitian
+    operator basis; the basis is unitary, so the spectrum is that of
+    ``S``. It is ``superop._block_spectrum`` of ``_form(s)``, one batched
+    eigensolve per size of block, and is computed on every call.
     """
-    return float(_block_spectrum(*_form(s)).real.max())
+    alpha = getattr(s, "_abscissa", None)
+    return float(_block_spectrum(*_form(s)).real.max()) if alpha is None else alpha
 
 
 def _appg(m: StructuralMetrics, times: np.ndarray, prop: np.ndarray) -> tuple:
@@ -328,14 +345,17 @@ def amplification_series(s: Superoperator, grid: TimeGrid) -> AmplificationSerie
     one Gram product and one Hermitian eigensolve, and no SVD. The norms are
     taken one point at a time, so no more than a few n x n matrices are
     alive at once. The drift from direct exponentials stays below about
-    ``steps * 1e-16`` relative. Raises RangeError when ``t_start * ||S||``
-    or the step ``h * ||S||`` exceeds EXP_SAFE_NORM.
+    ``steps * 1e-16`` relative. ``alpha`` is ``spectral_abscissa(s)``: 0.0
+    for the generator of a model, whose ``a_spectral`` is then
+    ``prop_norm`` bit for bit, and the spectrum of a raw Superoperator,
+    which forms it a second time. Raises RangeError when ``t_start *
+    ||S||`` or the step ``h * ||S||`` exceeds EXP_SAFE_NORM.
     """
     m = compute_metrics(s)
     a, e, table = _form(s)
     propagators = _stepped_propagators(a, e, table, grid, m.generator_norm)
     prop = np.array([_propagator_norm(p) for p in propagators])
-    alpha = float(_block_spectrum(a, e, table).real.max())
+    alpha = spectral_abscissa(s)
 
     times = grid.times
     with np.errstate(over="ignore"):

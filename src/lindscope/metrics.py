@@ -19,7 +19,9 @@ Zero tests are relative: ``delta`` counts as zero below
 makes every classification invariant under rescaling the generator. The
 structured-dissipator report counts ``sum_k L_k^dag L_k`` as ``gamma I``,
 ``gamma`` its mean eigenvalue, when it is within ``STRUCTURED_ATOL * gamma``
-of it, so it too is the same at every rate scale.
+of it, so it too is the same at every rate scale; it runs on the
+``L_k^dag L_k`` prescaled by one exact power of two, so their sum cannot
+overflow.
 
 ``compute_metrics`` computes them all in one pass, including the two-route
 cross-check of ``eta``; the single-number functions read its result. Every
@@ -437,8 +439,13 @@ def structured_dissipator_report(model: LindbladModel) -> StructuredDissipatorRe
     ``sum_k L_k^dag L_k`` is taken as ``gamma I``, ``gamma`` its mean
     eigenvalue, when its distance from it is at most
     ``STRUCTURED_ATOL * gamma``, a relative test; a model without jumps is
-    structured with ``gamma = 0``. An ``L_k^dag L_k`` beyond double
-    precision is a RangeError.
+    structured with ``gamma = 0``. The test runs on the ``L_k^dag L_k``
+    prescaled by the exact power of two that brings their largest real or
+    imaginary part into [1/2, 1), so the sum of the ``K`` of them is at
+    most ``K`` in each part and cannot overflow; ``gamma`` is then scaled
+    back exactly. The test is relative, so the prescale changes no answer.
+    An ``L_k^dag L_k``, or the ``gamma`` of a structured model, beyond
+    double precision is a RangeError.
 
     Both spectra come from sector blocks (``superop._operator_form``): the
     dissipator's from the jumps and the same ``L_k^dag L_k`` that ``gamma``
@@ -452,11 +459,17 @@ def structured_dissipator_report(model: LindbladModel) -> StructuredDissipatorRe
     d = model.dim
     jumps = np.array(model.jumps).reshape(1, len(model.jumps), d, d)
     jdj = _jump_squares(jumps)
-    total = sum(jdj[0], np.zeros((d, d), dtype=complex))
+    f = math.frexp(float(np.abs(jdj.view(np.float64)).max(initial=0.0)))[1]
+    total = sum(np.ldexp(jdj.view(np.float64), -f).view(jdj.dtype)[0],
+                np.zeros((d, d), dtype=complex))
     gamma = float(np.trace(total).real) / d
     deviation = hermitian_norm(total - gamma * np.eye(d))
     if gamma < 0 or deviation > STRUCTURED_ATOL * gamma:
         return StructuredDissipatorReport(is_structured=False)
+    try:
+        gamma = math.ldexp(gamma, f)
+    except OverflowError:
+        raise RangeError("gamma overflows double precision; rescale the model") from None
     zero = np.zeros((1, d, d), dtype=complex)
     jump_spectrum, dissipator_spectrum = (
         np.sort_complex(_block_spectrum(*_operator_form(zero, jumps, squares)))

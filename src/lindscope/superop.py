@@ -165,7 +165,8 @@ class Superoperator:
     the model's ``H`` and jumps instead, and builds ``matrix`` on its first
     read, then keeps it, frozen; an entry beyond double precision makes
     that read a RangeError. The analysis pass and the dynamics form such a
-    generator from its operators (``_form``), so they never build it.
+    generator from its operators (``_form``), so they never build it. It
+    also keeps its spectral abscissa, which is exactly 0 (``liouvillian``).
     """
 
     dim: int
@@ -810,12 +811,18 @@ def liouvillian(model: LindbladModel) -> Superoperator:
     generator from the operators instead (``_form``). A generator with an
     entry beyond double precision is a RangeError from the first read of
     its matrix or the first call that forms it.
+
+    It also keeps its spectral abscissa, ``_abscissa``, which is exactly 0
+    for every generator of this form (Lindblad 1976): the trace is
+    preserved, so 0 is an eigenvalue, and the semigroup is a contraction
+    in the trace norm, so no eigenvalue has a positive real part.
     """
     d = model.dim
     s = object.__new__(Superoperator)
     object.__setattr__(s, "dim", d)
     jumps = np.array(model.jumps).reshape(1, len(model.jumps), d, d)
     object.__setattr__(s, "_operators", (model.hamiltonian[None], _frozen(jumps)))
+    object.__setattr__(s, "_abscissa", 0.0)
     return s
 
 

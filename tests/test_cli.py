@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lindscope
@@ -1279,6 +1279,12 @@ def _explicit_model(draw):
     return {"dim": d, "hamiltonian": matrix(draw(st.booleans())), "jumps": jumps}
 
 
+def _overflowing_sum(jump):
+    """An explicit d = 2 model with zero H and two unit-rate copies of ``jump``."""
+    zero = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    return {"dim": 2, "hamiltonian": zero, "jumps": [{"rate": 1.0, "matrix": jump}] * 2}
+
+
 class TestExplicitFuzz:
     """Any explicit matrices at d <= 3 give, through analyze and series, a
     result or a typed error: exit 0, 1 or 2, no traceback, no numpy
@@ -1286,6 +1292,11 @@ class TestExplicitFuzz:
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(model=_explicit_model())
+    # the sum of the L_k^dag L_k overflows: two jumps 1e154 |0><0| are not
+    # structured (analyze exits 0), two jumps 1e154 I have a gamma of 2e308
+    # (analyze exits 1, series 0)
+    @example(model=_overflowing_sum([[[1e154, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]))
+    @example(model=_overflowing_sum([[[1e154, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e154, 0.0]]]))
     def test_explicit_boundary(self, model):
         with tempfile.TemporaryDirectory() as tmp:
             path = write(Path(tmp), "m.json", model)

@@ -48,6 +48,7 @@ from lindscope import (
     truncated_appg_bound,
 )
 from lindscope.linalg import EXP_SAFE_NORM
+from lindscope.superop import _block_spectrum, _form
 
 SHIPPED_NORMAL_MODELS = [
     dephasing(1.0),
@@ -769,6 +770,80 @@ class TestModelRoute:
         assert gronwall_check(s, np.eye(s.dim) / s.dim, grid) >= -1e-12
         assert error_amplification(s, t, 1.0) >= 1.0 - 1e-12
         assert "matrix" not in vars(s)
+
+
+def _abscissa_models():
+    """Every named kind, damped jaynes_cummings and seeded random models at
+    d = 2-8, by name; the last one's generator overflows."""
+    rng = np.random.default_rng(44)
+    models = {
+        "dephasing": dephasing(1.0),
+        "driven_dephasing": driven_dephasing(1.0, 30.0),
+        "relaxation": relaxation(0.7),
+        "dephasing_relaxation": dephasing_relaxation(1.0, 1.0),
+        "pauli_channel": pauli_channel(1.0, 2.0, 3.0),
+        "multi_qubit_dephasing": multi_qubit_dephasing([0.1, 0.3, 0.6]),
+        "hamiltonian_only": hamiltonian_only(random_hermitian(rng, 3)),
+        "jaynes_cummings": jaynes_cummings(n_max=3),
+        "damped_jaynes_cummings": damped_jaynes_cummings(3),
+        **{f"random-{d}": random_model(rng, d=d) for d in range(2, 9)},
+        **{f"seeded-{i}": model for i, model in enumerate(random_models(45, 8))},
+    }
+    jump = np.zeros((3, 3), dtype=complex)
+    jump[0, 2] = 1e200
+    models["overflow"] = LindbladModel(3, np.zeros((3, 3)), (jump,))
+    return models
+
+
+ABSCISSA_MODELS = _abscissa_models()
+FINITE_ABSCISSA_MODELS = sorted(set(ABSCISSA_MODELS) - {"overflow"})
+
+
+class TestModelAbscissa:
+    """The spectral abscissa of a model's generator is exactly 0 (trace
+    preservation and contractivity), kept on the generator: no form and no
+    eigensolve."""
+
+    @pytest.mark.parametrize("name", sorted(ABSCISSA_MODELS))
+    def test_zero_with_no_form_or_eigensolve(self, monkeypatch, name):
+        import lindscope.dynamics
+        import lindscope.superop
+
+        def refused(*args):
+            raise AssertionError("the abscissa formed or eigensolved the generator")
+
+        for module, attr in [
+            (lindscope.superop, "_form"),
+            (lindscope.dynamics, "_form"),
+            (lindscope.superop, "_liouvillians"),
+            (lindscope.dynamics, "_block_spectrum"),
+            (np.linalg, "eigvals"),
+        ]:
+            monkeypatch.setattr(module, attr, refused)
+        s = liouvillian(ABSCISSA_MODELS[name])
+        alpha = spectral_abscissa(s)
+        assert alpha == 0.0 and type(alpha) is float
+        if name == "overflow":
+            # every call that forms this generator raises; the abscissa,
+            # which forms nothing, reads its exact value
+            monkeypatch.undo()
+            with pytest.raises(RangeError, match="overflows"):
+                compute_metrics(s)
+            assert spectral_abscissa(s) == 0.0
+
+    @pytest.mark.parametrize("name", FINITE_ABSCISSA_MODELS)
+    def test_a_spectral_is_prop_norm(self, name):
+        s = liouvillian(ABSCISSA_MODELS[name])
+        series = amplification_series(s, default_grid(s, steps=40))
+        assert series.alpha == 0.0
+        assert series.a_spectral.tobytes() == series.prop_norm.tobytes()
+
+    @pytest.mark.parametrize("name", FINITE_ABSCISSA_MODELS)
+    def test_computed_abscissa_is_roundoff(self, name):
+        # the eigensolve that the exact value replaces, kept as the oracle
+        s = liouvillian(ABSCISSA_MODELS[name])
+        computed = float(_block_spectrum(*_form(s)).real.max())
+        assert abs(computed) <= 1e-14 * compute_metrics(s).generator_norm
 
 
 class TestBlockRoute:

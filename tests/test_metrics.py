@@ -443,6 +443,20 @@ class TestStructuredDissipator:
         assert report.is_structured
         assert report.gamma == 1e150 * 1e150
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_sum_is_prescaled(self):
+        # each L^dag L is 1e308 |0><0|, finite, and their sum 2e308 |0><0|
+        # is not: the prescaled test runs with no numpy warning and finds
+        # it far from gamma I. Two jumps 1e154 I are gamma I, with a gamma of
+        # 2e308 that no double holds: a RangeError that names gamma
+        corner = np.diag([1e154, 0.0]).astype(complex)
+        report = structured_dissipator_report(LindbladModel(2, np.zeros((2, 2)), (corner,) * 2))
+        assert report.is_structured is False
+        identity = 1e154 * np.eye(2, dtype=complex)
+        with pytest.raises(RangeError) as caught:
+            structured_dissipator_report(LindbladModel(2, np.zeros((2, 2)), (identity,) * 2))
+        assert str(caught.value) == "gamma overflows double precision; rescale the model"
+
     @pytest.mark.parametrize(
         "model", [multi_qubit_dephasing([0.1, 0.3, 0.6]), jaynes_cummings(n_max=3)],
         ids=["mqd", "jc"],
@@ -530,8 +544,8 @@ class TestOnePass:
         # the pass's four eigensolves, the two exponentials (start and step),
         # whose range the step check has proven, so they go to the Pade
         # kernel with no range check of their own, then one Gram eigensolve
-        # per grid point and one eigvals for the abscissa, all on float64
-        # matrices, and no SVD
+        # per grid point, all on float64 matrices; no SVD, and no eigvals,
+        # since a model's abscissa is exactly 0
         import lindscope.dynamics
 
         s = liouvillian(random_model(np.random.default_rng(22), d=2))
@@ -552,7 +566,7 @@ class TestOnePass:
         )
         amplification_series(s, TimeGrid(0.0, 1.0, 40))
         assert {k: len(v) for k, v in dtypes.items()} == {
-            "svd": 0, "expm": 2, "eigvalsh": 4 + 41, "eigvals": 1,
+            "svd": 0, "expm": 2, "eigvalsh": 4 + 41, "eigvals": 0,
         }
         assert all(d == np.float64 for v in dtypes.values() for d in v)
 
