@@ -69,9 +69,9 @@ Prints the largest relative deviation of any number per command and exits
 1 on a changed label (a regime or ``appg_satisfied`` flip), a changed exit
 code, standard error or output layout, or a deviation above ``--bound``.
 Standard error is compared byte for byte, and so is standard output
-under ``--bound 0``, which prints the first line that differs: a writer
-change that prints ``2.0`` as ``2`` or spaces JSON otherwise changes no
-number. A deviation is relative to the larger of the two values, except
+under ``--bound 0``, which prints the first line that differs next to the
+command's deviation: a writer change that prints ``2.0`` as ``2`` or
+spaces JSON otherwise changes no number. A deviation is relative to the larger of the two values, except
 that ``bound_margin``, a difference that cancels to 0 for some models, is
 relative to its terms ``2 delta nd_norm + eta``, and that the structured
 report's spectral fields are relative to the largest magnitude of REF's
@@ -493,6 +493,47 @@ def first_difference(old: str, new: str) -> str | None:
     return None
 
 
+def verdict(name: str, old: list, new: list, bound: float) -> tuple[str, float, bool]:
+    """One command's line, largest relative deviation and whether it fails,
+    from each side's ``[exit code, stdout, stderr]``.
+
+    Under ``bound`` 0 a command whose stdout differs fails, and its line
+    gives the first difference and the deviation of its numbers, which
+    counts toward the summary as every other command's does.
+    """
+    (old_code, old_out, old_err), (new_code, new_out, new_err) = old, new
+    if old_code != new_code:
+        return f"{name}: exit code {old_code} -> {new_code}", 0.0, True
+    if old_err != new_err:
+        return f"{name}: stderr {old_err!r} -> {new_err!r}", 0.0, True
+    worst, change = compare(old_out, new_out)
+    stdout = first_difference(old_out, new_out) if bound == 0 else None
+    if change is not None:
+        problem = f"changed {change}"
+    elif worst > bound:
+        problem = f"relative deviation {worst:.3g} exceeds {bound:g}"
+    elif stdout is not None:
+        problem = f"relative deviation {worst:.3g}"
+    else:
+        return f"{name}: exit {new_code}, relative deviation {worst:.3g}", worst, False
+    if stdout is not None:
+        problem = f"stdout {stdout}; {problem}"
+    return f"{name}: {problem}", worst, True
+
+
+def report(names, old: dict, new: dict, bound: float) -> int:
+    """Print the line of each named command and the summary; 1 if any fails."""
+    failed = False
+    overall = 0.0
+    for name in names:
+        line, worst, bad = verdict(name, old[name], new[name], bound)
+        print(line)
+        overall = max(overall, worst)
+        failed |= bad
+    print(f"largest relative deviation: {overall:.3g} (bound {bound:g})")
+    return 1 if failed else 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("ref", nargs="?", default="HEAD", help="git ref to compare against")
@@ -507,35 +548,7 @@ def main() -> int:
         subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
         old = run_side(Path(tmp) / "src", cmds)
         new = run_side(ROOT / "src", cmds)
-
-    failed = False
-    overall = 0.0
-    for name, _ in cmds:
-        (old_code, old_out, old_err), (new_code, new_out, new_err) = old[name], new[name]
-        if old_code != new_code:
-            print(f"{name}: exit code {old_code} -> {new_code}")
-            failed = True
-            continue
-        if old_err != new_err:
-            print(f"{name}: stderr {old_err!r} -> {new_err!r}")
-            failed = True
-            continue
-        if args.bound == 0 and (change := first_difference(old_out, new_out)):
-            print(f"{name}: stdout {change}")
-            failed = True
-            continue
-        worst, change = compare(old_out, new_out)
-        overall = max(overall, worst)
-        if change is not None:
-            print(f"{name}: changed {change}")
-            failed = True
-        elif worst > args.bound:
-            print(f"{name}: relative deviation {worst:.3g} exceeds {args.bound:g}")
-            failed = True
-        else:
-            print(f"{name}: exit {new_code}, relative deviation {worst:.3g}")
-    print(f"largest relative deviation: {overall:.3g} (bound {args.bound:g})")
-    return 1 if failed else 0
+    return report([name for name, _ in cmds], old, new, args.bound)
 
 
 if __name__ == "__main__":

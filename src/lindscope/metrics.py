@@ -261,7 +261,7 @@ def _block_pass(a: np.ndarray, e: np.ndarray, thresholds: RegimeThresholds | Non
     # every product and eigensolve of the pass.
 
     # Each stack of temporaries is released before the next is allocated,
-    # which keeps at most four alive besides S and the eigensolver's copy.
+    # which keeps at most three alive besides S and the eigensolver's copy.
     ad = a.conj().swapaxes(-1, -2)  # a view of a when a is real
     c = ad @ a
     norm = np.sqrt(_hermitian_norms(c))
@@ -270,22 +270,13 @@ def _block_pass(a: np.ndarray, e: np.ndarray, thresholds: RegimeThresholds | Non
     herm = a + ad
     herm *= 0.5
     # S_skew takes the place of a (numpy buffers the view ad of a), so the
-    # caller's reference to a keeps no matrix alive besides the four
+    # caller's reference to a keeps no matrix alive besides these
     skew = np.subtract(a, ad, out=a)
     skew *= 0.5
     del a, ad
     delta = _hermitian_norms(herm)
     x = _cross_term(herm, skew)
     del herm
-    # ||S_skew|| from the Hermitian S_skew^dag S_skew, which stays real.
-    # S_skew can be smaller than S by any factor (a weak drive next to strong
-    # dissipation), so it takes its own exact power of two, 2^-f, before it
-    # is squared; otherwise S_skew^dag S_skew could underflow to zero.
-    f = np.frexp(np.abs(skew).max(axis=(-2, -1)))[1]
-    parts = skew.view(np.float64)
-    np.ldexp(parts, -f[:, None, None], out=parts)
-    nd_norm = np.ldexp(np.sqrt(_hermitian_norms(skew.conj().swapaxes(-1, -2) @ skew)), f)
-    del skew
     # [S, S^dag] = -2 [S_herm, S_skew] = -2 (X + X^dag), so the residual is
     # r = c + 2X + 2X^dag; build conj(r) = conj(c + 2X) + 2X^T in place and
     # sum the squares of its entries, real and imaginary parts alike
@@ -297,6 +288,15 @@ def _block_pass(a: np.ndarray, e: np.ndarray, thresholds: RegimeThresholds | Non
     parts = c.view(np.float64)
     gap_sq = np.einsum("kij,kij->k", parts, parts)
     del c, parts
+    # ||S_skew|| from the Hermitian S_skew^dag S_skew, which stays real.
+    # S_skew can be smaller than S by any factor (a weak drive next to strong
+    # dissipation), so it takes its own exact power of two, 2^-f, before it
+    # is squared; otherwise S_skew^dag S_skew could underflow to zero.
+    f = np.frexp(np.abs(skew).max(axis=(-2, -1)))[1]
+    parts = skew.view(np.float64)
+    np.ldexp(parts, -f[:, None, None], out=parts)
+    nd_norm = np.ldexp(np.sqrt(_hermitian_norms(skew.conj().swapaxes(-1, -2) @ skew)), f)
+    del skew, parts
     per = (len(e), -1)
     norm, eta, delta, nd_norm = (v.reshape(per).max(axis=1) for v in (norm, eta, delta, nd_norm))
     gap = np.sqrt(gap_sq.reshape(per).sum(axis=1))

@@ -353,7 +353,13 @@ def _pair_of(x: np.ndarray, y: np.ndarray, dim: int) -> np.ndarray:
     return np.where(x < r, x, x - r + dim) * r + np.where(y < r, y, y - r + dim)
 
 
-def _form_blocks(g: np.ndarray, m: np.ndarray, dim: int, key: bytes | None) -> tuple | None:
+def _exponents(m: np.ndarray) -> np.ndarray:
+    """The exponent ``e`` of the largest entry magnitude of each ``m[i]``,
+    ``|m| < 2^e``; 0 for a zero ``m[i]``."""
+    return np.frexp(np.abs(m).reshape(len(m), -1).max(axis=1, initial=0.0))[1]
+
+
+def _form_blocks(g: np.ndarray, e: np.ndarray, dim: int, key: bytes | None) -> tuple | None:
     """``_sector_form`` of a stack of generators, from the entries of its slot pairs.
 
     A slot is an entry of ``_basis_index``: ``a < dim`` the diagonal
@@ -363,18 +369,16 @@ def _form_blocks(g: np.ndarray, m: np.ndarray, dim: int, key: bytes | None) -> t
     ``M[p_a, p_b]``, ``M[q_a, q_b]``, ``M[p_a, q_b]`` and ``M[q_a, p_b]``
     of each of the ``k`` generators, four blocks that each sum below runs
     over whole. The pairs hold every nonzero entry, and ``g`` is
-    overwritten. ``m`` holds the entries that ``g`` was gathered from, each
-    once, ``(k, ...)``: the largest magnitude among them sets the power of
-    two of each generator. Returns None when the stack is one block but the
-    pairs are not all of them. The nonzero pattern of the stack decides
-    its sectors (``_table_of``); a stack whose first basis element is
-    coupled to every other is one sector, which row 0 of the pattern tells
-    before any sector is traced, and a split stack gathers its blocks by
-    ``_block_plan``.
+    overwritten. ``e`` is the ``_exponents`` of the entries that ``g`` was
+    gathered from, which set the power of two of each generator. Returns
+    None when the stack is one block but the pairs are not all of them.
+    The nonzero pattern of the stack decides its sectors (``_table_of``);
+    a stack whose first basis element is coupled to every other is one
+    sector, which row 0 of the pattern tells before any sector is traced,
+    and a split stack gathers its blocks by ``_block_plan``.
     """
     k, c = g.shape[1:]
     n, r = dim * dim, dim * (dim + 1) // 2
-    e = np.frexp(np.abs(m).reshape(k, -1).max(axis=1, initial=0.0))[1]
     # 2^-(e+1) is exact; the extra 1/2 is the weight 2 |w_l w_k| = 1 of the
     # pair-pair entries, and diagonal rows and columns take 1/sqrt2 below
     floats = g.view(np.float64)
@@ -460,17 +464,32 @@ def _sector_form(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     merges blocks. A stack that does not split, or whose split would not
     pay (``_sector_table``), is one block per generator, its rotation as it
     is, with the table ``arange(n)[None]``. The work is one O(n^2) gather
-    of the entries of every slot pair and ``_form_blocks``, in temporaries
-    that together hold about twice the entries of ``m``.
+    of the entries of every slot pair (``_slot_entries``) and
+    ``_form_blocks``, which runs without ``m``.
+    """
+    g, e = _slot_entries(m)
+    return _form_blocks(g, e, math.isqrt(m.shape[-1]), None)
+
+
+def _slot_entries(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(4, k, c)`` entries of every slot pair of a stack ``(k, n, n)``,
+    as ``_form_blocks`` takes them, and the ``_exponents`` of the stack.
+
+    The exponents are taken before the gather, and the gather fills one
+    preallocated array slot by slot, so besides ``m`` and the result only
+    the flat index and the entries of one slot are alive, about 0.4 of
+    ``m``.
     """
     k, n = m.shape[0], m.shape[-1]
-    dim = math.isqrt(n)
-    rows, cols, _ = _basis_index(dim)
-    # one gather from the flattened matrices, slot first; the flat index,
-    # half as large as the result, is not kept between calls
+    rows, cols, _ = _basis_index(math.isqrt(n))
+    e = _exponents(m)
+    g = np.empty((4, k, rows.shape[1] ** 2), dtype=m.dtype)
     start = n * n * np.arange(k)[:, None, None]
-    g = np.take(m, (rows[:, None] * n + start + cols[:, None]).reshape(4, k, -1))
-    return _form_blocks(g, m, dim, None)
+    for slot in range(4):
+        # from the flattened matrices; np.take with out= would copy out
+        # into a buffer first, to write it back after its bounds check
+        g[slot] = np.take(m, (rows[slot] * n + start + cols[slot]).reshape(k, -1))
+    return g, e
 
 
 def _form(s: Superoperator) -> tuple[np.ndarray, int, np.ndarray]:
@@ -708,7 +727,7 @@ def _pair_blocks(h: np.ndarray, jumps: np.ndarray, jdj: np.ndarray, key: bytes |
     if not np.isfinite(m).all():
         raise RangeError(_OVERFLOW)
     g = np.take(m, plan[-1][:, None] + m.shape[1] * np.arange(k)[:, None])
-    return _form_blocks(g, m, d, key)
+    return _form_blocks(g, _exponents(m), d, key)
 
 
 def _operator_form(h: np.ndarray, jumps: np.ndarray, jdj: np.ndarray) -> tuple:
@@ -717,18 +736,21 @@ def _operator_form(h: np.ndarray, jumps: np.ndarray, jdj: np.ndarray) -> tuple:
     Where the ``d x d`` patterns split the maps (``_candidate_pairs``) and
     the maps are more than one block, it is ``_operator_blocks``, which
     forms the entries of the candidate pairs alone. Otherwise the dense
-    maps are built (``_liouvillians``), formed by ``_sector_form`` and
-    dropped: where nothing splits, that is faster at d = 32 than forming
-    every pair, and it needs no entry plan of every pair (``_candidates(d,
-    None)``, about 76 MB at d = 32). Sweeps, whose stacks at d = 2 form
-    every pair faster than a dense build, take ``_operator_blocks`` itself.
+    maps are built (``_liouvillians``) and formed as ``_sector_form`` forms
+    them, the build dropped once its slot pairs are gathered: where nothing
+    splits, that is faster at d = 32 than forming every pair, and it needs
+    no entry plan of every pair (``_candidates(d, None)``, about 76 MB at
+    d = 32). Sweeps, whose stacks at d = 2 form every pair faster than a
+    dense build, take ``_operator_blocks`` itself.
     """
     key = _pattern_key(h, jumps, jdj)
     if _candidate_pairs(h.shape[-1], key) is not None:
         form = _pair_blocks(h, jumps, jdj, key)
         if form is not None:
             return form
-    return _sector_form(_liouvillians(h, jumps, jdj))
+    # the build is dropped when _slot_entries returns, before the form
+    g, e = _slot_entries(_liouvillians(h, jumps, jdj))
+    return _form_blocks(g, e, h.shape[-1], None)
 
 
 def _hermitian_coords(rho: np.ndarray) -> np.ndarray:
@@ -745,15 +767,16 @@ def _hermitian_coords(rho: np.ndarray) -> np.ndarray:
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron`` of square matrices, the same products without its overhead.
+    """``np.kron`` of matrices, the same products without its overhead.
 
     Leading axes are stacks, broadcast against each other. The products
     take the memory order of the operands, so for a transposed operand the
-    reshape copies them.
+    reshape copies them. Row ``i`` of ``a`` alone, ``a[..., i:i + 1, :]``,
+    gives rows ``i p .. i p + p - 1`` of the whole, ``p`` the rows of ``b``.
     """
-    d, k = a.shape[-1], b.shape[-1]
     products = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return products.reshape(*products.shape[:-4], d * k, d * k)
+    shape = (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
+    return products.reshape(*products.shape[:-4], *shape)
 
 
 _OVERFLOW = "the generator overflows double precision; rescale the model"
@@ -766,32 +789,39 @@ def _liouvillians(h: np.ndarray, jumps: np.ndarray, jdj: np.ndarray) -> np.ndarr
     jump operators and ``jdj`` the ``J_k``, both ``(m, K, d, d)``. With
     ``J_k = L_k^dag L_k`` (``_jump_squares``) these are the generators, by
     the formula of ``liouvillian``, built in one pass over the stack. Each
-    term takes one ``n x n`` temporary besides the result. A map with an
-    entry beyond double precision is a RangeError, with no numpy warning.
+    term after the first is added one block of ``d`` rows at a time, the
+    ``_kron`` of one row of its left factor, so a temporary holds ``n^2 /
+    d`` entries besides the result; each entry takes the operations of the
+    whole terms, in their order. A map with an entry beyond double
+    precision is a RangeError, with no numpy warning.
     """
     d = h.shape[-1]
     eye = np.eye(d, dtype=complex)
 
     def transposed(x):
-        # a C-ordered copy: the products of a transposed view would take its
-        # order, and _kron's reshape would copy them; products with entries
-        # of the identity are exact, so their bits do not depend on the order
+        # a C-ordered copy, whose rows are the rows of the transpose;
+        # products with entries of the identity are exact, so their bits do
+        # not depend on the order
         return np.ascontiguousarray(x.swapaxes(-1, -2))
 
     with np.errstate(over="ignore", invalid="ignore"):
         m = _kron(eye, h)
-        m -= _kron(transposed(h), eye)
+        # block i of a term is its rows i d .. i d + d - 1, a view of m
+        blocks = [m[..., i * d:(i + 1) * d, :] for i in range(d)]
+        ht = transposed(h)
+        for i, rows in enumerate(blocks):
+            rows -= _kron(ht[..., i:i + 1, :], eye)
         m *= -1j
         for jump, square in zip(jumps.swapaxes(0, 1), jdj.swapaxes(0, 1)):
-            m += _kron(jump.conj(), jump)
-            # 0.5 t in place, as _generator_entries takes it: the same
-            # products, and each temporary is released before the next
-            t = _kron(eye, square)
-            m -= np.multiply(0.5, t, out=t)
-            del t
-            t = _kron(transposed(square), eye)
-            m -= np.multiply(0.5, t, out=t)
-            del t
+            conj, st = jump.conj(), transposed(square)
+            for i, rows in enumerate(blocks):
+                rows += _kron(conj[..., i:i + 1, :], jump)
+                # 0.5 t in place, as _generator_entries takes it: the same
+                # products
+                t = _kron(eye[i:i + 1], square)
+                rows -= np.multiply(0.5, t, out=t)
+                t = _kron(st[..., i:i + 1, :], eye)
+                rows -= np.multiply(0.5, t, out=t)
     if not np.isfinite(m).all():
         raise RangeError(_OVERFLOW)
     return m

@@ -10,6 +10,8 @@ oracle runs power iteration (no library SVD call). The one exception is
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 
 from lindscope import LindbladModel, eigenvalues_general, jaynes_cummings, liouvillian
@@ -118,6 +120,26 @@ def random_model(rng, d=None, force_hamiltonian_only=False):
     else:
         jumps = tuple(random_complex(rng, d) for _ in range(int(rng.integers(1, 4))))
     return LindbladModel(dim=d, hamiltonian=h, jumps=jumps, label=f"random(d={d})")
+
+
+def unsplit_model(seed, d=16):
+    """A random model with two jumps whose entries are all nonzero, so its
+    generator is one sector: it is formed from its dense matrix."""
+    rng = np.random.default_rng(seed)
+    jumps = (random_complex(rng, d), random_complex(rng, d))
+    return LindbladModel(dim=d, hamiltonian=random_hermitian(rng, d), jumps=jumps)
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory that tracemalloc traces
+    during the call, above what is traced when it starts."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def random_models(seed, count):

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from helpers import (
     random_models,
     random_unitary,
     superop_columns,
+    unsplit_model,
 )
 from lindscope import (
     ConfigError,
@@ -54,7 +56,8 @@ from lindscope import (
 )
 from lindscope.cli import parse_model_file
 from lindscope.metrics import _block_pass, _matched_distance, eta_tolerance, zero_tolerance
-from lindscope.superop import _OVERFLOW, _jump_squares, _liouvillians, _sector_form, decompose
+from lindscope.superop import (_OVERFLOW, _form, _jump_squares, _liouvillians, _sector_form,
+                               decompose)
 
 
 def metrics_of(model):
@@ -631,6 +634,33 @@ def _column_bits(columns):
         "delta", "eta", "nd_norm", "bound_margin", "generator_norm", "kappa", "regime"
     ]
     return [_row_bits(columns, i) for i in range(size)]
+
+
+class TestPassMemory:
+    def test_at_most_three_matrices_alive_at_each_eigensolve(self, monkeypatch):
+        # the residual of the eta routes is summed, and its operands freed,
+        # before S_skew is squared: besides the eigensolver's own copy,
+        # three matrices of the size of the form at most (the form among
+        # them) and a few small arrays
+        model = unsplit_model(52)
+        _form(liouvillian(model))  # the cached basis index and table
+        entries = []
+        solve = np.linalg.eigvalsh
+
+        def traced_solve(m):
+            entries.append(tracemalloc.get_traced_memory()[0])
+            return solve(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", traced_solve)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            a, e, _ = _form(liouvillian(model))
+            _block_pass(a, np.array([e]))
+        finally:
+            tracemalloc.stop()
+        assert a.shape[0] == 1 and len(entries) == 4
+        assert max(entries) - before <= 3.25 * a.nbytes
 
 
 class TestStackedPass:

@@ -17,6 +17,8 @@ from helpers import (
     random_models,
     random_unitary,
     superop_columns,
+    traced_peak,
+    unsplit_model,
 )
 from lindscope import (
     DimensionError,
@@ -182,18 +184,41 @@ class TestLiouvillian:
                 liouvillian(model).matrix, expected, atol=1e-13
             )
 
-    def test_equals_kron_formula_bit_for_bit(self):
+    @staticmethod
+    def _kron_formula(h, jumps, squares):
         # the docstring's formula with np.kron, in the same order of operations
+        eye = np.eye(h.shape[0], dtype=complex)
+        m = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+        for jump, jdj in zip(jumps, squares):
+            m = m + np.kron(jump.conj(), jump)
+            m = m - 0.5 * np.kron(eye, jdj) - 0.5 * np.kron(jdj.T, eye)
+        return m
+
+    def test_equals_kron_formula_bit_for_bit(self):
         rng = np.random.default_rng(3)
-        for d in (1, 2, 3, 5):
+        for d in (1, 2, 3, 5, 8, 16):
             model = random_model(rng, d=d)
-            h, eye = model.hamiltonian, np.eye(d, dtype=complex)
-            m = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-            for jump in model.jumps:
-                jdj = jump.conj().T @ jump
-                m = m + np.kron(jump.conj(), jump)
-                m = m - 0.5 * np.kron(eye, jdj) - 0.5 * np.kron(jdj.T, eye)
+            squares = [jump.conj().T @ jump for jump in model.jumps]
+            m = self._kron_formula(model.hamiltonian, model.jumps, squares)
             assert liouvillian(model).matrix.tobytes() == m.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 5, 8, 16])
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_stacks_equal_kron_formula_bit_for_bit(self, d, count):
+        # three points through _liouvillians at once, each as the formula
+        # gives it alone: the generators, their dissipators (H = 0) and
+        # their jump maps (H = 0 and J_k = 0)
+        rng = np.random.default_rng(d + 10 * count)
+        h = np.stack([random_hermitian(rng, d) for _ in range(3)])
+        jumps = np.array([[random_complex(rng, d) for _ in range(count)] for _ in range(3)])
+        jumps = jumps.reshape(3, count, d, d)
+        jdj = _jump_squares(jumps)
+        for hs, squares in ((h, jdj), (np.zeros_like(h), jdj),
+                            (np.zeros_like(h), np.zeros_like(jdj))):
+            got = _liouvillians(hs, jumps, squares)
+            for i in range(3):
+                want = self._kron_formula(hs[i], jumps[i], squares[i])
+                assert got[i].tobytes() == want.tobytes()
 
     def test_trace_row_annihilated(self):
         rng = np.random.default_rng(2)
@@ -201,6 +226,30 @@ class TestLiouvillian:
         s = liouvillian(model)
         row = vectorize(np.eye(3)).conj() @ s.matrix
         assert np.abs(row).max() <= 1e-10 * max(spectral_norm(s.matrix), 1.0)
+
+
+class TestBuildMemory:
+    """A generator that does not split is built and formed with few ``n x n``
+    arrays alive: one term's block of rows at a time, one slot's gather at
+    a time, and the build dropped before the form."""
+
+    def test_build_peak_is_near_its_result(self):
+        # each term is added by row blocks of n^2 / d entries
+        model = unsplit_model(50)
+        jumps = np.array(model.jumps)[None]
+        args = (model.hamiltonian[None], jumps, _jump_squares(jumps))
+        m, peak = traced_peak(_liouvillians, *args)
+        assert peak <= 1.5 * m.nbytes
+
+    def test_form_peak(self):
+        # the build, then the gathered entries of every slot pair, but
+        # never both with the flat index of all of them or with |m|
+        model = unsplit_model(51)
+        _form(liouvillian(model))  # the cached basis index and table
+        (_, _, table), peak = traced_peak(_form, liouvillian(model))
+        n = model.dim**2
+        assert table.shape == (1, n)
+        assert peak <= 2.7 * n * n * np.dtype(complex).itemsize
 
 
 class TestAdjoint:
