@@ -33,7 +33,11 @@ at k 4 and 5, ``series`` on ``jaynes_cummings`` at ``n_max`` 7, and
 on the first, cover a model's generator formed from the ``d x d``
 entries, and ``analyze`` and ``series``, each as json and as csv, on an
 explicit seeded random model at d = 8 (all entries nonzero, one sector)
-one formed from its dense generator, built and dropped. ``series`` with
+one formed from its dense generator, gathered chunk by chunk as it is
+built. ``analyze``, as json and as csv, on such a model at d = 32, and as
+json on a d = 32 model with one jump ``sqrt(0.7) U`` (``U`` a seeded
+random unitary, so the report's dissipator and jump map do not split
+either) cover that route at the cap. ``series`` with
 ``--t-end=-1`` on an explicit model whose generator overflows covers
 which error is reported first. ``analyze`` and ``series``, each as json and
 as csv, run on damped ``jaynes_cummings`` at ``n_max`` 3 and 7 (d = 8 and
@@ -314,7 +318,7 @@ def commands(tmp: Path) -> list[tuple[str, list[str]]]:
     jaynes_7 = str(tmp / "jaynes_cummings-7.json")
     out.append(("series jaynes_cummings-7", ["series", jaynes_7]))
     # both routes of a model's form at size: the sectored models from the
-    # d x d entries, a random one from its dense generator, built and dropped
+    # d x d entries, a random one from the row chunks of its dense build
     out.append(("analyze-csv jaynes_cummings-7", ["analyze", jaynes_7, "--format", "csv"]))
     out.append(("series-json jaynes_cummings-7", ["series", jaynes_7, "--format", "json"]))
     path = str(tmp / "multi_qubit_dephasing-5.json")
@@ -325,6 +329,15 @@ def commands(tmp: Path) -> list[tuple[str, list[str]]]:
     out.append(("analyze-csv random-8", ["analyze", str(path), "--format", "csv"]))
     out.append(("series random-8", ["series", str(path)]))
     out.append(("series-json random-8", ["series", str(path), "--format", "json"]))
+    # the dense route at the cap: a generator formed from the row chunks of
+    # its build, and a structured report whose three maps all take it
+    path = tmp / "random-32.json"
+    path.write_text(json.dumps(random_model(32)), encoding="utf-8")
+    out.append(("analyze-json random-32", ["analyze", str(path)]))
+    out.append(("analyze-csv random-32", ["analyze", str(path), "--format", "csv"]))
+    path = tmp / "unitary_jump-32.json"
+    path.write_text(json.dumps(unitary_jump(32)), encoding="utf-8")
+    out.append(("analyze-json unitary_jump-32", ["analyze", str(path)]))
     # an overflowing generator is reported before an invalid --t-end
     path = tmp / "overflow.json"
     path.write_text(json.dumps({"dim": 2, "hamiltonian": [[0, 0], [0, 0]],

@@ -58,8 +58,8 @@ Every kernel here but ``propagator`` takes the generator as
 exact symmetry sectors, zero-padded into one stack, with their table of
 sectors, or one block when it does not split. The generator of a model
 is formed anew by each call, from its H and jumps, and keeps no dense
-matrix: one that does not split is built as a dense matrix for its form
-and dropped before any step. ``propagator`` reads the dense matrix, which
+matrix: one that does not split is formed from the row chunks of its
+dense build, none kept. ``propagator`` reads the dense matrix, which
 the generator then builds and keeps. ``exp(t S)`` and its Gram
 matrix are block diagonal too, so the series steps the blocks, and each
 norm is the largest over them: one batched exponential, product and Gram

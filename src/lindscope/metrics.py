@@ -39,9 +39,9 @@ four Hermitian eigensolve calls for the whole stack. It returns columns,
 one array per metric over the stack, and runs its checks and kappa bands
 on whole columns. ``compute_metrics`` runs it on ``superop._form`` of one
 generator and reads row 0: for the generator of a model, the form is taken
-from H and the jumps, and its dense matrix is never built (a generator
-that does not split is built as a dense matrix for its form, and dropped
-before the pass). A sweep runs the pass on the blocks that
+from H and the jumps, and its dense matrix is never built whole (a
+generator that does not split is formed from the row chunks of its dense
+build, each gathered before the next is built). A sweep runs the pass on the blocks that
 ``superop._sector_blocks`` forms straight from H and the jumps of a chunk
 of points. Every step works on each block alone, so a generator takes the
 values it takes in its own block's pass, bit for bit, whatever blocks
@@ -451,8 +451,8 @@ def structured_dissipator_report(model: LindbladModel) -> StructuredDissipatorRe
     dissipator's from the jumps and the same ``L_k^dag L_k`` that ``gamma``
     sums, the jump map's from the jumps with zeros in their place. Where the
     jumps' patterns split a map, its blocks are formed from the ``d x d``
-    entries; where they do not, from its dense matrix, which is built and
-    dropped before the spectrum is taken. Each is formed on its own, not
+    entries; where they do not, from the row chunks of its dense build,
+    none of which is kept. Each is formed on its own, not
     one from the other, so ``shift_max_error`` checks the shift. Both are
     sorted by real part, then imaginary part.
     """

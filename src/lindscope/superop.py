@@ -13,12 +13,14 @@ coordinates of a Hermitian operator are real, so a map that preserves
 Hermiticity, ``L(X)^dag = L(X^dag)`` as every Lindbladian does, is a real
 matrix there. The analysis pass in ``metrics`` works in that form.
 
-The generator build takes stacks: ``_liouvillians`` builds the dense
+The generator build takes stacks: ``_liouvillian_rows`` builds the dense
 generators of many points of one shape in one pass, from their stacked
-Hamiltonians, jump operators and ``L_k^dag L_k``. A ``Superoperator`` is
-stored as its dense ``d^2 x d^2`` matrix, except the generator of a model:
+Hamiltonians, jump operators and ``L_k^dag L_k``, in row chunks of a few
+blocks of ``d`` rows (``_chunk_rows``). A ``Superoperator`` is stored as
+its dense ``d^2 x d^2`` matrix, except the generator of a model:
 ``liouvillian`` keeps the model's ``H`` and jumps, as a stack of one, and
-its ``matrix`` is built by ``_liouvillians`` on the first read, then kept.
+its ``matrix`` is filled from those chunks (``_liouvillians``) on the
+first read, then kept.
 The analysis pass and the dynamics form it without reading its matrix
 (``_form``); only ``dynamics.propagator`` reads it.
 
@@ -26,15 +28,18 @@ Every kernel runs on one layout (``_sector_form``): the real form
 ``2^-e U^dag M U`` of each generator of a stack, split into the exact
 symmetry sectors of the stack where that pays, as blocks with their table
 of sectors; a generator that does not split is one block, so every kernel
-takes one form. It has two inputs. ``_sector_form`` gathers from dense
-``n x n`` generators the four entries that the real form combines for
-every pair of basis slots. ``_operator_blocks`` builds no ``n x n``
+takes one form. It has two inputs. ``_slot_entries`` gathers the four
+entries that the real form combines for every pair of basis slots from
+row chunks of dense ``n x n`` generators: row views of a matrix
+(``_sector_form``) or the chunks of a build, each gathered before the
+next is built. ``_operator_blocks`` builds no ``n x n``
 matrix: it forms those entries from the ``d x d`` entries of ``H``,
 ``L_k`` and ``L_k^dag L_k`` of a stack, for only the slot pairs inside the
 sectors that their patterns allow. It serves sweeps (``_sector_blocks``,
 a chunk of points). ``_operator_form`` forms one model's maps by the route
 that suits them: from those entries where the patterns split the maps,
-and otherwise from their dense matrices, built, formed and dropped.
+and otherwise from the row chunks of their dense build, so that no whole
+``n x n`` build is ever alive during a form.
 ``_form`` is the one form that the analysis pass and the dynamics take of
 a Superoperator: ``_operator_form`` of a model's generator, whose matrix
 is then never built, and ``_sector_form`` of any other's matrix. The
@@ -464,32 +469,70 @@ def _sector_form(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     merges blocks. A stack that does not split, or whose split would not
     pay (``_sector_table``), is one block per generator, its rotation as it
     is, with the table ``arange(n)[None]``. The work is one O(n^2) gather
-    of the entries of every slot pair (``_slot_entries``) and
-    ``_form_blocks``, which runs without ``m``.
+    of the entries of every slot pair from row views of ``m``
+    (``_slot_entries``) and ``_form_blocks``, which runs without ``m``.
     """
-    g, e = _slot_entries(m)
-    return _form_blocks(g, e, math.isqrt(m.shape[-1]), None)
+    dim = math.isqrt(m.shape[-1])
+    step = _chunk_rows(dim)
+    g, e = _slot_entries((start, m[:, start:start + step]) for start in range(0, dim * dim, step))
+    return _form_blocks(g, e, dim, None)
 
 
-def _slot_entries(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(4, k, c)`` entries of every slot pair of a stack ``(k, n, n)``,
-    as ``_form_blocks`` takes them, and the ``_exponents`` of the stack.
+# A row chunk of a generator holds at most this many entries (64 KiB of
+# complex ones) of each generator of a stack, and at least one block of d
+# rows. A chunk and its temporaries stay small next to the gathered entries
+# of every slot pair, 1.06 n^2 of them, so a form never holds a whole n x n
+# build; and below d = 16 a chunk holds several blocks, fewer Python steps
+# (one chunk up to d = 8). Each broadcast product of _kron also takes
+# three iteration buffers of up to 8192 entries, so at d = 16 a larger
+# chunk would take the build's traced peak to 1.6 times its result.
+_CHUNK_ENTRIES = 2**12
 
-    The exponents are taken before the gather, and the gather fills one
-    preallocated array slot by slot, so besides ``m`` and the result only
-    the flat index and the entries of one slot are alive, about 0.4 of
-    ``m``.
+
+def _chunk_rows(dim: int) -> int:
+    """The rows of a row chunk of a ``d^2 x d^2`` generator: whole blocks of
+    ``d`` rows, as many as ``_CHUNK_ENTRIES`` holds, and at least one."""
+    return dim * max(1, _CHUNK_ENTRIES // dim**3)
+
+
+@functools.lru_cache(maxsize=None)
+def _chunk_plan(dim: int, start: int, stop: int) -> tuple:
+    """For each of the four slots of ``_basis_index``, the basis slots ``a``
+    whose row lies in rows ``start .. stop - 1`` of a generator, and those
+    rows less ``start``, the rows of a chunk."""
+    rows = _basis_index(dim)[0][:, :, 0]
+    plan = []
+    for slot in rows:
+        inside = np.flatnonzero((slot >= start) & (slot < stop))
+        plan.append((_frozen(inside), _frozen(slot[inside] - start)))
+    return tuple(plan)
+
+
+def _slot_entries(chunks) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(4, k, c)`` entries of every slot pair of a stack of ``k``
+    generators, as ``_form_blocks`` takes them, and the ``_exponents`` of
+    the stack.
+
+    ``chunks`` yields ``(start, rows)`` in turn, ``rows`` the ``(k, c,
+    n)`` rows ``start .. start + c - 1`` of every generator, until they
+    cover the stack: the chunks of a build (``_liouvillian_rows``) or row
+    views of a matrix (``_sector_form``). Each chunk is gathered into one
+    preallocated array before the next is read, so besides the result only
+    a chunk and the flat index of its entries are alive; the exponents are
+    those of the largest entry magnitude over the chunks.
     """
-    k, n = m.shape[0], m.shape[-1]
-    rows, cols, _ = _basis_index(math.isqrt(n))
-    e = _exponents(m)
-    g = np.empty((4, k, rows.shape[1] ** 2), dtype=m.dtype)
-    start = n * n * np.arange(k)[:, None, None]
-    for slot in range(4):
-        # from the flattened matrices; np.take with out= would copy out
-        # into a buffer first, to write it back after its bounds check
-        g[slot] = np.take(m, (rows[slot] * n + start + cols[slot]).reshape(k, -1))
-    return g, e
+    g = top = None
+    for start, rows in chunks:
+        k, c, n = rows.shape
+        dim = math.isqrt(n)
+        if g is None:
+            r, cols = dim * (dim + 1) // 2, _basis_index(dim)[1][:, 0]
+            g, top = np.empty((4, k, r, r), dtype=rows.dtype), np.zeros(k)
+        np.maximum(top, np.abs(rows).reshape(k, -1).max(axis=1, initial=0.0), out=top)
+        flat = rows.reshape(k, -1)
+        for slot, (inside, offset) in enumerate(_chunk_plan(dim, start, start + c)):
+            g[slot][:, inside] = np.take(flat, offset[:, None] * n + cols[slot], axis=1)
+    return g.reshape(4, k, -1), np.frexp(top)[1]
 
 
 def _form(s: Superoperator) -> tuple[np.ndarray, int, np.ndarray]:
@@ -736,20 +779,20 @@ def _operator_form(h: np.ndarray, jumps: np.ndarray, jdj: np.ndarray) -> tuple:
     Where the ``d x d`` patterns split the maps (``_candidate_pairs``) and
     the maps are more than one block, it is ``_operator_blocks``, which
     forms the entries of the candidate pairs alone. Otherwise the dense
-    maps are built (``_liouvillians``) and formed as ``_sector_form`` forms
-    them, the build dropped once its slot pairs are gathered: where nothing
-    splits, that is faster at d = 32 than forming every pair, and it needs
-    no entry plan of every pair (``_candidates(d, None)``, about 76 MB at
-    d = 32). Sweeps, whose stacks at d = 2 form every pair faster than a
-    dense build, take ``_operator_blocks`` itself.
+    maps are built in row chunks (``_liouvillian_rows``) and formed as
+    ``_sector_form`` forms them, each chunk gathered before the next is
+    built, so no whole ``n x n`` build is ever alive: where nothing splits,
+    that is faster at d = 32 than forming every pair, and it needs no entry
+    plan of every pair (``_candidates(d, None)``, about 76 MB at d = 32).
+    Sweeps, whose stacks at d = 2 form every pair faster than a dense
+    build, take ``_operator_blocks`` itself.
     """
     key = _pattern_key(h, jumps, jdj)
     if _candidate_pairs(h.shape[-1], key) is not None:
         form = _pair_blocks(h, jumps, jdj, key)
         if form is not None:
             return form
-    # the build is dropped when _slot_entries returns, before the form
-    g, e = _slot_entries(_liouvillians(h, jumps, jdj))
+    g, e = _slot_entries(_liouvillian_rows(h, jumps, jdj))
     return _form_blocks(g, e, h.shape[-1], None)
 
 
@@ -782,18 +825,20 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _OVERFLOW = "the generator overflows double precision; rescale the model"
 
 
-def _liouvillians(h: np.ndarray, jumps: np.ndarray, jdj: np.ndarray) -> np.ndarray:
-    """The matrices of the maps of ``_operator_blocks`` of a stack, ``(m, d^2, d^2)``.
+def _liouvillian_rows(h: np.ndarray, jumps: np.ndarray, jdj: np.ndarray):
+    """The matrices of the maps of ``_operator_blocks`` of a stack, in row chunks.
 
     ``h`` holds the points' Hamiltonians, ``(m, d, d)``, ``jumps`` their
     jump operators and ``jdj`` the ``J_k``, both ``(m, K, d, d)``. With
     ``J_k = L_k^dag L_k`` (``_jump_squares``) these are the generators, by
-    the formula of ``liouvillian``, built in one pass over the stack. Each
-    term after the first is added one block of ``d`` rows at a time, the
-    ``_kron`` of one row of its left factor, so a temporary holds ``n^2 /
-    d`` entries besides the result; each entry takes the operations of the
-    whole terms, in their order. A map with an entry beyond double
-    precision is a RangeError, with no numpy warning.
+    the formula of ``liouvillian``, built in one pass over the stack.
+    Yields ``(start, rows)`` for each chunk in turn, ``rows`` the ``(m, c,
+    d^2)`` rows ``start .. start + c - 1`` of every map, ``c =
+    _chunk_rows(d)`` but in a short last chunk. Each term of a chunk is the
+    ``_kron`` of the chunk's rows of its left factor, so a temporary holds
+    a chunk; each entry takes the operations of the whole terms, in their
+    order, so every bit is that of the whole matrix. A chunk with an entry
+    beyond double precision is a RangeError, with no numpy warning.
     """
     d = h.shape[-1]
     eye = np.eye(d, dtype=complex)
@@ -804,26 +849,36 @@ def _liouvillians(h: np.ndarray, jumps: np.ndarray, jdj: np.ndarray) -> np.ndarr
         # not depend on the order
         return np.ascontiguousarray(x.swapaxes(-1, -2))
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = _kron(eye, h)
-        # block i of a term is its rows i d .. i d + d - 1, a view of m
-        blocks = [m[..., i * d:(i + 1) * d, :] for i in range(d)]
-        ht = transposed(h)
-        for i, rows in enumerate(blocks):
-            rows -= _kron(ht[..., i:i + 1, :], eye)
-        m *= -1j
-        for jump, square in zip(jumps.swapaxes(0, 1), jdj.swapaxes(0, 1)):
-            conj, st = jump.conj(), transposed(square)
-            for i, rows in enumerate(blocks):
-                rows += _kron(conj[..., i:i + 1, :], jump)
-                # 0.5 t in place, as _generator_entries takes it: the same
-                # products
-                t = _kron(eye[i:i + 1], square)
-                rows -= np.multiply(0.5, t, out=t)
-                t = _kron(st[..., i:i + 1, :], eye)
-                rows -= np.multiply(0.5, t, out=t)
-    if not np.isfinite(m).all():
-        raise RangeError(_OVERFLOW)
+    def half(t):
+        # 0.5 t in place, as _generator_entries takes it: the same products
+        return np.multiply(0.5, t, out=t)
+
+    ht, st, conj = transposed(h), transposed(jdj), jumps.conj()
+    step = _chunk_rows(d) // d
+    for i in range(0, d, step):
+        # blocks i .. i + step - 1 of d rows, from those rows of the factors
+        block = slice(i, i + step)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = _kron(eye[block], h)
+            rows -= _kron(ht[..., block, :], eye)
+            rows *= -1j
+            for k in range(jumps.shape[1]):
+                rows += _kron(conj[:, k, block], jumps[:, k])
+                rows -= half(_kron(eye[block], jdj[:, k]))
+                rows -= half(_kron(st[:, k, block], eye))
+        if not np.isfinite(rows).all():
+            raise RangeError(_OVERFLOW)
+        yield i * d, rows
+
+
+def _liouvillians(h: np.ndarray, jumps: np.ndarray, jdj: np.ndarray) -> np.ndarray:
+    """The matrices of the maps of ``_operator_blocks`` of a stack, ``(m, d^2, d^2)``,
+    filled from the row chunks of ``_liouvillian_rows``; a map with an entry
+    beyond double precision is a RangeError, with no numpy warning."""
+    n = h.shape[-1] ** 2
+    m = np.empty((len(h), n, n), dtype=complex)
+    for start, rows in _liouvillian_rows(h, jumps, jdj):
+        m[:, start:start + rows.shape[1]] = rows
     return m
 
 

@@ -759,7 +759,7 @@ class TestModelRoute:
         def refused(*args):
             raise AssertionError("a dense generator was formed")
 
-        monkeypatch.setattr(lindscope.superop, "_liouvillians", refused)
+        monkeypatch.setattr(lindscope.superop, "_liouvillian_rows", refused)
         monkeypatch.setattr(lindscope.superop, "_sector_form", refused)
         s = liouvillian(model)
         m = compute_metrics(s)
@@ -815,7 +815,7 @@ class TestModelAbscissa:
         for module, attr in [
             (lindscope.superop, "_form"),
             (lindscope.dynamics, "_form"),
-            (lindscope.superop, "_liouvillians"),
+            (lindscope.superop, "_liouvillian_rows"),
             (lindscope.dynamics, "_block_spectrum"),
             (np.linalg, "eigvals"),
         ]:

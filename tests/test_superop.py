@@ -48,9 +48,11 @@ from lindscope.models import ModelSpec, _stack
 from lindscope.superop import (
     _candidate_pairs,
     _candidates,
+    _chunk_rows,
     _form,
     _hermitian_coords,
     _jump_squares,
+    _liouvillian_rows,
     _liouvillians,
     _sector_blocks,
     _sector_form,
@@ -230,8 +232,9 @@ class TestLiouvillian:
 
 class TestBuildMemory:
     """A generator that does not split is built and formed with few ``n x n``
-    arrays alive: one term's block of rows at a time, one slot's gather at
-    a time, and the build dropped before the form."""
+    arrays alive: one term's chunk of rows at a time, and a form gathers
+    each chunk of the build before the next is built, so it never holds the
+    whole build."""
 
     def test_build_peak_is_near_its_result(self):
         # each term is added by row blocks of n^2 / d entries
@@ -242,14 +245,14 @@ class TestBuildMemory:
         assert peak <= 1.5 * m.nbytes
 
     def test_form_peak(self):
-        # the build, then the gathered entries of every slot pair, but
-        # never both with the flat index of all of them or with |m|
-        model = unsplit_model(51)
+        # the gathered entries of every slot pair, 1.06 n^2, and the form's
+        # own arrays, but never a whole build beside them
+        model = unsplit_model(51, d=32)
         _form(liouvillian(model))  # the cached basis index and table
         (_, _, table), peak = traced_peak(_form, liouvillian(model))
         n = model.dim**2
         assert table.shape == (1, n)
-        assert peak <= 2.7 * n * n * np.dtype(complex).itemsize
+        assert peak <= 2.0 * n * n * np.dtype(complex).itemsize
 
 
 class TestAdjoint:
@@ -664,7 +667,7 @@ class TestSectorBlocks:
         # the first failing one with the error of the dense route
         with pytest.raises(RangeError) as dense:
             compute_metrics(liouvillian(driven_dephasing(1e300, 1e10)))
-        monkeypatch.setattr(lindscope.superop, "_liouvillians", refused)
+        monkeypatch.setattr(lindscope.superop, "_liouvillian_rows", refused)
         monkeypatch.setattr(lindscope.superop, "_sector_form", refused)
         path = tmp_path / "jc.json"
         path.write_text('{"model": {"type": "jaynes_cummings", "n_max": 3}}', encoding="utf-8")
@@ -739,6 +742,45 @@ class TestModelForm:
         for g, w in ((a, want[0]), (table, want[2])):
             assert g.dtype == w.dtype and g.shape == w.shape
             assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("d", [11, 32])
+    def test_unsplit_equals_dense_form(self, d):
+        # formed from the row chunks of its build; at d = 11 the last
+        # chunk is short
+        model = unsplit_model(94, d=d)
+        if d == 11:
+            assert (d * d) % _chunk_rows(d) != 0
+        a, e, table = _form(liouvillian(model))
+        want = _sector_form(liouvillian(model).matrix[None])
+        assert table.shape == (1, d * d) and e == int(want[1][0])
+        for g, w in ((a, want[0]), (table, want[2])):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+    def test_overflow_past_the_first_chunk(self):
+        # a generator that does not split, finite in its first row chunk:
+        # the jump diag(0, .., x, -x), x^2 = 1.5e308, is finite, and so is
+        # its L^dag L, but the entries conj(-x) x - x^2 / 2 - x^2 / 2 of
+        # the last two blocks of rows overflow
+        d = 12
+        base = unsplit_model(95, d=d)
+        jump = np.zeros((d, d), dtype=complex)
+        jump[d - 2, d - 2], jump[d - 1, d - 1] = np.sqrt(1.5e308), -np.sqrt(1.5e308)
+        model = LindbladModel(d, base.hamiltonian, (jump, base.jumps[0]))
+        jumps = np.array(model.jumps)[None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chunks = _liouvillian_rows(model.hamiltonian[None], jumps, _jump_squares(jumps))
+            start, rows = next(chunks)
+            assert start == 0 and rows.shape[1] < d * d and np.isfinite(rows).all()
+            with pytest.raises(RangeError) as dense:
+                list(chunks)
+            with pytest.raises(RangeError) as built:
+                liouvillian(model).matrix
+            with pytest.raises(RangeError) as formed:
+                _form(liouvillian(model))
+        assert str(dense.value) == str(built.value) == str(formed.value)
+        assert "overflows" in str(formed.value)
 
     def test_matrix_built_on_first_read(self):
         # after the pass, a generator that does not split holds no n x n
