@@ -31,10 +31,12 @@ at k 4 and 5, ``series`` on ``jaynes_cummings`` at ``n_max`` 7, and
 ``regimes`` over its ``g``; ``analyze`` as csv on ``jaynes_cummings`` at
 ``n_max`` 7 and on ``multi_qubit_dephasing`` at k 5, and ``series`` as json
 on the first, cover a model's generator formed from the ``d x d``
-entries, and ``analyze`` and ``series``, each as json and as csv, on an
-explicit seeded random model at d = 8 (all entries nonzero, one sector)
-one formed from its dense generator, gathered chunk by chunk as it is
-built. ``analyze``, as json and as csv, on such a model at d = 32, and as
+entries. ``analyze``, as json and as csv, and ``series`` on an explicit
+seeded random model at d = 4 (all entries nonzero, one sector) cover one
+formed from the entries of every slot pair, the largest dimension that
+takes them, and ``analyze`` and ``series``, each as json and as csv, on
+such a model at d = 8 one formed from its dense generator, gathered chunk
+by chunk as it is built. ``analyze``, as json and as csv, on such a model at d = 32, and as
 json on a d = 32 model with one jump ``sqrt(0.7) U`` (``U`` a seeded
 random unitary, so the report's dissipator and jump map do not split
 either) cover that route at the cap. ``series`` with
@@ -317,12 +319,18 @@ def commands(tmp: Path) -> list[tuple[str, list[str]]]:
     out.append(("analyze-csv unitary_jump-3", ["analyze", str(path), "--format", "csv"]))
     jaynes_7 = str(tmp / "jaynes_cummings-7.json")
     out.append(("series jaynes_cummings-7", ["series", jaynes_7]))
-    # both routes of a model's form at size: the sectored models from the
-    # d x d entries, a random one from the row chunks of its dense build
+    # every route of a model's form: the sectored models and a random one
+    # at d = 4 from the d x d entries, a random one at d = 8 from the row
+    # chunks of its dense build
     out.append(("analyze-csv jaynes_cummings-7", ["analyze", jaynes_7, "--format", "csv"]))
     out.append(("series-json jaynes_cummings-7", ["series", jaynes_7, "--format", "json"]))
     path = str(tmp / "multi_qubit_dephasing-5.json")
     out.append(("analyze-csv multi_qubit_dephasing-5", ["analyze", path, "--format", "csv"]))
+    path = tmp / "random-4.json"
+    path.write_text(json.dumps(random_model(4)), encoding="utf-8")
+    out.append(("analyze-json random-4", ["analyze", str(path)]))
+    out.append(("analyze-csv random-4", ["analyze", str(path), "--format", "csv"]))
+    out.append(("series random-4", ["series", str(path)]))
     path = tmp / "random-8.json"
     path.write_text(json.dumps(random_model()), encoding="utf-8")
     out.append(("analyze-json random-8", ["analyze", str(path)]))

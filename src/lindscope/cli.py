@@ -445,8 +445,8 @@ def _sweep_values(config: RunConfig) -> np.ndarray:
 
 # A sweep builds its points in stacks (models._stack) of at most this many
 # entries per d x d operator, at most _BLOCK_ENTRIES // 4 points, and takes
-# their sector blocks straight from H and the jumps (superop._sector_blocks)
-# a chunk at a time, with no n x n generator. A chunk is a run of
+# their sector blocks from H and the jumps (superop._sector_blocks, by the
+# rule that forms a model's generator) a chunk at a time. A chunk is a run of
 # consecutive points of a stack whose H and jumps have the same
 # exactly-zero entries, so each point gets the sectors it gets alone, sized
 # to fill _POOL_ENTRIES float64 entries by the blocks per point of the

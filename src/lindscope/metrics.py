@@ -38,12 +38,13 @@ generators, with one prescale per generator and one batched call per step:
 four Hermitian eigensolve calls for the whole stack. It returns columns,
 one array per metric over the stack, and runs its checks and kappa bands
 on whole columns. ``compute_metrics`` runs it on ``superop._form`` of one
-generator and reads row 0: for the generator of a model, the form is taken
-from H and the jumps, and its dense matrix is never built whole (a
-generator that does not split is formed from the row chunks of its dense
-build, each gathered before the next is built). A sweep runs the pass on the blocks that
-``superop._sector_blocks`` forms straight from H and the jumps of a chunk
-of points. Every step works on each block alone, so a generator takes the
+generator and reads row 0. A sweep runs it on ``superop._sector_blocks`` of
+a chunk of points. The generator of a model and those of a sweep are
+formed by ``superop._operator_form`` from H and the jumps, and never
+built whole: it forms their entries from those of H and the jumps where
+their patterns split them or d is at most 4, and otherwise gathers them
+from the row chunks of the dense build, each gathered before the next is
+built. Every step works on each block alone, so a generator takes the
 values it takes in its own block's pass, bit for bit, whatever blocks
 share the call. A stack passes or fails as a whole, with the error of its
 first failing generator.
@@ -60,9 +61,9 @@ one pattern of zeros, as the points of a sweep do unless a parameter is
 exactly 0.
 
 The structured-dissipator report runs on the same layout: the sector
-blocks of the dissipator and of the jump map, formed from the jumps as a
-model's generator is (``superop._operator_form``), and their spectra taken
-one eigensolve per group of blocks of one size
+blocks of the dissipator and of the jump map, formed from the jumps by
+the rule that forms a model's generator (``superop._operator_form``), and
+their spectra taken one eigensolve per group of blocks of one size
 (``superop._block_spectrum``).
 """
 
@@ -449,12 +450,10 @@ def structured_dissipator_report(model: LindbladModel) -> StructuredDissipatorRe
 
     Both spectra come from sector blocks (``superop._operator_form``): the
     dissipator's from the jumps and the same ``L_k^dag L_k`` that ``gamma``
-    sums, the jump map's from the jumps with zeros in their place. Where the
-    jumps' patterns split a map, its blocks are formed from the ``d x d``
-    entries; where they do not, from the row chunks of its dense build,
-    none of which is kept. Each is formed on its own, not
-    one from the other, so ``shift_max_error`` checks the shift. Both are
-    sorted by real part, then imaginary part.
+    sums, the jump map's from the jumps with zeros in their place, each by
+    the rule that forms a model's generator, with no dense map kept. Each
+    is formed on its own, not one from the other, so ``shift_max_error``
+    checks the shift. Both are sorted by real part, then imaginary part.
     """
     d = model.dim
     jumps = np.array(model.jumps).reshape(1, len(model.jumps), d, d)

@@ -18,7 +18,8 @@ returns their Hamiltonians and jumps as ``(m, d, d)`` and ``(m, K, d, d)``
 stacks. Each kind is affine in its parameters, or in ``sqrt(rate)``, times
 fixed matrices; only ``n_max`` and ``k`` fix the shape. ``build`` and the
 public builders are its stack of one plus a label, and sweeps feed its
-stacks straight into ``superop._sector_blocks``. A stack is built whole or
+stacks straight into ``superop._sector_blocks``, which forms them by the
+rule that forms a model's generator. A stack is built whole or
 not at all: a point that fails a check raises, for the whole stack, the
 error it raises alone, and a sweep then goes on in stacks of one point to
 name the first that fails.
@@ -382,9 +383,13 @@ def build(spec: ModelSpec) -> LindbladModel:
 
 
 def _number(value):
-    """A builder argument as a parameter: a Python int as it is (``build``
-    checks its range), anything else as a float."""
-    return value if type(value) is int else float(value)
+    """A builder argument as a parameter, for ``build`` to check as it checks
+    a model file's: a numpy float as a float, any other numpy scalar or
+    array as its ``tolist()`` (an integer an int, an array of more than 0
+    dimensions a list), anything else as it is."""
+    if isinstance(value, np.floating):
+        return float(value)
+    return value.tolist() if isinstance(value, (np.generic, np.ndarray)) else value
 
 
 def _named(kind: str, **params) -> LindbladModel:
@@ -443,4 +448,4 @@ def jaynes_cummings(
     on atom (x) field with the field truncated at Fock level n_max.
     """
     spec = {"omega_a": _number(omega_a), "omega_c": _number(omega_c), "g": _number(g)}
-    return build(ModelSpec("jaynes_cummings", {**spec, "n_max": int(n_max)}))
+    return build(ModelSpec("jaynes_cummings", {**spec, "n_max": _number(n_max)}))

@@ -32,14 +32,16 @@ takes one form. It has two inputs. ``_slot_entries`` gathers the four
 entries that the real form combines for every pair of basis slots from
 row chunks of dense ``n x n`` generators: row views of a matrix
 (``_sector_form``) or the chunks of a build, each gathered before the
-next is built. ``_operator_blocks`` builds no ``n x n``
-matrix: it forms those entries from the ``d x d`` entries of ``H``,
-``L_k`` and ``L_k^dag L_k`` of a stack, for only the slot pairs inside the
-sectors that their patterns allow. It serves sweeps (``_sector_blocks``,
-a chunk of points). ``_operator_form`` forms one model's maps by the route
-that suits them: from those entries where the patterns split the maps,
-and otherwise from the row chunks of their dense build, so that no whole
-``n x n`` build is ever alive during a form.
+next is built. ``_generator_entries`` forms those entries from the ``d x
+d`` entries of ``H``, ``L_k`` and ``L_k^dag L_k`` of a stack, with no ``n
+x n`` matrix, for the slot pairs of an entry plan. ``_operator_form`` is
+the one function that turns a stack of operators into its form, and the
+one that picks a route, from the stack alone: where the ``d x d``
+patterns split the maps, it forms the entries of only the slot pairs
+inside the sectors that they allow; a stack that is one block forms every
+pair so up to ``_ENTRY_DIM``, and above it gathers the row chunks of its
+dense build. It serves models, the structured report and sweeps
+(``_sector_blocks``, a chunk of points).
 ``_form`` is the one form that the analysis pass and the dynamics take of
 a Superoperator: ``_operator_form`` of a model's generator, whose matrix
 is then never built, and ``_sector_form`` of any other's matrix. The
@@ -557,7 +559,7 @@ def _block_spectrum(a: np.ndarray, e: int | np.ndarray, table: np.ndarray) -> np
     """The eigenvalues of the map whose form is ``(a, e, table)``, unsorted, complex128.
 
     ``(a, e, table)`` is a form of one map (``_form``, or
-    ``_operator_blocks`` of a stack of one), ``e`` an int or a length-1
+    ``_operator_form`` of a stack of one), ``e`` an int or a length-1
     array. A padded row would add a zero eigenvalue, so the blocks with
     ``s`` rows that are not padding are cut to ``s x s`` and take one
     batched eigensolve, one for each such size; the eigenvalues are then
@@ -639,17 +641,11 @@ def _candidate_pairs(dim: int, key: bytes) -> np.ndarray | None:
 def _candidates(dim: int, key: bytes | None) -> tuple:
     """The slot pairs to form for the ``d x d`` patterns packed in ``key``, with their entry plan.
 
-    The pairs are those of ``_candidate_pairs``, or every pair when it
-    gives None or for ``key`` None, and then the result is that of ``key``
-    None.
+    The pairs are those of ``_candidate_pairs``, which split, or every pair
+    for ``key`` None.
     """
-    pairs = None if key is None else _candidate_pairs(dim, key)
-    if pairs is None:
-        if key is not None:
-            # every pair: the keys that take them all share one plan, of
-            # about 76 MB at d = 32
-            return _candidates(dim, None)
-        pairs = _frozen(np.arange((dim * (dim + 1) // 2) ** 2))
+    r = dim * (dim + 1) // 2
+    pairs = _frozen(np.arange(r * r)) if key is None else _candidate_pairs(dim, key)
     return pairs, _entry_plan(dim, pairs)
 
 
@@ -701,8 +697,9 @@ def _generator_entries(
             t = np.take(jump, jl, axis=1)
             np.conjugate(t, out=t)
             # not in place: numpy skips the fused multiply-add of a complex
-            # product written in place over a single entry
-            m += t * np.take(jump, ik, axis=1)
+            # product written in place, which the operator form ``t * x``
+            # also does into a temporary ``x`` of 256 KiB or more
+            m += np.multiply(t, np.take(jump, ik, axis=1))
             t = np.take(square, ik, axis=1)
             np.multiply(eye_jl, t, out=t)
             m -= np.multiply(0.5, t, out=t)
@@ -727,39 +724,18 @@ def _jump_squares(jumps: np.ndarray) -> np.ndarray:
 
 
 def _sector_blocks(h: np.ndarray, jumps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_sector_form(_liouvillians(h, jumps))``, bit for bit, without the ``n x n`` generators.
+    """``_sector_form(_liouvillians(h, jumps))``, bit for bit: ``_operator_form``
+    of a stack with the ``L_k^dag L_k`` of its jumps.
 
     ``h`` is ``(m, d, d)`` and ``jumps`` ``(m, K, d, d)``, as
-    ``models._stack`` returns them. It is ``_operator_blocks`` with the
-    ``L_k^dag L_k`` of the jumps; a stack whose generator would hold an
+    ``models._stack`` returns them; a stack whose generator would hold an
     entry beyond double precision is a RangeError.
     """
-    return _operator_blocks(h, jumps, _jump_squares(jumps))
-
-
-def _operator_blocks(h: np.ndarray, jumps: np.ndarray, jdj: np.ndarray) -> tuple:
-    """The sector form of the maps ``-i[H, X] + sum_k (L_k X L_k^dag - {J_k, X}/2)``.
-
-    ``h`` is ``(m, d, d)``, ``jumps`` and ``jdj``, the ``J_k``, ``(m, K,
-    d, d)``, all finite. With ``J_k = L_k^dag L_k`` the maps are the
-    generators (``_sector_blocks``), with ``H = 0`` their dissipators, and
-    with ``H = 0`` and ``J_k = 0`` the jump maps ``X -> sum_k L_k X
-    L_k^dag``. Each entry is formed by the operations that
-    ``_liouvillians`` makes on it, so the generators' form is that of the
-    dense generators, bit for bit. The ``d x d``
-    patterns of ``H``, ``L_k`` and ``J_k`` over the stack give sectors that
-    hold those of the maps (``_candidates``); only the entries of their
-    slot pairs are formed, and ``_form_blocks`` takes them. A stack whose
-    candidates split while its maps are one block forms every pair. A map
-    with an entry beyond double precision is a RangeError.
-    """
-    key = _pattern_key(h, jumps, jdj)
-    form = _pair_blocks(h, jumps, jdj, key)
-    return form if form is not None else _pair_blocks(h, jumps, jdj, None)
+    return _operator_form(h, jumps, _jump_squares(jumps))
 
 
 def _pair_blocks(h: np.ndarray, jumps: np.ndarray, jdj: np.ndarray, key: bytes | None):
-    """``_form_blocks`` of the entries of the maps of ``_operator_blocks`` on
+    """``_form_blocks`` of the entries of the maps of ``_operator_form`` on
     the slot pairs of ``_candidates(d, key)``: None where it gives None."""
     k, d = h.shape[0], h.shape[-1]
     n = d * d
@@ -773,27 +749,52 @@ def _pair_blocks(h: np.ndarray, jumps: np.ndarray, jdj: np.ndarray, key: bytes |
     return _form_blocks(g, _exponents(m), d, key)
 
 
-def _operator_form(h: np.ndarray, jumps: np.ndarray, jdj: np.ndarray) -> tuple:
-    """``_operator_blocks`` of a stack, bit for bit, by the route that suits it.
+# A stack that is one block is formed from the entries of every slot pair up
+# to this dimension, and above it from the row chunks of its dense build.
+# Min time of one form in us, every pair / row chunks, of unsplit random
+# stacks with two jumps (one BLAS thread, numpy 2.4, 2-core VM): one point
+# with the plans cached, one point and a sweep's chunk (n^2 k <= 16384)
+# with the caches cleared, as in a process that forms one model:
+#   d                       2          3          4          5          6          8
+#   1, cached          73/101     76/106     85/117     97/131    124/162    227/283
+#   1, cleared        174/177    188/190    205/200    260/227    314/251    611/367
+#   chunk, cleared  1614/2148  1031/1234   995/1100   912/1050   1011/895   1150/856
+# (chunks of 1024, 202, 64, 26, 12 and 4 points). Past d = 4 a first form
+# takes longer by every pair, whose cached plan grows as d^4: 18 KB at d = 4,
+# 0.28 MB at d = 8, 4.4 MB at d = 16 and 70 MB at d = 32.
+_ENTRY_DIM = 4
 
-    Where the ``d x d`` patterns split the maps (``_candidate_pairs``) and
-    the maps are more than one block, it is ``_operator_blocks``, which
-    forms the entries of the candidate pairs alone. Otherwise the dense
-    maps are built in row chunks (``_liouvillian_rows``) and formed as
-    ``_sector_form`` forms them, each chunk gathered before the next is
-    built, so no whole ``n x n`` build is ever alive: where nothing splits,
-    that is faster at d = 32 than forming every pair, and it needs no entry
-    plan of every pair (``_candidates(d, None)``, about 76 MB at d = 32).
-    Sweeps, whose stacks at d = 2 form every pair faster than a dense
-    build, take ``_operator_blocks`` itself.
+
+def _operator_form(h: np.ndarray, jumps: np.ndarray, jdj: np.ndarray) -> tuple:
+    """The sector form of the maps ``-i[H, X] + sum_k (L_k X L_k^dag - {J_k, X}/2)``.
+
+    ``h`` is ``(m, d, d)``, ``jumps`` and ``jdj``, the ``J_k``, ``(m, K,
+    d, d)``, all finite. With ``J_k = L_k^dag L_k`` the maps are the
+    generators (``_sector_blocks``, ``_form``), with ``H = 0`` their
+    dissipators, and with ``H = 0`` and ``J_k = 0`` the jump maps ``X ->
+    sum_k L_k X L_k^dag``. It is the one function that picks a route, from
+    the input alone, and every route gives the form of the dense maps
+    (``_sector_form(_liouvillians(h, jumps, jdj))``) bit for bit. Where the
+    ``d x d`` patterns of ``H``, ``L_k`` and ``J_k`` over the stack split
+    the maps (``_candidate_pairs``) and the maps are more than one block,
+    only the entries of the candidate pairs are formed
+    (``_generator_entries``, by the operations of the dense build). A stack
+    that is one block forms every pair so up to ``_ENTRY_DIM``; above it,
+    the dense maps are built in row chunks (``_liouvillian_rows``), each
+    gathered (``_slot_entries``) before the next is built, so no whole ``n x
+    n`` build is alive and no plan of every pair is made. A map with an
+    entry beyond double precision is a RangeError.
     """
+    d = h.shape[-1]
     key = _pattern_key(h, jumps, jdj)
-    if _candidate_pairs(h.shape[-1], key) is not None:
+    if _candidate_pairs(d, key) is not None:
         form = _pair_blocks(h, jumps, jdj, key)
         if form is not None:
             return form
+    if d <= _ENTRY_DIM:
+        return _pair_blocks(h, jumps, jdj, None)
     g, e = _slot_entries(_liouvillian_rows(h, jumps, jdj))
-    return _form_blocks(g, e, h.shape[-1], None)
+    return _form_blocks(g, e, d, None)
 
 
 def _hermitian_coords(rho: np.ndarray) -> np.ndarray:
@@ -826,7 +827,7 @@ _OVERFLOW = "the generator overflows double precision; rescale the model"
 
 
 def _liouvillian_rows(h: np.ndarray, jumps: np.ndarray, jdj: np.ndarray):
-    """The matrices of the maps of ``_operator_blocks`` of a stack, in row chunks.
+    """The matrices of the maps of ``_operator_form`` of a stack, in row chunks.
 
     ``h`` holds the points' Hamiltonians, ``(m, d, d)``, ``jumps`` their
     jump operators and ``jdj`` the ``J_k``, both ``(m, K, d, d)``. With
@@ -872,7 +873,7 @@ def _liouvillian_rows(h: np.ndarray, jumps: np.ndarray, jdj: np.ndarray):
 
 
 def _liouvillians(h: np.ndarray, jumps: np.ndarray, jdj: np.ndarray) -> np.ndarray:
-    """The matrices of the maps of ``_operator_blocks`` of a stack, ``(m, d^2, d^2)``,
+    """The matrices of the maps of ``_operator_form`` of a stack, ``(m, d^2, d^2)``,
     filled from the row chunks of ``_liouvillian_rows``; a map with an entry
     beyond double precision is a RangeError, with no numpy warning."""
     n = h.shape[-1] ** 2

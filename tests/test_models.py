@@ -240,11 +240,53 @@ class TestBuildFromSpec:
             make()
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize(
+        "make, spec",
+        [
+            (lambda: dephasing(True), ModelSpec("dephasing", {"gamma_z": True})),
+            (lambda: dephasing("2"), ModelSpec("dephasing", {"gamma_z": "2"})),
+            (lambda: dephasing(None), ModelSpec("dephasing", {"gamma_z": None})),
+            (lambda: relaxation(1 + 0j), ModelSpec("relaxation", {"gamma_minus": 1 + 0j})),
+            (lambda: relaxation(np.bool_(True)),
+             ModelSpec("relaxation", {"gamma_minus": np.bool_(True)})),
+            (lambda: driven_dephasing(omega=[0.5]),
+             ModelSpec("driven_dephasing", {"omega": [0.5]})),
+            (lambda: multi_qubit_dephasing([1.0, True]),
+             ModelSpec("multi_qubit_dephasing", {"k": 2, "gamma_1": 1.0, "gamma_2": True})),
+        ],
+        ids=["bool", "str", "none", "complex", "numpy-bool", "list", "bool-in-list"],
+    )
+    def test_builder_refuses_what_build_refuses(self, make, spec):
+        # a public builder passes on what is not a number, and build names it
+        with pytest.raises(ConfigError) as built:
+            build(spec)
+        with pytest.raises(ConfigError) as raised:
+            make()
+        assert str(raised.value) == str(built.value)
+        assert str(raised.value).endswith("must be a number")
+
+    def test_builder_refuses_an_array(self):
+        # build takes a vector as a stack of points; a builder makes one model
+        with pytest.raises(ConfigError, match="^driven_dephasing: parameter 'omega' must be a number$"):
+            driven_dephasing(omega=np.array([0.5, 0.6]))
+        assert driven_dephasing(omega=np.array(0.5)).label == driven_dephasing(omega=0.5).label
+
     def test_integer_parameter_validation(self):
         with pytest.raises(ConfigError):
             build(ModelSpec("jaynes_cummings", {"n_max": 2.5}))
         model = build(ModelSpec("jaynes_cummings", {"n_max": 2.0}))
         assert model.dim == 6
+        # the builder takes n_max as build does: an integer-valued number,
+        # a numpy one too, and no bool, string or NaN
+        for n_max in (2.5, True, "3", float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="parameter 'n_max' must be an integer"):
+                jaynes_cummings(n_max=n_max)
+            with pytest.raises(ConfigError, match="parameter 'n_max' must be an integer"):
+                build(ModelSpec("jaynes_cummings", {"n_max": n_max}))
+        for n_max in (2, 2.0, np.int64(2), np.float32(2.0), np.array(2)):
+            assert jaynes_cummings(n_max=n_max).dim == 6
+        assert dephasing(np.float32(0.5)).label == dephasing(0.5).label
+        assert multi_qubit_dephasing(np.array([0.1, 0.2])).dim == 4
 
     def test_hamiltonian_only_named_form(self):
         model = build(ModelSpec("hamiltonian_only", {"omega": 2.0}))

@@ -821,8 +821,10 @@ class TestModelForm:
         assert repr(s) == f"Superoperator(dim=2, matrix={m!r})"
 
     def test_no_all_pairs_plan(self, monkeypatch):
-        # neither the form nor the report asks for the entry plan of every
-        # slot pair, on models that split and on ones that do not
+        # no model, report or sweep above d = 4 asks for the entry plan of
+        # every slot pair (70 MB at d = 32), on stacks that split and on
+        # ones that do not; one block at d <= 4 takes it, as
+        # dephasing(0.3), the d = 4 random model and the unitary jump do
         import lindscope.superop
 
         lengths = []
@@ -835,10 +837,58 @@ class TestModelForm:
         rng = np.random.default_rng(93)
         unitary = random_unitary(rng, 3)
         for model in (jaynes_cummings(n_max=3), multi_qubit_dephasing([0.1, 0.2, 0.3]),
-                      dephasing(0.3), random_model(rng, d=4),
+                      dephasing(0.3), random_model(rng, d=4), unsplit_model(96, d=5),
+                      unsplit_model(97, d=8),
                       LindbladModel(3, np.zeros((3, 3)), (np.sqrt(0.7) * unitary,))):
             _form(liouvillian(model))
             structured_dissipator_report(model)
+            jumps = np.array(model.jumps).reshape(1, -1, model.dim, model.dim)
+            _sector_blocks(np.stack([model.hamiltonian] * 3), np.concatenate([jumps] * 3))
         _candidates.cache_clear()
-        assert lengths
-        assert all(length < (dim * (dim + 1) // 2) ** 2 for dim, length in lengths)
+        every = {(dim, length) for dim, length in lengths
+                 if length == (dim * (dim + 1) // 2) ** 2}
+        assert every == {(2, 9), (3, 36), (4, 100)}
+        assert any(dim == 8 for dim, _ in lengths)
+
+
+class TestOneBlockRoute:
+    """A stack that is one block is formed from the entries of every slot
+    pair up to d = 4, and from the row chunks of its dense build above; each
+    route gives the dense form bit for bit."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 8])
+    def test_route_by_dimension(self, monkeypatch, d):
+        import lindscope.superop
+
+        # random stacks are one sector; as one point and as a sweep's chunk
+        # of them (1024, 202, 64, 26, 12 and 4 points); at d = 2 the chunk's
+        # entries fill 256 KiB, where numpy reuses a temporary operand of a
+        # product in place, which rounds it otherwise
+        rng = np.random.default_rng(60 + d)
+        points = max(1, 16384 // d**4)
+        h = np.stack([random_hermitian(rng, d) for _ in range(points)])
+        jumps = np.stack([[random_complex(rng, d) for _ in range(2)] for _ in range(points)])
+        _assert_same_blocks(h, jumps)
+        model = LindbladModel(d, h[0], tuple(jumps[0]))
+        want = _sector_form(liouvillian(model).matrix[None])
+        assert want[2].shape == (1, d * d)
+
+        def refused(*args):
+            raise AssertionError("the other route formed the stack")
+
+        if d <= 4:
+            monkeypatch.setattr(lindscope.superop, "_liouvillian_rows", refused)
+        else:
+            entry_plan = lindscope.superop._entry_plan
+            every = (d * (d + 1) // 2) ** 2
+            monkeypatch.setattr(lindscope.superop, "_entry_plan",
+                                lambda dim, pairs: refused() if len(pairs) == every
+                                else entry_plan(dim, pairs))
+            _candidates.cache_clear()
+        _sector_blocks(h[:1], jumps[:1])
+        _sector_blocks(h, jumps)
+        a, e, table = _form(liouvillian(model))
+        assert e == int(want[1][0])
+        for g, w in ((a, want[0]), (table, want[2])):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
