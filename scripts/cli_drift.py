@@ -40,8 +40,13 @@ by chunk as it is built. ``analyze``, as json and as csv, on such a model at d =
 json on a d = 32 model with one jump ``sqrt(0.7) U`` (``U`` a seeded
 random unitary, so the report's dissipator and jump map do not split
 either) cover that route at the cap. ``series`` with
-``--t-end=-1`` on an explicit model whose generator overflows covers
-which error is reported first. ``analyze`` and ``series``, each as json and
+``--t-end=-1`` on an explicit model whose generator overflows, and on a
+named ``driven_dephasing`` model whose ``eta`` overflows, covers which
+error is reported first. ``sweep`` and ``regimes`` on a named model file
+with an extra top-level key cover the checks of a model file, which they
+share with ``analyze``, and ``--help`` of ``lindscope`` and of each command
+covers the front end (argparse wraps it to ``COLUMNS=80``). ``analyze``
+and ``series``, each as json and
 as csv, run on damped ``jaynes_cummings`` at ``n_max`` 3 and 7 (d = 8 and
 16), explicit model files with jumps ``sqrt(kappa) a`` and
 ``sqrt(gamma) sigma_-``: nonnormal generators, and at ``n_max`` 7 one that
@@ -108,7 +113,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # One interpreter per side runs every command through cli.main and prints
-# {name: [exit code, stdout, stderr]} as JSON.
+# {name: [exit code, stdout, stderr]} as JSON; a --help exits from argparse
+# with its code.
 RUNNER = """
 import contextlib, io, json, sys
 from lindscope.cli import main
@@ -116,7 +122,10 @@ results = {}
 for name, argv in json.loads(sys.argv[1]):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help prints, then exits
+            code = exc.code
     results[name] = [code, out.getvalue(), err.getvalue()]
 json.dump(results, sys.stdout)
 """
@@ -352,6 +361,23 @@ def commands(tmp: Path) -> list[tuple[str, list[str]]]:
                                 "jumps": [{"matrix": [[1e200, 0], [0, -1e200]]}]}),
                     encoding="utf-8")
     out.append(("series-overflow-t-end overflow.json", ["series", str(path), "--t-end=-1"]))
+    # so is an eta that overflows, from a generator that forms
+    path = tmp / "eta-overflow.json"
+    path.write_text(json.dumps({"model": {"type": "driven_dephasing", "gamma_z": 1e300,
+                                          "omega": 1e10}}), encoding="utf-8")
+    out.append(("series-eta-overflow-t-end eta-overflow.json",
+                ["series", str(path), "--t-end=-1"]))
+    # a sweep reads its file with the checks of analyze
+    path = tmp / "extra-key.json"
+    path.write_text(json.dumps({"model": {"type": "driven_dephasing", "gamma_z": 1.0,
+                                          "omega": 2.0}, "junk": 1}), encoding="utf-8")
+    flags = ["--param", "omega", "--from", "1", "--to", "2", "--points", "3"]
+    for command in ("sweep", "regimes"):
+        out.append((f"{command}-extra-key extra-key.json", [command, str(path), *flags]))
+    # the front end: every option's flag, metavar and help
+    out.append(("help", ["--help"]))
+    for command in ("analyze", "series", "sweep", "regimes"):
+        out.append((f"help {command}", [command, "--help"]))
     coupling = ["--param", "g", "--from", "1e-3", "--to", "10", "--points", "30", "--log"]
     out.append(("regimes-g jaynes_cummings-7", ["regimes", jaynes_7, *coupling]))
     coupling = ["--param", "g", "--from", "1e-3", "--to", "10", "--points", "50", "--log"]
@@ -380,7 +406,8 @@ def commands(tmp: Path) -> list[tuple[str, list[str]]]:
 
 
 def run_side(src: Path, cmds) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src))
+    # the width argparse wraps --help to, whatever the caller's terminal
+    env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     proc = subprocess.run(

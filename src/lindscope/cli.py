@@ -24,6 +24,11 @@ jump "matrix" scales it by sqrt(rate)::
      "jumps": [{"rate": 1.0,
                 "matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}]}
 
+Every command reads its model file with the same checks (``sweep`` and
+``regimes`` then need a named model). ``series`` analyzes the model before
+it checks ``--t-end`` and ``--steps``, so a model error is reported before
+a grid error.
+
 Output is deterministic: fixed column order, floats printed with 17
 significant digits, LF newlines, CSV always carries a header row. The
 column tables of ``series``, ``sweep`` and ``regimes`` are filled into one
@@ -61,7 +66,7 @@ from .metrics import (
     structured_dissipator_report,
 )
 from .models import ModelSpec, _stack, build
-from .superop import LindbladModel, _form, _sector_blocks, liouvillian
+from .superop import LindbladModel, _sector_blocks, liouvillian
 
 __all__ = ["RunConfig", "parse_model_file", "run", "main"]
 
@@ -360,17 +365,24 @@ def _explicit_from_obj(obj, path: str) -> LindbladModel:
     return LindbladModel(dim=dim, hamiltonian=hamiltonian, jumps=tuple(jumps), label=label)
 
 
-def parse_model_file(path: str) -> LindbladModel:
-    """Read a model file, named or explicit, into a validated model."""
+def _read_model_file(path: str) -> ModelSpec | dict:
+    """A model file's named model as its ModelSpec, or its explicit model as
+    the JSON object, after the checks of the file's top level."""
     obj = _load_json(path)
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
-    if "model" in obj:
-        for key in obj:
-            if key != "model":
-                raise ConfigError(f"{path}: unknown key {key!r} next to \"model\"")
-        return build(_spec_from_obj(obj["model"]))
-    return _explicit_from_obj(obj, path)
+    if "model" not in obj:
+        return obj
+    for key in obj:
+        if key != "model":
+            raise ConfigError(f"{path}: unknown key {key!r} next to \"model\"")
+    return _spec_from_obj(obj["model"])
+
+
+def parse_model_file(path: str) -> LindbladModel:
+    """Read a model file, named or explicit, into a validated model."""
+    model = _read_model_file(path)
+    return build(model) if isinstance(model, ModelSpec) else _explicit_from_obj(model, path)
 
 
 # ---------------------------------------------------------------------------
@@ -464,13 +476,12 @@ _POOL_ENTRIES = 16384
 
 def _sweep_columns(config: RunConfig, fields) -> dict[str, np.ndarray]:
     """The sweep's table: its parameter values, then ``fields`` of the pass, as columns by name."""
-    raw = _load_json(config.model_path)
-    if not isinstance(raw, dict) or "model" not in raw:
+    base = _read_model_file(config.model_path)
+    if not isinstance(base, ModelSpec):
         raise ConfigError(
             f"{config.model_path}: sweeping needs a named model file "
             '(a top-level "model" object)'
         )
-    base = _spec_from_obj(raw["model"])
     values = _sweep_values(config)
     blocks: list[dict] = []
     done, until, n, per = 0, 0, 0, 0
@@ -521,15 +532,13 @@ def run(config: RunConfig) -> int:
     else:
         if config.command == "series":
             superop = liouvillian(parse_model_file(config.model_path))
-            if config.t_end is not None:
-                try:
-                    grid = TimeGrid(0.0, config.t_end, config.steps)
-                except ConfigError:
-                    # an overflowing generator is reported before the grid
-                    _form(superop)
-                    raise
-            else:
+            # the metrics first, as default_grid takes them: a model error
+            # is reported before a grid error
+            compute_metrics(superop)
+            if config.t_end is None:
                 grid = default_grid(superop, config.steps)
+            else:
+                grid = TimeGrid(0.0, config.t_end, config.steps)
             series = amplification_series(superop, grid)
             columns = [series.times, *(getattr(series, name) for name in SERIES_FIELDS[1:])]
             table = dict(zip(SERIES_FIELDS, columns))
@@ -560,8 +569,9 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("model", help="model file (JSON)")
-        p.add_argument("--out", default=None, help="output file (default: stdout)")
+        p.add_argument("model_path", metavar="model", help="model file (JSON)")
+        p.add_argument("--out", dest="output_path", metavar="OUT",
+                       help="output file (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default=None, dest="fmt")
 
     def thresholds(p):
@@ -575,7 +585,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--from", dest="start", type=float, required=True)
         p.add_argument("--to", dest="stop", type=float, required=True)
         p.add_argument("--points", type=int, required=True)
-        p.add_argument("--log", action="store_true", help="log-spaced values")
+        p.add_argument("--log", dest="log_scale", action="store_true", help="log-spaced values")
 
     p_analyze = sub.add_parser("analyze", help="structure metrics of one model")
     common(p_analyze)
@@ -601,44 +611,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _thresholds_from_args(args) -> RegimeThresholds | None:
-    lo = getattr(args, "kappa_lo", None)
-    hi = getattr(args, "kappa_hi", None)
-    if lo is None and hi is None:
-        return None
-    defaults = RegimeThresholds()
-    lo = defaults.kappa_lo if lo is None else lo
-    hi = defaults.kappa_hi if hi is None else hi
-    # RegimeThresholds refuses bands other than 0 < lo < hi
-    return RegimeThresholds(kappa_lo=lo, kappa_hi=hi)
-
-
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        model_path=args.model,
-        output_path=args.out,
-        fmt=args.fmt,
-        t_end=getattr(args, "t_end", None),
-        steps=getattr(args, "steps", DEFAULT_STEPS),
-        thresholds=_thresholds_from_args(args),
-        param=getattr(args, "param", None),
-        start=getattr(args, "start", None),
-        stop=getattr(args, "stop", None),
-        points=getattr(args, "points", None),
-        log_scale=getattr(args, "log", False),
-    )
+def _config(argv=None) -> RunConfig:
+    """The RunConfig of a command line: its options by the names of their
+    fields, ``--kappa-lo`` and ``--kappa-hi`` as its ``thresholds``."""
+    fields = vars(_build_parser().parse_args(argv))
+    bands = {k: v for k in ("kappa_lo", "kappa_hi") if (v := fields.pop(k, None)) is not None}
+    if bands:
+        # RegimeThresholds refuses bands other than 0 < lo < hi
+        fields["thresholds"] = RegimeThresholds(**bands)
+    return RunConfig(**fields)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return run(_config_from_args(args))
-    except IoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        return run(_config(argv))
+    except (IoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LindscopeError as exc:

@@ -16,8 +16,8 @@ visible relative to either baseline.
 
 For the generator of a model, alpha is exactly 0 (Lindblad 1976): trace
 preservation puts 0 in the spectrum, and a CPTP semigroup has no eigenvalue
-with a positive real part. ``liouvillian`` keeps that value on the
-generator, so ``spectral_abscissa`` runs no eigensolve for it, and
+with a positive real part. ``spectral_abscissa`` returns that value for
+every generator that ``liouvillian`` makes, with no eigensolve, and
 ``a_spectral`` is ``prop_norm`` bit for bit. A computed abscissa would be
 roundoff of either sign, positive (unphysical) for about half of random
 models. Only a raw ``Superoperator`` has its spectrum taken.
@@ -92,7 +92,7 @@ import numpy as np
 
 from .errors import ConfigError, RangeError
 from .linalg import EXP_SAFE_NORM, _hermitian_norms, _pade_exp, as_complex_matrix, hs_norm
-from .metrics import Regime, StructuralMetrics, compute_metrics
+from .metrics import Regime, StructuralMetrics, _check_real, compute_metrics
 from .superop import Superoperator, _block_spectrum, _form, _hermitian_coords
 
 __all__ = [
@@ -130,10 +130,8 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        for name, value in (("t_start", self.t_start), ("t_end", self.t_end)):
-            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer,
-                                                                 np.floating)):
-                raise ConfigError(f"{name} must be a real number, got {value!r}")
+        _check_real("t_start", self.t_start)
+        _check_real("t_end", self.t_end)
         if not self.t_start >= 0:
             raise ConfigError(f"t_start must be nonnegative, got {self.t_start}")
         for name, value in (("t_start", self.t_start), ("t_end", self.t_end)):
@@ -186,7 +184,9 @@ class CostEstimate(NamedTuple):
 
 
 def _check_time(t: float) -> None:
-    """Reject t < 0 or NaN, and an infinite t, whose ``t * 0`` is NaN."""
+    """Reject a t that is not a real number (a ConfigError), and t < 0 or
+    NaN, and an infinite t, whose ``t * 0`` is NaN (RangeErrors)."""
+    _check_real("t", t)
     if not t >= 0:
         raise RangeError(f"time must be nonnegative, got {t}")
     if t == math.inf:
@@ -309,20 +309,21 @@ def propagator(s: Superoperator, t: float) -> Superoperator:
 def spectral_abscissa(s: Superoperator) -> float:
     """Largest real part over the generator's eigenvalues.
 
-    For the generator of a model (``liouvillian``) it is exactly 0.0, which
-    that generator keeps: the trace is preserved, so 0 is an eigenvalue,
-    and a CPTP semigroup has no eigenvalue with a positive real part. So no
-    form is taken and no eigensolve runs, and a generator with an entry
-    beyond double precision gives 0.0 here too, where every call that
-    forms it is a RangeError.
+    For the generator of a model (``liouvillian``, a Superoperator that
+    holds ``_operators``) it is exactly 0.0: the trace is preserved, so 0
+    is an eigenvalue, and a CPTP semigroup has no eigenvalue with a
+    positive real part. So no form is taken and no eigensolve runs, and a
+    generator with an entry beyond double precision gives 0.0 here too,
+    where every call that forms it is a RangeError.
 
     For any other Superoperator the spectrum is taken in the Hermitian
     operator basis; the basis is unitary, so the spectrum is that of
     ``S``. It is ``superop._block_spectrum`` of ``_form(s)``, one batched
     eigensolve per size of block, and is computed on every call.
     """
-    alpha = getattr(s, "_abscissa", None)
-    return float(_block_spectrum(*_form(s)).real.max()) if alpha is None else alpha
+    if "_operators" in s.__dict__:
+        return 0.0
+    return float(_block_spectrum(*_form(s)).real.max())
 
 
 def _appg(m: StructuralMetrics, times: np.ndarray, prop: np.ndarray) -> tuple:
@@ -419,6 +420,7 @@ def normal_factorization_residual(s: Superoperator, t: float) -> float:
 
 def error_amplification(s: Superoperator, t: float, eps: float) -> float:
     """Worst-case state error eps * ||exp(t S)|| from a propagator error eps."""
+    _check_real("eps", eps)
     if not eps >= 0:
         raise ConfigError(f"eps must be nonnegative, got {eps}")
     _check_range(compute_metrics(s).generator_norm, t)
@@ -453,6 +455,7 @@ def cost_estimate(s: Superoperator, t: float, eps_star: float) -> CostEstimate:
     construction; the estimate is reported, never asserted against any
     external algorithm.
     """
+    _check_real("eps_star", eps_star)
     if not 0.0 < eps_star < 1.0:
         raise ConfigError(f"eps_star must lie in (0, 1), got {eps_star}")
     _check_time(t)

@@ -112,18 +112,28 @@ class Regime(str, enum.Enum):
     STRONGLY_NONNORMAL = "StronglyNonnormal"
 
 
+def _check_real(name: str, value) -> None:
+    """A ConfigError that names ``name`` unless ``value`` is a Python or numpy
+    int or float (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RegimeThresholds:
     """Bands of kappa delimiting the nonnormal regimes.
 
     Defaults give one decade of crossover on each side of kappa = 1. Bands
-    other than ``0 < kappa_lo < kappa_hi`` are a ConfigError.
+    that are not real numbers, or other than ``0 < kappa_lo < kappa_hi``,
+    are a ConfigError.
     """
 
     kappa_lo: float = 0.1
     kappa_hi: float = 10.0
 
     def __post_init__(self):
+        _check_real("kappa_lo", self.kappa_lo)
+        _check_real("kappa_hi", self.kappa_hi)
         if not 0 < self.kappa_lo < self.kappa_hi:
             raise ConfigError(
                 f"need 0 < kappa-lo < kappa-hi, got {self.kappa_lo} and {self.kappa_hi}"

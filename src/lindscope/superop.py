@@ -109,6 +109,14 @@ def dim_cap() -> int:
     return cap
 
 
+def _check_dim(dim) -> None:
+    """A ModelError unless ``dim`` is a positive Python or numpy int (not a bool)."""
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
+        raise ModelError(f"dimension must be an integer, got {dim!r}")
+    if dim < 1:
+        raise ModelError(f"dimension must be positive, got {dim}")
+
+
 def _frozen(m: np.ndarray) -> np.ndarray:
     m.setflags(write=False)
     return m
@@ -128,8 +136,7 @@ class LindbladModel:
     label: str = ""
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ModelError(f"dimension must be positive, got {self.dim}")
+        _check_dim(self.dim)
         cap = dim_cap()
         if self.dim > cap:
             raise ModelError(
@@ -172,16 +179,15 @@ class Superoperator:
     the model's ``H`` and jumps instead, and builds ``matrix`` on its first
     read, then keeps it, frozen; an entry beyond double precision makes
     that read a RangeError. The analysis pass and the dynamics form such a
-    generator from its operators (``_form``), so they never build it. It
-    also keeps its spectral abscissa, which is exactly 0 (``liouvillian``).
+    generator from its operators (``_form``), so they never build it, and
+    its spectral abscissa is exactly 0 (``liouvillian``).
     """
 
     dim: int
     matrix: np.ndarray
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ModelError(f"dimension must be positive, got {self.dim}")
+        _check_dim(self.dim)
         m = as_complex_matrix(self.matrix, self.dim**2, self.dim**2)
         object.__setattr__(self, "matrix", _frozen(m))
 
@@ -542,7 +548,7 @@ def _form(s: Superoperator) -> tuple[np.ndarray, int, np.ndarray]:
     form that the pass and the dynamics take of a Superoperator.
 
     The generator of a model (``liouvillian``) is formed from its ``H``
-    and jumps by ``_operator_form``, bit for bit as from its matrix, which
+    and jumps by ``_sector_blocks``, bit for bit as from its matrix, which
     is not built; a generator with an entry beyond double precision is a
     RangeError here. Any other Superoperator is formed from its matrix.
     """
@@ -550,8 +556,7 @@ def _form(s: Superoperator) -> tuple[np.ndarray, int, np.ndarray]:
     if operators is None:
         a, e, table = _sector_form(s.matrix[None])
     else:
-        h, jumps = operators
-        a, e, table = _operator_form(h, jumps, _jump_squares(jumps))
+        a, e, table = _sector_blocks(*operators)
     return a, int(e[0]), table
 
 
@@ -898,17 +903,17 @@ def liouvillian(model: LindbladModel) -> Superoperator:
     entry beyond double precision is a RangeError from the first read of
     its matrix or the first call that forms it.
 
-    It also keeps its spectral abscissa, ``_abscissa``, which is exactly 0
-    for every generator of this form (Lindblad 1976): the trace is
-    preserved, so 0 is an eigenvalue, and the semigroup is a contraction
-    in the trace norm, so no eigenvalue has a positive real part.
+    Its spectral abscissa is exactly 0 for every generator of this form
+    (Lindblad 1976): the trace is preserved, so 0 is an eigenvalue, and
+    the semigroup is a contraction in the trace norm, so no eigenvalue has
+    a positive real part. ``dynamics.spectral_abscissa`` returns that 0
+    for every Superoperator that holds ``_operators``.
     """
     d = model.dim
     s = object.__new__(Superoperator)
     object.__setattr__(s, "dim", d)
     jumps = np.array(model.jumps).reshape(1, len(model.jumps), d, d)
     object.__setattr__(s, "_operators", (model.hamiltonian[None], _frozen(jumps)))
-    object.__setattr__(s, "_abscissa", 0.0)
     return s
 
 

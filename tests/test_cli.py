@@ -276,6 +276,25 @@ class TestSeries:
 
 
 class TestSweepAndRegimes:
+    @pytest.mark.parametrize("command", ["sweep", "regimes"])
+    @pytest.mark.parametrize(
+        "payload",
+        [{"model": {"type": "driven_dephasing", "gamma_z": 1.0, "omega": 2.0}, "junk": 1},
+         {"dim": 2, "model": {"type": "driven_dephasing", "gamma_z": 1.0, "omega": 2.0}}],
+        ids=["key-after-model", "key-before-model"],
+    )
+    def test_model_file_refused_as_analyze_refuses(self, tmp_path, capsys, command, payload):
+        # a sweep reads its file with the checks of analyze: a key next to
+        # "model" is refused, where it once was ignored
+        path = write(tmp_path, "m.json", payload)
+        assert main(["analyze", path]) == 1
+        want = capsys.readouterr()
+        argv = [command, path, "--param", "omega", "--from", "1", "--to", "2", "--points", "3"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", want.err)
+        assert want.err.startswith(f"error: {path}: unknown key ")
+
     def test_sweep_kappa_monotone(self, tmp_path, capsys):
         payload = {"model": {"type": "driven_dephasing", "gamma_z": 1.0, "omega": 0.001}}
         path = write(tmp_path, "m.json", payload)
@@ -704,7 +723,7 @@ class TestColumnsEqualPerPoint:
         with tempfile.TemporaryDirectory() as tmp:
             path = write(Path(tmp), "m.json", {"model": {"type": kind, **_SWEEPABLE[kind][0]}})
             argv[1] = path
-            config = cli._config_from_args(cli._build_parser().parse_args(argv))
+            config = cli._config(argv)
             fields = cli.SWEEP_FIELDS if command == "sweep" else cli.REGIMES_FIELDS
             want = _per_point_sweep(config, fields)
             code, out, err, caught = _main_captured(argv)
@@ -1007,6 +1026,19 @@ class TestExtremeMagnitudes:
             "error: the generator overflows double precision; rescale the model\n"
         )
 
+    @pytest.mark.parametrize("t_end", ["-1", "0", "inf"])
+    def test_model_error_reported_before_the_grid(self, tmp_path, capsys, t_end):
+        # the generator forms, but eta overflows: the analysis fails before
+        # --t-end is checked, as it does on the default grid
+        payload = {"model": {"type": "driven_dephasing", "gamma_z": 1e300, "omega": 1e10}}
+        path = write(tmp_path, "m.json", payload)
+        assert main(["series", path]) == 1
+        want = capsys.readouterr()
+        assert want.err.startswith("error: eta is about 1e310.6")
+        assert main(["series", path, f"--t-end={t_end}"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", want.err)
+
     @pytest.mark.parametrize(
         "rate, message",
         [("Infinity", "rate must be a finite nonnegative number"),
@@ -1172,7 +1204,7 @@ class TestSweepFuzz:
                 f"--points={points}"]
         with tempfile.TemporaryDirectory() as tmp:
             argv[1] = write(Path(tmp), "m.json", {"model": {"type": kind, **model}})
-            config = cli._config_from_args(cli._build_parser().parse_args(argv))
+            config = cli._config(argv)
             fields = cli.SWEEP_FIELDS if command == "sweep" else cli.REGIMES_FIELDS
             header, rows = _per_point_sweep(config, fields)
             code, out, err, caught = _main_captured(argv)

@@ -530,6 +530,41 @@ class TestCostEstimate:
             cost_estimate(s, math.inf, 0.5)
 
 
+class TestNonNumberArguments:
+    """A time or tolerance that is not a real number is a ConfigError that
+    names it."""
+
+    @pytest.mark.parametrize(
+        "call, name, value",
+        [(lambda s, v: propagator(s, v), "t", "1"),
+         (lambda s, v: propagator(s, v), "t", None),
+         (lambda s, v: error_amplification(s, 1.0, v), "eps", "x"),
+         (lambda s, v: error_amplification(s, v, 1e-3), "t", 1 + 0j),
+         (lambda s, v: truncated_appg_bound(s, v), "t", 1j),
+         (lambda s, v: normal_factorization_residual(s, v), "t", "0.5"),
+         (lambda s, v: cost_estimate(s, 1.0, v), "eps_star", "0.1"),
+         (lambda s, v: cost_estimate(s, v, 0.5), "t", [1.0]),
+         (lambda s, v: propagator(s, v), "t", True),
+         (lambda s, v: error_amplification(s, 1.0, v), "eps", True),
+         (lambda s, v: truncated_appg_bound(s, v), "t", np.bool_(True)),
+         (lambda s, v: cost_estimate(s, 1.0, v), "eps_star", True)],
+        ids=["propagator-str", "propagator-none", "eps-str", "amplification-complex",
+             "appg-complex", "residual-str", "eps_star-str", "cost-list", "propagator-bool",
+             "eps-bool", "appg-numpy-bool", "eps_star-bool"],
+    )
+    def test_refused_with_its_name(self, call, name, value):
+        # a bool passed as 0 or 1; anything else raised an untyped TypeError
+        s = liouvillian(dephasing(1.0))
+        with pytest.raises(ConfigError) as caught:
+            call(s, value)
+        assert str(caught.value) == f"{name} must be a real number, got {value!r}"
+
+    def test_numpy_numbers(self):
+        s = liouvillian(dephasing(1.0))
+        assert truncated_appg_bound(s, np.float64(0.5)) == truncated_appg_bound(s, 0.5)
+        assert cost_estimate(s, np.int64(2), np.float64(0.1)) == cost_estimate(s, 2, 0.1)
+
+
 class TestSvdFreeHelpers:
     """propagator, error_amplification, truncated_appg_bound and
     normal_factorization_residual range-check with the memoized ||S|| and

@@ -491,6 +491,25 @@ class TestRegimeThresholds:
             RegimeThresholds(lo, hi)
         assert str(caught.value) == f"need 0 < kappa-lo < kappa-hi, got {lo} and {hi}"
 
+    @pytest.mark.parametrize(
+        "bands, name",
+        [(("0.1", 10.0), "kappa_lo"), ((None, 10.0), "kappa_lo"), ((0.1 + 0j, 10.0), "kappa_lo"),
+         ((True, 10.0), "kappa_lo"), ((0.1, "10"), "kappa_hi"), ((0.1, np.bool_(True)), "kappa_hi")],
+        ids=["str-lo", "none-lo", "complex-lo", "bool-lo", "str-hi", "numpy-bool-hi"],
+    )
+    def test_non_number_bands_refused(self, bands, name):
+        # a str, None or complex band reached the comparison as an untyped
+        # TypeError, and a bool passed as 0 or 1
+        value = bands[0] if name == "kappa_lo" else bands[1]
+        with pytest.raises(ConfigError) as caught:
+            RegimeThresholds(*bands)
+        assert str(caught.value) == f"{name} must be a real number, got {value!r}"
+
+    def test_numpy_bands(self):
+        s = liouvillian(driven_dephasing(1.0, 3.0))
+        want = compute_metrics(s, RegimeThresholds(0.5, 20.0)).regime
+        assert compute_metrics(s, RegimeThresholds(np.float32(0.5), np.int64(20))).regime is want
+
     def test_reversed_bands_never_label(self):
         # kappa = 3 is below kappa_lo and above kappa_hi of reversed bands
         s = liouvillian(driven_dephasing(1.0, 3.0))

@@ -146,6 +146,30 @@ class TestLindbladModel:
         with pytest.raises(ModelError):
             LindbladModel(dim=33, hamiltonian=np.zeros((33, 33)))
 
+    @pytest.mark.parametrize(
+        "make, dim",
+        [(lambda d: LindbladModel(d, np.eye(2), (np.diag([1.0, -1.0]),)), 2.0),
+         (lambda d: LindbladModel(d, np.eye(1)), True),
+         (lambda d: LindbladModel(d, np.eye(2)), "2"),
+         (lambda d: LindbladModel(d, np.eye(2)), None),
+         (lambda d: Superoperator(d, np.eye(4)), "2"),
+         (lambda d: Superoperator(d, np.eye(4)), 2.0),
+         (lambda d: Superoperator(d, np.eye(1)), np.bool_(True))],
+        ids=["model-float", "model-bool", "model-str", "model-none", "superop-str",
+             "superop-float", "superop-numpy-bool"],
+    )
+    def test_non_integer_dimension_refused(self, make, dim):
+        # a float dim reached range() or an index as an untyped TypeError
+        # later, a str raised one at once, and a bool passed as 0 or 1
+        with pytest.raises(ModelError) as caught:
+            make(dim)
+        assert str(caught.value) == f"dimension must be an integer, got {dim!r}"
+
+    def test_numpy_integer_dimension(self):
+        model = LindbladModel(np.int64(2), np.eye(2), (np.diag([1.0, -1.0]),))
+        s = Superoperator(np.int32(2), liouvillian(model).matrix)
+        assert compute_metrics(s).delta == compute_metrics(liouvillian(model)).delta
+
     def test_cap_override(self, monkeypatch):
         monkeypatch.setenv("LINDSCOPE_DIM_CAP", "40")
         model = LindbladModel(dim=33, hamiltonian=np.zeros((33, 33)))
