@@ -121,8 +121,9 @@ DEFAULT_STEPS = 200
 class TimeGrid:
     """Uniform grid of steps+1 points on [t_start, t_end].
 
-    The times are Python or numpy ints or floats, and ``steps`` an integer;
-    anything else is a ConfigError that names the field.
+    The times are Python or numpy ints or floats, kept as Python floats,
+    and ``steps`` an integer; anything else is a ConfigError that names the
+    field.
     """
 
     t_start: float
@@ -130,8 +131,8 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        _check_real("t_start", self.t_start)
-        _check_real("t_end", self.t_end)
+        for name in ("t_start", "t_end"):
+            object.__setattr__(self, name, _check_real(name, getattr(self, name)))
         if not self.t_start >= 0:
             raise ConfigError(f"t_start must be nonnegative, got {self.t_start}")
         for name, value in (("t_start", self.t_start), ("t_end", self.t_end)):
@@ -183,30 +184,34 @@ class CostEstimate(NamedTuple):
     kappa_overhead: float
 
 
-def _check_time(t: float) -> None:
-    """Reject a t that is not a real number (a ConfigError), and t < 0 or
-    NaN, and an infinite t, whose ``t * 0`` is NaN (RangeErrors)."""
-    _check_real("t", t)
+def _check_time(t: float) -> float:
+    """``t`` as a Python float. Reject a t that is not a real number (a
+    ConfigError), and t < 0 or NaN, and an infinite t, whose ``t * 0`` is
+    NaN (RangeErrors)."""
+    t = _check_real("t", t)
     if not t >= 0:
         raise RangeError(f"time must be nonnegative, got {t}")
     if t == math.inf:
         raise RangeError(f"time must be finite, got {t}")
+    return t
 
 
-def _check_range(norm: float, t: float) -> None:
-    """Reject t < 0, NaN or inf and t * norm beyond the exponential's safe range.
+def _check_range(norm: float, t: float) -> float:
+    """``t`` as a Python float. Reject t < 0, NaN or inf and t * norm beyond
+    the exponential's safe range.
 
     ``norm`` is ``||S||`` from the analysis pass, so this is the exact range
     test of every exponential of ``t S`` taken here: ``_exp`` takes none of
     its own.
     """
-    _check_time(t)
+    t = _check_time(t)
     scaled = t * norm
     if scaled > EXP_SAFE_NORM:
         raise RangeError(
             f"t * ||S|| = {scaled:.6g} exceeds safe range {EXP_SAFE_NORM:g}; "
             "subdivide the interval"
         )
+    return t
 
 
 def _exp(m: np.ndarray) -> np.ndarray:
@@ -302,7 +307,7 @@ def default_grid(s: Superoperator, steps: int = DEFAULT_STEPS) -> TimeGrid:
 
 def propagator(s: Superoperator, t: float) -> Superoperator:
     """exp(t S) as a superoperator; t * ||S|| must stay in the safe range."""
-    _check_range(compute_metrics(s).generator_norm, t)
+    t = _check_range(compute_metrics(s).generator_norm, t)
     return Superoperator(s.dim, _exp(t * s.matrix))
 
 
@@ -411,7 +416,7 @@ def normal_factorization_residual(s: Superoperator, t: float) -> float:
     ``(a + a^dag)/2`` and ``(a - a^dag)/2``, and the residual is block
     diagonal, its norm the largest over the blocks.
     """
-    _check_range(compute_metrics(s).generator_norm, t)
+    t = _check_range(compute_metrics(s).generator_norm, t)
     a, e, table = _form(s)
     adj = a.conj().swapaxes(-1, -2)
     full, herm, skew = (_exp_blocks(x, e, table, t) for x in (a, (a + adj) / 2, (a - adj) / 2))
@@ -420,10 +425,10 @@ def normal_factorization_residual(s: Superoperator, t: float) -> float:
 
 def error_amplification(s: Superoperator, t: float, eps: float) -> float:
     """Worst-case state error eps * ||exp(t S)|| from a propagator error eps."""
-    _check_real("eps", eps)
+    eps = _check_real("eps", eps)
     if not eps >= 0:
         raise ConfigError(f"eps must be nonnegative, got {eps}")
-    _check_range(compute_metrics(s).generator_norm, t)
+    t = _check_range(compute_metrics(s).generator_norm, t)
     return eps * _propagator_norm(_exp_blocks(*_form(s), t))
 
 
@@ -439,7 +444,7 @@ def truncated_appg_bound(s: Superoperator, t: float) -> AppgBound:
     differ by ulps from the series' stepped norm.
     """
     m = compute_metrics(s)
-    _check_range(m.generator_norm, t)
+    t = _check_range(m.generator_norm, t)
     prop = _propagator_norm(_exp_blocks(*_form(s), t))
     bound, satisfied = _appg(m, np.array(t), prop)
     return AppgBound(bound=float(bound), satisfied=bool(satisfied))
@@ -455,10 +460,10 @@ def cost_estimate(s: Superoperator, t: float, eps_star: float) -> CostEstimate:
     construction; the estimate is reported, never asserted against any
     external algorithm.
     """
-    _check_real("eps_star", eps_star)
+    eps_star = _check_real("eps_star", eps_star)
     if not 0.0 < eps_star < 1.0:
         raise ConfigError(f"eps_star must lie in (0, 1), got {eps_star}")
-    _check_time(t)
+    t = _check_time(t)
     m = compute_metrics(s)
     rate = 0.5 * m.generator_norm if m.regime is Regime.HAMILTONIAN else m.delta
     base = t * rate + math.log(1.0 / eps_star)

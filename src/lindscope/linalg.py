@@ -137,6 +137,23 @@ def _hermitian_norms(m: np.ndarray) -> np.ndarray:
     return np.abs(ev).max(axis=-1)
 
 
+def _solver_room(like: np.ndarray) -> np.ndarray:
+    """An uninitialized array of the shape ``(..., n, n)`` and dtype of
+    ``like``, whose memory has room for the copy ``_hermitian_norms`` takes
+    of one ``n x n`` matrix.
+
+    ``np.linalg.eigvalsh`` copies its input and its ``n`` eigenvalues into
+    one malloc block of ``n (n + 1)`` entries. A freed ``n x n`` array
+    leaves a chunk that this block never fits, so an eigensolve after the
+    free takes fresh pages and the resident set grows by a matrix. An array
+    made here holds ``n`` spare entries, as many bytes as the eigenvalues at
+    least, so the chunk it leaves once freed takes the next eigensolve's
+    copy, and a pass that frees an array before each eigensolve stays at
+    the peak of the arrays it holds.
+    """
+    return np.empty(like.size + like.shape[-1], like.dtype)[: like.size].reshape(like.shape)
+
+
 def hermiticity_defect(m) -> float:
     """Spectral norm of ``m - m^dag``; zero iff ``m`` is Hermitian.
 

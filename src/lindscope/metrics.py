@@ -47,7 +47,8 @@ from the row chunks of the dense build, each gathered before the next is
 built. Every step works on each block alone, so a generator takes the
 values it takes in its own block's pass, bit for bit, whatever blocks
 share the call. A stack passes or fails as a whole, with the error of its
-first failing generator.
+first failing generator. The pass holds at most three arrays of its
+stack's size at a time, numpy's eigensolver copy among them.
 
 Every norm of a block-diagonal matrix is the largest of its blocks', so
 each generator takes the largest value over its blocks (a padded row of
@@ -76,7 +77,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, NumericalError, RangeError
-from .linalg import _hermitian_norms, hermitian_norm
+from .linalg import _hermitian_norms, _solver_room, hermitian_norm
 from .superop import (LindbladModel, Superoperator, _block_spectrum, _form, _jump_squares,
                       _operator_form)
 
@@ -112,28 +113,38 @@ class Regime(str, enum.Enum):
     STRONGLY_NONNORMAL = "StronglyNonnormal"
 
 
-def _check_real(name: str, value) -> None:
-    """A ConfigError that names ``name`` unless ``value`` is a Python or numpy
-    int or float (not a bool)."""
+def _check_real(name: str, value) -> float:
+    """``value`` as a Python float, or a ConfigError that names ``name``.
+
+    ``value`` must be a Python or numpy int or float (not a bool), and an
+    int within double precision. The float keeps a numpy float32 from
+    carrying single precision into what it takes part in.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ConfigError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(
+            f"{name} is beyond double precision, got an integer of {abs(value).bit_length()} bits"
+        ) from None
 
 
 @dataclass(frozen=True)
 class RegimeThresholds:
     """Bands of kappa delimiting the nonnormal regimes.
 
-    Defaults give one decade of crossover on each side of kappa = 1. Bands
-    that are not real numbers, or other than ``0 < kappa_lo < kappa_hi``,
-    are a ConfigError.
+    Defaults give one decade of crossover on each side of kappa = 1. The
+    bands are kept as Python floats; bands that are not real numbers, or
+    other than ``0 < kappa_lo < kappa_hi``, are a ConfigError.
     """
 
     kappa_lo: float = 0.1
     kappa_hi: float = 10.0
 
     def __post_init__(self):
-        _check_real("kappa_lo", self.kappa_lo)
-        _check_real("kappa_hi", self.kappa_hi)
+        for name in ("kappa_lo", "kappa_hi"):
+            object.__setattr__(self, name, _check_real(name, getattr(self, name)))
         if not 0 < self.kappa_lo < self.kappa_hi:
             raise ConfigError(
                 f"need 0 < kappa-lo < kappa-hi, got {self.kappa_lo} and {self.kappa_hi}"
@@ -243,6 +254,34 @@ def _squares(x: np.ndarray) -> np.ndarray:
     return np.array([v**2 for v in x.tolist()])
 
 
+# Rows per band of the pass's blockwise steps: a band of S_herm S_skew at
+# the cap (n = 1024) is an eighth of a matrix.
+_BAND_ROWS = 128
+
+
+def _bands(n: int) -> list[slice]:
+    """The bands of rows of an ``n x n`` matrix: one band up to ``_BAND_ROWS`` rows."""
+    return [slice(i, i + _BAND_ROWS) for i in range(0, n, _BAND_ROWS)]
+
+
+def _skew_in_place(a: np.ndarray, bands: list[slice]) -> np.ndarray:
+    """``a - a^dag`` of a stack ``a``, written into ``a`` a pair of tiles at a time.
+
+    Tile ``(I, J)`` and its mirror ``(J, I)`` are both read before either is
+    written, and each entry is the same subtraction ``a_ij - conj(a_ji)``
+    that numpy's whole-matrix ``a - a^dag`` takes, so the result is that one
+    bit for bit, signs of zeros included. Two tiles are alive at a time
+    where numpy would buffer a whole copy of ``a^dag``.
+    """
+    for i, rows in enumerate(bands):
+        for cols in bands[i:]:
+            upper = a[:, rows, cols] - a[:, cols, rows].conj().swapaxes(-1, -2)
+            if cols != rows:
+                a[:, cols, rows] -= a[:, rows, cols].conj().swapaxes(-1, -2)
+            a[:, rows, cols] = upper
+    return a
+
+
 def _block_pass(a: np.ndarray, e: np.ndarray, thresholds: RegimeThresholds | None = None) -> dict:
     """The metrics of each generator of a stack whose blocks are ``a``, as columns.
 
@@ -265,40 +304,58 @@ def _block_pass(a: np.ndarray, e: np.ndarray, thresholds: RegimeThresholds | Non
     error of its first such generator, which is the error that generator
     raises alone, and a failed batched eigensolve raises for the whole
     stack.
+
+    At most three arrays of the size of ``a`` are alive at any time, ``a``
+    and numpy's eigensolver copy counted (and ``a^dag`` besides, early on,
+    when ``a`` is complex): ``S_skew`` is written over ``a`` a pair of tiles
+    at a time, the route residual is summed by bands of ``_BAND_ROWS`` rows
+    and freed before the ``delta`` eigensolve, and the work arrays have
+    room for the eigensolver's copy (``linalg._solver_room``). Every value
+    is that of the whole-matrix steps bit for bit; only the rounding of the
+    residual, which feeds the route check alone, follows the bands.
     """
     # a = 2^-e U^dag S U, with U unitary and its largest entry O(1): no
     # product of a with itself can under- or overflow, and every norm is
     # that of 2^-e S. a is real when S preserves Hermiticity, and then so is
     # every product and eigensolve of the pass.
 
-    # Each stack of temporaries is released before the next is allocated,
-    # which keeps at most three alive besides S and the eigensolver's copy.
+    # At most three arrays of the stack's size are alive at a time, S (then
+    # S_skew in its place) and the eigensolver's copy counted: S and the two
+    # Gram products, then S, S_herm and the commutator, and each eigensolve
+    # beside S or S_skew and one work array. The work arrays come from
+    # _solver_room, so each eigensolve reuses the memory of one freed before
+    # it; S_skew and the route residual, which would take a fourth, go by
+    # tiles and bands of rows. A complex stack also holds S^dag until S_herm
+    # is formed.
     ad = a.conj().swapaxes(-1, -2)  # a view of a when a is real
-    c = ad @ a
+    c = np.matmul(ad, a, out=_solver_room(a))
     norm = np.sqrt(_hermitian_norms(c))
-    c = np.subtract(a @ ad, c, out=c)  # [S, S^dag]
+    c = np.subtract(np.matmul(a, ad, out=_solver_room(a)), c, out=c)  # [S, S^dag]
     eta = _hermitian_norms(c)
-    herm = a + ad
+    herm = np.add(a, ad, out=_solver_room(a))
     herm *= 0.5
-    # S_skew takes the place of a (numpy buffers the view ad of a), so the
-    # caller's reference to a keeps no matrix alive besides these
-    skew = np.subtract(a, ad, out=a)
+    del ad
+    # S_skew takes the place of a, so the caller's reference to a keeps no
+    # matrix alive besides these
+    bands = _bands(a.shape[-1])
+    skew = _skew_in_place(a, bands)
     skew *= 0.5
-    del a, ad
-    delta = _hermitian_norms(herm)
-    x = _cross_term(herm, skew)
-    del herm
+    del a
     # [S, S^dag] = -2 [S_herm, S_skew] = -2 (X + X^dag), so the residual is
-    # r = c + 2X + 2X^dag; build conj(r) = conj(c + 2X) + 2X^T in place and
-    # sum the squares of its entries, real and imaginary parts alike
-    x *= 2.0
-    c += x
-    np.conjugate(c, out=c)
-    c += x.swapaxes(-1, -2)
-    del x
+    # r = c + 2X + 2X^dag; add each band of rows of 2X to the rows of c and
+    # its adjoint to the columns, then sum the squares of r's entries, real
+    # and imaginary parts alike. It is freed before the next eigensolve.
+    for rows in bands:
+        x = _cross_term(herm[:, rows], skew)
+        x *= 2.0
+        c[:, rows] += x
+        c[:, :, rows] += x.conj().swapaxes(-1, -2)
+        del x
     parts = c.view(np.float64)
     gap_sq = np.einsum("kij,kij->k", parts, parts)
     del c, parts
+    delta = _hermitian_norms(herm)
+    del herm
     # ||S_skew|| from the Hermitian S_skew^dag S_skew, which stays real.
     # S_skew can be smaller than S by any factor (a weak drive next to strong
     # dissipation), so it takes its own exact power of two, 2^-f, before it
@@ -306,8 +363,10 @@ def _block_pass(a: np.ndarray, e: np.ndarray, thresholds: RegimeThresholds | Non
     f = np.frexp(np.abs(skew).max(axis=(-2, -1)))[1]
     parts = skew.view(np.float64)
     np.ldexp(parts, -f[:, None, None], out=parts)
-    nd_norm = np.ldexp(np.sqrt(_hermitian_norms(skew.conj().swapaxes(-1, -2) @ skew)), f)
+    gram = np.matmul(skew.conj().swapaxes(-1, -2), skew, out=_solver_room(skew))
     del skew, parts
+    nd_norm = np.ldexp(np.sqrt(_hermitian_norms(gram)), f)
+    del gram
     per = (len(e), -1)
     norm, eta, delta, nd_norm = (v.reshape(per).max(axis=1) for v in (norm, eta, delta, nd_norm))
     gap = np.sqrt(gap_sq.reshape(per).sum(axis=1))
@@ -388,8 +447,10 @@ def compute_metrics(
     generators and returns columns; this runs it on ``superop._form`` of
     ``s``, a stack of one, and reads row 0. The generator of a model
     (``liouvillian``) is formed from its H and jumps, so this builds no
-    matrix that it keeps. A sweep runs the pass on a chunk of points at a
-    time and writes its columns as they are. The threshold-free values are
+    matrix that it keeps, and the pass holds at most three arrays of the
+    form's size at a time, the form and the eigensolver's copy among them.
+    A sweep runs the pass on a chunk of points at a time and writes its
+    columns as they are. The threshold-free values are
     computed once per Superoperator and kept on it (its operators and
     matrix are frozen); the regime is banded by ``thresholds`` on every
     call.

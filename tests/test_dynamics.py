@@ -564,6 +564,47 @@ class TestNonNumberArguments:
         assert truncated_appg_bound(s, np.float64(0.5)) == truncated_appg_bound(s, 0.5)
         assert cost_estimate(s, np.int64(2), np.float64(0.1)) == cost_estimate(s, 2, 0.1)
 
+    @pytest.mark.parametrize(
+        "call",
+        [lambda s, v: TimeGrid(0.0, v, 50).times,
+         lambda s, v: TimeGrid(v, 2 * v, 4).times,
+         lambda s, v: amplification_series(s, TimeGrid(0.0, v, 50)).appg_env,
+         lambda s, v: truncated_appg_bound(s, v).bound,
+         lambda s, v: error_amplification(s, v, v),
+         lambda s, v: cost_estimate(s, v, v).base_cost],
+        ids=["grid-end", "grid-start", "series", "appg", "amplification", "cost"],
+    )
+    def test_float32_taken_as_its_double(self, call):
+        # a float32 was carried in single precision: a float32 grid and
+        # envelope, an APPG bound 1e-8 off, a float32 result
+        s = liouvillian(driven_dephasing(1.0, 3.0))
+        got, want = call(s, np.float32(0.3)), call(s, float(np.float32(0.3)))
+        assert type(got) is type(want)
+        assert np.asarray(got).dtype == np.float64
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [(lambda s, v: TimeGrid(0, v, 5), "t_end"),
+         (lambda s, v: TimeGrid(v, 2 * v, 5), "t_start"),
+         (lambda s, v: propagator(s, v), "t"),
+         (lambda s, v: error_amplification(s, v, 1e-3), "t"),
+         (lambda s, v: error_amplification(s, 1.0, v), "eps"),
+         (lambda s, v: truncated_appg_bound(s, v), "t"),
+         (lambda s, v: normal_factorization_residual(s, v), "t"),
+         (lambda s, v: cost_estimate(s, v, 0.1), "t")],
+        ids=["grid-end", "grid-start", "propagator", "amplification-t", "amplification-eps",
+             "appg", "residual", "cost"],
+    )
+    def test_int_beyond_double_refused(self, call, name):
+        # an untyped OverflowError where the int first met a float
+        s = liouvillian(dephasing(1.0))
+        with pytest.raises(ConfigError) as caught:
+            call(s, 10**400)
+        assert str(caught.value) == (
+            f"{name} is beyond double precision, got an integer of 1329 bits"
+        )
+
 
 class TestSvdFreeHelpers:
     """propagator, error_amplification, truncated_appg_bound and

@@ -1,5 +1,8 @@
 import functools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -19,8 +22,10 @@ from helpers import (
     random_models,
     random_unitary,
     superop_columns,
+    traced_peak,
     unsplit_model,
 )
+import lindscope
 from lindscope import (
     ConfigError,
     LindbladModel,
@@ -55,7 +60,8 @@ from lindscope import (
     structured_dissipator_report,
 )
 from lindscope.cli import parse_model_file
-from lindscope.metrics import _block_pass, _matched_distance, eta_tolerance, zero_tolerance
+from lindscope.metrics import (_bands, _block_pass, _matched_distance, _skew_in_place,
+                               eta_tolerance, zero_tolerance)
 from lindscope.superop import (_OVERFLOW, _form, _jump_squares, _liouvillians, _sector_form,
                                decompose)
 
@@ -505,6 +511,32 @@ class TestRegimeThresholds:
             RegimeThresholds(*bands)
         assert str(caught.value) == f"{name} must be a real number, got {value!r}"
 
+    @pytest.mark.parametrize(
+        "bands",
+        [(np.float32(0.1), np.float32(10.0)), (np.float32(0.3), 2),
+         (np.int64(1), np.float64(3.5)), (0.5, 10**300)],
+        ids=["float32", "float32-int", "numpy-int", "large-int"],
+    )
+    def test_bands_kept_as_floats(self, bands):
+        # a numpy or int band was kept as given; a float32 one then banded
+        # in single precision
+        th = RegimeThresholds(*bands)
+        for got, value in zip((th.kappa_lo, th.kappa_hi), bands):
+            assert type(got) is float and got.hex() == float(value).hex()
+
+    @pytest.mark.parametrize(
+        "bands, name", [((10**400, 10**401), "kappa_lo"), ((0.1, 10**400), "kappa_hi")],
+        ids=["lo", "hi"],
+    )
+    def test_int_beyond_double_refused(self, bands, name):
+        # reached the kappa bands of compute_metrics as an untyped OverflowError
+        bits = (bands[0] if name == "kappa_lo" else bands[1]).bit_length()
+        with pytest.raises(ConfigError) as caught:
+            RegimeThresholds(*bands)
+        assert str(caught.value) == (
+            f"{name} is beyond double precision, got an integer of {bits} bits"
+        )
+
     def test_numpy_bands(self):
         s = liouvillian(driven_dephasing(1.0, 3.0))
         want = compute_metrics(s, RegimeThresholds(0.5, 20.0)).regime
@@ -655,12 +687,83 @@ def _column_bits(columns):
     return [_row_bits(columns, i) for i in range(size)]
 
 
+def _reference_values(a):
+    """The four norms of each block of ``a``, ``(||S||, eta, delta, ||S_skew||)``
+    prescaled, by whole-matrix steps on numpy's own temporaries."""
+    ad = a.conj().swapaxes(-1, -2)
+    c = ad @ a
+    norm = np.sqrt(np.abs(np.linalg.eigvalsh(c)).max(axis=-1))
+    c = np.subtract(a @ ad, c, out=c)
+    eta = np.abs(np.linalg.eigvalsh(c)).max(axis=-1)
+    herm = a + ad
+    herm *= 0.5
+    skew = np.subtract(a, ad, out=a)
+    skew *= 0.5
+    delta = np.abs(np.linalg.eigvalsh(herm)).max(axis=-1)
+    f = np.frexp(np.abs(skew).max(axis=(-2, -1)))[1]
+    parts = skew.view(np.float64)
+    np.ldexp(parts, -f[:, None, None], out=parts)
+    gram = skew.conj().swapaxes(-1, -2) @ skew
+    nd_norm = np.ldexp(np.sqrt(np.abs(np.linalg.eigvalsh(gram)).max(axis=-1)), f)
+    return norm, eta, delta, nd_norm
+
+
+class TestPassSteps:
+    """The pass works by bands of rows and in work arrays of its own, and
+    gives bit for bit what the whole-matrix steps give."""
+
+    @staticmethod
+    def _stack(n, k, complex_):
+        rng = np.random.default_rng(n + 10 * k + complex_)
+        a = rng.standard_normal((k, n, n))
+        if complex_:
+            a = a + 1j * rng.standard_normal((k, n, n))
+        # mirrored entries that are equal, within a band and across bands:
+        # S_skew takes zeros there
+        a[:, 0, 5] = a[:, 5, 0].conj()
+        a[:, 2, n - 1] = a[:, n - 1, 2].conj()
+        return a
+
+    @pytest.mark.parametrize("n", [9, 130, 300])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_pass_equals_whole_matrix_steps(self, n, k, complex_):
+        a = self._stack(n, k, complex_)
+        e = np.arange(k) - 1
+        norm, eta, delta, nd_norm = _reference_values(a.copy())
+        got = _block_pass(a, e)
+        want = {
+            "delta": np.ldexp(delta, e),
+            "eta": np.ldexp(eta, 2 * e),
+            "nd_norm": np.ldexp(nd_norm, e),
+            "bound_margin": np.ldexp(2.0 * delta * nd_norm - eta, 2 * e),
+            "generator_norm": np.ldexp(norm, e),
+        }
+        for name, column in want.items():
+            assert got[name].tobytes() == column.tobytes(), name
+
+    @pytest.mark.parametrize("n", [1, 9, 128, 130, 300])
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_skew_in_place_is_numpys_difference(self, n, complex_):
+        a_dtype = complex if complex_ else float
+        a = self._stack(n, 2, complex_) if n > 5 else np.ones((2, n, n), dtype=a_dtype)
+        want = a - a.conj().swapaxes(-1, -2)
+        got = _skew_in_place(a, _bands(n))
+        assert got is a and got.tobytes() == want.tobytes()  # signs of zeros included
+
+    def test_bands_cover_the_rows(self):
+        for n in (1, 127, 128, 129, 1024):
+            bands = _bands(n)
+            assert np.concatenate([np.arange(n)[b] for b in bands]).tolist() == list(range(n))
+            assert len(bands) == -(-n // 128)
+
+
 class TestPassMemory:
     def test_at_most_three_matrices_alive_at_each_eigensolve(self, monkeypatch):
-        # the residual of the eta routes is summed, and its operands freed,
-        # before S_skew is squared: besides the eigensolver's own copy,
-        # three matrices of the size of the form at most (the form among
-        # them) and a few small arrays
+        # the residual of the eta routes is summed by bands of rows, and
+        # freed, before S_herm is solved: at each eigensolve two matrices
+        # of the size of the form (the form or S_skew among them) and a few
+        # small arrays, so three with the eigensolver's own copy
         model = unsplit_model(52)
         _form(liouvillian(model))  # the cached basis index and table
         entries = []
@@ -679,7 +782,47 @@ class TestPassMemory:
         finally:
             tracemalloc.stop()
         assert a.shape[0] == 1 and len(entries) == 4
-        assert max(entries) - before <= 3.25 * a.nbytes
+        assert max(entries) - before <= 2.25 * a.nbytes
+
+    def test_traced_peak_of_the_pass_at_the_cap(self):
+        # the form, two work arrays and bands of rows at most: the two Gram
+        # products, then S_herm, the commutator and S_skew with a band of
+        # their cross term (the eigensolver's copy is not traced)
+        a, e, _ = _form(liouvillian(unsplit_model(53, d=32)))
+        assert a.shape == (1, 1024, 1024)
+        _, peak = traced_peak(_block_pass, a, np.array([e]))
+        assert peak + a.nbytes <= 3.25 * a.nbytes
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+    def test_resident_growth_of_compute_metrics_at_the_cap(self):
+        # in a fresh interpreter, so the high-water mark is this call's: the
+        # form and the pass together stay within 4.5 generators of 8 MB.
+        # VmHWM is the interpreter's own; its ru_maxrss starts at the
+        # high-water mark of the process that started it (this one).
+        code = (
+            "import numpy as np\n"
+            "from lindscope import LindbladModel, compute_metrics, liouvillian\n"
+            "rng = np.random.default_rng(52)\n"
+            "def cm():\n"
+            "    return rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))\n"
+            "h = cm()\n"
+            "s = liouvillian(LindbladModel(32, (h + h.conj().T) / 2, (cm(), cm())))\n"
+            "def hwm():\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        return next(int(line.split()[1]) for line in status\n"
+            "                    if line.startswith('VmHWM:'))\n"
+            "before = hwm()\n"
+            "compute_metrics(s)\n"
+            "print(hwm() - before)\n"
+        )
+        src = str(Path(lindscope.__file__).resolve().parent.parent)
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1",
+               "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) / 1024 <= 4.5 * 8
 
 
 class TestStackedPass:
