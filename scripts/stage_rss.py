@@ -22,14 +22,13 @@ interpreter's ``ru_maxrss`` starts at the high-water mark of the process
 that started it, while ``VmHWM`` starts afresh; the runs are started from
 this small driver, so the two agree.
 
-Usage::
+It takes no options; run it again for another reading. Usage::
 
-    python scripts/stage_rss.py [--dims 16 32] [--seed 7] [--runs 1]
+    python scripts/stage_rss.py
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import subprocess
 import sys
@@ -37,6 +36,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 STAGES = ("import", "form", "pass", "report")
+DIMS = (16, 32)
+SEED = 7
 
 
 def _marks() -> tuple[float, float | None]:
@@ -54,7 +55,7 @@ def _marks() -> tuple[float, float | None]:
     return maxrss, None
 
 
-def _child(d: int, seed: int) -> None:
+def _child(d: int) -> None:
     """Run the stages on one model in this process; print one line per stage."""
     marks = []
     import numpy as np
@@ -64,7 +65,7 @@ def _child(d: int, seed: int) -> None:
     from lindscope.superop import _form
 
     marks.append(_marks())
-    rng = np.random.default_rng([seed, d])
+    rng = np.random.default_rng([SEED, d])
 
     def complex_matrix():
         return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -82,31 +83,23 @@ def _child(d: int, seed: int) -> None:
         print(stage, f"{maxrss:.1f}", "-" if hwm is None else f"{hwm:.1f}")
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--dims", type=int, nargs="+", default=[16, 32])
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--runs", type=int, default=1, help="fresh interpreters per dimension")
-    parser.add_argument("--child", type=int, nargs=2, metavar=("D", "SEED"),
-                        help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-    if args.child:
-        _child(*args.child)
+def main(argv: list[str]) -> int:
+    if argv[:1] == ["--child"]:  # one run, started by the loop below
+        _child(int(argv[1]))
         return 0
     env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
-    print(f"{'d':>3} {'run':>3} {'stage':<7} {'ru_maxrss_MB':>12} {'VmHWM_MB':>9}")
-    for d in args.dims:
-        for run in range(args.runs):
-            out = subprocess.run(
-                [sys.executable, __file__, "--child", str(d), str(args.seed)],
-                env=env, capture_output=True, text=True, check=True,
-            ).stdout
-            for line in out.splitlines():
-                stage, maxrss, hwm = line.split()
-                print(f"{d:>3} {run:>3} {stage:<7} {maxrss:>12} {hwm:>9}")
+    print(f"{'d':>3} {'stage':<7} {'ru_maxrss_MB':>12} {'VmHWM_MB':>9}")
+    for d in DIMS:
+        out = subprocess.run(
+            [sys.executable, __file__, "--child", str(d)],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        for line in out.splitlines():
+            stage, maxrss, hwm = line.split()
+            print(f"{d:>3} {stage:<7} {maxrss:>12} {hwm:>9}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -48,7 +48,9 @@ built. Every step works on each block alone, so a generator takes the
 values it takes in its own block's pass, bit for bit, whatever blocks
 share the call. A stack passes or fails as a whole, with the error of its
 first failing generator. The pass holds at most three arrays of its
-stack's size at a time, numpy's eigensolver copy among them.
+stack's size at a time, numpy's eigensolver copy among them, besides a
+band of an eighth of their rows (and, for a complex stack, its conjugate
+and, early on, the adjoint of the stack).
 
 Every norm of a block-diagonal matrix is the largest of its blocks', so
 each generator takes the largest value over its blocks (a padded row of
@@ -254,31 +256,36 @@ def _squares(x: np.ndarray) -> np.ndarray:
     return np.array([v**2 for v in x.tolist()])
 
 
-# Rows per band of the pass's blockwise steps: a band of S_herm S_skew at
-# the cap (n = 1024) is an eighth of a matrix.
-_BAND_ROWS = 128
+# Bands per matrix of the pass's blockwise steps: a band of S_herm S_skew
+# is an eighth of a matrix (128 rows at the cap, n = 1024).
+_BANDS = 8
 
 
 def _bands(n: int) -> list[slice]:
-    """The bands of rows of an ``n x n`` matrix: one band up to ``_BAND_ROWS`` rows."""
-    return [slice(i, i + _BAND_ROWS) for i in range(0, n, _BAND_ROWS)]
+    """The bands of rows of an ``n x n`` matrix: ``_BANDS`` of ``ceil(n / _BANDS)``
+    rows, fewer where ``n < _BANDS``."""
+    rows = -(-n // _BANDS)
+    return [slice(i, i + rows) for i in range(0, n, rows)]
 
 
 def _skew_in_place(a: np.ndarray, bands: list[slice]) -> np.ndarray:
-    """``a - a^dag`` of a stack ``a``, written into ``a`` a pair of tiles at a time.
+    """``a - a^dag`` of a stack ``a``, written into ``a`` a band of rows at a time.
 
-    Tile ``(I, J)`` and its mirror ``(J, I)`` are both read before either is
-    written, and each entry is the same subtraction ``a_ij - conj(a_ji)``
-    that numpy's whole-matrix ``a - a^dag`` takes, so the result is that one
-    bit for bit, signs of zeros included. Two tiles are alive at a time
-    where numpy would buffer a whole copy of ``a^dag``.
+    Band ``I`` writes its rows from its diagonal tile rightward and its
+    columns below that tile. Both read only entries that no earlier band
+    wrote, and the rows are computed before the columns are written, so
+    each entry is the same subtraction ``a_ij - conj(a_ji)`` that numpy's
+    whole-matrix ``a - a^dag`` takes, and the result is that one bit for
+    bit, signs of zeros included. One band of rows is alive at a time (and
+    its conjugate, when ``a`` is complex) where numpy would buffer a whole
+    copy of ``a^dag``.
     """
-    for i, rows in enumerate(bands):
-        for cols in bands[i:]:
-            upper = a[:, rows, cols] - a[:, cols, rows].conj().swapaxes(-1, -2)
-            if cols != rows:
-                a[:, cols, rows] -= a[:, rows, cols].conj().swapaxes(-1, -2)
-            a[:, rows, cols] = upper
+    for rows in bands:
+        right, below = slice(rows.start, None), slice(rows.stop, None)
+        upper = a[:, rows, right] - a[:, right, rows].conj().swapaxes(-1, -2)
+        a[:, below, rows] -= a[:, rows, below].conj().swapaxes(-1, -2)
+        a[:, rows, right] = upper
+        del upper
     return a
 
 
@@ -306,13 +313,15 @@ def _block_pass(a: np.ndarray, e: np.ndarray, thresholds: RegimeThresholds | Non
     stack.
 
     At most three arrays of the size of ``a`` are alive at any time, ``a``
-    and numpy's eigensolver copy counted (and ``a^dag`` besides, early on,
-    when ``a`` is complex): ``S_skew`` is written over ``a`` a pair of tiles
-    at a time, the route residual is summed by bands of ``_BAND_ROWS`` rows
-    and freed before the ``delta`` eigensolve, and the work arrays have
-    room for the eigensolver's copy (``linalg._solver_room``). Every value
-    is that of the whole-matrix steps bit for bit; only the rounding of the
-    residual, which feeds the route check alone, follows the bands.
+    and numpy's eigensolver copy counted, besides one band of ``ceil(n / 8)``
+    of ``a``'s rows (two, when ``a`` is complex; ``a^dag`` too, early on)
+    and numpy's fixed-size iterator buffers: ``S_skew`` is written over
+    ``a`` a band at a time, the route residual is summed by bands and freed
+    before the ``delta`` eigensolve, and the work arrays have room for the
+    eigensolver's copy (``linalg._solver_room``). The band height follows
+    ``n`` (``_bands``), so this holds at every size. Every value is that of
+    the whole-matrix steps bit for bit; only the rounding of the residual,
+    which feeds the route check alone, follows the bands.
     """
     # a = 2^-e U^dag S U, with U unitary and its largest entry O(1): no
     # product of a with itself can under- or overflow, and every norm is
@@ -325,8 +334,8 @@ def _block_pass(a: np.ndarray, e: np.ndarray, thresholds: RegimeThresholds | Non
     # beside S or S_skew and one work array. The work arrays come from
     # _solver_room, so each eigensolve reuses the memory of one freed before
     # it; S_skew and the route residual, which would take a fourth, go by
-    # tiles and bands of rows. A complex stack also holds S^dag until S_herm
-    # is formed.
+    # bands of an eighth of the rows. A complex stack also holds S^dag until
+    # S_herm is formed.
     ad = a.conj().swapaxes(-1, -2)  # a view of a when a is real
     c = np.matmul(ad, a, out=_solver_room(a))
     norm = np.sqrt(_hermitian_norms(c))
@@ -448,7 +457,8 @@ def compute_metrics(
     ``s``, a stack of one, and reads row 0. The generator of a model
     (``liouvillian``) is formed from its H and jumps, so this builds no
     matrix that it keeps, and the pass holds at most three arrays of the
-    form's size at a time, the form and the eigensolver's copy among them.
+    form's size at a time, the form and the eigensolver's copy among them,
+    besides a band of an eighth of their rows.
     A sweep runs the pass on a chunk of points at a time and writes its
     columns as they are. The threshold-free values are
     computed once per Superoperator and kept on it (its operators and

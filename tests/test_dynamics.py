@@ -584,6 +584,23 @@ class TestNonNumberArguments:
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     @pytest.mark.parametrize(
+        "call, value, error, text",
+        [(lambda s, v: TimeGrid(v, 5, 10), -1, ConfigError, "t_start must be nonnegative"),
+         (lambda s, v: propagator(s, v), np.float32(-0.3), RangeError,
+          "time must be nonnegative"),
+         (lambda s, v: error_amplification(s, 1, v), -1, ConfigError, "eps must be nonnegative"),
+         (lambda s, v: cost_estimate(s, 1, v), 2, ConfigError, "eps_star must lie in (0, 1)")],
+        ids=["grid-int", "propagator-float32", "eps-int", "eps_star-int"],
+    )
+    def test_out_of_range_named_as_its_float(self, call, value, error, text):
+        # the message shows the float the argument is taken as: -1.0 for -1,
+        # and a float32's double for the float32
+        s = liouvillian(dephasing(1.0))
+        with pytest.raises(error) as caught:
+            call(s, value)
+        assert str(caught.value) == f"{text}, got {float(value)}"
+
+    @pytest.mark.parametrize(
         "call, name",
         [(lambda s, v: TimeGrid(0, v, 5), "t_end"),
          (lambda s, v: TimeGrid(v, 2 * v, 5), "t_start"),

@@ -488,14 +488,17 @@ class TestStructuredDissipator:
 
 class TestRegimeThresholds:
     @pytest.mark.parametrize(
-        "bands", [(5.0, 1.0), (math.nan, 10.0), (-1.0, 0.5), (0.1, math.nan)],
-        ids=["reversed", "nan-lo", "negative-lo", "nan-hi"],
+        "bands", [(5.0, 1.0), (math.nan, 10.0), (-1.0, 0.5), (0.1, math.nan), (5, 1)],
+        ids=["reversed", "nan-lo", "negative-lo", "nan-hi", "reversed-int"],
     )
     def test_bad_bands_refused(self, bands):
+        # the bands are named as the floats they are kept as: 5.0 for 5
         lo, hi = bands
         with pytest.raises(ConfigError) as caught:
             RegimeThresholds(lo, hi)
-        assert str(caught.value) == f"need 0 < kappa-lo < kappa-hi, got {lo} and {hi}"
+        assert str(caught.value) == (
+            f"need 0 < kappa-lo < kappa-hi, got {float(lo)} and {float(hi)}"
+        )
 
     @pytest.mark.parametrize(
         "bands, name",
@@ -752,10 +755,12 @@ class TestPassSteps:
         assert got is a and got.tobytes() == want.tobytes()  # signs of zeros included
 
     def test_bands_cover_the_rows(self):
-        for n in (1, 127, 128, 129, 1024):
+        # at most eight bands, of an eighth of the rows each, at every size
+        for n in (1, 7, 8, 9, 100, 127, 128, 129, 1024):
             bands = _bands(n)
             assert np.concatenate([np.arange(n)[b] for b in bands]).tolist() == list(range(n))
-            assert len(bands) == -(-n // 128)
+            assert len(bands) <= 8
+            assert all(len(range(n)[b]) <= -(-n // 8) for b in bands)
 
 
 class TestPassMemory:
@@ -792,6 +797,17 @@ class TestPassMemory:
         assert a.shape == (1, 1024, 1024)
         _, peak = traced_peak(_block_pass, a, np.array([e]))
         assert peak + a.nbytes <= 3.25 * a.nbytes
+
+    @pytest.mark.parametrize("shape", [(64, 64, 64), (1, 512, 512)], ids=["sweep", "single"])
+    def test_traced_peak_of_the_pass_below_the_cap(self, shape):
+        # the bands are eighths of the rows at every size, so a stack of
+        # small blocks, as a sweep passes, or a matrix of fewer than 1024
+        # rows holds the same: three arrays of its size and a band. Whole
+        # 128-row bands made the skew step and the residual each hold a
+        # fourth array where n <= 128.
+        a = np.random.default_rng(54).standard_normal(shape)
+        _, peak = traced_peak(_block_pass, a, np.zeros(shape[0], dtype=int))
+        assert peak + a.nbytes <= 3.3 * a.nbytes
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
     def test_resident_growth_of_compute_metrics_at_the_cap(self):
