@@ -30,12 +30,13 @@ it checks ``--t-end`` and ``--steps``, so a model error is reported before
 a grid error.
 
 Output is deterministic: fixed column order, floats printed with 17
-significant digits, LF newlines, CSV always carries a header row. The
-column tables of ``series``, ``sweep`` and ``regimes`` are filled into one
-``%`` template per table (``_table``), with the bytes of their rows
-written one cell at a time. Files
-are written to a temporary name and renamed on success, so a failing run
-never leaves a partial file. Exit codes: 0 success, 1 model or
+significant digits, LF newlines, CSV always carries a header row.
+``analyze`` writes one record, its metric columns those of ``sweep``
+(``SWEEP_FIELDS``), a cell at a time. The column tables of ``series``,
+``sweep`` and ``regimes`` are filled into one ``%`` template per table
+(``_table``), in the bytes that writing their rows a cell at a time gives.
+Files are written to a temporary name and renamed on success, so a failing
+run never leaves a partial file. Exit codes: 0 success, 1 model or
 configuration error, 2 I/O failure.
 """
 
@@ -70,9 +71,7 @@ from .superop import LindbladModel, _sector_blocks, liouvillian
 
 __all__ = ["RunConfig", "parse_model_file", "run", "main"]
 
-ANALYZE_FIELDS = (
-    "label",
-    "dim",
+SWEEP_FIELDS = (
     "delta",
     "eta",
     "nd_norm",
@@ -80,10 +79,9 @@ ANALYZE_FIELDS = (
     "bound_margin",
     "regime",
     "generator_norm",
-    "is_structured",
-    "gamma",
-    "jump_map_spectrum",
-    "shift_max_error",
+)
+ANALYZE_FIELDS = (
+    "label", "dim", *SWEEP_FIELDS, "is_structured", "gamma", "jump_map_spectrum", "shift_max_error"
 )
 SERIES_FIELDS = (
     "t",
@@ -93,15 +91,6 @@ SERIES_FIELDS = (
     "gronwall_env",
     "appg_env",
     "appg_satisfied",
-)
-SWEEP_FIELDS = (
-    "delta",
-    "eta",
-    "nd_norm",
-    "kappa",
-    "bound_margin",
-    "regime",
-    "generator_norm",
 )
 REGIMES_FIELDS = ("delta", "eta", "kappa", "regime")
 
@@ -128,44 +117,28 @@ def fmt_complex(z: complex) -> str:
     return f"{z.real:.17g}{z.imag:+.17g}j"
 
 
-def _json_fragment(value, out: list[str]) -> None:
+def _json(value) -> str:
     if value is None:
-        out.append("null")
-    elif isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    elif isinstance(value, (int, np.integer)):
-        out.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        out.append(fmt_float(float(value)))
-    elif isinstance(value, (complex, np.complexfloating)):
-        _json_fragment([float(value.real), float(value.imag)], out)
-    elif isinstance(value, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(value.items()):
-            if i:
-                out.append(", ")
-            out.append(json.dumps(str(k)))
-            out.append(": ")
-            _json_fragment(v, out)
-        out.append("}")
-    elif isinstance(value, (list, tuple, np.ndarray)):
-        out.append("[")
-        for i, v in enumerate(value):
-            if i:
-                out.append(", ")
-            _json_fragment(v, out)
-        out.append("]")
-    else:
-        raise ConfigError(f"cannot serialize value of type {type(value).__name__}")
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return fmt_float(float(value))
+    if isinstance(value, (complex, np.complexfloating)):
+        return _json([float(value.real), float(value.imag)])
+    if isinstance(value, dict):
+        return "{" + ", ".join(json.dumps(str(k)) + ": " + _json(v) for k, v in value.items()) + "}"
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return "[" + ", ".join(map(_json, value)) + "]"
+    raise ConfigError(f"cannot serialize value of type {type(value).__name__}")
 
 
 def to_json(value) -> str:
-    out: list[str] = []
-    _json_fragment(value, out)
-    out.append("\n")
-    return "".join(out)
+    return _json(value) + "\n"
 
 
 def _csv_cell(value) -> str:
@@ -237,9 +210,7 @@ def write_output(text: str, path: str | None) -> None:
         return
     target = Path(path)
     try:
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=target.name + ".", suffix=".tmp", dir=str(target.parent or Path("."))
-        )
+        fd, tmp_name = tempfile.mkstemp(prefix=target.name + ".", suffix=".tmp", dir=target.parent)
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
@@ -411,21 +382,17 @@ def analyze_record(model: LindbladModel, thresholds: RegimeThresholds | None = N
     metrics = compute_metrics(superop, thresholds)
     report = structured_dissipator_report(model)
     spectrum = report.jump_map_spectrum
-    return {
-        "label": model.label,
-        "dim": model.dim,
-        "delta": metrics.delta,
-        "eta": metrics.eta,
-        "nd_norm": metrics.nd_norm,
-        "kappa": "undefined" if metrics.kappa is None else metrics.kappa,
-        "bound_margin": metrics.bound_margin,
-        "regime": metrics.regime.value,
-        "generator_norm": metrics.generator_norm,
-        "is_structured": report.is_structured,
-        "gamma": report.gamma,
-        "jump_map_spectrum": None if spectrum is None else [complex(z) for z in spectrum],
-        "shift_max_error": report.shift_max_error,
-    }
+    record = {"label": model.label, "dim": model.dim}
+    record.update((name, getattr(metrics, name)) for name in SWEEP_FIELDS)
+    record["kappa"] = "undefined" if metrics.kappa is None else metrics.kappa
+    record["regime"] = metrics.regime.value
+    record.update(
+        is_structured=report.is_structured,
+        gamma=report.gamma,
+        jump_map_spectrum=None if spectrum is None else [complex(z) for z in spectrum],
+        shift_max_error=report.shift_max_error,
+    )
+    return record
 
 
 def _sweep_values(config: RunConfig) -> np.ndarray:
@@ -462,8 +429,11 @@ def _sweep_values(config: RunConfig) -> np.ndarray:
 # consecutive points of a stack whose H and jumps have the same
 # exactly-zero entries, so each point gets the sectors it gets alone, sized
 # to fill _POOL_ENTRIES float64 entries by the blocks per point of the
-# sweep's last chunk of its dimension, in this stack or an earlier one (one
-# sector, n^2 entries, before the first). Each chunk is one analysis pass
+# sweep's last chunk (one sector, d^4 entries, before the first). That
+# chunk can be of another dimension only for a stack of one point, whose
+# chunk is that point: models._Params.integer cuts a stack where a shape
+# parameter changes, and whole-number values evenly spaced change at every
+# point or at none. Each chunk is one analysis pass
 # (metrics._block_pass), which works on each block alone, so the rows are,
 # bit for bit, those of a pass per point.
 # After a failure the same loop goes on from the failed chunk's first point
@@ -484,7 +454,7 @@ def _sweep_columns(config: RunConfig, fields) -> dict[str, np.ndarray]:
         )
     values = _sweep_values(config)
     blocks: list[dict] = []
-    done, until, n, per = 0, 0, 0, 0
+    done, until, per = 0, 0, 0
     while done < len(values):
         points = values[done : done + (1 if done < until else _BLOCK_ENTRIES // 4)]
         # the failed chunk, should the build fail, is the whole stack
@@ -496,11 +466,8 @@ def _sweep_columns(config: RunConfig, fields) -> dict[str, np.ndarray]:
             count = len(h)
             zero = np.concatenate([(h == 0).reshape(count, -1), (jumps == 0).reshape(count, -1)], 1)
             ends = [*(np.flatnonzero((zero[1:] != zero[:-1]).any(axis=1)) + 1).tolist(), count]
-            if h.shape[-1] != n:
-                # the float64 entries of a point's blocks: one sector until
-                # a chunk of this dimension tells
-                n = h.shape[-1]
-                per = n**4
+            # the float64 entries of a point's blocks: one sector until a chunk tells
+            per = per or h.shape[-1] ** 4
             lo = 0
             for end in ends:
                 while lo < end:
@@ -580,13 +547,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--kappa-hi", type=float, default=None,
                        help="kappa above this is strongly nonnormal (default 10)")
 
-    def sweepish(p):
-        p.add_argument("--param", required=True, help="model parameter to vary")
-        p.add_argument("--from", dest="start", type=float, required=True)
-        p.add_argument("--to", dest="stop", type=float, required=True)
-        p.add_argument("--points", type=int, required=True)
-        p.add_argument("--log", dest="log_scale", action="store_true", help="log-spaced values")
-
     p_analyze = sub.add_parser("analyze", help="structure metrics of one model")
     common(p_analyze)
     thresholds(p_analyze)
@@ -598,15 +558,16 @@ def _build_parser() -> _Parser:
     p_series.add_argument("--steps", type=int, default=DEFAULT_STEPS,
                           help=f"grid steps (default {DEFAULT_STEPS})")
 
-    p_sweep = sub.add_parser("sweep", help="metrics along one parameter range")
-    common(p_sweep)
-    thresholds(p_sweep)
-    sweepish(p_sweep)
-
-    p_regimes = sub.add_parser("regimes", help="regime table along one parameter range")
-    common(p_regimes)
-    thresholds(p_regimes)
-    sweepish(p_regimes)
+    for name, about in (("sweep", "metrics along one parameter range"),
+                        ("regimes", "regime table along one parameter range")):
+        p = sub.add_parser(name, help=about)
+        common(p)
+        thresholds(p)
+        p.add_argument("--param", required=True, help="model parameter to vary")
+        p.add_argument("--from", dest="start", type=float, required=True)
+        p.add_argument("--to", dest="stop", type=float, required=True)
+        p.add_argument("--points", type=int, required=True)
+        p.add_argument("--log", dest="log_scale", action="store_true", help="log-spaced values")
 
     return parser
 

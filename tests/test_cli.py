@@ -55,6 +55,10 @@ DEPHASING = {"model": {"type": "dephasing", "gamma_z": 1.0}}
 H_ONLY = {"model": {"type": "hamiltonian_only", "omega": 1.0}}
 JAYNES_CUMMINGS = {"model": {"type": "jaynes_cummings", "omega_a": 1.0, "omega_c": 1.0,
                              "g": 0.1, "n_max": 3}}
+ANALYZE_HEADER = (
+    "label,dim,delta,eta,nd_norm,kappa,bound_margin,regime,generator_norm,"
+    "is_structured,gamma,jump_map_spectrum,shift_max_error"
+)
 
 
 class TestFormatting:
@@ -69,6 +73,39 @@ class TestFormatting:
     def test_json_complex_pairs(self):
         text = to_json({"z": [complex(1.5, -2.5)]})
         assert json.loads(text) == {"z": [[1.5, -2.5]]}
+
+    def test_json_bytes(self):
+        value = {
+            "a": {"b": [1, 2.0, (3, -0.5)], "c": {}},
+            "arr": np.array([0.25, -1.0, 1e300]),
+            "i": np.int64(-7),
+            "f": np.float32(0.1),
+            "z": np.complex128(1.5 - 2j),
+            "c": complex(0, 1e-300),
+            "n": None,
+            "t": True,
+            "f2": False,
+            "s": 'x"y',
+            "e": [],
+            "inf": math.inf,
+        }
+        assert to_json(value) == (
+            '{"a": {"b": [1, 2.0, [3, -0.5]], "c": {}}, '
+            '"arr": [0.25, -1.0, 1.0000000000000001e+300], "i": -7, '
+            '"f": 0.10000000149011612, "z": [1.5, -2.0], "c": [0.0, 1e-300], '
+            '"n": null, "t": true, "f2": false, "s": "x\\"y", "e": [], "inf": Infinity}\n'
+        )
+        assert to_json([]) == "[]\n"
+        with pytest.raises(ConfigError, match="^cannot serialize value of type set$"):
+            to_json({"s": {1}})
+
+    def test_analyze_columns(self, tmp_path):
+        # the header is spelled out here, not read from ANALYZE_FIELDS, so a
+        # reordered SWEEP_FIELDS shows; the record's keys are in header order
+        record = analyze_record(parse_model_file(write(tmp_path, "m.json", DEPHASING)))
+        assert ",".join(ANALYZE_FIELDS) == ANALYZE_HEADER
+        assert list(record) == list(ANALYZE_FIELDS)
+        assert to_csv(ANALYZE_FIELDS, [record]).split("\n")[0] == ANALYZE_HEADER
 
     def test_csv_header_and_lf(self):
         text = to_csv(("a", "b"), [{"a": 1.0, "b": True}])
@@ -211,7 +248,7 @@ class TestAnalyze:
         path = write(tmp_path, "m.json", DEPHASING)
         assert main(["analyze", path, "--format", "csv"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == ",".join(ANALYZE_FIELDS)
+        assert lines[0] == ANALYZE_HEADER
         assert len(lines) == 2
 
     def test_threshold_override_changes_regime(self, tmp_path, capsys):
@@ -446,13 +483,23 @@ class TestStackedSweeps:
         ids=["jc-up", "jc-down-non-integer", "mqd-missing-rate", "mqd-extra-rate"],
     )
     def test_dimension_changing_sweeps(
-        self, tmp_path, payload, param, start, stop, points, succeeds
+        self, tmp_path, monkeypatch, payload, param, start, stop, points, succeeds
     ):
         path = write(tmp_path, "m.json", payload)
         config = _sweep_config(path, param, start, stop, points)
         want = _per_point_sweep(config, cli.SWEEP_FIELDS)
         assert isinstance(want[0], list) is succeeds
+        chunks = []
+        form = cli._sector_blocks
+        monkeypatch.setattr(
+            cli, "_sector_blocks", lambda h, jumps: chunks.append(len(h)) or form(h, jumps)
+        )
         assert _exact(_stacked_sweep(config, cli.SWEEP_FIELDS)) == _exact(want)
+        if succeeds:
+            # d = 4, 6, 8: a stack is cut where n_max changes, so each
+            # chunk is one point whatever the last chunk of another
+            # dimension says of the blocks per point
+            assert chunks == [1, 1, 1]
 
     @pytest.mark.parametrize(
         "payload, param, start, stop, points, log_scale",
@@ -749,7 +796,7 @@ def _rows_of(columns: dict) -> list[dict]:
 
 class TestTableTemplate:
     """Tables written from columns in one ``%`` template are the text of
-    their rows written one cell at a time by ``_csv_cell``/``_json_fragment``."""
+    their rows written one cell at a time by ``_csv_cell``/``_json``."""
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize(
