@@ -15,6 +15,7 @@ It takes no options. Usage::
 from __future__ import annotations
 
 import ast
+import io
 import tokenize
 from pathlib import Path
 
@@ -25,7 +26,6 @@ SKIPPED = {
     tokenize.NEWLINE,
     tokenize.INDENT,
     tokenize.DEDENT,
-    tokenize.ENCODING,
     tokenize.ENDMARKER,
 }
 SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
@@ -49,10 +49,9 @@ def docstring_lines(source: str) -> set[int]:
 def code_lines(path: Path) -> int:
     source = path.read_text(encoding="utf-8")
     lines: set[int] = set()
-    with path.open("rb") as handle:
-        for token in tokenize.tokenize(handle.readline):
-            if token.type not in SKIPPED:
-                lines.update(range(token.start[0], token.end[0] + 1))
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in SKIPPED:
+            lines.update(range(token.start[0], token.end[0] + 1))
     return len(lines - docstring_lines(source))
 
 
