@@ -1,5 +1,15 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "LindscopeError",
+    "DimensionError",
+    "NumericalError",
+    "RangeError",
+    "ModelError",
+    "ConfigError",
+    "IoError",
+]
+
 
 class LindscopeError(Exception):
     """Base class for all lindscope errors."""

@@ -4,6 +4,7 @@ All operations take plain numpy arrays. A float64 array stays real, so a
 real matrix goes to numpy's real LAPACK kernels, which are about three
 times faster than the complex ones at the same size; every other input is
 taken as complex128. They are pure functions: arguments are never mutated.
+A NaN or Inf entry is a NumericalError, and an empty matrix has norm 0.
 Everything is dense; desk-scale dimensions keep eigendecomposition, SVD and
 the matrix exponential cheap and exact, so no sparse or iterative paths
 exist.
@@ -64,15 +65,26 @@ def as_complex_matrix(a, rows: int | None = None, cols: int | None = None) -> np
         raise DimensionError(f"expected {rows} rows, got {m.shape[0]}")
     if cols is not None and m.shape[1] != cols:
         raise DimensionError(f"expected {cols} columns, got {m.shape[1]}")
+    return _finite(m)
+
+
+def _finite(m: np.ndarray) -> np.ndarray:
+    """``m`` itself, or a NumericalError if an entry is NaN or Inf."""
     if not np.isfinite(m).all():
         raise NumericalError("matrix contains NaN or Inf entries")
     return m
 
 
-def _as2d(a) -> np.ndarray:
+def _operand(a) -> np.ndarray:
+    """``a`` as an array with finite entries: float64 stays float64, all else is complex128."""
     m = np.asarray(a)
     if m.dtype != np.float64:
         m = np.asarray(m, dtype=complex)
+    return _finite(m)
+
+
+def _as2d(a) -> np.ndarray:
+    m = _operand(a)
     if m.ndim != 2:
         raise DimensionError(f"expected a matrix, got an array of rank {m.ndim}")
     return m
@@ -86,10 +98,8 @@ def _square(a) -> np.ndarray:
 
 
 def _square_stack(a) -> np.ndarray:
-    """``a`` as a square matrix or a stack of them, ``(..., n, n)``, typed as by ``_as2d``."""
-    m = np.asarray(a)
-    if m.dtype != np.float64:
-        m = np.asarray(m, dtype=complex)
+    """``a`` as a square matrix or a stack of them, ``(..., n, n)``, typed as by ``_operand``."""
+    m = _operand(a)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise DimensionError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     return m
@@ -116,7 +126,7 @@ def hs_norm(a) -> float:
 
 def spectral_norm(m) -> float:
     """Largest singular value of ``m``."""
-    return float(np.linalg.svd(_as2d(m), compute_uv=False)[0])
+    return float(np.linalg.svd(_as2d(m), compute_uv=False).max(initial=0.0))
 
 
 def hermitian_norm(m) -> float:
@@ -134,7 +144,7 @@ def _hermitian_norms(m: np.ndarray) -> np.ndarray:
         ev = np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Hermitian eigensolver failed to converge: {exc}") from exc
-    return np.abs(ev).max(axis=-1)
+    return np.abs(ev).max(axis=-1, initial=0.0)
 
 
 def _solver_room(like: np.ndarray) -> np.ndarray:
@@ -214,11 +224,11 @@ def matrix_exp(m) -> np.ndarray:
     exactly zero, gives the identity exactly.
     """
     m = _square_stack(m)
-    mag = np.abs(m)
-    norm_1 = float(mag.sum(axis=-2).max())
-    if not math.isfinite(norm_1):
-        raise NumericalError("matrix contains NaN or Inf entries")
-    bound = math.sqrt(norm_1 * float(mag.sum(axis=-1).max()))
+    # a finite matrix whose sums overflow is out of range: inf goes on to the SVD
+    with np.errstate(over="ignore"):
+        mag = np.abs(m)
+        norm_1 = float(mag.sum(axis=-2).max(initial=0.0))
+        bound = math.sqrt(norm_1 * float(mag.sum(axis=-1).max(initial=0.0)))
     # the margin covers the rounding of the sums, so skipping the SVD below
     # it never changes the outcome
     if not bound <= EXP_SAFE_NORM * (1.0 - 2.0 * m.shape[-1] * np.finfo(float).eps):

@@ -80,9 +80,13 @@ def lowering() -> np.ndarray:
 def tensor_site(op, site: int, num_sites: int) -> np.ndarray:
     """Embed a single-qubit operator at one site of a qubit register.
 
-    Site 0 is the leftmost tensor factor.
+    Site 0 is the leftmost tensor factor. ``site`` and ``num_sites`` are
+    Python or numpy ints; anything else is a ConfigError that names it.
     """
     op = as_complex_matrix(op, 2, 2)
+    for name, value in (("site", site), ("num_sites", num_sites)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
     if not 0 <= site < num_sites:
         raise ConfigError(f"site {site} outside 0..{num_sites - 1}")
     cap = dim_cap()

@@ -71,7 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, ModelError, RangeError
-from .linalg import (_eigenvalues, as_complex_matrix, dagger, hermiticity_defect,
+from .linalg import (_eigenvalues, _finite, as_complex_matrix, dagger, hermiticity_defect,
                      hermiticity_tolerance)
 
 __all__ = [
@@ -127,7 +127,9 @@ class LindbladModel:
     """Hamiltonian plus weighted jump operators, hbar = 1.
 
     Rates are absorbed into the jump operators (store sqrt(rate) * op), so
-    there is no separate rate array that could fall out of sync.
+    there is no separate rate array that could fall out of sync. ``jumps``
+    is any iterable of matrices and ``label`` a string; anything else is a
+    ModelError.
     """
 
     dim: int
@@ -143,9 +145,15 @@ class LindbladModel:
                 f"dimension {self.dim} exceeds the cap {cap} "
                 "(set LINDSCOPE_DIM_CAP to raise it at your own risk)"
             )
+        if not isinstance(self.label, str):
+            raise ModelError(f"label must be a string, got {self.label!r}")
         h = as_complex_matrix(self.hamiltonian, self.dim, self.dim)
         _make_hermitian(h)
-        jumps = tuple(as_complex_matrix(j, self.dim, self.dim) for j in self.jumps)
+        try:
+            jumps = tuple(self.jumps)
+        except TypeError:
+            raise ModelError(f"jumps must be a sequence of matrices, got {self.jumps!r}") from None
+        jumps = tuple(as_complex_matrix(j, self.dim, self.dim) for j in jumps)
         object.__setattr__(self, "hamiltonian", _frozen(h))
         object.__setattr__(self, "jumps", tuple(_frozen(j) for j in jumps))
 
@@ -219,6 +227,7 @@ def vectorize(a) -> np.ndarray:
 
 def devectorize(v, dim: int) -> np.ndarray:
     """Inverse of vectorize: reshape a length-d^2 vector back into a d x d matrix."""
+    _check_dim(dim)
     v = np.asarray(v, dtype=complex)
     if v.ndim != 1 or v.shape[0] != dim * dim:
         raise DimensionError(f"expected a vector of length {dim * dim}, got shape {v.shape}")
@@ -941,4 +950,4 @@ def apply(s: Superoperator, rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (s.dim, s.dim):
         raise DimensionError(f"expected a {s.dim} x {s.dim} operator, got shape {rho.shape}")
-    return devectorize(s.matrix @ vectorize(rho), s.dim)
+    return devectorize(s.matrix @ vectorize(_finite(rho)), s.dim)

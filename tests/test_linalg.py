@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -25,6 +27,7 @@ from lindscope import (
     spectral_norm,
 )
 from lindscope.linalg import (
+    HERM_FLOOR,
     _PADE_THETA_13,
     _pade_exp,
     as_complex_matrix,
@@ -386,3 +389,69 @@ class TestAsComplexMatrix:
         out = as_complex_matrix(src)
         out[0, 0] = 5.0
         assert src[0, 0] == 1.0
+
+
+# Every public kernel, called on one operand: the second operand of a
+# binary kernel is the first.
+KERNELS = {
+    "as_complex_matrix": as_complex_matrix,
+    "dagger": dagger,
+    "hs_inner": lambda m: hs_inner(m, m),
+    "hs_norm": hs_norm,
+    "spectral_norm": spectral_norm,
+    "hermitian_norm": hermitian_norm,
+    "hermiticity_defect": hermiticity_defect,
+    "hermiticity_tolerance": hermiticity_tolerance,
+    "eigenvalues_general": eigenvalues_general,
+    "matrix_exp": matrix_exp,
+    "commutator": lambda m: commutator(m, m),
+}
+# What each gives for a 0 x 0 matrix
+EMPTY = {
+    "hs_inner": 0.0,
+    "hs_norm": 0.0,
+    "spectral_norm": 0.0,
+    "hermitian_norm": 0.0,
+    "hermiticity_defect": 0.0,
+    "hermiticity_tolerance": HERM_FLOOR,
+}
+
+
+class TestKernelInputs:
+    @pytest.mark.parametrize("name", KERNELS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_is_numerical_error(self, name, bad):
+        m = np.zeros((2, 2), dtype=type(bad))
+        m[0, 0] = bad
+        with pytest.raises(NumericalError, match="^matrix contains NaN or Inf entries$"):
+            KERNELS[name](m)
+
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_empty_matrix(self, name):
+        out = KERNELS[name](np.zeros((0, 0)))
+        if name in EMPTY:
+            assert out == EMPTY[name]
+        else:
+            assert out.shape == ((0,) if name == "eigenvalues_general" else (0, 0))
+
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (3, 0, 0)])
+    def test_empty_stack_exponential(self, shape):
+        out = matrix_exp(np.zeros(shape))
+        assert out.shape == shape
+
+    @pytest.mark.parametrize("name", sorted(set(KERNELS) - {"matrix_exp"}))
+    def test_stack_is_dimension_error(self, name):
+        with pytest.raises(DimensionError):
+            KERNELS[name](np.zeros((0, 2, 2)))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_exponential_of_overflowing_norm_is_range_error(self, dtype):
+        # finite entries whose 1-norm overflows: out of range, not "NaN or Inf"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError, match="exceeds safe range"):
+                matrix_exp(np.full((2, 2), 1e308, dtype=dtype))
+
+    def test_float64_stays_real(self):
+        assert dagger(np.eye(2)).dtype == np.float64
+        assert dagger(np.eye(2, dtype=np.float32)).dtype == np.complex128

@@ -90,6 +90,18 @@ class TestTensorSite:
         with pytest.raises(ConfigError):
             tensor_site(SZ, 2, 2)
 
+    @pytest.mark.parametrize(
+        "site, num_sites, name",
+        [(0.5, 2, "site"), (True, 2, "site"), ("0", 2, "site"),
+         (0, 2.5, "num_sites"), (0, False, "num_sites"), (0, "2", "num_sites")],
+    )
+    def test_non_integer_arguments(self, site, num_sites, name):
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer, got "):
+            tensor_site(SZ, site, num_sites)
+
+    def test_numpy_integer_arguments(self):
+        np.testing.assert_array_equal(tensor_site(SZ, np.int64(1), np.int32(2)), np.kron(I2, SZ))
+
     def test_cap_exceeded(self):
         # 2**20000 has 6021 digits, more than Python formats: the error
         # names num_sites and the cap instead

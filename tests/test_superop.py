@@ -24,6 +24,7 @@ from lindscope import (
     DimensionError,
     LindbladModel,
     ModelError,
+    NumericalError,
     Superoperator,
     adjoint,
     apply,
@@ -85,8 +86,20 @@ class TestVectorize:
         with pytest.raises(DimensionError):
             vectorize(np.zeros((2, 3)))
 
+    def test_non_integer_dimension(self):
+        with pytest.raises(ModelError, match="^dimension must be an integer, got 2.0$"):
+            devectorize(np.zeros(4), 2.0)
+
 
 class TestLindbladModel:
+    def test_rejects_jumps_not_iterable(self):
+        with pytest.raises(ModelError, match="jumps must be a sequence of matrices, got None"):
+            LindbladModel(2, np.eye(2), None)
+
+    def test_rejects_non_string_label(self):
+        with pytest.raises(ModelError, match="label must be a string, got 5"):
+            LindbladModel(2, np.eye(2), label=5)
+
     def test_rejects_non_hermitian_hamiltonian(self):
         with pytest.raises(ModelError):
             LindbladModel(dim=2, hamiltonian=np.array([[0, 1], [0, 0]]))
@@ -379,6 +392,15 @@ class TestApply:
         s = liouvillian(dephasing(1.0))
         with pytest.raises(DimensionError):
             apply(s, np.eye(3))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_operator(self, bad):
+        s = liouvillian(dephasing(1.0))
+        with pytest.raises(NumericalError, match="NaN or Inf"):
+            apply(s, [[bad, 0], [0, 0]])
+        # the shape is checked first, with its own message
+        with pytest.raises(DimensionError, match=r"^expected a 2 x 2 operator, got shape \(3,\)$"):
+            apply(s, [bad, 0, 0])
 
 
 class TestStructuralInvariants:
