@@ -24,7 +24,12 @@ kinds cover each kind's stacked build: ``dephasing_relaxation`` over
 fail cover which point a sweep names: the four of
 ``tests/test_cli.py::TestStackedSweeps::test_first_failure_in_sweep_order``,
 a 3000-point sweep whose first failing point is in its third stack of
-points, and an ``n_max`` sweep that fails at a non-integer. The named
+points, and an ``n_max`` sweep that fails at a non-integer. Four sweeps
+over 1 to 2 cover errors of the model file itself, which name no point: an
+unknown kind, an unknown parameter (``dephasing_relaxation`` with ``foo``,
+over ``g``), ``jaynes_cummings`` at ``n_max`` 100 (over the cap) and
+``dephasing`` at ``gamma_z`` -1 over ``omega``; that file swept over
+``gamma_z`` from -1 fails at its first point, which it names. The named
 models that split into many symmetry sectors run too: ``analyze`` on
 ``jaynes_cummings`` at ``n_max`` 7 and 15 and on ``multi_qubit_dephasing``
 at k 4 and 5, ``series`` on ``jaynes_cummings`` at ``n_max`` 7, and
@@ -152,6 +157,14 @@ FAILING = (
     # n_max 3 builds, 2.5 is not an integer
     ("non-integer", {"type": "jaynes_cummings", "n_max": 3},
      "n_max", "3", "1", "5", False),
+    # errors of the model file itself, the same at every point, name none
+    ("unknown-kind", {"type": "nope"}, "g", "1", "2", "3", False),
+    ("unknown-parameter", {"type": "dephasing_relaxation", "foo": 1},
+     "g", "1", "2", "3", False),
+    ("over-cap", {"type": "jaynes_cummings", "n_max": 100}, "g", "1", "2", "3", False),
+    ("negative-rate", {"type": "dephasing", "gamma_z": -1.0}, "omega", "1", "2", "3", False),
+    # the swept rate replaces the file's: its first point fails, and is named
+    ("first-point", {"type": "dephasing", "gamma_z": -1.0}, "gamma_z", "-1", "2", "3", False),
 )
 
 

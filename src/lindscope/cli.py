@@ -479,6 +479,9 @@ def _sweep_columns(config: RunConfig, fields) -> dict[str, np.ndarray]:
                     lo += size
         except LindscopeError as exc:
             if len(points) == 1:
+                # an error of the model file itself, which a stack of no
+                # points raises too, names no point
+                _stack(ModelSpec(base.kind, {**base.params, config.param: values[:0]}))
                 raise type(exc)(f"{config.param} = {points.item()!r}: {exc}") from exc
             until = done + size
     table = {config.param: values}

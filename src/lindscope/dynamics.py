@@ -17,7 +17,7 @@ visible relative to either baseline.
 For the generator of a model, alpha is exactly 0 (Lindblad 1976): trace
 preservation puts 0 in the spectrum, and a CPTP semigroup has no eigenvalue
 with a positive real part. ``spectral_abscissa`` returns that value for
-every generator that ``liouvillian`` makes, with no eigensolve, and
+the generator that ``liouvillian`` returns, with no eigensolve, and
 ``a_spectral`` is ``prop_norm`` bit for bit. A computed abscissa would be
 roundoff of either sign, positive (unphysical) for about half of random
 models. Only a raw ``Superoperator`` has its spectrum taken.
@@ -91,9 +91,10 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, RangeError
-from .linalg import EXP_SAFE_NORM, _hermitian_norms, _pade_exp, as_complex_matrix, hs_norm
+from .linalg import (EXP_SAFE_NORM, _hermitian_norms, _pade_exp, _prescaled, as_complex_matrix,
+                     hs_norm)
 from .metrics import Regime, StructuralMetrics, _check_real, compute_metrics
-from .superop import Superoperator, _block_spectrum, _form, _hermitian_coords
+from .superop import Superoperator, _block_spectrum, _form, _Generator, _hermitian_coords
 
 __all__ = [
     "MAX_STEPS",
@@ -314,10 +315,10 @@ def propagator(s: Superoperator, t: float) -> Superoperator:
 def spectral_abscissa(s: Superoperator) -> float:
     """Largest real part over the generator's eigenvalues.
 
-    For the generator of a model (``liouvillian``, a Superoperator that
-    holds ``_operators``) it is exactly 0.0: the trace is preserved, so 0
-    is an eigenvalue, and a CPTP semigroup has no eigenvalue with a
-    positive real part. So no form is taken and no eigensolve runs, and a
+    For the generator of a model, the one ``liouvillian`` returns, it is
+    exactly 0.0: the trace is preserved, so 0 is an eigenvalue, and a CPTP
+    semigroup has no eigenvalue with a positive real part. So no form is
+    taken and no eigensolve runs, and a
     generator with an entry beyond double precision gives 0.0 here too,
     where every call that forms it is a RangeError.
 
@@ -326,7 +327,7 @@ def spectral_abscissa(s: Superoperator) -> float:
     ``S``. It is ``superop._block_spectrum`` of ``_form(s)``, one batched
     eigensolve per size of block, and is computed on every call.
     """
-    if "_operators" in s.__dict__:
+    if isinstance(s, _Generator):
         return 0.0
     return float(_block_spectrum(*_form(s)).real.max())
 
@@ -386,9 +387,13 @@ def gronwall_check(s: Superoperator, rho0, grid: TimeGrid) -> float:
     """Minimum over the grid of exp(t*delta)*||rho0|| - ||rho(t)||.
 
     The envelope bounds the evolved Hilbert-Schmidt norm for every
-    generator, so the result is nonnegative up to roundoff.
+    generator, so the result is nonnegative up to roundoff. ``rho0`` is
+    taken scaled by an exact power of two (``linalg._prescaled``), so the
+    margin is exact at every magnitude of ``rho0``.
     """
-    rho0 = as_complex_matrix(rho0, s.dim, s.dim)
+    # no norm of the scaled rho0 over- or underflows; the margins are
+    # scaled back at the end
+    rho0, f = _prescaled(as_complex_matrix(rho0, s.dim, s.dim))
     m = compute_metrics(s)
     a, e, table = _form(s)
     # rho0 in the basis of the propagators; a real propagator maps the real
@@ -402,7 +407,7 @@ def gronwall_check(s: Superoperator, rho0, grid: TimeGrid) -> float:
     norms = [np.linalg.norm(p @ x) for p in propagators]
     with np.errstate(over="ignore"):
         margins = np.exp(m.delta * grid.times) * hs_norm(rho0) - np.array(norms)
-    return float(margins.min())
+        return float(np.ldexp(margins.min(), f))
 
 
 def normal_factorization_residual(s: Superoperator, t: float) -> float:

@@ -5,6 +5,12 @@ real matrix goes to numpy's real LAPACK kernels, which are about three
 times faster than the complex ones at the same size; every other input is
 taken as complex128. They are pure functions: arguments are never mutated.
 A NaN or Inf entry is a NumericalError, and an empty matrix has norm 0.
+Every argument is converted in one place, ``_numbers``: a ragged array is a
+DimensionError, an entry that is not a number a ConfigError.
+``hs_norm``, ``hs_inner`` and ``commutator`` take their operands scaled by
+exact powers of two (``_prescaled``), so a result within double precision
+is exact at every magnitude; a matrix or complex result beyond it is a
+RangeError, and a norm beyond it ``inf``.
 Everything is dense; desk-scale dimensions keep eigendecomposition, SVD and
 the matrix exponential cheap and exact, so no sparse or iterative paths
 exist.
@@ -25,10 +31,11 @@ the package needs numpy alone; it too stays real for a float64 matrix.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError, RangeError
+from .errors import ConfigError, DimensionError, NumericalError, RangeError
 
 __all__ = [
     "HERM_RTOL",
@@ -58,7 +65,7 @@ EXP_SAFE_NORM = 50.0
 
 def as_complex_matrix(a, rows: int | None = None, cols: int | None = None) -> np.ndarray:
     """Copy ``a`` into a fresh 2-D complex128 array, checking shape and finiteness."""
-    m = np.array(a, dtype=complex)
+    m = _numbers(a).astype(complex)
     if m.ndim != 2:
         raise DimensionError(f"expected a matrix, got an array of rank {m.ndim}")
     if rows is not None and m.shape[0] != rows:
@@ -75,12 +82,55 @@ def _finite(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _numbers(a) -> np.ndarray:
+    """``a`` as an array, not copied where it is one: float64 stays float64,
+    all else is complex128.
+
+    Where numpy would raise an untyped error or take None as NaN, a ragged
+    ``a`` is a DimensionError, an entry that is not a number a ConfigError
+    and an integer beyond double precision a RangeError.
+    """
+    try:
+        m = np.asarray(a)
+    except ValueError:
+        raise DimensionError("expected an array, got nested sequences of unequal lengths") from None
+    if m.dtype == np.float64:
+        return m
+    if m.dtype.kind not in "biufc":
+        for x in np.asarray(a, dtype=object).ravel().tolist():
+            if not isinstance(x, numbers.Number):
+                raise ConfigError(f"matrix entries must be numbers, got {x!r}")
+    try:
+        return np.asarray(m, dtype=complex)
+    except OverflowError:
+        raise RangeError("a matrix entry is beyond double precision") from None
+
+
 def _operand(a) -> np.ndarray:
     """``a`` as an array with finite entries: float64 stays float64, all else is complex128."""
-    m = np.asarray(a)
-    if m.dtype != np.float64:
-        m = np.asarray(m, dtype=complex)
-    return _finite(m)
+    return _finite(_numbers(a))
+
+
+def _prescaled(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(2^-f m, f)``, a new array: the float64 or complex128 ``m`` scaled
+    by the exact power of two that brings its largest real or imaginary
+    part into [1/2, 1), as ``dynamics._propagator_norm`` scales; ``f`` is
+    0 for a zero or empty ``m``."""
+    x = np.ascontiguousarray(m).view(np.float64)
+    f = math.frexp(float(np.abs(x).max(initial=0.0)))[1]
+    return np.ldexp(x, -f).view(m.dtype), f
+
+
+def _scaled_back(m: np.ndarray, f: int) -> np.ndarray:
+    """``2^f m`` in place, for a C-contiguous float64 or complex128 ``m``: a
+    RangeError, with no numpy warning, where an entry goes beyond double
+    precision."""
+    x = m.view(np.float64)
+    with np.errstate(over="ignore"):
+        np.ldexp(x, f, out=x)
+    if not np.isfinite(x).all():
+        raise RangeError("the result is beyond double precision")
+    return m
 
 
 def _as2d(a) -> np.ndarray:
@@ -111,17 +161,29 @@ def dagger(m) -> np.ndarray:
 
 
 def hs_inner(a, b) -> complex:
-    """Hilbert-Schmidt inner product Tr[a^dag b] of two square matrices."""
+    """Hilbert-Schmidt inner product Tr[a^dag b] of two square matrices.
+
+    It is taken on ``a`` and ``b`` prescaled by exact powers of two
+    (``_prescaled``), so no product over- or underflows; a result beyond
+    double precision is a RangeError.
+    """
     a = _square(a)
     b = _square(b)
     if a.shape != b.shape:
         raise DimensionError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
+    (a, fa), (b, fb) = _prescaled(a), _prescaled(b)
+    return complex(_scaled_back(np.array([np.vdot(a, b)], dtype=complex), fa + fb)[0])
 
 
 def hs_norm(a) -> float:
-    """Hilbert-Schmidt (Frobenius) norm sqrt(Tr[a^dag a])."""
-    return float(np.linalg.norm(_as2d(a)))
+    """Hilbert-Schmidt (Frobenius) norm sqrt(Tr[a^dag a]).
+
+    It is taken on ``a`` prescaled by an exact power of two, so no square
+    over- or underflows; a norm beyond double precision is ``inf``.
+    """
+    m, f = _prescaled(_as2d(a))
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.linalg.norm(m), f))
 
 
 def spectral_norm(m) -> float:
@@ -186,9 +248,13 @@ def eigenvalues_general(m) -> np.ndarray:
 
     Sorted ascending by real part, ties broken by imaginary part, so output
     is deterministic and directly comparable across runs. The spectrum is
-    complex128 also for a real matrix.
+    complex128 also for a real matrix. LAPACK scales a matrix of very large
+    or very small entries itself; an eigenvalue beyond double precision is
+    a RangeError.
     """
     ev = _eigenvalues(_square(m))
+    if not np.isfinite(ev).all():
+        raise RangeError("an eigenvalue is beyond double precision")
     order = np.lexsort((ev.imag, ev.real))
     return ev[order]
 
@@ -286,9 +352,15 @@ def _pade_exp(a: np.ndarray, norm_1: float) -> np.ndarray:
 
 
 def commutator(a, b) -> np.ndarray:
-    """Commutator a@b - b@a of two equal-size square matrices."""
+    """Commutator a@b - b@a of two equal-size square matrices.
+
+    It is taken on ``a`` and ``b`` prescaled by exact powers of two
+    (``_prescaled``), so no product or sum over- or underflows; an entry
+    beyond double precision is a RangeError.
+    """
     a = _square(a)
     b = _square(b)
     if a.shape != b.shape:
         raise DimensionError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b - b @ a
+    (a, fa), (b, fb) = _prescaled(a), _prescaled(b)
+    return _scaled_back(a @ b - b @ a, fa + fb)

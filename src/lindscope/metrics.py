@@ -41,10 +41,8 @@ on whole columns. ``compute_metrics`` runs it on ``superop._form`` of one
 generator and reads row 0. A sweep runs it on ``superop._sector_blocks`` of
 a chunk of points. The generator of a model and those of a sweep are
 formed by ``superop._operator_form`` from H and the jumps, and never
-built whole: it forms their entries from those of H and the jumps where
-their patterns split them or d is at most 4, and otherwise gathers them
-from the row chunks of the dense build, each gathered before the next is
-built. Every step works on each block alone, so a generator takes the
+built whole; its docstring says which route it takes for which stack.
+Every step works on each block alone, so a generator takes the
 values it takes in its own block's pass, bit for bit, whatever blocks
 share the call. A stack passes or fails as a whole, with the error of its
 first failing generator. The pass holds at most three arrays of its

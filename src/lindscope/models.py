@@ -204,6 +204,9 @@ class _Params:
     them, each on every point of the stack, and one that fails raises the
     error of its first failing point. The stack is its first ``count``
     points: all of them, or those before a shape parameter changes value.
+    A scalar is checked on its own value, as one copy where the stack has
+    no points, so a stack of no points raises exactly the errors that do
+    not depend on the points.
     """
 
     def __init__(self, spec: ModelSpec):
@@ -217,7 +220,7 @@ class _Params:
 
     def check(self, bad: np.ndarray, error) -> None:
         """Raise ``error(i)`` for the first point ``i`` of the stack where ``bad`` holds."""
-        bad = bad[: self.count]
+        bad = bad[: self.count or 1]
         if bad.any():
             raise error(int(bad.argmax()))
 
@@ -242,7 +245,7 @@ class _Params:
             elif not abs(value) <= sys.float_info.max:
                 raise self._not_finite(name, value)
             else:
-                vector = np.full(self.size, float(value))
+                vector = np.full(self.size or 1, float(value))
             self.read.append((name, vector))
             out[name] = vector
         return out
@@ -252,11 +255,16 @@ class _Params:
             f"{self.kind}: parameter {name!r} must be a finite double, got {_shown(value)}"
         )
 
-    def integer(self, name: str, default: int | None = None) -> int:
-        """A parameter that fixes the shape; the stack is cut where its value changes."""
+    def integer(self, name: str, default: int | None = None) -> int | None:
+        """A parameter that fixes the shape; the stack is cut where its value changes.
+
+        None where it is swept over a stack of no points, which has no shape.
+        """
         value = self._pop(name, default)
         error = ConfigError(f"{self.kind}: parameter {name!r} must be an integer")
         if isinstance(value, np.ndarray):
+            if not len(value):
+                return None
             self.check(~(np.isfinite(value) & (np.floor(value) == value)), lambda i: error)
             changed = value[: self.count] != value[0]
             if changed.any():
@@ -280,7 +288,8 @@ class _Params:
             ))
         if not names:
             return np.zeros((self.size, 0))
-        return np.stack([values[name] for name in names], axis=-1)
+        # a stack of no points drops the one copy of each scalar
+        return np.stack([values[name][: self.size] for name in names], axis=-1)
 
     def done(self) -> None:
         if self.left:
@@ -306,6 +315,9 @@ def _stack(spec: ModelSpec, max_entries: int | None = None) -> tuple:
     dimension cap, finite matrices and an exactly Hermitian H) run once per
     stack, each on all its points. A point that fails one fails the whole
     stack: it raises the error that point raises alone, and builds nothing.
+    A stack of no points raises the errors that no point's value causes,
+    and returns None where it sweeps a shape parameter, on which the rest
+    of the checks depend.
     """
     p = _Params(spec)
     kind = spec.kind
@@ -321,6 +333,8 @@ def _stack(spec: ModelSpec, max_entries: int | None = None) -> tuple:
             drive.append((0.5 * values["omega"], _PAULI[axis]))
     elif kind == "multi_qubit_dephasing":
         num = p.integer("k")
+        if num is None:  # the rest depends on k
+            return None
         if num < 1:
             raise ConfigError(f"multi_qubit_dephasing: k must be at least 1, got {_shown(num)}")
         rates = p.rates(*p.numbers((f"gamma_{j + 1}", None) for j in range(num)))
@@ -331,6 +345,8 @@ def _stack(spec: ModelSpec, max_entries: int | None = None) -> tuple:
     elif kind == "jaynes_cummings":
         values = p.numbers((("omega_a", 1.0), ("omega_c", 1.0), ("g", 0.1)))
         n_max = p.integer("n_max", 3)
+        if n_max is None:  # the rest depends on n_max
+            return None
         if n_max < 1:
             raise ConfigError(f"n_max must be at least 1, got {_shown(n_max)}")
         rates = p.rates()

@@ -54,11 +54,15 @@ takes the eigenvalues of a form, one eigensolve per size of block.
 
 All values are immutable after construction (arrays are frozen), so they
 are safe to share across threads. Two attributes of a Superoperator are
-set lazily, on first use: the matrix of a model's generator and the
-metrics of the analysis pass (``metrics.compute_metrics``). Threads that
-race to set one each compute it, from the same frozen inputs to the same
-bits, and any one of them may be kept; a reader sees either no value or a
-whole one.
+set lazily, on first use: the matrix of a model's generator, a
+``functools.cached_property``, and the metrics of the analysis pass
+(``metrics.compute_metrics``). The metrics take no lock: threads that
+race to set them each compute them, from the same frozen inputs to the
+same bits, and any one result may be kept. The matrix takes the lock of
+``cached_property`` on Python 3.11, one for all generators, so racing
+threads wait for the first build; from Python 3.12 it takes none and
+races as the metrics do. Either way a reader sees no value or a whole
+one.
 """
 
 from __future__ import annotations
@@ -71,8 +75,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, ModelError, RangeError
-from .linalg import (_eigenvalues, _finite, as_complex_matrix, dagger, hermiticity_defect,
-                     hermiticity_tolerance)
+from .linalg import (_eigenvalues, _numbers, _operand, _prescaled, _scaled_back,
+                     as_complex_matrix, dagger, hermiticity_defect, hermiticity_tolerance)
 
 __all__ = [
     "DEFAULT_DIM_CAP",
@@ -183,10 +187,10 @@ class Superoperator:
     """A linear map on operators, with its dense d^2 x d^2 ``matrix``.
 
     ``Superoperator(dim, matrix)`` stores a frozen complex copy of
-    ``matrix``. The generator that ``liouvillian`` makes of a model stores
-    the model's ``H`` and jumps instead, and builds ``matrix`` on its first
+    ``matrix``. The generator that ``liouvillian`` returns stores the
+    model's ``H`` and jumps instead, and builds ``matrix`` on its first
     read, then keeps it, frozen; an entry beyond double precision makes
-    that read a RangeError. The analysis pass and the dynamics form such a
+    that read a RangeError. The analysis pass and the dynamics form that
     generator from its operators (``_form``), so they never build it, and
     its spectral abscissa is exactly 0 (``liouvillian``).
     """
@@ -199,27 +203,36 @@ class Superoperator:
         m = as_complex_matrix(self.matrix, self.dim**2, self.dim**2)
         object.__setattr__(self, "matrix", _frozen(m))
 
-    def __repr__(self) -> str:
-        # the dataclass repr would read, and so build, a model's matrix
-        matrix = self.__dict__.get("matrix")
-        shown = "<built on first read>" if matrix is None else repr(matrix)
-        return f"{type(self).__qualname__}(dim={self.dim!r}, matrix={shown})"
 
-    def __getattr__(self, name: str):
-        # called only for an attribute that is not set, as the matrix of a
-        # model's generator is until its first read
-        operators = self.__dict__.get("_operators")
-        if name != "matrix" or operators is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        h, jumps = operators
-        m = _frozen(_liouvillians(h, jumps, _jump_squares(jumps)))[0]
-        object.__setattr__(self, "matrix", m)
-        return m
+@dataclass(frozen=True, eq=False)
+class _Generator(Superoperator):
+    """The generator of a model, as ``liouvillian`` returns it.
+
+    It holds the model's ``H`` and jumps as a stack of one,
+    ``operators``, and builds ``matrix`` from them (``_liouvillians``) on
+    its first read. The type tells the generator of a model apart, whose
+    spectral abscissa is exactly 0 and whose form is taken from its
+    operators (``_form``).
+    """
+
+    def __init__(self, model: LindbladModel):
+        jumps = np.array(model.jumps).reshape(1, len(model.jumps), model.dim, model.dim)
+        vars(self).update(dim=model.dim, operators=(model.hamiltonian[None], _frozen(jumps)))
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        h, jumps = self.operators
+        return _frozen(_liouvillians(h, jumps, _jump_squares(jumps)))[0]
+
+    def __repr__(self) -> str:
+        # the dataclass repr would read, and so build, the matrix
+        shown = repr(vars(self)["matrix"]) if "matrix" in vars(self) else "<built on first read>"
+        return f"Superoperator(dim={self.dim!r}, matrix={shown})"
 
 
 def vectorize(a) -> np.ndarray:
     """Column-stack a square matrix into a vector: vec(A)[i + d*j] = A[i, j]."""
-    a = np.asarray(a, dtype=complex)
+    a = np.asarray(_operand(a), dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     return a.flatten(order="F")
@@ -228,7 +241,7 @@ def vectorize(a) -> np.ndarray:
 def devectorize(v, dim: int) -> np.ndarray:
     """Inverse of vectorize: reshape a length-d^2 vector back into a d x d matrix."""
     _check_dim(dim)
-    v = np.asarray(v, dtype=complex)
+    v = np.asarray(_operand(v), dtype=complex)
     if v.ndim != 1 or v.shape[0] != dim * dim:
         raise DimensionError(f"expected a vector of length {dim * dim}, got shape {v.shape}")
     return v.reshape((dim, dim), order="F")
@@ -561,11 +574,10 @@ def _form(s: Superoperator) -> tuple[np.ndarray, int, np.ndarray]:
     is not built; a generator with an entry beyond double precision is a
     RangeError here. Any other Superoperator is formed from its matrix.
     """
-    operators = s.__dict__.get("_operators")
-    if operators is None:
-        a, e, table = _sector_form(s.matrix[None])
+    if isinstance(s, _Generator):
+        a, e, table = _sector_blocks(*s.operators)
     else:
-        a, e, table = _sector_blocks(*operators)
+        a, e, table = _sector_form(s.matrix[None])
     return a, int(e[0]), table
 
 
@@ -905,25 +917,21 @@ def liouvillian(model: LindbladModel) -> Superoperator:
         + sum_k [ kron(conj(L_k), L_k)
                   - kron(I, L_k^dag L_k)/2 - kron((L_k^dag L_k).T, I)/2 ].
 
-    The Superoperator keeps the model's ``H`` and jumps, as a stack of
-    one, and builds that matrix, ``_liouvillians`` of them, on the first
-    read of its ``matrix``. The analysis pass and the dynamics form the
-    generator from the operators instead (``_form``). A generator with an
-    entry beyond double precision is a RangeError from the first read of
-    its matrix or the first call that forms it.
+    The Superoperator it returns, a private subclass, keeps the model's
+    ``H`` and jumps, as a stack of one, and builds that matrix,
+    ``_liouvillians`` of them, on the first read of its ``matrix``. The
+    analysis pass and the dynamics form the generator from the operators
+    instead (``_form``). A generator with an entry beyond double precision
+    is a RangeError from the first read of its matrix or the first call
+    that forms it.
 
     Its spectral abscissa is exactly 0 for every generator of this form
     (Lindblad 1976): the trace is preserved, so 0 is an eigenvalue, and
     the semigroup is a contraction in the trace norm, so no eigenvalue has
     a positive real part. ``dynamics.spectral_abscissa`` returns that 0
-    for every Superoperator that holds ``_operators``.
+    for every generator that ``liouvillian`` returns.
     """
-    d = model.dim
-    s = object.__new__(Superoperator)
-    object.__setattr__(s, "dim", d)
-    jumps = np.array(model.jumps).reshape(1, len(model.jumps), d, d)
-    object.__setattr__(s, "_operators", (model.hamiltonian[None], _frozen(jumps)))
-    return s
+    return _Generator(model)
 
 
 def adjoint(s: Superoperator) -> Superoperator:
@@ -946,8 +954,14 @@ def decompose(s: Superoperator) -> tuple[Superoperator, Superoperator]:
 
 
 def apply(s: Superoperator, rho) -> np.ndarray:
-    """Apply the superoperator to a d x d operator."""
-    rho = np.asarray(rho, dtype=complex)
+    """Apply the superoperator to a d x d operator.
+
+    The product is taken on the matrix and ``rho`` prescaled by exact powers
+    of two (``linalg._prescaled``), so no product or sum over- or
+    underflows; an entry beyond double precision is a RangeError.
+    """
+    rho = _numbers(rho)
     if rho.shape != (s.dim, s.dim):
         raise DimensionError(f"expected a {s.dim} x {s.dim} operator, got shape {rho.shape}")
-    return devectorize(s.matrix @ vectorize(_finite(rho)), s.dim)
+    (m, fm), (v, fv) = _prescaled(s.matrix), _prescaled(vectorize(rho))
+    return devectorize(_scaled_back(m @ v, fm + fv), s.dim)

@@ -10,6 +10,7 @@ oracle runs power iteration (no library SVD call). The one exception is
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -77,6 +78,22 @@ def power_norm(m, iters=5000, seed=11):
             break
         lam = lam_new
     return float(np.sqrt(lam))
+
+
+def times_power_of_two(x, e: int):
+    """``x * 2^e`` of a float, complex or float64/complex128 array, exactly,
+    rounded once where it falls below the normal range."""
+    if isinstance(x, np.ndarray):
+        return np.ldexp(np.ascontiguousarray(x).view(np.float64), e).view(x.dtype)
+    if isinstance(x, complex):
+        return complex(math.ldexp(x.real, e), math.ldexp(x.imag, e))
+    return math.ldexp(x, e)
+
+
+def top_exponent(x) -> int:
+    """The ``e`` that brings the largest real or imaginary part of ``x``
+    into ``[2^1022, 2^1023)``: ``x * 2^e`` is near overflow."""
+    return 1023 - math.frexp(float(np.abs(np.ascontiguousarray(x).view(np.float64)).max()))[1]
 
 
 def random_complex(rng, d, scale=1.0):

@@ -331,6 +331,38 @@ class TestSweepAndRegimes:
         assert (captured.out, captured.err) == ("", want.err)
         assert want.err.startswith(f"error: {path}: unknown key ")
 
+    @pytest.mark.parametrize(
+        "model, param, start, message",
+        [
+            ({"type": "nope"}, "g", "1",
+             "unknown model kind 'nope'; known kinds: " + ", ".join(lindscope.MODEL_KINDS)),
+            ({"type": "dephasing_relaxation", "foo": 1}, "g", "1",
+             "dephasing_relaxation: unknown parameter(s): foo, g"),
+            ({"type": "jaynes_cummings", "n_max": 100}, "g", "1",
+             "jaynes_cummings: n_max makes the dimension 2 (n_max + 1) exceed the cap 32 "
+             "(set LINDSCOPE_DIM_CAP to raise it at your own risk)"),
+            ({"type": "dephasing", "gamma_z": -1.0}, "omega", "1",
+             "gamma_z must be nonnegative, got -1.0"),
+            # the swept values replace the file's, so the first point fails
+            ({"type": "dephasing", "gamma_z": -1.0}, "gamma_z", "-1",
+             "gamma_z = -1.0: gamma_z must be nonnegative, got -1.0"),
+            # which rates a point reads depends on its k
+            ({"type": "multi_qubit_dephasing", "gamma_1": 1, "gamma_2": 1, "gamma_3": 1},
+             "k", "1", "k = 1.0: multi_qubit_dephasing: unknown parameter(s): gamma_2, gamma_3"),
+        ],
+        ids=["unknown-kind", "unknown-parameter", "over-cap", "negative-rate",
+             "first-point", "shape-parameter"],
+    )
+    def test_model_file_error_names_no_point(self, tmp_path, capsys, model, param, start,
+                                             message):
+        # an error of the model file itself is the same at every point, so
+        # the sweep names none; one that a point's value causes names it
+        path = write(tmp_path, "m.json", {"model": model})
+        argv = ["sweep", path, "--param", param, f"--from={start}", "--to", "3", "--points", "3"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
     def test_sweep_kappa_monotone(self, tmp_path, capsys):
         payload = {"model": {"type": "driven_dephasing", "gamma_z": 1.0, "omega": 0.001}}
         path = write(tmp_path, "m.json", payload)

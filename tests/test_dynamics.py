@@ -12,6 +12,7 @@ from helpers import (
     random_hermitian,
     random_model,
     random_models,
+    times_power_of_two,
 )
 from lindscope import (
     ConfigError,
@@ -392,6 +393,19 @@ class TestGronwall:
             margin = gronwall_check(s, rho0, grid)
             scale = math.exp(dissipative_strength(s) * grid.t_end) * hs_norm(rho0)
             assert margin >= -1e-9 * scale
+
+    @pytest.mark.parametrize("e", [664, -664, "top"])
+    def test_magnitudes(self, e):
+        # rho0 at 1e200, at 1e-200 and with a norm near overflow: the margin
+        # is that at magnitude 1 times the power of two, bit for bit; from
+        # t = 0.5 it is no roundoff-sized difference
+        s = liouvillian(dephasing_relaxation(1.0, 1.0))
+        rho0 = random_complex(np.random.default_rng(7), 2)
+        grid = TimeGrid(0.5, 2.0, 20)
+        want = gronwall_check(s, rho0, grid)
+        assert want > 0.1 * hs_norm(rho0)
+        e = 1022 - math.frexp(max(want, hs_norm(rho0)))[1] if e == "top" else e
+        assert gronwall_check(s, times_power_of_two(rho0, e), grid) == math.ldexp(want, e)
 
     def test_long_horizon_envelope_overflow(self):
         # exp(t * delta) overflows past t * delta ~ 709 while the propagator

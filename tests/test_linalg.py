@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -7,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import I2, SM, SX, SY, SZ, random_complex, random_hermitian, taylor_exp
+from helpers import (I2, SM, SX, SY, SZ, random_complex, random_hermitian, taylor_exp,
+                     times_power_of_two, top_exponent)
 from lindscope import (
+    ConfigError,
     DimensionError,
     LindbladModel,
     ModelError,
@@ -427,6 +430,23 @@ class TestKernelInputs:
             KERNELS[name](m)
 
     @pytest.mark.parametrize("name", KERNELS)
+    @pytest.mark.parametrize("bad, shown", [("a", "'a'"), (None, "None")])
+    def test_entry_not_a_number_is_config_error(self, name, bad, shown):
+        # numpy raises an untyped ValueError for the string and takes None as NaN
+        m = [[1.0, bad], [0.0, 1.0]]
+        with pytest.raises(ConfigError, match=f"^matrix entries must be numbers, got {shown}$"):
+            KERNELS[name](m)
+
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_ragged_is_dimension_error(self, name):
+        with pytest.raises(DimensionError, match="nested sequences of unequal lengths"):
+            KERNELS[name]([[1.0, 2.0], [3.0]])
+
+    def test_integer_beyond_double_is_range_error(self):
+        with pytest.raises(RangeError, match="beyond double precision"):
+            as_complex_matrix([[10**400]])
+
+    @pytest.mark.parametrize("name", KERNELS)
     def test_empty_matrix(self, name):
         out = KERNELS[name](np.zeros((0, 0)))
         if name in EMPTY:
@@ -455,3 +475,73 @@ class TestKernelInputs:
     def test_float64_stays_real(self):
         assert dagger(np.eye(2)).dtype == np.float64
         assert dagger(np.eye(2, dtype=np.float32)).dtype == np.complex128
+
+
+# Magnitudes of the inputs: a power of two near 1e200, one near 1e-200, and
+# the one that brings a result to [2^1022, 2^1023), near overflow.
+MAGNITUDES = [664, -664, "top"]
+
+
+class TestMagnitudes:
+    """A result within double precision is that at magnitude 1 times the
+    power of two, bit for bit, rounded once below the normal range; a matrix
+    or complex one beyond it is a RangeError and a norm inf. The suite makes
+    a numpy RuntimeWarning an error, so none is raised either."""
+
+    @pytest.mark.parametrize("e", MAGNITUDES)
+    def test_hs_norm(self, e):
+        m = random_complex(np.random.default_rng(41), 3)
+        want = hs_norm(m)
+        if e == "top":
+            e = 1023 - math.frexp(want)[1]
+            assert hs_norm(np.full((2, 2), 1e308)) == math.inf
+        assert hs_norm(times_power_of_two(m, e)) == math.ldexp(want, e)
+
+    @pytest.mark.parametrize("e", MAGNITUDES)
+    def test_hs_inner(self, e):
+        rng = np.random.default_rng(42)
+        a, b = random_complex(rng, 3), random_complex(rng, 3)
+        want = hs_inner(a, b)
+        if e == 664:
+            # the products overflow; a sum that cancels is still exact
+            x, y = np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[2.0, -1.0], [0.0, 0.0]])
+            assert hs_inner(times_power_of_two(x, e), times_power_of_two(y, e)) == 0.0
+            with pytest.raises(RangeError, match="beyond double precision"):
+                hs_inner(times_power_of_two(a, e), times_power_of_two(b, e))
+            return
+        # below the normal range at 1e-200 each, near overflow at the top
+        total = -1064 if e == -664 else top_exponent(np.array([want]))
+        half = total // 2
+        got = hs_inner(times_power_of_two(a, half), times_power_of_two(b, total - half))
+        assert got == times_power_of_two(want, total)
+
+    @pytest.mark.parametrize("e", MAGNITUDES)
+    def test_commutator(self, e):
+        rng = np.random.default_rng(43)
+        a, b = random_complex(rng, 3), random_complex(rng, 3)
+        want = commutator(a, b)
+        if e == 664:
+            big = times_power_of_two(a, e)
+            assert commutator(big, big).tobytes() == np.zeros((3, 3), complex).tobytes()
+            with pytest.raises(RangeError, match="beyond double precision"):
+                commutator(big, times_power_of_two(b, e))
+            return
+        total = -1064 if e == -664 else top_exponent(want)
+        half = total // 2
+        got = commutator(times_power_of_two(a, half), times_power_of_two(b, total - half))
+        assert got.tobytes() == times_power_of_two(want, total).tobytes()
+
+    @pytest.mark.parametrize("e", MAGNITUDES)
+    def test_eigenvalues_general(self, e):
+        # LAPACK scales a matrix of very large or small entries itself, by
+        # a factor that is no power of two: exact to roundoff, not bit for bit
+        m = random_complex(np.random.default_rng(44), 3)
+        want = eigenvalues_general(m)
+        if e == "top":
+            e = top_exponent(want)
+            # the eigenvalue 2e308
+            with pytest.raises(RangeError, match="beyond double precision"):
+                eigenvalues_general(np.full((2, 2), 1e308))
+        got = eigenvalues_general(times_power_of_two(m, e))
+        scale = math.ldexp(spectral_norm(m), e)
+        np.testing.assert_allclose(got, times_power_of_two(want, e), rtol=0, atol=1e-14 * scale)

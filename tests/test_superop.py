@@ -17,10 +17,13 @@ from helpers import (
     random_models,
     random_unitary,
     superop_columns,
+    times_power_of_two,
+    top_exponent,
     traced_peak,
     unsplit_model,
 )
 from lindscope import (
+    ConfigError,
     DimensionError,
     LindbladModel,
     ModelError,
@@ -90,11 +93,33 @@ class TestVectorize:
         with pytest.raises(ModelError, match="^dimension must be an integer, got 2.0$"):
             devectorize(np.zeros(4), 2.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_is_numerical_error(self, bad):
+        with pytest.raises(NumericalError, match="^matrix contains NaN or Inf entries$"):
+            vectorize([[bad, 0], [0, 0]])
+        with pytest.raises(NumericalError, match="^matrix contains NaN or Inf entries$"):
+            devectorize([bad, 0, 0, 0], 2)
+
+    def test_not_numbers_refused(self):
+        with pytest.raises(ConfigError, match="^matrix entries must be numbers, got 'a'$"):
+            vectorize([["a"]])
+        with pytest.raises(ConfigError, match="^matrix entries must be numbers, got None$"):
+            devectorize([0, None, 0, 0], 2)
+        with pytest.raises(DimensionError, match="unequal lengths"):
+            vectorize([[1, 2], [3]])
+
 
 class TestLindbladModel:
     def test_rejects_jumps_not_iterable(self):
         with pytest.raises(ModelError, match="jumps must be a sequence of matrices, got None"):
             LindbladModel(2, np.eye(2), None)
+
+    def test_rejects_entries_not_numbers(self):
+        # a string is iterable: its characters are taken as the jumps
+        with pytest.raises(ConfigError, match="^matrix entries must be numbers, got 'a'$"):
+            LindbladModel(2, np.eye(2), "ab")
+        with pytest.raises(ConfigError, match="^matrix entries must be numbers, got 'a'$"):
+            Superoperator(1, [["a"]])
 
     def test_rejects_non_string_label(self):
         with pytest.raises(ModelError, match="label must be a string, got 5"):
@@ -401,6 +426,27 @@ class TestApply:
         # the shape is checked first, with its own message
         with pytest.raises(DimensionError, match=r"^expected a 2 x 2 operator, got shape \(3,\)$"):
             apply(s, [bad, 0, 0])
+
+    @pytest.mark.parametrize("e", [664, -664, "top"])
+    def test_magnitudes(self, e):
+        # at 1e200, at 1e-200 and near overflow, the result is that at
+        # magnitude 1 times the power of two, bit for bit
+        rng = np.random.default_rng(12)
+        s = liouvillian(random_model(rng, d=3))
+        rho = random_complex(rng, 3)
+        want = apply(s, rho)
+        if e == "top":
+            e = top_exponent(want)
+            # -2e308 off the diagonal
+            with pytest.raises(RangeError, match="beyond double precision"):
+                apply(liouvillian(dephasing(1.0)), [[0, 1e308], [1e308, 0]])
+        got = apply(s, times_power_of_two(rho, e))
+        assert got.tobytes() == times_power_of_two(want, e).tobytes()
+
+    def test_entries_not_numbers(self):
+        s = liouvillian(dephasing(1.0))
+        with pytest.raises(ConfigError, match="^matrix entries must be numbers, got 'a'$"):
+            apply(s, [["a", "b"], ["c", "d"]])
 
 
 class TestStructuralInvariants:
